@@ -49,8 +49,9 @@ from .catalog import (
     make_base_model,
     make_mechanism_model,
 )
+from .closedform import power_approx_steady, steady_state_formula
 from .core import ModelSystem, ParameterSet, StateVector
-from .errors import QsslabError, UsageError
+from .errors import QsslabError, UnsupportedKindError, UsageError
 from .integrate import Trajectory, integrate_adaptive
 
 STRENGTH_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -135,17 +136,24 @@ def collapse_window(trajectory: Trajectory, component: str = "T") -> tuple[float
 
 
 def per_capita_removal(model: ModelSystem, params: ParameterSet,
-                       trajectory: Trajectory) -> np.ndarray:
+                       trajectory: Trajectory,
+                       window: tuple[float, float] | None = None) -> np.ndarray:
     """r(t) = (a - y*T - dT/dt) / T along a trajectory: the total removal
     pressure on T beyond baseline death, per cell.  dT/dt is evaluated
-    exactly from the model right-hand side at the stored states."""
+    exactly from the model right-hand side at the stored states; with a
+    ``window`` (t_a, t_b), only at the accepted times inside it."""
     p = model.resolve_params(params)
     a, y = p["a"], p["y"]
+    times = trajectory.times
+    lo, hi = 0, len(times)
+    if window is not None:
+        lo = int(np.searchsorted(times, window[0], side="left"))
+        hi = int(np.searchsorted(times, window[1], side="right"))
     T = trajectory.component("T")
-    out = np.empty(len(trajectory))
-    for i, t in enumerate(trajectory.times):
-        dT = float(model.rhs(float(t), trajectory.states[i], p)[0])
-        out[i] = (a - y * T[i] - dT) / T[i]
+    out = np.empty(hi - lo)
+    for i in range(lo, hi):
+        dT = float(model.rhs(float(times[i]), trajectory.states[i], p)[0])
+        out[i - lo] = (a - y * T[i] - dT) / T[i]
     return out
 
 
@@ -186,22 +194,43 @@ def _strictly_decreasing(values) -> bool:
 def _destruction_legs():
     """Families of models indexed by a destruction strength s >= 0.
 
-    Returns (leg name, kind, params(s), T0) tuples; T0 is twice the baseline
-    (s = 0) steady state of the family.
+    Returns (leg name, kind, params(s)) tuples.
     """
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
     return (
         ("linear", "linear-destruction",
-         lambda s: ParameterSet(a=1.0, y=1.0, gamma=s), 2.0),
+         lambda s: ParameterSet(a=1.0, y=1.0, gamma=s)),
         ("power-n2", "power-destruction",
-         lambda s: ParameterSet(a=1.0, y=1.0, gamma=s, n=2.0), 2.0),
+         lambda s: ParameterSet(a=1.0, y=1.0, gamma=s, n=2.0)),
         ("power-n3", "power-destruction",
-         lambda s: ParameterSet(a=1.0, y=1.0, gamma=s, n=3.0), 2.0),
+         lambda s: ParameterSet(a=1.0, y=1.0, gamma=s, n=3.0)),
         ("logistic-gamma-raised", "logistic-source",
-         lambda s: ParameterSet(a=1.0, y=0.0, gamma=1.0 + s), 2.0),
+         lambda s: ParameterSet(a=1.0, y=0.0, gamma=1.0 + s)),
         ("logistic-y-lowered", "logistic-proliferation",
-         lambda s: ParameterSet(a=1.0, y=1.0 - s, gamma=1.0), 2.0 * golden),
+         lambda s: ParameterSet(a=1.0, y=1.0 - s, gamma=1.0)),
     )
+
+
+def _leg_params(params_of, s, overrides) -> ParameterSet:
+    """A leg's parameters at strength s, with the overrides it declares."""
+    params = params_of(s)
+    if overrides:
+        applicable = {k: v for k, v in overrides.items() if k in params}
+        params = params.with_updates(**applicable)
+    return params
+
+
+def _baseline_T0(kind: str, params: ParameterSet) -> float:
+    """T0 = 2x the leg's baseline (s = 0) steady state: the closed form
+    where it is exact (power destruction at gamma = 0 is linear), else the
+    numerical root."""
+    if kind == "power-destruction" and params["gamma"] == 0.0:
+        kind = "linear-destruction"
+    try:
+        return 2.0 * steady_state_formula(kind, params)
+    except UnsupportedKindError:
+        model = make_base_model(kind, params)
+        report = find_steady_state(model, params, StateVector(("T",), [1.0]))
+        return 2.0 * float(report.values.values[0])
 
 
 def _ordering_narrative(failures, broken) -> str:
@@ -237,16 +266,14 @@ def _claim_lowers_and_hastens(overrides=None) -> ClaimReport:
     rows = []
     failures = []
     broken = set()
-    for leg, kind, params_of, T0 in _destruction_legs():
+    for leg, kind, params_of in _destruction_legs():
+        T0 = _baseline_T0(kind, _leg_params(params_of, 0.0, overrides))
+        state0 = StateVector(("T",), [T0])
         t_stars = []
         t_epss = []
         for s in STRENGTH_GRID:
-            params = params_of(s)
-            if overrides:
-                applicable = {k: v for k, v in overrides.items() if k in params}
-                params = params.with_updates(**applicable)
+            params = _leg_params(params_of, s, overrides)
             model = make_base_model(kind, params)
-            state0 = StateVector(("T",), [T0])
             report = find_steady_state(model, params, state0)
             t_star = float(report.values.values[0])
             t_eps = time_to_epsilon(model, params, state0, EPSILON)
@@ -272,13 +299,9 @@ def _claim_lowers_and_hastens(overrides=None) -> ClaimReport:
 def _destruction_grid_points(overrides=None):
     """(label, model, params, T0 vector) combinations for the curvature claim."""
     points = []
-    for leg, kind, params_of, _T0 in _destruction_legs():
+    for leg, kind, params_of in _destruction_legs():
         for s in STRENGTH_GRID:
-            params = params_of(s)
-            if overrides:
-                applicable = {k: v for k, v in overrides.items() if k in params}
-                params = params.with_updates(**applicable)
-            points.append((f"{leg}[s={s:g}]", kind, params))
+            points.append((f"{leg}[s={s:g}]", kind, _leg_params(params_of, s, overrides)))
     for g_eff in (0.25, 1.0):
         params = ParameterSet(a=1.0, y=1.0, x=10.0 * g_eff, delta_D=10.0)
         points.append((f"coupled-agent[x/delta_D={g_eff:g}]", "coupled-agent", params))
@@ -454,8 +477,7 @@ def _claim_mechanism_conditions(overrides=None) -> ClaimReport:
         # condition 3: per-capita removal non-decreasing while T falls
         # on the collapse window
         t_a, t_b = collapse_window(traj, "T")
-        mask = (traj.times >= t_a) & (traj.times <= t_b)
-        r = per_capita_removal(model, params, traj)[mask]
+        r = per_capita_removal(model, params, traj, (t_a, t_b))
         drops = np.nonzero(
             np.diff(r) < -1e-6 * np.maximum(np.abs(r[:-1]), 1e-12)
         )[0]
@@ -525,7 +547,6 @@ def sweep(spec: SweepSpec) -> list[dict]:
     row (``error`` key) rather than aborting the sweep.
     """
     from .catalog import make_model
-    from .closedform import power_approx_steady, steady_state_formula
 
     rows = []
     for value in spec.grid:

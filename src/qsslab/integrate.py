@@ -1,5 +1,7 @@
 """Time stepping: classic fixed-step RK4 and an adaptive Dormand-Prince 5(4)
-embedded pair with proportional step control.
+embedded pair with proportional step control.  The Dormand-Prince stages
+are formed by small matrix products against one constant weight matrix, so
+a step costs a handful of numpy calls besides its seven rhs evaluations.
 
 Both integrators return a ``Trajectory`` of accepted points.  There is no
 dense output: downstream analysis interpolates linearly between accepted
@@ -7,6 +9,7 @@ points and must budget its tolerances accordingly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +32,20 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _dp_weights() -> np.ndarray:
+    """Weights on Y = [y; k1 ... k7]: row i (1..6) gives the input of stage
+    i + 1 once its y weight is set to 1, row 0 the error estimate.  B5 is
+    the last row of A, so row 6 is also the 5th-order solution."""
+    W = np.zeros((7, 8))
+    for i in range(1, 7):
+        W[i, 1:i + 1] = _DP_A[i]
+    W[0, 1:] = np.subtract(_DP_B5, _DP_B4)
+    return W
+
+
+_DP_W = _dp_weights()
 
 
 @dataclass(frozen=True)
@@ -134,16 +151,29 @@ def integrate_fixed(model: ModelSystem, params: ParameterSet, state0: StateVecto
     )
 
 
+@np.errstate(all="ignore")  # non-finite trial steps are rejected, not warned about
 def integrate_adaptive(model: ModelSystem, params: ParameterSet, state0: StateVector,
                        t0: float, t_end: float, rtol: float = 1e-8,
                        atol: float = 1e-12, max_steps: int = 2_000_000) -> Trajectory:
     """Dormand-Prince 5(4) with proportional control.
 
     Per accepted step the componentwise error estimate satisfies
-    |err_i| <= atol + rtol*|y_i|.  Step-size update:
+    |err_i| <= atol + rtol*max(|y_i|, |y5_i|).  Step-size update:
     dt <- dt * clamp(0.9 * (1/err_norm)^(1/5), 0.2, 5.0); the initial step is
-    (t_end - t0)/100.  A step size below 1e-14*(t_end - t0) raises
-    ``StiffnessError``; a non-finite state raises ``BlowupError``.
+    (t_end - t0)/100.  A step that would leave less than the minimum step
+    before t_end is stretched to it, and the last accepted time is t_end
+    exactly.
+
+    A trial step whose stages or solution are non-finite (the rhs left its
+    domain, e.g. an overshoot to T < 0 under a fractional power) is rejected
+    and retried at a fifth of the step.  A step size below 1e-14*(t_end - t0)
+    raises ``BlowupError`` when the trials that drove it there were
+    non-finite and ``StiffnessError`` otherwise.  ``max_steps`` bounds the
+    number of trial steps.
+
+    The stages live in one (8, dim) buffer Y = [y; k1 ... k7], so each stage
+    input, the 5th-order solution and the error estimate cost one small
+    product of a row of h * _DP_W with the filled rows of Y.
     """
     if rtol <= 0 or atol <= 0:
         raise DomainError("rtol and atol must be positive")
@@ -153,45 +183,51 @@ def integrate_adaptive(model: ModelSystem, params: ParameterSet, state0: StateVe
     h = span / 100.0
     h_min = 1e-14 * span
     times = [t0]
-    states = [y.copy()]
+    states = [y]
     t = t0
     accepted = 0
     rejected = 0
-    k1 = f(t, y, p)  # FSAL: reused across accepted steps
-    ks = [np.zeros_like(y) for _ in range(7)]
+    Y = np.empty((8, y.size))
+    Y[0] = y
+    Y[1] = f(t, y, p)  # FSAL: k1 is the previous step's k7
+    filled = [Y[:i + 1] for i in range(8)]
+    y_l = y.tolist()
+    finite = True
     for _ in range(max_steps):
         if t >= t_end:
             break
-        h = min(h, t_end - t)
+        last = t_end - t - h < h_min  # no remainder shorter than h_min
+        if last:
+            h = t_end - t
         if h < h_min:
+            if not finite:
+                raise BlowupError(f"state became non-finite at t = {t + h:g}", time=t + h)
             raise StiffnessError(
                 f"step size underflow ({h:.3e}) at t = {t:g}; problem too stiff"
             )
-        ks[0] = k1
+        hW = h * _DP_W
+        hW[1:, 0] = 1.0
         for i in range(1, 7):
-            yi = y.copy()
-            for j, aij in enumerate(_DP_A[i]):
-                if aij != 0.0:
-                    yi += (h * aij) * ks[j]
-            ks[i] = f(t + _DP_C[i] * h, yi, p)
-        y5 = y.copy()
-        err = np.zeros_like(y)
-        for i in range(7):
-            if _DP_B5[i] != 0.0:
-                y5 += (h * _DP_B5[i]) * ks[i]
-            diff = _DP_B5[i] - _DP_B4[i]
-            if diff != 0.0:
-                err += (h * diff) * ks[i]
-        if not np.all(np.isfinite(y5)):
-            raise BlowupError(f"state became non-finite at t = {t + h:g}", time=t + h)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err_norm = float(np.max(np.abs(err) / scale))
+            z = hW[i, :i + 1].dot(filled[i])
+            Y[i + 1] = f(t + _DP_C[i] * h, z, p)
+        y5 = z  # the last stage is evaluated at the 5th-order solution
+        err = hW[0].dot(Y)
+        err_l, y5_l = err.tolist(), y5.tolist()
+        # err weighs every stage but k2, and k2 enters every later stage
+        finite = all(map(math.isfinite, err_l + y5_l))
+        if not finite:
+            rejected += 1
+            h *= 0.2
+            continue
+        err_norm = max(abs(e) / (atol + rtol * max(abs(a), abs(b)))
+                       for e, a, b in zip(err_l, y_l, y5_l))
         if err_norm <= 1.0:
-            t = t + h
-            y = y5
-            k1 = ks[6]  # FSAL
+            t = t_end if last else t + h
+            y_l = y5_l
+            Y[0] = y5
+            Y[1] = Y[7]
             times.append(t)
-            states.append(y.copy())
+            states.append(y5)
             accepted += 1
         else:
             rejected += 1

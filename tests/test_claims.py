@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -119,16 +120,19 @@ class TestClaims:
         assert "sqrt(y^2 + 4*a*gamma)" in narrative
 
     def test_ordering_narrative_without_slow_tail(self):
-        # y = 0.5 freezes logistic-y-lowered and starts linear and power legs
-        # at their s = 0 steady state (t_eps = 0)
-        narrative = run_claim("destruction-lowers-and-hastens", {"y": 0.5}).narrative
-        for leg in ("linear", "power-n2", "power-n3", "logistic-y-lowered"):
-            assert f"{leg}: t_eps not strictly decreasing" in narrative
+        # y = 0.5 replaces y = 1 - s, so logistic-y-lowered is flat in T* and
+        # t_eps; every other leg starts at twice its own s = 0 steady state
+        # and keeps both orderings
+        report = run_claim("destruction-lowers-and-hastens", {"y": 0.5})
+        narrative = report.narrative
         assert "logistic-y-lowered: T* not strictly decreasing" in narrative
-        assert narrative.count("T* not strictly decreasing") == 1
-        assert "logistic-gamma-raised" not in narrative
+        assert "logistic-y-lowered: t_eps not strictly decreasing" in narrative
+        assert narrative.count("not strictly decreasing") == 2
         assert "steady state always drops" not in narrative
         assert "sqrt(y^2 + 4*a*gamma)" not in narrative
+        linear = [r for r in report.grid if r["leg"] == "linear"]
+        # T0 = 2 a/y = 4 on the linear leg: t_eps = ln(1/eps)/(y + gamma) > 0
+        assert linear[0]["t_eps"] == pytest.approx(math.log(100.0) / 0.5, rel=1e-6)
 
     def test_reports_are_bit_identical_across_runs(self):
         a = json.dumps(run_claim("qss-reduction-valid").to_json_dict(), sort_keys=True)

@@ -6,13 +6,19 @@ import pytest
 from qsslab import (
     ParameterSet,
     StateVector,
+    default_params,
+    default_state,
+    find_steady_state,
     integrate_adaptive,
     integrate_fixed,
     linear_solution,
     logistic_solution,
     make_base_model,
+    make_model,
     qss_reduce,
 )
+from qsslab.catalog import MechanismKind, all_kind_names
+from qsslab.claims import mechanism_trajectory
 from qsslab.core import ModelSystem, ParamSpec
 from qsslab.errors import BlowupError, DomainError, StiffnessError, ValidationError
 from qsslab.integrate import Trajectory
@@ -153,6 +159,46 @@ class TestAdaptive:
             integrate_adaptive(model, ParameterSet(g=1.0), StateVector(("T",), [1.0]),
                                0.0, 2.0, rtol=1e-8, atol=1e-12)
 
+    @pytest.mark.parametrize("t_end", [1.474, 1.542, 3.009, 7.681])
+    def test_last_step_lands_exactly_on_t_end(self, t_end):
+        # at the fixed point every step grows 5x, and the final step, clamped
+        # to the remainder, covers over half the span: t + h used to round
+        # one ulp short of t_end, leaving a remainder below the minimum step
+        model = make_base_model("healthy")
+        traj = integrate_adaptive(model, ParameterSet(a=1, y=1),
+                                  StateVector(("T",), [1.0]), 0.0, t_end)
+        assert traj.times[-1] == t_end
+
+    def test_non_finite_trial_step_is_rejected(self):
+        # the first trial step overshoots to T < 0, where T**n with a
+        # fractional n is nan; the trial is retried at a fifth of the step
+        params = ParameterSet(a=0.33014751191550706, y=0.29421304314213753,
+                              gamma=96.0681310956346, n=2.205395261283672)
+        model = make_base_model("power-destruction")
+        state0 = StateVector(("T",), [16.745582880360338])
+        traj = integrate_adaptive(model, params, state0, 0.0, 2.387002511409681,
+                                  rtol=1e-10, atol=1e-13)
+        assert traj.times[-1] == 2.387002511409681
+        assert traj.solver_info["rejected"] >= 1
+        t_star = find_steady_state(model, params, state0).values.values[0]
+        assert traj.component("T")[-1] == pytest.approx(t_star, rel=1e-6)
+
+    def test_always_non_finite_rhs_is_a_blowup(self):
+        model = ModelSystem(
+            name="nan-rate", state_names=("T",), param_schema=(),
+            rhs=lambda t, s, p: np.array([math.nan]),
+        )
+        with pytest.raises(BlowupError):
+            integrate_adaptive(model, ParameterSet(), StateVector(("T",), [1.0]),
+                               0.0, 1.0)
+
+    def test_overflowing_rhs_is_a_blowup(self):
+        # T**2 overflows to inf in the first rhs call, not to OverflowError
+        model = make_base_model("logistic-proliferation")
+        with pytest.raises(BlowupError):
+            integrate_adaptive(model, ParameterSet(a=0, y=1, gamma=1),
+                               StateVector(("T",), [1e200]), 0.0, 1.0)
+
     def test_bad_tolerances(self):
         model = make_base_model("healthy")
         with pytest.raises(DomainError):
@@ -184,3 +230,80 @@ class TestTrajectory:
         assert traj.component("D").shape == traj.times.shape
         with pytest.raises(ValidationError):
             traj.component("V")
+
+
+class TestMechanismKernel:
+    """The Dormand-Prince kernel on the four mechanisms at the claim settings."""
+
+    # accepted steps per mechanism at rtol 1e-8, atol 1e-12
+    BASELINE_STEPS = {
+        "virulence-drift": 4521,
+        "cytokine-inversion": 6647,
+        "humoral-cellular-competition": 6316,
+        "bcell-depletion": 24080,
+    }
+
+    @pytest.mark.parametrize("kind", [k.value for k in MechanismKind])
+    def test_accepted_steps_do_not_grow(self, kind):
+        _, _, traj = mechanism_trajectory(kind)
+        assert traj.solver_info["accepted"] <= 1.10 * self.BASELINE_STEPS[kind]
+
+    @pytest.mark.parametrize("kind", [k.value for k in MechanismKind])
+    def test_agrees_with_scipy_radau(self, kind):
+        integrate = pytest.importorskip("scipy.integrate")
+        model, params, traj = mechanism_trajectory(kind)
+        p = model.resolve_params(params)
+        picks = np.linspace(1, len(traj) - 1, 10).astype(int)
+        ref = integrate.solve_ivp(
+            lambda t, y: model.rhs(t, y, p), (traj.times[0], traj.times[-1]),
+            traj.states[0], method="Radau", rtol=1e-11, atol=1e-14,
+            t_eval=traj.times[picks],
+        )
+        assert ref.success
+        T = traj.component("T")[picks]
+        np.testing.assert_allclose(T, ref.y[0], rtol=1e-6)
+
+
+class TestBuiltinRhs:
+    @pytest.mark.parametrize("kind", all_kind_names())
+    def test_returns_float64_vector(self, kind):
+        model = make_model(kind)
+        out = model.rhs(0.0, default_state(kind).values,
+                        model.resolve_params(default_params(kind)))
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64 and out.shape == (model.dimension,)
+
+    @pytest.mark.parametrize("kind", all_kind_names())
+    def test_python_floats_match_numpy_scalars(self, kind):
+        # the undecorated rhs on an array computes on float64 scalars
+        model = make_model(kind)
+        p = model.resolve_params(default_params(kind))
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            state = default_state(kind).values * rng.uniform(0.5, 2.0, model.dimension)
+            reference = np.array(model.rhs.__wrapped__(3.0, state, p), dtype=float)
+            assert np.array_equal(model.rhs(3.0, state, p), reference)
+
+    def test_fractional_power_of_negative_state_is_nan(self):
+        model = make_base_model("power-destruction")
+        out = model.rhs(0.0, np.array([-0.5]), {"a": 1.0, "y": 1.0, "gamma": 1.0, "n": 2.5})
+        assert out.dtype == np.float64 and math.isnan(out[0])
+
+    def test_overflowing_square_is_infinite(self):
+        model = make_base_model("logistic-source")
+        out = model.rhs(0.0, np.array([1e200]), {"a": 1.0, "y": 0.0, "gamma": 1.0})
+        assert out[0] == -math.inf
+
+    @pytest.mark.parametrize("kind,zero_gate", [
+        # T = -h_T zeroes the CD4 help gate's denominator h_T + T
+        ("virulence-drift", lambda s, p: s.update(T=-p["h_T"])),
+        # K1 = 0, K2 = -kappa zero the cytokine share's K1 + K2 + kappa
+        ("cytokine-inversion", lambda s, p: s.update(K1=0.0, K2=-p["kappa"])),
+    ])
+    def test_zero_gate_denominator_is_not_an_exception(self, kind, zero_gate):
+        model = make_model(kind)
+        p = model.resolve_params(default_params(kind))
+        state = default_state(kind).as_dict()
+        zero_gate(state, p)
+        out = model.rhs(0.0, np.array(list(state.values())), p)
+        assert out.dtype == np.float64 and not np.all(np.isfinite(out))
