@@ -8,7 +8,9 @@ paths given by flags (or stdout for ``catalog``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -51,6 +53,25 @@ def _parse_kv(pairs, what):
         except ValueError:
             raise UsageError(f"{what} {name!r}: {value!r} is not a number") from None
     return out
+
+
+def _finite(text: str) -> float:
+    """argparse type: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite number above zero."""
+    value = _finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
 
 
 def _load_model(spec: str):
@@ -103,20 +124,34 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
 
 
 def read_trajectory_csv(path: str) -> Trajectory:
+    """Read a CSV that ``write_trajectory_csv`` wrote.  A file that is not
+    one -- unreadable, without the ``t,...`` header, with a row whose cell
+    count differs from the header's or with a cell that is not a finite
+    number -- raises ``UsageError``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
+            lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read trajectory {path!r}: {exc}") from None
-    if not lines or not lines[0].startswith("t,"):
+    if not lines or not lines[0][1].startswith("t,"):
         raise UsageError(f"{path!r} is not a trajectory CSV (expected header 't,...')")
-    names = tuple(lines[0].split(",")[1:])
+    names = tuple(lines[0][1].split(",")[1:])
     times = []
     states = []
-    for line in lines[1:]:
+    for line_no, line in lines[1:]:
         cells = line.split(",")
-        times.append(float(cells[0]))
-        states.append([float(c) for c in cells[1:]])
+        if len(cells) != len(names) + 1:
+            raise UsageError(
+                f"{path!r} line {line_no}: {len(cells)} cells, the header has {len(names) + 1}"
+            )
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            raise UsageError(f"{path!r} line {line_no}: {line!r} is not all numbers") from None
+        if not all(map(math.isfinite, row)):
+            raise UsageError(f"{path!r} line {line_no}: {line!r} is not all finite")
+        times.append(row[0])
+        states.append(row[1:])
     return Trajectory(np.array(times), np.array(states), names, {"scheme": "csv"})
 
 
@@ -283,11 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--model", required=True, help="catalog name or .qssm file")
     sim.add_argument("--param", action="append", metavar="NAME=VALUE")
     sim.add_argument("--init", action="append", metavar="STATE=VALUE")
-    sim.add_argument("--t0", type=float, default=0.0)
-    sim.add_argument("--t-end", type=float, required=True, dest="t_end")
-    sim.add_argument("--dt", type=float, default=None, help="fixed-step RK4 step size")
-    sim.add_argument("--rtol", type=float, default=1e-8)
-    sim.add_argument("--atol", type=float, default=1e-12)
+    sim.add_argument("--t0", type=_finite, default=0.0)
+    sim.add_argument("--t-end", type=_finite, required=True, dest="t_end")
+    sim.add_argument("--dt", type=_positive, default=None, help="fixed-step RK4 step size")
+    sim.add_argument("--rtol", type=_positive, default=1e-8)
+    sim.add_argument("--atol", type=_positive, default=1e-12)
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.add_argument("--plot", default=None, help="optional SVG path")
     sim.set_defaults(func=_cmd_simulate)
@@ -328,10 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run_cli(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

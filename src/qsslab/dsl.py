@@ -16,6 +16,7 @@ and binds tightest, then unary minus, then ``* /``, then ``+ -``; calls
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -426,6 +427,8 @@ def _expression_issues(expr: Expr, declared: set[str]):
         yield from _expression_issues(expr.operand, declared)
         return
     if isinstance(expr, BinOp):
+        if expr.op not in {"+", "-", "*", "/", "^"}:
+            yield f"unknown operator {expr.op} at {expr.loc}"
         yield from _expression_issues(expr.left, declared)
         yield from _expression_issues(expr.right, declared)
         return
@@ -477,7 +480,8 @@ def eval_expr(expr: Expr, bindings) -> float:
                     raise EvaluationError(f"division by zero at {expr.loc}", expr.loc)
                 return left / right
             if op == "^":
-                if left < 0.0 and right != math.floor(right):
+                # right != right: a nan exponent is not an integer either
+                if left < 0.0 and (right != right or right != math.floor(right)):
                     raise EvaluationError(
                         f"negative base with non-integer exponent at {expr.loc}", expr.loc
                     )
@@ -573,21 +577,121 @@ def format_model(defn: ModelDefinition) -> str:
 # Compilation
 # ---------------------------------------------------------------------------
 
+# Globals of the generated rhs; every other name in it is a local.
+_RUNTIME = {
+    "_array": np.array, "_floor": math.floor, "_exp": math.exp, "_log": math.log,
+    "_sqrt": math.sqrt, "_tanh": math.tanh, "_EvaluationError": EvaluationError,
+    "_Loc": SourceLocation,
+}
+# Keyed on (name, arity) and operator, so that a tree parse_model would
+# reject raises KeyError while its source is generated.
+_UNARY_CALLS = {("exp", 1): "_exp", ("ln", 1): "_log", ("sqrt", 1): "_sqrt", ("tanh", 1): "_tanh"}
+_PICKS = {("min", 2): "<", ("max", 2): ">"}  # min(a, b) keeps a unless b < a
+_RAISE_FREE = {"+": "+", "-": "-", "*": "*"}  # never raise on floats
+
+
+def _raise(message: str, loc: SourceLocation) -> str:
+    """A statement raising ``eval_expr``'s error for ``message`` at ``loc``."""
+    return (f"raise _EvaluationError({f'{message} at {loc}'!r}, "
+            f"_Loc({loc.line}, {loc.column})) from None")
+
+
+def _emit(expr: Expr, names: dict, lines: list) -> str:
+    """Append statements computing ``expr`` to ``lines``, node by node in
+    ``eval_expr``'s order and with its errors; return the Python expression
+    (a literal, a bound name or a local) that holds the value."""
+    if isinstance(expr, Var):
+        return names[expr.name]
+    if isinstance(expr, Num):
+        text = repr(expr.value)
+        if not math.isfinite(expr.value):
+            return f"float({text!r})"
+        return f"({text})" if text.startswith("-") else text
+    if isinstance(expr, Neg):
+        operand = _emit(expr.operand, names, lines)
+        out = f"n{len(lines)}"  # every node adds a line, so the names differ
+        lines.append(f"{out} = -{operand}")
+        return out
+    if isinstance(expr, Call):
+        args = [_emit(a, names, lines) for a in expr.args]
+        out = f"n{len(lines)}"
+        key = (expr.func, len(args))
+        if key in _PICKS:
+            a, b = args
+            lines.append(f"{out} = {b} if {b} {_PICKS[key]} {a} else {a}")
+        else:
+            lines += ["try:", f"    {out} = {_UNARY_CALLS[key]}({args[0]})",
+                      "except (ValueError, OverflowError) as exc:",
+                      f"    raise _EvaluationError(str(exc) + "
+                      f"{f' in {expr.func}() at {expr.loc}'!r}, "
+                      f"_Loc({expr.loc.line}, {expr.loc.column})) from None"]
+        return out
+    op = expr.op
+    left = _emit(expr.left, names, lines)
+    right = _emit(expr.right, names, lines)
+    out = f"n{len(lines)}"
+    if op == "/":
+        if not (isinstance(expr.right, Num) and expr.right.value != 0.0):
+            lines += [f"if {right} == 0.0:", "    " + _raise("division by zero", expr.loc)]
+        lines.append(f"{out} = {left} / {right}")
+    elif op == "^":
+        lines.append("try:")
+        if not (isinstance(expr.right, Num) and float(expr.right.value).is_integer()):
+            lines += [f"    if {left} < 0.0 and ({right} != {right} or {right} != _floor({right})):",
+                      "        " + _raise("negative base with non-integer exponent", expr.loc)]
+        lines += [f"    {out} = {left} ** {right}",
+                  "except OverflowError:", "    " + _raise("overflow in '^'", expr.loc),
+                  "except ZeroDivisionError:", "    " + _raise("division by zero", expr.loc)]
+    else:
+        lines.append(f"{out} = {left} {_RAISE_FREE[op]} {right}")
+    return out
+
+
+def _rhs_source(state_names, param_names, exprs, reads_time: bool) -> str:
+    names = {name: f"v_{name}" for name in (*state_names, *param_names, RESERVED_TIME)}
+    lines = []
+    if reads_time:
+        lines.append("v_t = float(t)")
+    lines.append(f"[{', '.join(names[s] for s in state_names)}] = values.tolist()")
+    lines += [f"{names[p]} = float(params[{p!r}])" for p in param_names]
+    results = [_emit(e, names, lines) for e in exprs]
+    lines.append(f"return _array([{', '.join(results)}])")
+    return "def rhs(t, values, params):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+@functools.lru_cache(maxsize=64)
+def _rhs_function(source: str):
+    """The function ``source`` defines, compiled once per process."""
+    namespace = dict(_RUNTIME)
+    exec(compile(source, "<qssm rhs>", "exec"), namespace)
+    return namespace["rhs"]
+
+
 def compile_model(defn: ModelDefinition) -> ModelSystem:
-    """Turn a validated definition into an executable ``ModelSystem``."""
+    """Turn a validated definition into an executable ``ModelSystem``.
+
+    The right-hand side is generated Python: one straight-line function that
+    unpacks the state and binds each parameter once, then computes every
+    node of every equation into a local in ``eval_expr``'s order, so that it
+    returns bit for bit what ``eval_expr`` returns and raises the same
+    ``EvaluationError`` (message and ``SourceLocation``) where ``eval_expr``
+    raises.  Generated sources are compiled once per process, behind a memo
+    of the 64 most recently used: compiling an equal definition again
+    returns the same function.  A definition that ``parse_model`` would
+    reject raises its ``SemanticError``.
+    """
     state_names = tuple(s.name for s in defn.states)
+    param_names = tuple(p.name for p in defn.params)
     exprs = [defn.equations[name] for name in state_names]
     time_dependent = any(expression_reads_time(e) for e in exprs)
+    try:
+        source = _rhs_source(state_names, param_names, exprs, time_dependent)
+    except KeyError:
+        declared = {*state_names, *param_names, RESERVED_TIME}
+        problems = {p for e in exprs for p in _expression_issues(e, declared)}
+        raise SemanticError(sorted(problems)) from None
+    rhs = _rhs_function(source)
 
-    def rhs(t, values, params):
-        bindings = {RESERVED_TIME: float(t)}
-        for name, value in zip(state_names, values):
-            bindings[name] = float(value)
-        for key in param_names:
-            bindings[key] = float(params[key])
-        return np.array([eval_expr(e, bindings) for e in exprs])
-
-    param_names = tuple(p.name for p in defn.params)
     schema = tuple(
         ParamSpec(p.name, 0.0 if p.nonneg else None, False, p.default)
         for p in defn.params

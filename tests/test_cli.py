@@ -1,8 +1,13 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from qsslab import cli
 from qsslab.cli import read_trajectory_csv, run_cli
 from qsslab.svg import render_plot
 from qsslab.errors import UsageError
@@ -138,6 +143,89 @@ def test_bad_flag_combinations(outdir):
     assert run_cli(["simulate", "--model", "healthy", "--t-end", "1",
                     "--init", "V=1", "--out", str(outdir / "x.csv")]) == 2
     assert run_cli(["classify", "--traj", str(outdir / "missing.csv")]) == 2
+
+
+def test_consecutive_calls_share_the_parser_but_no_arguments(outdir):
+    model = outdir / "custom.qssm"
+    model.write_text("model custom\nstate T = 2\nparam r = 1 nonneg\ndT/dt = 0 - r*T\n")
+    argvs = [
+        ["steady", "--model", "power-destruction", "--param", "a=3", "--param", "n=3",
+         "--guess", "T=2", "--out", "{}/steady.json"],
+        ["simulate", "--model", "linear-destruction", "--param", "gamma=4",
+         "--init", "T=7", "--t-end", "2", "--dt", "0.25", "--out", "{}/first.csv"],
+        ["simulate", "--model", "linear-destruction", "--t-end", "2", "--out", "{}/second.csv"],
+        ["simulate", "--model", str(model), "--param", "r=2", "--t-end", "1",
+         "--rtol", "1e-6", "--out", "{}/custom.csv"],
+        ["classify", "--traj", "{}/second.csv", "--out", "{}/classify.json"],
+    ]
+    shared, fresh = outdir / "shared", outdir / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    for argv in argvs:
+        assert run_cli([a.format(shared) for a in argv]) == 0
+    assert cli._parser() is cli._parser()
+    for argv in argvs:  # each call from a newly built parser
+        cli._parser.cache_clear()
+        assert run_cli([a.format(fresh) for a in argv]) == 0
+    for path in sorted(shared.iterdir()):
+        assert path.read_bytes() == (fresh / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("text", [
+    "t,T\n0,1\n1,0.5,3\n",
+    "t,T\n0,abc\n",
+    "t,T\n0,1\n1,nan\n",
+    "t,T\n0,1\ninf,0.5\n",
+    "t,T,V\n0,1\n",
+    "t,T\n",
+    "",
+])
+def test_malformed_csv_is_a_usage_error(outdir, capsys, text):
+    path = outdir / "bad.csv"
+    path.write_text(text)
+    assert run_cli(["classify", "--traj", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_utf8_csv_is_a_usage_error(outdir):
+    path = outdir / "binary.csv"
+    path.write_bytes(b"t,T\n0,\xff\n")
+    assert run_cli(["classify", "--traj", str(path)]) == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--t-end", "nan"), ("--t-end", "inf"), ("--t0", "-inf"), ("--t0", "x"),
+    ("--rtol", "nan"), ("--rtol", "0"), ("--atol", "inf"), ("--atol", "-1e-9"),
+    ("--dt", "nan"), ("--dt", "0"),
+])
+def test_non_finite_or_non_positive_solver_settings_are_usage_errors(outdir, flag, value):
+    argv = ["simulate", "--model", "healthy", "--t-end", "1", "--out", str(outdir / "x.csv")]
+    assert run_cli([*argv, f"{flag}={value}"]) == 2
+
+
+_cell = st.one_of(
+    st.floats().map(repr), st.integers(-5, 40).map(str),
+    st.sampled_from(["", "abc", "1e999", "-0", " 2 ", "NaN", "1_0"]), st.text(max_size=4),
+)
+_row = st.lists(_cell, max_size=4).map(",".join)
+_csv_text = st.one_of(
+    st.text(max_size=200),
+    st.tuples(st.sampled_from(["t,T", "t,T,V", "t", "t,", "T,t", "t,T,T"]),
+              st.lists(_row, max_size=12)).map(lambda p: "\n".join([p[0], *p[1]])),
+    # increasing times with arbitrary finite values, so classification runs
+    st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=40).map(
+        lambda vs: "t,T\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(vs))),
+)
+
+
+@given(_csv_text)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_classify_any_csv_text_exits_0_or_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traj.csv"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        argv = ["classify", "--traj", str(path), "--out", str(Path(tmp) / "v.json")]
+        assert run_cli(argv) in (0, 2)
 
 
 def test_plot_svg_structure(outdir):

@@ -1,5 +1,8 @@
+import dataclasses
 import importlib.resources
+import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -18,9 +21,14 @@ from qsslab import (
 from qsslab.dsl import (
     BinOp,
     Call,
+    ModelDefinition,
     Neg,
     Num,
+    ParamDecl,
+    SourceLocation,
+    StateDecl,
     Var,
+    default_initial_state,
     eval_expr,
     format_expr,
     format_model,
@@ -268,3 +276,149 @@ def test_model_round_trip():
         assert again.states == defn.states
         assert again.params == defn.params
         assert again.equations == defn.equations
+
+
+# ---------------------------------------------------------------------------
+# Generated code against the tree-walking evaluator
+# ---------------------------------------------------------------------------
+
+_PARITY_PARAMS = ("a", "y", "gamma", "x1")
+_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5, 0.5, 2.0, math.inf, -math.inf, math.nan,
+                     1e308, -1e308, 709.8, 710.0, 1e154, -1e154, 5e-324]),
+    st.floats(),
+)
+
+
+def _bits(value):
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+def _outcome(evaluate):
+    """The value bits of every component, or the error's type, text and location."""
+    try:
+        return [_bits(v) for v in evaluate()]
+    except QsslabError as exc:
+        return type(exc), str(exc), getattr(exc, "location", None)
+
+
+def _parity_model(exprs):
+    defn = ModelDefinition(
+        "parity", (StateDecl("T", 1.0), StateDecl("V", 1.0)),
+        tuple(ParamDecl(p, None, False) for p in _PARITY_PARAMS),
+        {"T": exprs[0], "V": exprs[1]},
+    )
+    return compile_model(defn)
+
+
+def _assert_parity(exprs, t, T, V, params):
+    model = _parity_model(exprs)
+    bindings = {"t": t, "T": T, "V": V, **params}
+    expected = _outcome(lambda: [eval_expr(e, bindings) for e in exprs])
+    assert _outcome(lambda: model.rhs(t, np.array([T, V]), params).tolist()) == expected
+
+
+@given(st.tuples(_exprs(4), _exprs(2)), _value, _value, _value,
+       st.fixed_dictionaries({p: _value for p in _PARITY_PARAMS}))
+@settings(max_examples=400, deadline=None)
+def test_generated_rhs_matches_eval_expr(exprs, t, T, V, params):
+    # parsed from text, so that every node has its own line and column
+    exprs = tuple(parse_expression(format_expr(e), line_no=i + 1) for i, e in enumerate(exprs))
+    _assert_parity(exprs, t, T, V, params)
+
+
+@pytest.mark.parametrize("expr", [
+    BinOp("^", Num(-2.0), Var("a")),
+    BinOp("^", Var("a"), Num(-2.0)),
+    BinOp("^", Var("a"), Num(3.0)),
+    BinOp("^", Var("a"), Num(math.inf)),
+    BinOp("/", Var("a"), Num(0.0)),
+    BinOp("-", Num(math.inf), Num(math.inf)),
+    Neg(Num(-0.0)),
+    Call("min", (Num(math.nan), Var("a"))),
+    Call("max", (Var("a"), Num(math.nan))),
+])
+@pytest.mark.parametrize("a", [-2.0, -0.5, 0.0, 3.0, math.inf, math.nan, 1e300])
+def test_generated_rhs_matches_eval_expr_on_literals(expr, a):
+    # negative and non-finite literals, which the parser never produces
+    _assert_parity((expr, Num(0.0)), 0.0, 1.0, 1.0, {"a": a, "y": 0.0, "gamma": 0.0, "x1": 0.0})
+
+
+@pytest.mark.parametrize("text", [
+    "a/(T - T)", "(0 - 2)^0.5", "(0 - 2)^a", "T^1000", "0^(0 - 1)", "(0 - T)^(1/(a - a))",
+    "exp(1000*T)", "ln(0 - T)", "sqrt(0 - T)", "tanh(a)*min(a, T) - max(T, a)",
+])
+@pytest.mark.parametrize("a", [math.nan, 2.0, 0.5])
+def test_generated_rhs_errors_match_eval_expr(text, a):
+    # in the second equation, on line 3: messages and locations must agree
+    expr = parse_expression(text, line_no=3)
+    _assert_parity((Num(0.0), expr), 0.0, 10.0, 1.0, {"a": a, "y": 0.0, "gamma": 0.0, "x1": 0.0})
+
+
+def test_nan_exponent_of_negative_base_is_an_evaluation_error():
+    expr = parse_expression("(0-2)^x")
+    with pytest.raises(EvaluationError, match="negative base with non-integer exponent") as excinfo:
+        eval_expr(expr, {"x": math.nan})
+    assert excinfo.value.location == expr.loc
+    model = compile_model(parse_model("state T = 1\nparam x\ndT/dt = (0-2)^x\n"))
+    with pytest.raises(EvaluationError, match="negative base with non-integer exponent") as excinfo:
+        model.rhs(0.0, np.array([1.0]), {"x": math.nan})
+    assert excinfo.value.location == SourceLocation(3, 14)
+
+
+FORCED = """model forced
+state T = 2
+param a = 1 nonneg
+param y = 1 nonneg
+param w = 0.5 nonneg
+dT/dt = a*exp(0 - w*t) - y*T^1.5 + max(0, 1 - t)*sqrt(T)/(1 + T)
+"""
+
+
+def _tree_walking(model, defn):
+    """``model`` with a right-hand side that evaluates the syntax tree per call."""
+    states = tuple(s.name for s in defn.states)
+    exprs = [defn.equations[name] for name in states]
+
+    def rhs(t, values, params):
+        bindings = {"t": float(t), **dict(zip(states, map(float, values)))}
+        bindings.update({p.name: float(params[p.name]) for p in defn.params})
+        return np.array([eval_expr(e, bindings) for e in exprs])
+
+    return dataclasses.replace(model, rhs=rhs)
+
+
+@pytest.mark.parametrize("source", [*(read_model_text(n) for n in CATALOG_FILES), FORCED],
+                         ids=[*CATALOG_FILES, "forced"])
+def test_generated_rhs_integrates_like_eval_expr(source):
+    from qsslab import integrate_adaptive
+
+    defn = parse_model(source)
+    model = compile_model(defn)
+    state0 = default_initial_state(defn)
+    runs = [integrate_adaptive(m, ParameterSet(), state0, 0.0, 10.0)
+            for m in (model, _tree_walking(model, defn))]
+    assert runs[0].solver_info == runs[1].solver_info
+    assert runs[0].times.tobytes() == runs[1].times.tobytes()
+    assert runs[0].states.tobytes() == runs[1].states.tobytes()
+
+
+def test_generated_rhs_is_compiled_once_per_source():
+    first = compile_model(parse_model(read_model_text("power-destruction")))
+    again = compile_model(parse_model(read_model_text("power-destruction")))
+    changed = compile_model(parse_model(
+        read_model_text("power-destruction").replace("gamma*T^n", "gamma*T^(n+1)")))
+    assert again.rhs.__code__ is first.rhs.__code__
+    assert changed.rhs.__code__ is not first.rhs.__code__
+
+
+@pytest.mark.parametrize("expr,problems", [
+    (Call("foo", (Var("b"),)), ["undeclared identifier b", "unknown function foo"]),
+    (Call("min", (Var("T"),)), ["function min takes 2 argument(s), got 1"]),
+    (BinOp("%", Var("T"), Num(2.0)), ["unknown operator %"]),
+])
+def test_compile_rejects_an_unchecked_definition(expr, problems):
+    defn = ModelDefinition("m", (StateDecl("T", 1.0),), (), {"T": expr})
+    with pytest.raises(SemanticError) as excinfo:
+        compile_model(defn)
+    assert [m.split(" at ")[0] for m in excinfo.value.messages] == problems
