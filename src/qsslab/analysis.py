@@ -25,9 +25,10 @@ from .errors import (
     UnsupportedKindError,
     ValidationError,
 )
-from .integrate import Trajectory, integrate_adaptive
+from .integrate import Trajectory, _dopri_steps, dense_output
 
 _RESIDUAL_LIMIT = 1e-9
+_DIFFERENCE_LIMIT = 2.0 ** 1021  # 4x this is still finite
 
 
 @dataclass(frozen=True)
@@ -150,10 +151,8 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
         x = x + lam * step
 
     if best_res > _RESIDUAL_LIMIT and model.dimension == 1:
-        # bisection fallback over [0, 10*a/max(y, gamma, eps)], expanding if unbracketed
-        a = p.get("a", 1.0)
-        denom = max(p.get("y", 0.0), p.get("gamma", 0.0), 1e-9)
-        hi = max(10.0 * a / denom, 10.0 * abs(guess.values[0]), 1.0)
+        # bisection fallback over [0, max(10*|guess|, 1)], expanding if unbracketed
+        hi = max(10.0 * abs(guess.values[0]), 1.0)
         root = _bisection_1d(lambda v: float(f(np.array([v]))[0]), 0.0, hi)
         if root is not None:
             cand = np.array([root])
@@ -186,8 +185,11 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
 def time_to_epsilon(model: ModelSystem, params: ParameterSet, state0: StateVector,
                     epsilon: float, rtol: float = 1e-10, atol: float = 1e-13) -> float:
     """Smallest t with |T(t) - T*| <= epsilon * |T(0) - T*| for the first
-    state component, located by adaptive integration plus interpolation with
-    a fixed-step refinement inside the bracketing interval.
+    state component, T* being the steady state found from ``state0``.
+
+    Dormand-Prince steps from ``state0`` until the first accepted state
+    within the bound; the crossing inside that step is then bisected on the
+    step's continuous extension down to float resolution.
 
     Raises ``ConvergenceTimeoutError`` if the bound is not met within
     50 / relaxation_rate.
@@ -195,46 +197,41 @@ def time_to_epsilon(model: ModelSystem, params: ParameterSet, state0: StateVecto
     if not 0.0 < epsilon < 1.0:
         raise ValidationError([f"epsilon must be in (0, 1), got {epsilon:g}"])
     report = find_steady_state(model, params, state0)
-    target_component = 0
-    t_star = float(report.values.values[target_component])
-    gap0 = abs(float(state0.values[target_component]) - t_star)
-    if gap0 == 0.0:
-        return 0.0
+    return _time_to_epsilon(model, params, state0, epsilon, report, rtol, atol)
+
+
+@np.errstate(all="ignore")  # the kernel's trial steps run under this error state
+def _time_to_epsilon(model: ModelSystem, params: ParameterSet, state0: StateVector,
+                     epsilon: float, report: SteadyStateReport,
+                     rtol: float = 1e-10, atol: float = 1e-13) -> float:
+    """``time_to_epsilon`` towards ``report``, the steady state the caller
+    found from ``state0``."""
+    t_star = float(report.values.values[0])
+    gap0 = abs(float(state0.values[0]) - t_star)
     target = epsilon * gap0
+    if gap0 <= target:  # gap0 == 0, or so small that epsilon * gap0 rounds back to it
+        return 0.0
     rate = report.relaxation_rate
     if not math.isfinite(rate) or rate <= 0:
         raise NoConvergenceError("steady state has no positive relaxation rate", best=report.values)
     horizon = 50.0 / rate
 
-    traj = integrate_adaptive(model, params, state0, 0.0, horizon, rtol=rtol, atol=atol)
-    dev = np.abs(traj.states[:, target_component] - t_star)
-    hits = np.nonzero(dev <= target)[0]
-    if hits.size == 0:
+    for t_prev, t, h, y, Y, _ in _dopri_steps(model, params, state0, 0.0, horizon, rtol, atol):
+        if abs(y[0] - t_star) <= target:
+            break
+    else:
         raise ConvergenceTimeoutError(
             f"|T - T*| did not reach {target:.3e} within {horizon:g} time units"
         )
-    i = int(hits[0])
-    if i == 0:
-        return 0.0
-    # refine the crossing inside [t_{i-1}, t_i] with fixed RK4 substeps
-    from .integrate import integrate_fixed
-
-    t_lo, t_hi = float(traj.times[i - 1]), float(traj.times[i])
-    sub = integrate_fixed(
-        model, params, traj.state_at(i - 1), t_lo, t_hi, (t_hi - t_lo) / 64.0
-    )
-    sdev = np.abs(sub.states[:, target_component] - t_star)
-    shits = np.nonzero(sdev <= target)[0]
-    j = int(shits[0]) if shits.size else len(sub.times) - 1
-    if j == 0:
-        return t_lo
-    # linear interpolation on |T - T*| between the bracketing substeps
-    d0, d1 = float(sdev[j - 1]), float(sdev[j])
-    t0s, t1s = float(sub.times[j - 1]), float(sub.times[j])
-    if d1 == d0:
-        return t1s
-    frac = (d0 - target) / (d0 - d1)
-    return t0s + frac * (t1s - t0s)
+    # bisect the crossing on the step's continuous extension
+    stages, y_end = Y[:, 0].tolist(), float(y[0])
+    lo, hi = t_prev, t
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if abs(dense_output(stages, y_end, h, (mid - t_prev) / h) - t_star) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def classify_curvature(trajectory: Trajectory, component: str,
@@ -264,11 +261,18 @@ def classify_curvature(trajectory: Trajectory, component: str,
         )
 
     ref = abs(float(trajectory.component(component)[0]))
+    # second differences reach 4x the largest magnitude: near the top of the
+    # float range, work on values scaled by a power of two, which is exact
+    exponent = 0
+    largest = float(np.abs(values).max())
+    if largest > _DIFFERENCE_LIMIT:
+        exponent = math.frexp(largest)[1]
+        values, ref = np.ldexp(values, -exponent), math.ldexp(ref, -exponent)
     span = float(values.max() - values.min())
     if span <= 1e-9 * ref:
         return CurvatureVerdict(
             "flat", (float(times[0]), float(times[-1])),
-            {"total_variation": span}, shape_label="constant",
+            {"total_variation": math.ldexp(span, exponent)}, shape_label="constant",
         )
 
     grid_t = np.linspace(times[0], times[-1], grid_size)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import classify_curvature, find_steady_state, time_to_epsilon
+from .analysis import _time_to_epsilon, classify_curvature, find_steady_state
 from .catalog import (
     MechanismKind,
     default_horizon,
@@ -276,7 +276,7 @@ def _claim_lowers_and_hastens(overrides=None) -> ClaimReport:
             model = make_base_model(kind, params)
             report = find_steady_state(model, params, state0)
             t_star = float(report.values.values[0])
-            t_eps = time_to_epsilon(model, params, state0, EPSILON)
+            t_eps = _time_to_epsilon(model, params, state0, EPSILON, report)
             t_stars.append(t_star)
             t_epss.append(t_eps)
             rows.append({
@@ -565,7 +565,7 @@ def sweep(spec: SweepSpec) -> list[dict]:
                     elif metric == "rate":
                         row[metric] = ss.relaxation_rate
                     elif metric == "t_eps":
-                        row[metric] = time_to_epsilon(model, params, state0, EPSILON)
+                        row[metric] = _time_to_epsilon(model, params, state0, EPSILON, ss)
                     elif metric == "curvature":
                         horizon = 8.0 / ss.relaxation_rate
                         traj = integrate_adaptive(

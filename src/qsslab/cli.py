@@ -210,11 +210,13 @@ def _cmd_classify(args) -> int:
     traj = read_trajectory_csv(args.traj)
     window = None
     if args.window:
+        lo, _, hi = args.window.partition(":")
         try:
-            lo, _, hi = args.window.partition(":")
             window = (float(lo), float(hi))
         except ValueError:
-            raise UsageError(f"--window expects t0:t1, got {args.window!r}") from None
+            window = (math.nan, math.nan)
+        if not (math.isfinite(window[0]) and math.isfinite(window[1]) and window[0] < window[1]):
+            raise UsageError(f"--window expects t0:t1 with finite t0 < t1, got {args.window!r}")
     verdict = classify_curvature(traj, args.component, window=window)
     _write_json(
         {

@@ -3,9 +3,12 @@ embedded pair with proportional step control.  The Dormand-Prince stages
 are formed by small matrix products against one constant weight matrix, so
 a step costs a handful of numpy calls besides its seven rhs evaluations.
 
-Both integrators return a ``Trajectory`` of accepted points.  There is no
-dense output: downstream analysis interpolates linearly between accepted
-points and must budget its tolerances accordingly.
+Both integrators return a ``Trajectory`` of accepted points.  Between the
+points of a Dormand-Prince step, ``dense_output`` evaluates the method's
+free 4th-order continuous extension from the step's stages; the stepping
+kernel ``_dopri_steps`` yields them one accepted step at a time, so a caller
+can stop at an event (``time_to_epsilon`` does).  ``classify_curvature``
+still interpolates linearly between accepted points.
 """
 from __future__ import annotations
 
@@ -32,6 +35,14 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# Weights on k1 ... k7 of the quartic term of the continuous extension
+# (Hairer's dopri5.f, contd5)
+_DP_D = np.array((-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423))
+
+# Step budget of one integration, adaptive trial steps or fixed RK4 steps
+MAX_STEPS = 2_000_000
 
 
 def _dp_weights() -> np.ndarray:
@@ -114,10 +125,15 @@ def _check_finite(y: np.ndarray, t: float):
 def integrate_fixed(model: ModelSystem, params: ParameterSet, state0: StateVector,
                     t0: float, t_end: float, dt: float) -> Trajectory:
     """Classic 4-stage Runge-Kutta with a shortened final step that lands
-    exactly on ``t_end``.  Global error is O(dt^4)."""
+    exactly on ``t_end``.  Global error is O(dt^4).  A ``dt`` that needs more
+    than ``MAX_STEPS`` steps raises ``DomainError`` before the first step."""
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt:g}")
     p, y = _prepare(model, params, state0, t0, t_end)
+    if (t_end - t0) / dt > MAX_STEPS:
+        raise DomainError(
+            f"dt = {dt:g} needs more than {MAX_STEPS} steps over [{t0:g}, {t_end:g}]"
+        )
     f = model.rhs
 
     def rk4_step(t, y, h):
@@ -151,29 +167,26 @@ def integrate_fixed(model: ModelSystem, params: ParameterSet, state0: StateVecto
     )
 
 
-@np.errstate(all="ignore")  # non-finite trial steps are rejected, not warned about
-def integrate_adaptive(model: ModelSystem, params: ParameterSet, state0: StateVector,
-                       t0: float, t_end: float, rtol: float = 1e-8,
-                       atol: float = 1e-12, max_steps: int = 2_000_000) -> Trajectory:
-    """Dormand-Prince 5(4) with proportional control.
+def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
+                 t0: float, t_end: float, rtol: float, atol: float,
+                 max_steps: int = MAX_STEPS):
+    """Dormand-Prince 5(4) stepping kernel: a generator over accepted steps.
 
-    Per accepted step the componentwise error estimate satisfies
-    |err_i| <= atol + rtol*max(|y_i|, |y5_i|).  Step-size update:
-    dt <- dt * clamp(0.9 * (1/err_norm)^(1/5), 0.2, 5.0); the initial step is
-    (t_end - t0)/100.  A step that would leave less than the minimum step
-    before t_end is stretched to it, and the last accepted time is t_end
-    exactly.
+    Each accepted step yields ``(t_prev, t, h, y, Y, rejected)``: the step
+    runs from ``t_prev`` to ``t`` with stage size ``h``, ``y`` is the new
+    state (a fresh array), ``Y`` the stage buffer ``[y_prev; k1 ... k7]``,
+    valid only until the generator resumes, and ``rejected`` the number of
+    trial steps rejected so far.  ``dense_output(Y, y, h, theta)`` evaluates
+    the step in between.  Step control is described at ``integrate_adaptive``.
 
-    A trial step whose stages or solution are non-finite (the rhs left its
-    domain, e.g. an overshoot to T < 0 under a fractional power) is rejected
-    and retried at a fifth of the step.  A step size below 1e-14*(t_end - t0)
-    raises ``BlowupError`` when the trials that drove it there were
-    non-finite and ``StiffnessError`` otherwise.  ``max_steps`` bounds the
-    number of trial steps.
+    Each stage input, the 5th-order solution and the error estimate cost one
+    small product of a row of h * _DP_W with the filled rows of Y.
 
-    The stages live in one (8, dim) buffer Y = [y; k1 ... k7], so each stage
-    input, the 5th-order solution and the error estimate cost one small
-    product of a row of h * _DP_W with the filled rows of Y.
+    Iterate it inside ``np.errstate(all="ignore")``: non-finite trial steps
+    are rejected, not warned about.  The error state has to be set by the
+    caller, around the loop, because a decorator on a generator function
+    covers only the creation of the generator, and a ``with`` block in its
+    body would leak into the caller between steps.
     """
     if rtol <= 0 or atol <= 0:
         raise DomainError("rtol and atol must be positive")
@@ -182,10 +195,7 @@ def integrate_adaptive(model: ModelSystem, params: ParameterSet, state0: StateVe
     span = t_end - t0
     h = span / 100.0
     h_min = 1e-14 * span
-    times = [t0]
-    states = [y]
     t = t0
-    accepted = 0
     rejected = 0
     Y = np.empty((8, y.size))
     Y[0] = y
@@ -195,7 +205,7 @@ def integrate_adaptive(model: ModelSystem, params: ParameterSet, state0: StateVe
     finite = True
     for _ in range(max_steps):
         if t >= t_end:
-            break
+            return
         last = t_end - t - h < h_min  # no remainder shorter than h_min
         if last:
             h = t_end - t
@@ -222,21 +232,66 @@ def integrate_adaptive(model: ModelSystem, params: ParameterSet, state0: StateVe
         err_norm = max(abs(e) / (atol + rtol * max(abs(a), abs(b)))
                        for e, a, b in zip(err_l, y_l, y5_l))
         if err_norm <= 1.0:
-            t = t_end if last else t + h
+            t_prev, t = t, (t_end if last else t + h)
+            yield t_prev, t, h, y5, Y, rejected
             y_l = y5_l
             Y[0] = y5
             Y[1] = Y[7]
-            times.append(t)
-            states.append(y5)
-            accepted += 1
         else:
             rejected += 1
         factor = 0.9 * (1.0 / max(err_norm, 1e-16)) ** 0.2
         h = h * min(5.0, max(0.2, factor))
-    else:
-        raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
+    raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
+
+
+def dense_output(Y, y, h: float, theta: float):
+    """The state at ``t_prev + theta * h``, theta in [0, 1], inside one
+    accepted Dormand-Prince step: the free 4th-order continuous extension
+    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6, ``contd5``).
+
+    ``Y = [y_prev; k1 ... k7]`` and ``y`` are what ``_dopri_steps`` yields
+    for the step.  Rows may be state vectors or, for one component, floats
+    (``Y[:, j]`` with ``y[j]``).  theta = 0 gives ``y_prev`` and theta = 1
+    gives ``y``, each up to one rounding of ``y - y_prev``.
+    """
+    y_prev = Y[0]
+    dy = y - y_prev
+    slope = h * Y[1] - dy
+    bend = dy - h * Y[7] - slope
+    quartic = h * np.dot(_DP_D, Y[1:])
+    rest = 1.0 - theta
+    return y_prev + theta * (dy + rest * (slope + theta * (bend + rest * quartic)))
+
+
+@np.errstate(all="ignore")  # non-finite trial steps are rejected, not warned about
+def integrate_adaptive(model: ModelSystem, params: ParameterSet, state0: StateVector,
+                       t0: float, t_end: float, rtol: float = 1e-8,
+                       atol: float = 1e-12, max_steps: int = MAX_STEPS) -> Trajectory:
+    """Dormand-Prince 5(4) with proportional control.
+
+    Per accepted step the componentwise error estimate satisfies
+    |err_i| <= atol + rtol*max(|y_i|, |y5_i|).  Step-size update:
+    dt <- dt * clamp(0.9 * (1/err_norm)^(1/5), 0.2, 5.0); the initial step is
+    (t_end - t0)/100.  A step that would leave less than the minimum step
+    before t_end is stretched to it, and the last accepted time is t_end
+    exactly.
+
+    A trial step whose stages or solution are non-finite (the rhs left its
+    domain, e.g. an overshoot to T < 0 under a fractional power) is rejected
+    and retried at a fifth of the step.  A step size below 1e-14*(t_end - t0)
+    raises ``BlowupError`` when the trials that drove it there were
+    non-finite and ``StiffnessError`` otherwise.  ``max_steps`` bounds the
+    number of trial steps.  The steps are those of ``_dopri_steps``.
+    """
+    times = [t0]
+    states = [np.array(state0.values, dtype=float)]
+    rejected = 0
+    for _, t, _, y, _, rejected in _dopri_steps(model, params, state0, t0, t_end,
+                                                rtol, atol, max_steps):
+        times.append(t)
+        states.append(y)
     return Trajectory(
         np.array(times), np.array(states), model.state_names,
         {"scheme": "dopri54", "rtol": rtol, "atol": atol,
-         "accepted": accepted, "rejected": rejected},
+         "accepted": len(times) - 1, "rejected": rejected},
     )

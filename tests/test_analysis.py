@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,18 @@ from qsslab import (
     relaxation_rate,
     time_to_epsilon,
 )
+from qsslab.claims import (
+    EPSILON,
+    STRENGTH_GRID,
+    SweepSpec,
+    _baseline_T0,
+    _destruction_legs,
+    _leg_params,
+    sweep,
+)
+from qsslab.dsl import compile_model, parse_model
 from qsslab.errors import (
+    ConvergenceTimeoutError,
     InsufficientDataError,
     NoConvergenceError,
     UnsupportedKindError,
@@ -195,3 +208,142 @@ class TestQssReduce:
         red_T = np.interp(full.times, red.times, red.component("T"))
         T = full.component("T")
         assert np.max(np.abs(T - red_T)) <= 0.01 * (T.max() - T.min())
+
+
+def logistic_t_eps(a, y, gamma, T0, epsilon):
+    """Closed-form t_eps for dT/dt = a + y*T - gamma*T^2 from T0 > T-:
+    (T - T+)/(T - T-) decays as exp(-sqrt(y^2 + 4*a*gamma) t)."""
+    root = math.sqrt(y * y + 4 * a * gamma)
+    T_plus, T_minus = (y + root) / (2 * gamma), (y - root) / (2 * gamma)
+    return math.log((T_plus - T_minus + epsilon * (T0 - T_plus))
+                    / (epsilon * (T0 - T_minus))) / root
+
+
+def counting(model):
+    """The model with its rhs counting calls into ``calls[0]``."""
+    calls = [0]
+    rhs = model.rhs
+
+    def counted(t, y, p):
+        calls[0] += 1
+        return rhs(t, y, p)
+
+    return dataclasses.replace(model, rhs=counted), calls
+
+
+class TestTimeToEpsilonOnDenseOutput:
+    @pytest.mark.parametrize("kind,params,T0,expected", [
+        ("healthy", dict(a=1, y=1), 0.0, math.log(100)),
+        ("healthy", dict(a=2, y=0.5), 9.0, math.log(100) / 0.5),
+        ("linear-destruction", dict(a=1, y=1, gamma=1), 0.0, math.log(100) / 2),
+        ("linear-destruction", dict(a=1, y=0.5, gamma=2), 3.0, math.log(100) / 2.5),
+        ("logistic-source", dict(a=4, y=0, gamma=1), 1.0, logistic_t_eps(4, 0, 1, 1.0, 0.01)),
+        ("logistic-source", dict(a=4, y=0.2, gamma=1), 5.0, logistic_t_eps(4, 0.2, 1, 5.0, 0.01)),
+        ("logistic-proliferation", dict(a=0.1, y=1, gamma=1), 2.5,
+         logistic_t_eps(0.1, 1, 1, 2.5, 0.01)),
+        ("logistic-proliferation", dict(a=0.1, y=1, gamma=0.5), 1.2,
+         logistic_t_eps(0.1, 1, 0.5, 1.2, 0.01)),
+    ])
+    def test_matches_closed_form(self, kind, params, T0, expected):
+        params = ParameterSet(**params)
+        t = time_to_epsilon(make_base_model(kind), params, StateVector(("T",), [T0]), 0.01)
+        assert t == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("kind,params,state", [
+        ("power-destruction", dict(a=1, y=1, gamma=1, n=2), [2.0]),
+        ("power-destruction", dict(a=1, y=0.5, gamma=2, n=2), [0.1]),
+        ("coupled-agent", dict(a=1, y=1, x=1, delta_D=1), [2.0, 1.0]),
+        ("coupled-agent", dict(a=1, y=0.5, x=2, delta_D=4), [3.0, 0.0]),
+    ])
+    def test_agrees_with_scipy_event(self, kind, params, state):
+        integrate = pytest.importorskip("scipy.integrate")
+        params = ParameterSet(**params)
+        model = make_base_model(kind)
+        state0 = StateVector(model.state_names, state)
+        t_star = find_steady_state(model, params, state0).values.values[0]
+        target = 0.01 * abs(state[0] - t_star)
+        p = model.resolve_params(params)
+
+        def reached(t, y):
+            return abs(y[0] - t_star) - target
+
+        reached.terminal = True
+        ref = integrate.solve_ivp(lambda t, y: model.rhs(t, y, p), (0.0, 1e3), state,
+                                  method="DOP853", rtol=1e-12, atol=1e-14, events=reached)
+        assert ref.status == 1
+        t = time_to_epsilon(model, params, state0, 0.01)
+        assert t == pytest.approx(ref.t_events[0][0], rel=1e-8)
+
+    def test_timeout_message_is_unchanged(self):
+        model = make_base_model("power-destruction")
+        params = ParameterSet(a=1, y=1, gamma=100, n=3)  # horizon 50/rate ends too early
+        with pytest.raises(ConvergenceTimeoutError) as info:
+            time_to_epsilon(model, params, StateVector(("T",), [2.0]), 0.01)
+        assert str(info.value) == "|T - T*| did not reach 1.800e-02 within 0.166113 time units"
+
+    def test_ordering_claim_rhs_calls_do_not_grow(self):
+        """Stepping stops at the crossing: 18,328 rhs calls over the ordering
+        claim's 30 points (39,418 with the full horizon and RK4 refinement)."""
+        total = 0
+        for _, kind, params_of in _destruction_legs():
+            state0 = StateVector(("T",), [_baseline_T0(kind, _leg_params(params_of, 0.0, None))])
+            for s in STRENGTH_GRID:
+                params = _leg_params(params_of, s, None)
+                model, calls = counting(make_base_model(kind, params))
+                time_to_epsilon(model, params, state0, EPSILON)
+                total += calls[0]
+        assert total <= 1.10 * 18_328
+
+    @pytest.mark.parametrize("kind,metrics", [
+        ("power-destruction", ("T*", "t_eps", "rate")),
+        ("logistic-proliferation", ("t_eps",)),
+    ])
+    def test_sweep_reuses_its_steady_state(self, kind, metrics):
+        base = ParameterSet(a=1, y=1, gamma=1, n=2)
+        state0 = StateVector(("T",), [3.0])
+        spec = SweepSpec(model_kind=kind, base_params=base, sweep_param="gamma",
+                         grid=(0.5, 2.0), initial_state=state0, metrics=metrics)
+        for row in sweep(spec):
+            params = base.with_updates(gamma=row["gamma"])
+            expected = time_to_epsilon(make_base_model(kind, params), params, state0, EPSILON)
+            assert row["t_eps"] == expected
+
+
+class TestGenericBisectionFallback:
+    def test_one_state_model_with_other_parameter_names(self):
+        source = (
+            "model gate\nstate T = 10\nparam k = 50 nonneg\nparam c = 3 nonneg\n"
+            "param h = 0.5 nonneg\ndT/dt = h - tanh(k*(T - c))\n"
+        )
+        model = compile_model(parse_model(source))
+        # tanh is flat at the guess, so Newton sees a singular Jacobian
+        report = find_steady_state(model, ParameterSet(k=50, c=3, h=0.5),
+                                   StateVector(("T",), [10.0]))
+        assert report.method == "bisection"
+        assert report.values.values[0] == pytest.approx(3 + math.atanh(0.5) / 50, rel=1e-12)
+
+
+class TestClassifyCurvatureRange:
+    @pytest.mark.parametrize("scale", [2.0 ** 1023, 1.5 * 2.0 ** 1022, -(2.0 ** 1023)])
+    def test_values_near_the_float_limit_classify_like_unit_values(self, scale):
+        times = np.linspace(0, 4, 64)
+        unit = sampled_trajectory(lambda t: 0.5 + math.exp(-t), times)
+        big = Trajectory(times, unit.states * scale, ("T",), {"scheme": "sampled"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = classify_curvature(big, "T")
+        expected = classify_curvature(
+            unit if scale > 0 else Trajectory(times, -unit.states, ("T",), {}), "T")
+        assert verdict.curvature_class == expected.curvature_class
+        assert verdict.evidence == expected.evidence
+        assert verdict.window == expected.window
+
+    def test_flat_near_the_float_limit_reports_unscaled_variation(self):
+        times = np.linspace(0, 1, 16)
+        values = np.full((16, 1), 1.5e308)
+        values[3, 0] = np.nextafter(1.5e308, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = classify_curvature(Trajectory(times, values, ("T",), {}), "T")
+        assert verdict.curvature_class == "flat"
+        assert verdict.evidence["total_variation"] == 1.5e308 - np.nextafter(1.5e308, 0)

@@ -203,6 +203,25 @@ def test_non_finite_or_non_positive_solver_settings_are_usage_errors(outdir, fla
     assert run_cli([*argv, f"{flag}={value}"]) == 2
 
 
+def test_dt_beyond_the_step_budget_is_a_usage_error(outdir, capsys):
+    # integrate_fixed refuses it before the first step; it used to try ~1e300 steps
+    argv = ["simulate", "--model", "healthy", "--t-end", "1", "--dt", "1e-300",
+            "--out", str(outdir / "x.csv")]
+    assert run_cli(argv) == 2
+    assert "needs more than 2000000 steps" in capsys.readouterr().err
+    assert not (outdir / "x.csv").exists()
+
+
+@pytest.mark.parametrize("window",
+                         ["nan:nan", "0:nan", "-inf:1", "0:inf", "1:1", "2:1", "x:1", "1"])
+def test_window_needs_two_finite_increasing_bounds(outdir, capsys, window):
+    traj = outdir / "traj.csv"
+    assert run_cli(["simulate", "--model", "healthy", "--init", "T=3", "--t-end", "4",
+                    "--out", str(traj)]) == 0
+    assert run_cli(["classify", "--traj", str(traj), f"--window={window}"]) == 2
+    assert "--window expects t0:t1 with finite t0 < t1" in capsys.readouterr().err
+
+
 _cell = st.one_of(
     st.floats().map(repr), st.integers(-5, 40).map(str),
     st.sampled_from(["", "abc", "1e999", "-0", " 2 ", "NaN", "1_0"]), st.text(max_size=4),

@@ -21,7 +21,7 @@ from qsslab.catalog import MechanismKind, all_kind_names
 from qsslab.claims import mechanism_trajectory
 from qsslab.core import ModelSystem, ParamSpec
 from qsslab.errors import BlowupError, DomainError, StiffnessError, ValidationError
-from qsslab.integrate import Trajectory
+from qsslab.integrate import Trajectory, _dopri_steps, dense_output
 
 
 def blowup_model():
@@ -204,6 +204,67 @@ class TestAdaptive:
         with pytest.raises(DomainError):
             integrate_adaptive(model, ParameterSet(a=1, y=1),
                                StateVector(("T",), [1.0]), 0.0, 1.0, rtol=0.0)
+
+
+def forced_decay_model():
+    """y' = -y + sin t, solved by y = (y0 + 1/2) e^-t + (sin t - cos t)/2."""
+    def rhs(t, s, p):
+        return np.array([-s[0] + math.sin(t)])
+
+    return ModelSystem(name="forced-decay", state_names=("y",), param_schema=(),
+                       rhs=rhs, time_dependent=True)
+
+
+def forced_decay_solution(y0, t):
+    return (y0 + 0.5) * math.exp(-t) + 0.5 * (math.sin(t) - math.cos(t))
+
+
+class TestDenseOutput:
+    def steps(self, rtol=1e-8):
+        state0 = StateVector(("y",), [1.0])
+        with np.errstate(all="ignore"):
+            return [(t_prev, t, h, y, Y.copy()) for t_prev, t, h, y, Y, _ in _dopri_steps(
+                forced_decay_model(), ParameterSet(), state0, 0.0, 10.0, rtol, 1e-12)]
+
+    def test_kernel_steps_are_the_adaptive_trajectory(self):
+        traj = integrate_adaptive(forced_decay_model(), ParameterSet(),
+                                  StateVector(("y",), [1.0]), 0.0, 10.0)
+        steps = self.steps()
+        assert [s[1] for s in steps] == traj.times[1:].tolist()
+        assert np.array_equal(np.array([s[3] for s in steps]), traj.states[1:])
+        assert all(Y[0, 0] == prev for (*_, Y), prev in zip(steps, traj.states[:-1, 0]))
+
+    def test_endpoints_of_each_step(self):
+        for t_prev, t, h, y, Y in self.steps():
+            assert dense_output(Y, y, h, 0.0)[0] == Y[0, 0]
+            assert dense_output(Y, y, h, 1.0)[0] == pytest.approx(y[0], abs=1e-15 * abs(Y[0, 0]))
+
+    def test_interior_error_is_of_the_order_of_the_tolerance(self):
+        errors = [
+            abs(dense_output(Y, y, h, theta)[0]
+                - forced_decay_solution(1.0, t_prev + theta * h))
+            for t_prev, t, h, y, Y in self.steps(rtol=1e-8)
+            for theta in (0.25, 0.5, 0.75)
+        ]
+        assert 1e-12 < max(errors) < 5e-8
+
+    def test_one_component_as_floats(self):
+        model = make_base_model("coupled-agent")
+        state0 = StateVector(("T", "D"), [2.0, 1.0])
+        with np.errstate(all="ignore"):
+            t_prev, t, h, y, Y, _ = next(_dopri_steps(
+                model, ParameterSet(a=1, y=1, x=1, delta_D=1), state0, 0.0, 5.0, 1e-8, 1e-12))
+        for j in range(2):
+            column = dense_output(Y[:, j].tolist(), float(y[j]), h, 0.3)
+            assert column == pytest.approx(dense_output(Y, y, h, 0.3)[j], rel=1e-15)
+
+
+class TestStepBudget:
+    def test_fixed_step_refuses_more_steps_than_the_budget(self):
+        # checked before the first step: the run would otherwise take ~1e300 steps
+        with pytest.raises(DomainError, match="needs more than"):
+            integrate_fixed(make_base_model("healthy"), ParameterSet(a=1, y=1),
+                            StateVector(("T",), [1.0]), 0.0, 1.0, 1e-300)
 
 
 class TestTrajectory:
