@@ -20,6 +20,7 @@ from .closedform import relaxation_rate as _closed_rate
 from .core import ModelSystem, ParameterSet, StateVector, validate
 from .errors import (
     ConvergenceTimeoutError,
+    EvaluationError,
     InsufficientDataError,
     NoConvergenceError,
     UnsupportedKindError,
@@ -109,7 +110,9 @@ def _bisection_1d(g, lo, hi, iters=200):
 def find_steady_state(model: ModelSystem, params: ParameterSet,
                       guess: StateVector) -> SteadyStateReport:
     """Damped Newton on the right-hand side with a finite-difference Jacobian;
-    scalar bisection fallback for one-dimensional models.
+    scalar bisection fallback for one-dimensional models.  A damping trial
+    at which the rhs raises ``EvaluationError`` counts as one whose residual
+    did not decrease, as a non-finite residual does.
 
     The residual contract is max-norm <= 1e-9; failure raises
     ``NoConvergenceError`` carrying the best iterate.
@@ -144,9 +147,11 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
         lam = 1.0
         norm0 = float(np.linalg.norm(fx))
         for _ in range(30):
-            trial = x + lam * step
-            if float(np.linalg.norm(f(trial))) < norm0:
-                break
+            try:
+                if float(np.linalg.norm(f(x + lam * step))) < norm0:
+                    break
+            except EvaluationError:  # outside the rhs's domain: as a nan residual
+                pass
             lam *= 0.5
         x = x + lam * step
 

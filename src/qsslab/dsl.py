@@ -5,10 +5,15 @@ Line-oriented syntax; statements may also be separated by ``;``::
     model linear-destruction
     state T = 10
     param a = 1 nonneg
-    param y = 1 nonneg
+    param y = 1 > 0
     param gamma = 1 nonneg
     # destruction enters linearly
     dT/dt = a - y*T - gamma*T
+
+A ``param`` may carry one lower bound, ``> x`` or ``>= x``; ``nonneg`` is
+the spelling of ``>= 0``.  ``slow name, ...`` lists the model's designated
+slow rates, in order.  The ten catalog models are written this way, one
+file each under ``models/``.
 
 Expression grammar (see models/grammar.ebnf): ``^`` is right-associative
 and binds tightest, then unary minus, then ``* /``, then ``+ -``; calls
@@ -20,6 +25,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,17 +93,39 @@ class StateDecl:
 
 @dataclass(frozen=True)
 class ParamDecl:
+    """A parameter with its default (None: required) and lower bound.
+
+    ``minimum``/``exclusive`` hold the bound (``> minimum`` when exclusive);
+    ``nonneg`` is the bound ``>= 0`` and is kept in step with them, so that
+    both spellings give equal declarations.
+    """
+
     name: str
     default: float | None
-    nonneg: bool
+    nonneg: bool = False
+    minimum: float | None = None
+    exclusive: bool = False
+
+    def __post_init__(self):
+        if self.nonneg and self.minimum is None:
+            object.__setattr__(self, "minimum", 0.0)
+        object.__setattr__(self, "nonneg", self.minimum == 0.0 and not self.exclusive)
 
 
 @dataclass(frozen=True)
 class ModelDefinition:
+    """A parsed model; ``equations`` (state name -> Expr) is read-only, so
+    that the definition ``parse_model`` shares between equal sources cannot
+    be changed by one caller."""
+
     name: str
     states: tuple[StateDecl, ...]
     params: tuple[ParamDecl, ...]
-    equations: dict  # state name -> Expr
+    equations: MappingProxyType
+    slow: tuple[str, ...] = ()  # designated slow rates, in order
+
+    def __post_init__(self):
+        object.__setattr__(self, "equations", MappingProxyType(dict(self.equations)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +136,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<NUMBER>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<OP>[+\-*/^(),=;])
+  | (?P<OP>>=|[+\-*/^(),=;>])
   | (?P<WS>[ \t]+)
     """,
     re.VERBOSE,
@@ -252,17 +280,21 @@ def parse_expression(text: str, line_no: int = 1) -> Expr:
 # Model-definition parser
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def parse_model(source: str) -> ModelDefinition:
     """Parse and validate a full model definition.
 
     Lexical/syntax problems raise ``ParseError`` with a location and the set
     of acceptable tokens; semantic problems are collected and raised together
-    as one ``SemanticError`` listing every offense.
+    as one ``SemanticError`` listing every offense.  Results are memoised on
+    the source text (the 64 most recently used): equal text returns the same
+    definition, and a rejected text raises again on every call.
     """
     names_seen: list[str] = []
     states: list[StateDecl] = []
     params: list[ParamDecl] = []
     equations: dict[str, Expr] = {}
+    slow: list[str] = []
     semantic: list[str] = []
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
@@ -272,7 +304,7 @@ def parse_model(source: str) -> ModelDefinition:
             if parser.at_op(";"):
                 parser.advance()
                 continue
-            _parse_statement(parser, names_seen, states, params, equations, semantic)
+            _parse_statement(parser, names_seen, states, params, equations, slow, semantic)
             tok = parser.peek()
             if tok.kind == "EOL":
                 break
@@ -301,6 +333,11 @@ def parse_model(source: str) -> ModelDefinition:
         semantic.append(f"{name} declared as both state and parameter")
     for name in (set(state_names) | set(param_names)) & {RESERVED_TIME}:
         semantic.append(f"{RESERVED_TIME!r} is reserved for time and cannot be declared")
+    for name, count in _counts(slow).items():
+        if count > 1:
+            semantic.append(f"duplicate slow rate {name}")
+        if name not in param_names:
+            semantic.append(f"slow rate {name} is not a declared parameter")
 
     for state in states:
         if state.name not in equations:
@@ -320,16 +357,17 @@ def parse_model(source: str) -> ModelDefinition:
         name=model_name or "unnamed",
         states=tuple(states),
         params=tuple(params),
-        equations=dict(equations),
+        equations=equations,
+        slow=tuple(slow),
     )
 
 
-def _parse_statement(parser: _Parser, names_seen, states, params, equations, semantic):
+def _parse_statement(parser: _Parser, names_seen, states, params, equations, slow, semantic):
     tok = parser.peek()
     if tok.kind != "IDENT":
         raise ParseError(
             f"expected a directive, found {tok.text or 'end of line'!r}",
-            tok.loc, expected={"model", "state", "param", "d<state>/dt"},
+            tok.loc, expected={"model", "state", "param", "slow", "d<state>/dt"},
         )
     head = tok.text
     if head == "model":
@@ -369,13 +407,27 @@ def _parse_statement(parser: _Parser, names_seen, states, params, equations, sem
         if parser.at_op("="):
             parser.advance()
             default = _parse_signed_number(parser)
-        nonneg = False
+        minimum, exclusive = None, False
         nxt = parser.peek()
-        if nxt.kind == "IDENT" and nxt.text == "nonneg":
+        if nxt.kind == "IDENT" and nxt.text == "nonneg":  # the spelling of ">= 0"
             parser.advance()
-            nonneg = True
-        params.append(ParamDecl(name_tok.text, default, nonneg))
+            minimum = 0.0
+        elif parser.at_op(">", ">="):
+            exclusive = parser.advance().text == ">"
+            minimum = _parse_signed_number(parser)
+        params.append(ParamDecl(name_tok.text, default, minimum=minimum, exclusive=exclusive))
         return
+    if head == "slow":
+        parser.advance()
+        while True:
+            name_tok = parser.peek()
+            if name_tok.kind != "IDENT":
+                raise ParseError("expected a parameter name", name_tok.loc,
+                                 expected={"identifier"})
+            slow.append(parser.advance().text)
+            if not parser.at_op(","):
+                return
+            parser.advance()
     if head.startswith("d") and len(head) > 1:
         parser.advance()
         parser.expect_op("/")
@@ -393,7 +445,7 @@ def _parse_statement(parser: _Parser, names_seen, states, params, equations, sem
         return
     raise ParseError(
         f"unknown directive {head!r}", tok.loc,
-        expected={"model", "state", "param", "d<state>/dt"},
+        expected={"model", "state", "param", "slow", "d<state>/dt"},
     )
 
 
@@ -567,7 +619,11 @@ def format_model(defn: ModelDefinition) -> str:
             text += f" = {param.default!r}"
         if param.nonneg:
             text += " nonneg"
+        elif param.minimum is not None:
+            text += f" {'>' if param.exclusive else '>='} {param.minimum!r}"
         lines.append(text)
+    if defn.slow:
+        lines.append(f"slow {', '.join(defn.slow)}")
     for state in defn.states:
         lines.append(f"d{state.name}/dt = {format_expr(defn.equations[state.name])}")
     return "\n".join(lines) + "\n"
@@ -692,10 +748,7 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
         raise SemanticError(sorted(problems)) from None
     rhs = _rhs_function(source)
 
-    schema = tuple(
-        ParamSpec(p.name, 0.0 if p.nonneg else None, False, p.default)
-        for p in defn.params
-    )
+    schema = tuple(ParamSpec(p.name, p.minimum, p.exclusive, p.default) for p in defn.params)
     equation = " ; ".join(
         f"d{name}/dt = {format_expr(defn.equations[name])}" for name in state_names
     )
@@ -707,6 +760,7 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
         time_dependent=time_dependent,
         equation=equation,
         kind=None,
+        slow_rate_params=defn.slow,
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelSystem, ParameterSet, StateVector, validate
-from .errors import BlowupError, DomainError, StiffnessError, ValidationError
+from .errors import BlowupError, DomainError, EvaluationError, StiffnessError, ValidationError
 
 # Dormand-Prince 5(4) coefficients.  The 5th-order solution is propagated;
 # the embedded 4th-order difference gives the local error estimate, hence
@@ -199,7 +199,10 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     rejected = 0
     Y = np.empty((8, y.size))
     Y[0] = y
-    Y[1] = f(t, y, p)  # FSAL: k1 is the previous step's k7
+    try:
+        Y[1] = f(t, y, p)  # FSAL: k1 is the previous step's k7
+    except EvaluationError:  # outside the rhs's domain: as a nan rate
+        Y[1] = math.nan
     filled = [Y[:i + 1] for i in range(8)]
     y_l = y.tolist()
     finite = True
@@ -217,9 +220,12 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
             )
         hW = h * _DP_W
         hW[1:, 0] = 1.0
-        for i in range(1, 7):
-            z = hW[i, :i + 1].dot(filled[i])
-            Y[i + 1] = f(t + _DP_C[i] * h, z, p)
+        try:
+            for i in range(1, 7):
+                z = hW[i, :i + 1].dot(filled[i])
+                Y[i + 1] = f(t + _DP_C[i] * h, z, p)
+        except EvaluationError:  # a stage left the rhs's domain: a non-finite trial
+            Y[7] = math.nan
         y5 = z  # the last stage is evaluated at the 5th-order solution
         err = hW[0].dot(Y)
         err_l, y5_l = err.tolist(), y5.tolist()
@@ -241,6 +247,8 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
             rejected += 1
         factor = 0.9 * (1.0 / max(err_norm, 1e-16)) ** 0.2
         h = h * min(5.0, max(0.2, factor))
+    if t >= t_end:  # the last of the max_steps trials landed on t_end
+        return
     raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
 
 
@@ -276,11 +284,13 @@ def integrate_adaptive(model: ModelSystem, params: ParameterSet, state0: StateVe
     before t_end is stretched to it, and the last accepted time is t_end
     exactly.
 
-    A trial step whose stages or solution are non-finite (the rhs left its
-    domain, e.g. an overshoot to T < 0 under a fractional power) is rejected
-    and retried at a fifth of the step.  A step size below 1e-14*(t_end - t0)
-    raises ``BlowupError`` when the trials that drove it there were
-    non-finite and ``StiffnessError`` otherwise.  ``max_steps`` bounds the
+    A trial step whose stages or solution are non-finite, or whose rhs
+    raises ``EvaluationError`` (the trial left the rhs's domain, e.g. an
+    overshoot to T < 0 under a fractional power), is rejected and retried at
+    a fifth of the step; an initial state outside the domain counts as a
+    nan k1.  A step size below 1e-14*(t_end - t0) raises ``BlowupError``
+    when the trials that drove it there were non-finite and
+    ``StiffnessError`` otherwise.  ``max_steps`` bounds the
     number of trial steps.  The steps are those of ``_dopri_steps``.
     """
     times = [t0]

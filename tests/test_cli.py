@@ -137,6 +137,63 @@ def test_catalog_listing_stable(capsys):
     assert "virulence-drift" in first and "rho*t" in first
 
 
+# Every line of ``qsslab catalog`` but the equations, as the listing gave
+# them when each catalog model still had a hand-written Python rhs.
+CATALOG_LISTING = """\
+healthy
+  states:   T
+  time-dependent: no
+  params:   a (>= 0) = 1; y (> 0) = 1
+linear-destruction
+  states:   T
+  time-dependent: no
+  params:   a (>= 0) = 1; y (> 0) = 1; gamma (>= 0) = 1
+coupled-agent
+  states:   T, D
+  time-dependent: no
+  params:   a (>= 0) = 1; y (>= 0) = 1; x (>= 0) = 1; delta_D (> 0) = 1
+power-destruction
+  states:   T
+  time-dependent: no
+  params:   a (>= 0) = 1; y (>= 0) = 1; gamma (>= 0) = 1; n (> 1) = 2
+logistic-source
+  states:   T
+  time-dependent: no
+  params:   a (>= 0) = 4; y = 0; gamma (> 0) = 1
+logistic-proliferation
+  states:   T
+  time-dependent: no
+  params:   a (>= 0) = 0; y = 2; gamma (> 0) = 1
+virulence-drift
+  states:   T, I, V, E
+  time-dependent: yes
+  params:   a (>= 0) = 1; y (> 0) = 1; gamma0 (>= 0) = 0.3; rho (>= 0) = 0.0005; pi (>= 0) = 10; delta_I (> 0) = 1; c (> 0) = 0.2; k_E (>= 0) = 1; p_E (>= 0) = 0.014048; h_I (> 0) = 0.002; h_T (> 0) = 0.3; delta_E (>= 0) = 0.008; x_E (>= 0) = 12
+  slow rates: delta_E, rho
+cytokine-inversion
+  states:   T, I, C, K1, K2
+  time-dependent: no
+  params:   a (>= 0) = 1; y (> 0) = 1; beta (>= 0) = 20; delta_I (> 0) = 0.5; k (>= 0) = 5; p (>= 0) = 0.02744; h_I (> 0) = 0.002; kappa (> 0) = 0.004; c1 (>= 0) = 0.2; c2 (>= 0) = 5; d_K (> 0) = 10; delta_C (>= 0) = 0.008; q (>= 0) = 0.8; h_T (> 0) = 0.4
+  slow rates: delta_C
+humoral-cellular-competition
+  states:   T, I, V, C, B
+  time-dependent: no
+  params:   a (>= 0) = 1; y (> 0) = 1; beta (>= 0) = 12; pi (>= 0) = 10; c (>= 0) = 5; k_B (>= 0) = 2; delta_I (> 0) = 1; k (>= 0) = 5; p_C (>= 0) = 0.1211; h_I (> 0) = 0.1; delta_C (>= 0) = 0.01; x_C (>= 0) = 0.1; w (>= 0) = 1; p_B (>= 0) = 0.016; h_B (> 0) = 0.02; delta_B (>= 0) = 0.005; h_T (> 0) = 0.25; B_max (> 0) = 4
+  slow rates: delta_C, delta_B
+bcell-depletion
+  states:   T, I, V, L
+  time-dependent: no
+  params:   a (>= 0) = 1; y (> 0) = 1; beta (>= 0) = 1; pi (>= 0) = 10; c0 (> 0) = 0.05; c1 (>= 0) = 8; delta_I (> 0) = 1; mu (>= 0) = 0.005
+  slow rates: mu
+"""
+
+
+def test_catalog_listing_keeps_states_params_and_slow_rates(capsys):
+    assert run_cli(["catalog"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    kept = [line for line in lines if line and not line.startswith(("  equation:", "claims:"))]
+    assert kept == CATALOG_LISTING.splitlines()
+
+
 def test_bad_flag_combinations(outdir):
     assert run_cli(["simulate", "--model", "healthy", "--t-end", "1",
                     "--param", "a", "--out", str(outdir / "x.csv")]) == 2

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qsslab import (
     ParameterSet,
     StateVector,
+    all_kind_names,
     compile_model,
     default_params,
     eval_rhs,
@@ -49,6 +50,10 @@ CATALOG_FILES = (
     "power-destruction",
     "logistic-source",
     "logistic-proliferation",
+    "virulence-drift",
+    "cytokine-inversion",
+    "humoral-cellular-competition",
+    "bcell-depletion",
 )
 
 
@@ -158,6 +163,51 @@ class TestParseModel:
         defn = parse_model("model m # name\r\nstate T = 1 # start\r\ndT/dt = 0 - T\r\n")
         assert defn.name == "m"
         assert defn.states[0].initial == 1.0
+
+    def test_lower_bound_clause(self):
+        defn = parse_model("state T = 1\nparam a = 1 nonneg\nparam b >= 0\nparam y = 1 > 0\n"
+                           "param n = 2 > 1\nparam s >= -2.5\nparam z\ndT/dt = 0\n")
+        bounds = {p.name: (p.minimum, p.exclusive, p.nonneg) for p in defn.params}
+        assert bounds == {"a": (0.0, False, True), "b": (0.0, False, True),
+                          "y": (0.0, True, False), "n": (1.0, True, False),
+                          "s": (-2.5, False, False), "z": (None, False, False)}
+        assert defn.params[0] == ParamDecl("a", 1.0, True) == ParamDecl("a", 1.0, False, 0.0)
+        schema = {spec.name: spec for spec in compile_model(defn).param_schema}
+        assert schema["n"].check(1.0) == "n must be > 1, got 1"
+        assert schema["s"].check(-2.5) is None and schema["z"].minimum is None
+
+    @pytest.mark.parametrize("source", [
+        "state T = 1\nparam a = 1 nonneg > 0\ndT/dt = 0\n",  # one clause only
+        "state T = 1\nparam a = 1 >\ndT/dt = 0\n",
+        "state T = 1\nparam a = 1 < 2\ndT/dt = 0\n",
+        "state T = 1\nparam a\nslow\ndT/dt = 0\n",
+        "state T = 1\nparam a\nslow a,\ndT/dt = 0\n",
+        "state T = 1\ndT/dt = T > 0\n",
+    ])
+    def test_malformed_bound_or_slow_clause(self, source):
+        with pytest.raises(ParseError):
+            parse_model(source)
+
+    def test_slow_rates_keep_their_order(self):
+        defn = parse_model("state T = 1\nparam r\nparam d\nslow d, r\ndT/dt = 0 - d*r*T\n")
+        assert defn.slow == ("d", "r")
+        assert compile_model(defn).slow_rate_params == ("d", "r")
+        with pytest.raises(SemanticError) as excinfo:
+            parse_model("state T = 1\nparam r\nslow r, q; slow r\ndT/dt = 0\n")
+        assert excinfo.value.messages == ["duplicate slow rate r",
+                                          "slow rate q is not a declared parameter"]
+
+    def test_parse_is_memoised_on_the_text(self):
+        text = read_model_text("bcell-depletion")
+        first = parse_model(text)
+        assert parse_model(str(text)) is first
+        assert parse_model("".join(text)) is first  # an equal string, not the same one
+        with pytest.raises(TypeError):
+            first.equations["T"] = Num(0.0)
+        for source in (MALFORMED[0], MALFORMED[-1]):
+            for _ in range(2):
+                with pytest.raises((ParseError, SemanticError)):
+                    parse_model(source)
 
 
 class TestCompile:
@@ -276,6 +326,15 @@ def test_model_round_trip():
         assert again.states == defn.states
         assert again.params == defn.params
         assert again.equations == defn.equations
+
+
+def test_packaged_models_are_the_catalog():
+    # one .qssm file per catalog kind, named after its model
+    files = importlib.resources.files("qsslab") / "models"
+    names = sorted(f.name[:-5] for f in files.iterdir() if f.name.endswith(".qssm"))
+    assert names == sorted(all_kind_names())
+    for name in names:
+        assert parse_model(read_model_text(name)).name == name
 
 
 # ---------------------------------------------------------------------------

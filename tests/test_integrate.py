@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,9 +20,18 @@ from qsslab import (
 )
 from qsslab.catalog import MechanismKind, all_kind_names
 from qsslab.claims import mechanism_trajectory
+from qsslab.cli import run_cli
 from qsslab.core import ModelSystem, ParamSpec
-from qsslab.errors import BlowupError, DomainError, StiffnessError, ValidationError
+from qsslab.dsl import Call, Neg, Num, SourceLocation, Var, parse_model
+from qsslab.errors import (
+    BlowupError,
+    DomainError,
+    EvaluationError,
+    StiffnessError,
+    ValidationError,
+)
 from qsslab.integrate import Trajectory, _dopri_steps, dense_output
+from test_dsl import read_model_text
 
 
 def blowup_model():
@@ -260,6 +270,16 @@ class TestDenseOutput:
 
 
 class TestStepBudget:
+    def test_adaptive_budget_counts_every_trial(self):
+        # this run takes 33 trials, the last landing on t_end
+        args = (make_base_model("healthy"), ParameterSet(a=1, y=1),
+                StateVector(("T",), [0.5]), 0.0, 5.0)
+        traj = integrate_adaptive(*args, max_steps=33)
+        assert traj.solver_info["accepted"] + traj.solver_info["rejected"] == 33
+        assert traj.times[-1] == 5.0
+        with pytest.raises(StiffnessError, match="step budget of 32 exhausted"):
+            integrate_adaptive(*args, max_steps=32)
+
     def test_fixed_step_refuses_more_steps_than_the_budget(self):
         # checked before the first step: the run would otherwise take ~1e300 steps
         with pytest.raises(DomainError, match="needs more than"):
@@ -325,7 +345,29 @@ class TestMechanismKernel:
         np.testing.assert_allclose(T, ref.y[0], rtol=1e-6)
 
 
+def _numpy_scalar_eval(expr, env):
+    """``expr`` in numpy float64 scalar arithmetic (of the calls, the catalog
+    files use only ``max``)."""
+    if isinstance(expr, Num):
+        return np.float64(expr.value)
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, Neg):
+        return -_numpy_scalar_eval(expr.operand, env)
+    if isinstance(expr, Call):
+        assert expr.func == "max"
+        a, b = (_numpy_scalar_eval(arg, env) for arg in expr.args)
+        return b if b > a else a
+    ops = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+    return ops[expr.op](_numpy_scalar_eval(expr.left, env), _numpy_scalar_eval(expr.right, env))
+
+
 class TestBuiltinRhs:
+    """The catalog models' right-hand sides: compiled from their ``.qssm``
+    files, with the language's one semantics -- IEEE doubles, and a typed
+    ``EvaluationError`` at the file's line and column where a value is
+    undefined."""
+
     @pytest.mark.parametrize("kind", all_kind_names())
     def test_returns_float64_vector(self, kind):
         model = make_model(kind)
@@ -336,35 +378,83 @@ class TestBuiltinRhs:
 
     @pytest.mark.parametrize("kind", all_kind_names())
     def test_python_floats_match_numpy_scalars(self, kind):
-        # the undecorated rhs on an array computes on float64 scalars
+        # the compiled rhs computes on Python floats; float64 scalars give the same bits
         model = make_model(kind)
+        defn = parse_model(read_model_text(kind))
         p = model.resolve_params(default_params(kind))
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            state = default_state(kind).values * rng.uniform(0.5, 2.0, model.dimension)
-            reference = np.array(model.rhs.__wrapped__(3.0, state, p), dtype=float)
-            assert np.array_equal(model.rhs(3.0, state, p), reference)
+        with np.errstate(all="raise"):
+            for _ in range(20):
+                state = default_state(kind).values * rng.uniform(0.5, 2.0, model.dimension)
+                env = {"t": np.float64(3.0), **{k: np.float64(v) for k, v in p.items()},
+                       **dict(zip(model.state_names, state))}
+                reference = [_numpy_scalar_eval(defn.equations[n], env) for n in model.state_names]
+                assert model.rhs(3.0, state, p).tobytes() == np.array(reference).tobytes()
 
-    def test_fractional_power_of_negative_state_is_nan(self):
+    def test_fractional_power_of_negative_state_raises(self):
         model = make_base_model("power-destruction")
-        out = model.rhs(0.0, np.array([-0.5]), {"a": 1.0, "y": 1.0, "gamma": 1.0, "n": 2.5})
-        assert out.dtype == np.float64 and math.isnan(out[0])
+        with pytest.raises(EvaluationError, match="negative base") as excinfo:
+            model.rhs(0.0, np.array([-0.5]), {"a": 1.0, "y": 1.0, "gamma": 1.0, "n": 2.5})
+        assert excinfo.value.location == SourceLocation(8, 26)  # the '^' of gamma*T^n
 
-    def test_overflowing_square_is_infinite(self):
+    def test_overflowing_square_raises(self):
         model = make_base_model("logistic-source")
-        out = model.rhs(0.0, np.array([1e200]), {"a": 1.0, "y": 0.0, "gamma": 1.0})
-        assert out[0] == -math.inf
+        with pytest.raises(EvaluationError, match="overflow") as excinfo:
+            model.rhs(0.0, np.array([1e200]), {"a": 1.0, "y": 0.0, "gamma": 1.0})
+        assert excinfo.value.location == SourceLocation(7, 26)
 
-    @pytest.mark.parametrize("kind,zero_gate", [
+    @pytest.mark.parametrize("kind,zero_gate,location", [
         # T = -h_T zeroes the CD4 help gate's denominator h_T + T
-        ("virulence-drift", lambda s, p: s.update(T=-p["h_T"])),
+        ("virulence-drift", lambda s, p: s.update(T=-p["h_T"]), SourceLocation(28, 31)),
         # K1 = 0, K2 = -kappa zero the cytokine share's K1 + K2 + kappa
-        ("cytokine-inversion", lambda s, p: s.update(K1=0.0, K2=-p["kappa"])),
-    ])
-    def test_zero_gate_denominator_is_not_an_exception(self, kind, zero_gate):
+        ("cytokine-inversion", lambda s, p: s.update(K1=0.0, K2=-p["kappa"]),
+         SourceLocation(30, 14)),
+    ], ids=["virulence-drift", "cytokine-inversion"])
+    def test_zero_gate_denominator_raises(self, kind, zero_gate, location):
         model = make_model(kind)
         p = model.resolve_params(default_params(kind))
         state = default_state(kind).as_dict()
         zero_gate(state, p)
+        with pytest.raises(EvaluationError, match="division by zero") as excinfo:
+            model.rhs(0.0, np.array(list(state.values())), p)
+        assert excinfo.value.location == location
+
+    def test_humoral_niche_gate_at_zero_arms(self):
+        # C = B = 0: the niche share is 0, as the hand-written rhs gave it,
+        # not 0/0; the vector is that rhs's, bit for bit
+        kind = "humoral-cellular-competition"
+        model = make_model(kind)
+        p = model.resolve_params(default_params(kind))
+        state = default_state(kind).as_dict()
+        state.update(C=0.0, B=0.0)
         out = model.rhs(0.0, np.array(list(state.values())), p)
-        assert out.dtype == np.float64 and not np.all(np.isfinite(out))
+        expected = np.array([0.0, 0.2924242424242424, 0.09484029484029488, 0.0, 0.0])
+        assert out.tobytes() == expected.tobytes()
+
+    def test_humoral_simulates_from_zero_arms(self, tmp_path):
+        # without either arm the infection settles at T* = delta_I*c/(beta*pi)
+        out = tmp_path / "traj.csv"
+        assert run_cli(["simulate", "--model", "humoral-cellular-competition",
+                        "--init", "C=0", "--init", "B=0", "--t-end", "50",
+                        "--out", str(out)]) == 0
+        last = out.read_text().splitlines()[-1].split(",")
+        assert float(last[1]) == pytest.approx(1.0 / 24.0, rel=1e-6)
+
+    def test_newton_trial_outside_the_domain_is_damped(self):
+        # a = 0 puts the root at T = 0; a damped Newton trial lands at
+        # T ~ -1e-20, where T^3.5 is undefined, and is halved like a nan one
+        base = make_base_model("power-destruction")
+        raised = []
+
+        def rhs(t, s, p):
+            try:
+                return base.rhs(t, s, p)
+            except EvaluationError:
+                raised.append(float(s[0]))
+                raise
+
+        model = dataclasses.replace(base, rhs=rhs)
+        report = find_steady_state(model, ParameterSet(a=0.0, y=3.0, gamma=1.0, n=3.5),
+                                   StateVector(("T",), [1.0]))
+        assert raised and min(raised) < 0.0
+        assert report.method == "newton" and abs(report.values["T"]) < 1e-15
