@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import BaseModelKind, make_base_model
-from .closedform import relaxation_rate as _closed_rate
 from .core import ModelSystem, ParameterSet, StateVector, validate
 from .errors import (
     ConvergenceTimeoutError,
@@ -29,25 +28,37 @@ from .errors import (
 from .integrate import Trajectory, _dopri_steps, dense_output
 
 _RESIDUAL_LIMIT = 1e-9
+_FD_STEP = np.finfo(float).eps ** (1 / 3)  # balances O(h^2) truncation against rounding
 _DIFFERENCE_LIMIT = 2.0 ** 1021  # 4x this is still finite
 
 
 @dataclass(frozen=True)
 class SteadyStateReport:
-    """A located fixed point with its residual and local relaxation rate."""
+    """A nonnegative, stable fixed point with its residual and relaxation
+    rate: -max Re(lambda) of the Jacobian at ``values``, the exponential
+    rate of the slowest mode of the approach.
+
+    Construction raises ``NoConvergenceError`` carrying ``values`` when the
+    residual is above 1e-9 or nan, a component is negative, or the rate is
+    not finite and positive.
+    """
 
     values: StateVector
     residual: float
-    method: str  # "formula" | "newton" | "bisection"
+    method: str  # "newton" | "bisection"
     relaxation_rate: float
     time_to_epsilon: float | None = None
 
     def __post_init__(self):
-        if self.residual > _RESIDUAL_LIMIT:
-            raise NoConvergenceError(
-                f"steady-state residual {self.residual:.3e} exceeds {_RESIDUAL_LIMIT:g}",
-                best=self.values, residual=self.residual,
-            )
+        if not self.residual <= _RESIDUAL_LIMIT:
+            problem = f"no steady state found (best residual {self.residual:.3e})"
+        elif min(self.values.values) < 0:
+            problem = f"steady state {self.values} has a negative component"
+        elif not math.isfinite(self.relaxation_rate) or self.relaxation_rate <= 0:
+            problem = f"steady state {self.values} is not stable (rate {self.relaxation_rate:g})"
+        else:
+            return
+        raise NoConvergenceError(problem, best=self.values, residual=self.residual)
 
 
 @dataclass(frozen=True)
@@ -61,61 +72,71 @@ class CurvatureVerdict:
 
 
 def _fd_jacobian(f, x):
+    """Second-order finite-difference Jacobian: central differences, and the
+    one-sided three-point formula where a central step would take a
+    nonnegative component below 0."""
     n = x.size
     J = np.empty((n, n))
-    fx = f(x)
+    fx = None
     for j in range(n):
-        h = math.sqrt(np.finfo(float).eps) * max(abs(x[j]), 1.0)
-        xp = x.copy()
-        xp[j] += h
-        J[:, j] = (f(xp) - fx) / h
+        h = _FD_STEP * max(abs(x[j]), 1.0)
+        e = np.zeros(n)
+        e[j] = h
+        if x[j] < 0 or x[j] >= h:
+            J[:, j] = (f(x + e) - f(x - e)) / (2.0 * h)
+        else:
+            if fx is None:
+                fx = f(x)
+            J[:, j] = (4.0 * f(x + e) - f(x + 2.0 * e) - 3.0 * fx) / (2.0 * h)
     return J
 
 
-def _rate_from_linearization(f, x):
-    J = _fd_jacobian(f, x)
-    eigs = np.linalg.eigvals(J)
-    real = eigs.real
-    if np.all(real < 0):
-        # slowest decaying mode dominates the approach
-        return float(-real.max())
-    return float("nan")
-
-
-def _bisection_1d(g, lo, hi, iters=200):
+def _bisection_1d(g, lo, hi):
+    """A root at which g falls through zero, from g(lo) >= 0 to g(hi) < 0:
+    a stable fixed point of dT/dt = g(T).  While g(hi) >= 0, lo moves up to
+    hi and hi doubles (at most 60 times), so an unstable root at lo is
+    skipped.  None when no such bracket is found."""
     glo = g(lo)
-    if glo == 0.0:
-        return lo
-    ghi = g(hi)
-    # expand the bracket if needed
-    grow = 0
-    while glo * ghi > 0 and grow < 60:
-        hi *= 2.0
+    for _ in range(60):
         ghi = g(hi)
-        grow += 1
-    if glo * ghi > 0:
+        if not ghi >= 0:  # negative or nan
+            break
+        lo, glo, hi = hi, ghi, 2.0 * hi
+    if not glo >= 0 > ghi:
         return None
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if glo * gm <= 0:
-            hi, ghi = mid, gm
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if g(mid) >= 0:
+            lo = mid
         else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)
+            hi = mid
+    return lo
+
+
+def _report(f, names, x, residual, method):
+    """The ``SteadyStateReport`` of ``x``, linearised there if it is a
+    nonnegative root."""
+    rate = math.nan
+    if residual <= _RESIDUAL_LIMIT and x.min() >= 0:
+        J = _fd_jacobian(f, x)
+        if np.isfinite(J).all():
+            rate = float(-np.linalg.eigvals(J).real.max())
+    return SteadyStateReport(StateVector(names, x), residual, method, rate)
 
 
 def find_steady_state(model: ModelSystem, params: ParameterSet,
                       guess: StateVector) -> SteadyStateReport:
-    """Damped Newton on the right-hand side with a finite-difference Jacobian;
-    scalar bisection fallback for one-dimensional models.  A damping trial
-    at which the rhs raises ``EvaluationError`` counts as one whose residual
-    did not decrease, as a non-finite residual does.
+    """Damped Newton on the right-hand side, with the finite-difference
+    Jacobian of ``_fd_jacobian``.  A damping trial at which the rhs raises
+    ``EvaluationError`` counts as one whose residual did not decrease, as a
+    non-finite residual does.
 
-    The residual contract is max-norm <= 1e-9; failure raises
-    ``NoConvergenceError`` carrying the best iterate.
+    The best iterate is returned only if it is a steady state: max-norm
+    residual <= 1e-9, no negative component, and every eigenvalue of the
+    Jacobian there with negative real part; its relaxation rate is -max
+    Re(lambda).  Otherwise a one-state model falls back to bisection for a
+    stable root on [0, max(10*|guess|, 1)], expanding the bracket upwards,
+    and any other model raises ``NoConvergenceError`` carrying the
+    iterate.
     """
     violations = validate(model, params)
     if violations:
@@ -128,13 +149,11 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
     f = lambda x: np.asarray(model.rhs(0.0, x, p), dtype=float)
 
     x = np.array(guess.values, dtype=float)
-    best = x.copy()
-    best_res = float(np.max(np.abs(f(x))))
-    method = "newton"
+    best, best_res = x, math.nan
     for _ in range(100):
         fx = f(x)
         res = float(np.max(np.abs(fx)))
-        if res < best_res:
+        if res < best_res or math.isnan(best_res) and not math.isnan(res):  # nan ranks last
             best, best_res = x.copy(), res
         if res <= 1e-13 * max(1.0, float(np.max(np.abs(x)))):
             break
@@ -155,36 +174,17 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
             lam *= 0.5
         x = x + lam * step
 
-    if best_res > _RESIDUAL_LIMIT and model.dimension == 1:
-        # bisection fallback over [0, max(10*|guess|, 1)], expanding if unbracketed
-        hi = max(10.0 * abs(guess.values[0]), 1.0)
-        root = _bisection_1d(lambda v: float(f(np.array([v]))[0]), 0.0, hi)
-        if root is not None:
-            cand = np.array([root])
-            res = float(np.max(np.abs(f(cand))))
-            if res < best_res:
-                best, best_res = cand, res
-                method = "bisection"
-    if best_res > _RESIDUAL_LIMIT:
-        raise NoConvergenceError(
-            f"no steady state found (best residual {best_res:.3e})",
-            best=StateVector(model.state_names, best), residual=best_res,
-        )
-
-    rate = float("nan")
-    if model.kind is not None and not model.time_dependent:
-        try:
-            rate = _closed_rate(model.kind, ParameterSet(p))
-        except Exception:
-            rate = float("nan")
-    if not math.isfinite(rate) or rate <= 0:
-        rate = _rate_from_linearization(f, best)
-    return SteadyStateReport(
-        values=StateVector(model.state_names, best),
-        residual=best_res,
-        method=method,
-        relaxation_rate=rate,
-    )
+    try:
+        return _report(f, model.state_names, best, best_res, "newton")
+    except NoConvergenceError:
+        if model.dimension != 1:
+            raise
+        root = _bisection_1d(lambda v: float(f(np.array([v]))[0]), 0.0,
+                             max(10.0 * abs(guess.values[0]), 1.0))
+        if root is None:
+            raise
+    x = np.array([root])
+    return _report(f, model.state_names, x, float(abs(f(x)[0])), "bisection")
 
 
 def time_to_epsilon(model: ModelSystem, params: ParameterSet, state0: StateVector,
@@ -216,10 +216,7 @@ def _time_to_epsilon(model: ModelSystem, params: ParameterSet, state0: StateVect
     target = epsilon * gap0
     if gap0 <= target:  # gap0 == 0, or so small that epsilon * gap0 rounds back to it
         return 0.0
-    rate = report.relaxation_rate
-    if not math.isfinite(rate) or rate <= 0:
-        raise NoConvergenceError("steady state has no positive relaxation rate", best=report.values)
-    horizon = 50.0 / rate
+    horizon = 50.0 / report.relaxation_rate
 
     for t_prev, t, h, y, Y, _ in _dopri_steps(model, params, state0, 0.0, horizon, rtol, atol):
         if abs(y[0] - t_star) <= target:

@@ -2,7 +2,10 @@
 linearizations for the analytic model catalog.
 
 These are the oracle layer for the numerical modules: exact expressions,
-hand-coded per kind, no iteration anywhere.
+hand-coded per kind, no iteration anywhere.  ``analysis`` never calls them;
+its steady states and rates come from the right-hand side alone.  A kind
+without an exact expression is refused, not approximated;
+``power_approx_steady`` is the one first-order approximation, and says so.
 """
 from __future__ import annotations
 
@@ -153,14 +156,14 @@ def power_approx_steady(a: float, y: float, gamma: float, n: float) -> float:
 
 
 def relaxation_rate(kind, params: ParameterSet) -> float:
-    """Exponential rate at which |T - T*| shrinks; 1/rate is the approach time.
+    """Exact exponential rate at which |T - T*| shrinks; 1/rate is the
+    approach time.  A test oracle for ``analysis.find_steady_state``.
 
-    Exact for the two linear kinds; the stated first-order rate for the
-    power kind (evaluated at a/y); the linearized rate at the upper fixed
-    point for the logistic kinds (sqrt(y^2 + 4 a gamma), which reduces to
-    2*sqrt(a*gamma) in the source regime and to y in the proliferation
-    regime).  The coupled-agent rate is the reduced quadratic model's
-    first-order rate.
+    y for healthy, y + gamma for linear destruction, and for the logistic
+    kinds the linearized rate at the upper fixed point, sqrt(y^2 + 4 a
+    gamma), which reduces to 2*sqrt(a*gamma) in the source regime and to y
+    in the proliferation regime.  Refuses power-destruction and
+    coupled-agent, whose rates exist only at a numerically found root.
     """
     k = _as_kind(kind)
     if k is BaseModelKind.HEALTHY:
@@ -173,21 +176,6 @@ def relaxation_rate(kind, params: ParameterSet) -> float:
         if y + g <= 0:
             raise DomainError(f"y + gamma must be positive, got {y + g:g}")
         return y + g
-    if k is BaseModelKind.POWER_DESTRUCTION:
-        a, y, g, n = params["a"], params["y"], params["gamma"], params["n"]
-        if y <= 0:
-            raise DomainError(f"y must be positive, got {y:g}")
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n:g}")
-        return y + g * n * (a / y) ** (n - 1.0)
-    if k is BaseModelKind.COUPLED_AGENT:
-        a, y = params["a"], params["y"]
-        x, dD = params["x"], params["delta_D"]
-        if dD <= 0:
-            raise DomainError(f"delta_D must be positive, got {dD:g}")
-        if y <= 0:
-            raise DomainError(f"y must be positive, got {y:g}")
-        return y + 2.0 * (x / dD) * (a / y)
     if k in (BaseModelKind.LOGISTIC_SOURCE, BaseModelKind.LOGISTIC_PROLIFERATION):
         a = _get(params, "a", 0.0 if k is BaseModelKind.LOGISTIC_PROLIFERATION else None)
         y = _get(params, "y", 0.0 if k is BaseModelKind.LOGISTIC_SOURCE else None)
@@ -197,7 +185,10 @@ def relaxation_rate(kind, params: ParameterSet) -> float:
         if a == 0 and y <= 0:
             raise DomainError("need a > 0 or y > 0 for a stable positive steady state")
         return math.sqrt(y * y + 4.0 * a * g)
-    raise UnsupportedKindError(f"no relaxation rate for kind {k.value!r}")
+    raise UnsupportedKindError(
+        f"no exact relaxation rate for kind {k.value!r}; analysis.find_steady_state "
+        "linearises at the root it finds"
+    )
 
 
 def initial_slope(kind, params: ParameterSet, T0: float) -> float:

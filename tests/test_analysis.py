@@ -4,11 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsslab import (
     ParameterSet,
     StateVector,
+    SteadyStateReport,
     classify_curvature,
+    default_params,
     find_steady_state,
     integrate_adaptive,
     linear_destruction_solution,
@@ -16,6 +20,7 @@ from qsslab import (
     make_mechanism_model,
     qss_reduce,
     relaxation_rate,
+    steady_state_formula,
     time_to_epsilon,
 )
 from qsslab.claims import (
@@ -27,6 +32,7 @@ from qsslab.claims import (
     _leg_params,
     sweep,
 )
+from qsslab.cli import run_cli
 from qsslab.dsl import compile_model, parse_model
 from qsslab.errors import (
     ConvergenceTimeoutError,
@@ -275,11 +281,13 @@ class TestTimeToEpsilonOnDenseOutput:
         assert t == pytest.approx(ref.t_events[0][0], rel=1e-8)
 
     def test_timeout_message_is_unchanged(self):
-        model = make_base_model("power-destruction")
-        params = ParameterSet(a=1, y=1, gamma=100, n=3)  # horizon 50/rate ends too early
+        # T decays as exp(-2t) to T* = 0: epsilon = 1e-30 needs ln(1e30) ~ 69
+        # relaxation times, more than the 50 of the horizon
+        model = make_base_model("linear-destruction")
+        params = ParameterSet(a=0, y=1, gamma=1)
         with pytest.raises(ConvergenceTimeoutError) as info:
-            time_to_epsilon(model, params, StateVector(("T",), [2.0]), 0.01)
-        assert str(info.value) == "|T - T*| did not reach 1.800e-02 within 0.166113 time units"
+            time_to_epsilon(model, params, StateVector(("T",), [1.0]), 1e-30)
+        assert str(info.value) == "|T - T*| did not reach 1.000e-30 within 25 time units"
 
     def test_ordering_claim_rhs_calls_do_not_grow(self):
         """Stepping stops at the crossing: 18,328 rhs calls over the ordering
@@ -321,6 +329,131 @@ class TestGenericBisectionFallback:
                                    StateVector(("T",), [10.0]))
         assert report.method == "bisection"
         assert report.values.values[0] == pytest.approx(3 + math.atanh(0.5) / 50, rel=1e-12)
+
+
+PHI = (math.sqrt(5) - 1) / 2
+
+
+def steady(kind, params, guess):
+    model = make_base_model(kind)
+    return find_steady_state(model, ParameterSet(**params), StateVector(model.state_names, guess))
+
+
+def write_model(tmp_path, source):
+    path = tmp_path / "m.qssm"
+    path.write_text(source)
+    return compile_model(parse_model(source)), str(path)
+
+
+class TestSteadyStateAtTheRoot:
+    """The rate is the linearisation at the root returned, and only a
+    nonnegative, stable root is returned."""
+
+    @pytest.mark.parametrize("kind,params,guess,t_star,rate", [
+        ("power-destruction", dict(a=1, y=1, gamma=1, n=2), [1.0], PHI, math.sqrt(5)),
+        ("power-destruction", dict(a=1, y=1, gamma=4, n=3), [1.0], 0.5, 4.0),
+        ("coupled-agent", dict(a=1, y=1, x=1, delta_D=1), [1.0, 1.0], PHI, (3 + math.sqrt(5)) / 4),
+        ("power-destruction", dict(a=1, y=1, gamma=100, n=3), [2.0], 0.2, 13.0),
+    ], ids=["power-n2", "power-n3-gamma4", "coupled-agent", "power-n3-gamma100"])
+    def test_rate_is_the_jacobian_at_the_root(self, kind, params, guess, t_star, rate):
+        report = steady(kind, params, guess)
+        assert report.values["T"] == pytest.approx(t_star, rel=1e-12)
+        assert report.relaxation_rate == pytest.approx(rate, rel=1e-9)
+
+    @pytest.mark.parametrize("kind,params,guess", [
+        ("logistic-proliferation", dict(a=0.1, y=2, gamma=1), 0.01),
+        ("logistic-source", dict(a=4, y=0.5, gamma=1), 0.1),
+        ("logistic-proliferation", default_params("logistic-proliferation").as_dict(), 0.0),
+    ], ids=["proliferation-a0.1", "source-y0.5", "proliferation-default-a0"])
+    def test_newton_below_the_vertex_falls_back_to_the_positive_root(self, kind, params, guess):
+        # Newton lands on the repelling root (negative, or 0 at a = 0);
+        # the bisection skips it
+        report = steady(kind, params, [guess])
+        expected = steady_state_formula(kind, ParameterSet(**params))
+        assert report.method == "bisection"
+        assert report.values["T"] == pytest.approx(expected, rel=1e-12)
+        assert report.relaxation_rate == pytest.approx(
+            relaxation_rate(kind, ParameterSet(**params)), rel=1e-9)
+
+    def test_unstable_root_of_a_two_state_model_raises(self, tmp_path):
+        model, path = write_model(
+            tmp_path, "model two\nstate T = 0\nstate D = 0\ndT/dt = T*(1 - T)\ndD/dt = -D\n")
+        with pytest.raises(NoConvergenceError, match=r"StateVector\(T=0, D=0\) is not stable") as info:
+            find_steady_state(model, ParameterSet(), StateVector(("T", "D"), [0.0, 0.0]))
+        assert list(info.value.best.values) == [0.0, 0.0]
+        assert run_cli(["steady", "--model", path]) == 3
+
+    def test_nan_residual_is_a_typed_failure(self, tmp_path, capsys):
+        # 1e308*10 overflows to inf, and inf - inf is nan
+        model, path = write_model(
+            tmp_path, "model z\nstate T = 1\ndT/dt = 1e308*10*T - 1e308*10*T\n")
+        with pytest.raises(NoConvergenceError, match=r"best residual nan"):
+            find_steady_state(model, ParameterSet(), StateVector(("T",), [1.0]))
+        assert run_cli(["steady", "--model", path]) == 3
+        assert "no steady state found (best residual nan)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("residual,rate", [
+        (math.nan, 1.0), (1e-8, 1.0), (0.0, math.nan), (0.0, math.inf), (0.0, 0.0), (0.0, -1.0),
+    ])
+    def test_report_rejects_a_bad_residual_or_rate(self, residual, rate):
+        with pytest.raises(NoConvergenceError):
+            SteadyStateReport(StateVector(("T",), [1.0]), residual, "newton", rate)
+
+    def test_report_rejects_a_negative_component(self):
+        with pytest.raises(NoConvergenceError, match="negative component"):
+            SteadyStateReport(StateVector(("T",), [-1e-20]), 0.0, "newton", 1.0)
+
+    def test_sweep_t_eps_matches_scipy_event(self, tmp_path):
+        integrate = pytest.importorskip("scipy.integrate")
+        out = tmp_path / "s.csv"
+        assert run_cli(["sweep", "--model", "power-destruction", "--param", "n=3",
+                        "--sweep", "gamma=1,10,100", "--init", "T=2",
+                        "--metrics", "T*,t_eps,rate", "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        row = dict(zip(header, rows[-1]))
+        assert float(row["gamma"]) == 100.0 and float(row["rate"]) == pytest.approx(13.0, rel=1e-9)
+        t_star = float(row["T*"])
+        target = EPSILON * abs(2.0 - t_star)
+
+        def reached(t, y):
+            return abs(y[0] - t_star) - target
+
+        reached.terminal = True
+        ref = integrate.solve_ivp(lambda t, y: [1.0 - y[0] - 100.0 * y[0] ** 3], (0.0, 10.0),
+                                  [2.0], method="DOP853", rtol=1e-12, atol=1e-14,
+                                  events=reached)
+        assert ref.status == 1
+        assert float(row["t_eps"]) == pytest.approx(ref.t_events[0][0], rel=1e-8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["healthy", "linear-destruction", "power-destruction",
+                              "coupled-agent", "logistic-source", "logistic-proliferation"]),
+        a=st.floats(0.0, 10.0), y=st.floats(0.05, 10.0), gamma=st.floats(0.05, 50.0),
+        n=st.floats(1.5, 4.0), delta_D=st.floats(0.1, 10.0), guess=st.floats(0.0, 20.0),
+    )
+    def test_returned_roots_are_nonnegative_and_stable(self, kind, a, y, gamma, n, delta_D, guess):
+        params = {
+            "healthy": dict(a=a, y=y),
+            "linear-destruction": dict(a=a, y=y, gamma=gamma),
+            "power-destruction": dict(a=a, y=y, gamma=gamma, n=n),
+            "coupled-agent": dict(a=a, y=y, x=gamma, delta_D=delta_D),
+            "logistic-source": dict(a=a, y=y, gamma=gamma),
+            "logistic-proliferation": dict(a=a, y=y, gamma=gamma),
+        }[kind]
+        guess = [guess] if kind != "coupled-agent" else [guess, guess]
+        exact = kind in ("healthy", "linear-destruction", "logistic-source",
+                         "logistic-proliferation")
+        try:
+            report = steady(kind, params, guess)
+        except NoConvergenceError:
+            assert not exact
+            return
+        assert min(report.values.values) >= 0.0 and report.relaxation_rate > 0.0
+        if exact:
+            p = ParameterSet(**params)
+            assert report.values["T"] == pytest.approx(steady_state_formula(kind, p), rel=1e-9)
+            assert report.relaxation_rate == pytest.approx(relaxation_rate(kind, p), rel=1e-9)
 
 
 class TestClassifyCurvatureRange:

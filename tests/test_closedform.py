@@ -178,10 +178,12 @@ class TestRelaxationRate:
     def test_linear_destruction_is_faster(self):
         assert relaxation_rate("linear-destruction", ParameterSet(a=1, y=1, gamma=1)) == 2.0
 
-    def test_power_first_order_rate(self):
-        assert relaxation_rate(
-            "power-destruction", ParameterSet(a=1, y=1, gamma=1, n=2)
-        ) == 3.0
+    def test_power_destruction_refuses(self):
+        # no exact rate: find_steady_state linearises at the root it finds
+        with pytest.raises(UnsupportedKindError, match="find_steady_state"):
+            relaxation_rate("power-destruction", ParameterSet(a=1, y=1, gamma=1, n=2))
+        with pytest.raises(UnsupportedKindError, match="find_steady_state"):
+            relaxation_rate("coupled-agent", ParameterSet(a=1, y=1, x=1, delta_D=1))
 
     def test_logistic_source_rate(self):
         assert relaxation_rate("logistic-source", ParameterSet(a=4, gamma=1)) == pytest.approx(4.0)

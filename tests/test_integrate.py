@@ -22,7 +22,7 @@ from qsslab.catalog import MechanismKind, all_kind_names
 from qsslab.claims import mechanism_trajectory
 from qsslab.cli import run_cli
 from qsslab.core import ModelSystem, ParamSpec
-from qsslab.dsl import Call, Neg, Num, SourceLocation, Var, parse_model
+from qsslab.dsl import Call, Neg, Num, SourceLocation, Var, compile_model, parse_model
 from qsslab.errors import (
     BlowupError,
     DomainError,
@@ -441,9 +441,9 @@ class TestBuiltinRhs:
         assert float(last[1]) == pytest.approx(1.0 / 24.0, rel=1e-6)
 
     def test_newton_trial_outside_the_domain_is_damped(self):
-        # a = 0 puts the root at T = 0; a damped Newton trial lands at
-        # T ~ -1e-20, where T^3.5 is undefined, and is halved like a nan one
-        base = make_base_model("power-destruction")
+        # the first Newton trial from T = 3 lands at T ~ -0.296, where ln(T)
+        # is undefined, and is halved like a nan one
+        base = compile_model(parse_model("model lg\nstate T = 3\ndT/dt = -ln(T)\n"))
         raised = []
 
         def rhs(t, s, p):
@@ -454,7 +454,7 @@ class TestBuiltinRhs:
                 raise
 
         model = dataclasses.replace(base, rhs=rhs)
-        report = find_steady_state(model, ParameterSet(a=0.0, y=3.0, gamma=1.0, n=3.5),
-                                   StateVector(("T",), [1.0]))
+        report = find_steady_state(model, ParameterSet(), StateVector(("T",), [3.0]))
         assert raised and min(raised) < 0.0
-        assert report.method == "newton" and abs(report.values["T"]) < 1e-15
+        assert report.method == "newton" and report.values["T"] == pytest.approx(1.0, abs=1e-12)
+        assert report.relaxation_rate == pytest.approx(1.0, rel=1e-9)
