@@ -1,0 +1,5 @@
+"""``python -m qsslab``: the ``qsslab`` command line."""
+from .cli import main
+
+if __name__ == "__main__":
+    main()

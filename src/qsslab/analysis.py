@@ -25,10 +25,9 @@ from .errors import (
     UnsupportedKindError,
     ValidationError,
 )
-from .integrate import Trajectory, _dopri_steps, dense_output
+from .integrate import Trajectory, _dopri_steps, _fd_jacobian, dense_output
 
 _RESIDUAL_LIMIT = 1e-9
-_FD_STEP = np.finfo(float).eps ** (1 / 3)  # balances O(h^2) truncation against rounding
 _DIFFERENCE_LIMIT = 2.0 ** 1021  # 4x this is still finite
 
 
@@ -71,26 +70,6 @@ class CurvatureVerdict:
     shape_label: str = ""
 
 
-def _fd_jacobian(f, x):
-    """Second-order finite-difference Jacobian: central differences, and the
-    one-sided three-point formula where a central step would take a
-    nonnegative component below 0."""
-    n = x.size
-    J = np.empty((n, n))
-    fx = None
-    for j in range(n):
-        h = _FD_STEP * max(abs(x[j]), 1.0)
-        e = np.zeros(n)
-        e[j] = h
-        if x[j] < 0 or x[j] >= h:
-            J[:, j] = (f(x + e) - f(x - e)) / (2.0 * h)
-        else:
-            if fx is None:
-                fx = f(x)
-            J[:, j] = (4.0 * f(x + e) - f(x + 2.0 * e) - 3.0 * fx) / (2.0 * h)
-    return J
-
-
 def _bisection_1d(g, lo, hi):
     """A root at which g falls through zero, from g(lo) >= 0 to g(hi) < 0:
     a stable fixed point of dT/dt = g(T).  While g(hi) >= 0, lo moves up to
@@ -126,7 +105,7 @@ def _report(f, names, x, residual, method):
 def find_steady_state(model: ModelSystem, params: ParameterSet,
                       guess: StateVector) -> SteadyStateReport:
     """Damped Newton on the right-hand side, with the finite-difference
-    Jacobian of ``_fd_jacobian``.  A damping trial at which the rhs raises
+    Jacobian of ``integrate._fd_jacobian``.  A damping trial at which the rhs raises
     ``EvaluationError`` counts as one whose residual did not decrease, as a
     non-finite residual does.
 
@@ -243,7 +222,8 @@ def classify_curvature(trajectory: Trajectory, component: str,
     maximal strictly decreasing run inside ``window`` (default: the whole
     trajectory).
 
-    Classes: ``flat`` when total variation is below 1e-9 * |first value|;
+    Classes: ``flat`` when total variation is below 1e-9 * |first value|
+    (two points in the window suffice; the other classes need 8);
     ``non-monotonic`` when no decreasing run covers half the window;
     ``decelerating-decline`` / ``accelerating-decline`` when at least 90% of
     the nonzero second differences share a sign; ``mixed`` otherwise.
@@ -257,10 +237,9 @@ def classify_curvature(trajectory: Trajectory, component: str,
         mask = (times >= lo) & (times <= hi)
         times = times[mask]
         values = values[mask]
-    if times.size < 8:
-        raise InsufficientDataError(
-            f"need at least 8 points in the window, got {times.size}"
-        )
+    too_few = InsufficientDataError(f"need at least 8 points in the window, got {times.size}")
+    if times.size < 2:
+        raise too_few
 
     ref = abs(float(trajectory.component(component)[0]))
     # second differences reach 4x the largest magnitude: near the top of the
@@ -276,6 +255,8 @@ def classify_curvature(trajectory: Trajectory, component: str,
             "flat", (float(times[0]), float(times[-1])),
             {"total_variation": math.ldexp(span, exponent)}, shape_label="constant",
         )
+    if times.size < 8:
+        raise too_few
 
     grid_t = np.linspace(times[0], times[-1], grid_size)
     grid_v = np.interp(grid_t, times, values)

@@ -29,6 +29,13 @@ Five claims are registered:
     y/100, its latent plateau spans at least 50/y, and its per-capita
     removal rate never decreases while T falls on the collapse window.
 
+The two mechanism claims share one run per mechanism
+(``mechanism_trajectory``): the stiff Radau IIA(5) kernel at the claim
+settings, stored as its collocation polynomial sampled at
+``MECHANISM_SAMPLES`` (4,097) uniform times over the horizon.  Collapse
+windows, curvature, removal trends, plateaus and ``check --plot`` read that
+grid.  The destruction-only and reduction claims step with Dormand-Prince.
+
 Every claim is a deterministic predicate: re-running with identical
 configuration reproduces the report bit for bit (reports carry no
 timestamps).
@@ -52,7 +59,7 @@ from .catalog import (
 from .closedform import power_approx_steady, steady_state_formula
 from .core import ModelSystem, ParameterSet, StateVector
 from .errors import QsslabError, UnsupportedKindError, UsageError
-from .integrate import Trajectory, integrate_adaptive
+from .integrate import Trajectory, _radau_steps, collocation_output, integrate_adaptive
 
 STRENGTH_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 EPSILON = 0.01
@@ -158,12 +165,35 @@ def per_capita_removal(model: ModelSystem, params: ParameterSet,
 
 
 _MECH_CACHE: dict = {}
+# Uniform times at which a mechanism run's collocation polynomial is stored
+MECHANISM_SAMPLES = 4097
+
+
+@np.errstate(all="ignore")  # the kernel's trial steps run under this error state
+def _sampled_radau_run(model: ModelSystem, params: ParameterSet, state0: StateVector,
+                       t_end: float) -> Trajectory:
+    """Radau IIA(5) from 0 to ``t_end`` at the claim settings, stored as its
+    collocation polynomial sampled at ``MECHANISM_SAMPLES`` uniform times."""
+    times = np.linspace(0.0, t_end, MECHANISM_SAMPLES)
+    states = np.empty((times.size, model.dimension))
+    states[0] = state0.values
+    done = accepted = 0
+    for t_prev, t, h, _, Y, counts in _radau_steps(model, params, state0, 0.0, t_end,
+                                                   **_SOLVER):
+        accepted += 1
+        start, done = done + 1, int(np.searchsorted(times, t, side="right")) - 1
+        theta = (times[start:done + 1] - t_prev) / h
+        states[start:done + 1] = collocation_output(Y, theta[:, None])
+    return Trajectory(times, states, model.state_names,
+                      {"scheme": "radau5", **_SOLVER, "accepted": accepted, **counts})
 
 
 def mechanism_trajectory(kind: MechanismKind | str,
                          overrides: dict | None = None) -> tuple[ModelSystem, ParameterSet, Trajectory]:
     """Simulate a mechanism from its chronic default state over its default
-    horizon (cached: claims share these runs)."""
+    horizon with the Radau IIA(5) kernel, stored as its collocation
+    polynomial at ``MECHANISM_SAMPLES`` uniform times (cached: claims share
+    these runs)."""
     kind = MechanismKind(str(kind)) if not isinstance(kind, MechanismKind) else kind
     params = default_params(kind)
     if overrides:
@@ -173,9 +203,7 @@ def mechanism_trajectory(kind: MechanismKind | str,
     key = (kind.value, tuple(sorted(params.items())))
     if key not in _MECH_CACHE:
         model = make_mechanism_model(kind, params)
-        traj = integrate_adaptive(
-            model, params, default_state(kind), 0.0, default_horizon(kind), **_SOLVER
-        )
+        traj = _sampled_radau_run(model, params, default_state(kind), default_horizon(kind))
         _MECH_CACHE[key] = (model, params, traj)
     return _MECH_CACHE[key]
 

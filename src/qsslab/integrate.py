@@ -1,14 +1,22 @@
-"""Time stepping: classic fixed-step RK4 and an adaptive Dormand-Prince 5(4)
-embedded pair with proportional step control.  The Dormand-Prince stages
-are formed by small matrix products against one constant weight matrix, so
-a step costs a handful of numpy calls besides its seven rhs evaluations.
+"""Time stepping: classic fixed-step RK4, an adaptive Dormand-Prince 5(4)
+embedded pair with proportional step control, and an L-stable Radau IIA
+of order 5 for stiff runs.  The Dormand-Prince stages are formed by small
+matrix products against one constant weight matrix, so a step costs a
+handful of numpy calls besides its seven rhs evaluations.
 
-Both integrators return a ``Trajectory`` of accepted points.  Between the
-points of a Dormand-Prince step, ``dense_output`` evaluates the method's
-free 4th-order continuous extension from the step's stages; the stepping
-kernel ``_dopri_steps`` yields them one accepted step at a time, so a caller
-can stop at an event (``time_to_epsilon`` does).  ``classify_curvature``
-still interpolates linearly between accepted points.
+Both explicit integrators return a ``Trajectory`` of accepted points.
+Between the points of a Dormand-Prince step, ``dense_output`` evaluates the
+method's free 4th-order continuous extension from the step's stages; the
+stepping kernel ``_dopri_steps`` yields them one accepted step at a time,
+so a caller can stop at an event (``time_to_epsilon`` does).
+``classify_curvature`` still interpolates linearly between accepted points.
+
+``_radau_steps`` is the implicit kernel, a generator over accepted steps
+like ``_dopri_steps``; between its points ``collocation_output`` evaluates
+the step's collocation polynomial.  The slow-feedback mechanisms, whose
+explicit steps are pinned at the stability limit, run on it: the claims
+store each mechanism run as that polynomial sampled at 4,097 uniform times
+(``claims.mechanism_trajectory``).
 """
 from __future__ import annotations
 
@@ -41,8 +49,38 @@ _DP_D = np.array((-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
                   -10690763975 / 1880347072, 701980252875 / 199316789632,
                   -1453857185 / 822651844, 69997945 / 29380423))
 
+# Radau IIA of order 5 (Hairer & Wanner, *Solving ODEs II*, IV.8): the
+# collocation nodes, the weights of the embedded 3rd-order error estimate,
+# the eigenvalues of the inverse of the Runge-Kutta matrix (one real, one
+# complex pair) and the transformation T that splits the 3n-dimensional
+# Newton system into one real and one complex n-dimensional system
+_S6 = 6 ** 0.5
+_RADAU_C = np.array(((4 - _S6) / 10, (4 + _S6) / 10, 1.0))
+_RADAU_E = np.array((-13 - 7 * _S6, -13 + 7 * _S6, -1.0)) / 3
+_MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
+_MU_COMPLEX = (3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3))
+               - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6)))
+_RADAU_T = np.array((
+    (0.09443876248897524, -0.14125529502095421, 0.03002919410514742),
+    (0.25021312296533332, 0.20412935229379994, -0.38294211275726192),
+    (1.0, 1.0, 0.0)))
+_RADAU_TI = np.array((
+    (4.17871859155190428, 0.32768282076106237, 0.52337644549944951),
+    (-4.17871859155190428, -0.32768282076106237, 0.47662355450055044),
+    (0.50287263494578682, -2.57192694985560522, 0.59603920482822492)))
+_TI_REAL = _RADAU_TI[0]
+_TI_COMPLEX = _RADAU_TI[1] + 1j * _RADAU_TI[2]
+# Coefficients of theta, theta^2, theta^3 of the collocation polynomial,
+# per stage increment Z_i = Y_i - y_prev
+_RADAU_P = np.array((
+    (13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6),
+    (13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6),
+    (1 / 3, -8 / 3, 10 / 3)))
+_NEWTON_MAXITER = 6
+
 # Step budget of one integration, adaptive trial steps or fixed RK4 steps
 MAX_STEPS = 2_000_000
+_FD_STEP = np.finfo(float).eps ** (1 / 3)  # balances O(h^2) truncation against rounding
 
 
 def _dp_weights() -> np.ndarray:
@@ -122,6 +160,26 @@ def _check_finite(y: np.ndarray, t: float):
         raise BlowupError(f"state became non-finite at t = {t:g}", time=t)
 
 
+def _fd_jacobian(f, x):
+    """Second-order finite-difference Jacobian: central differences, and the
+    one-sided three-point formula where a central step would take a
+    nonnegative component below 0."""
+    n = x.size
+    J = np.empty((n, n))
+    fx = None
+    for j in range(n):
+        h = _FD_STEP * max(abs(x[j]), 1.0)
+        e = np.zeros(n)
+        e[j] = h
+        if x[j] < 0 or x[j] >= h:
+            J[:, j] = (f(x + e) - f(x - e)) / (2.0 * h)
+        else:
+            if fx is None:
+                fx = f(x)
+            J[:, j] = (4.0 * f(x + e) - f(x + 2.0 * e) - 3.0 * fx) / (2.0 * h)
+    return J
+
+
 def integrate_fixed(model: ModelSystem, params: ParameterSet, state0: StateVector,
                     t0: float, t_end: float, dt: float) -> Trajectory:
     """Classic 4-stage Runge-Kutta with a shortened final step that lands
@@ -172,11 +230,12 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
                  max_steps: int = MAX_STEPS):
     """Dormand-Prince 5(4) stepping kernel: a generator over accepted steps.
 
-    Each accepted step yields ``(t_prev, t, h, y, Y, rejected)``: the step
+    Each accepted step yields ``(t_prev, t, h, y, Y, counts)``: the step
     runs from ``t_prev`` to ``t`` with stage size ``h``, ``y`` is the new
     state (a fresh array), ``Y`` the stage buffer ``[y_prev; k1 ... k7]``,
-    valid only until the generator resumes, and ``rejected`` the number of
-    trial steps rejected so far.  ``dense_output(Y, y, h, theta)`` evaluates
+    valid only until the generator resumes, and ``counts`` one dict, updated
+    in place, with the trial steps ``rejected`` and the ``rhs_evals`` so far
+    (an evaluation that raises counts).  ``dense_output(Y, y, h, theta)`` evaluates
     the step in between.  Step control is described at ``integrate_adaptive``.
 
     Each stage input, the 5th-order solution and the error estimate cost one
@@ -196,7 +255,7 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     h = span / 100.0
     h_min = 1e-14 * span
     t = t0
-    rejected = 0
+    counts = {"rejected": 0, "rhs_evals": 1}
     Y = np.empty((8, y.size))
     Y[0] = y
     try:
@@ -226,25 +285,26 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
                 Y[i + 1] = f(t + _DP_C[i] * h, z, p)
         except EvaluationError:  # a stage left the rhs's domain: a non-finite trial
             Y[7] = math.nan
+        counts["rhs_evals"] += i  # k2 ... k(i + 1); the last may have raised
         y5 = z  # the last stage is evaluated at the 5th-order solution
         err = hW[0].dot(Y)
         err_l, y5_l = err.tolist(), y5.tolist()
         # err weighs every stage but k2, and k2 enters every later stage
         finite = all(map(math.isfinite, err_l + y5_l))
         if not finite:
-            rejected += 1
+            counts["rejected"] += 1
             h *= 0.2
             continue
         err_norm = max(abs(e) / (atol + rtol * max(abs(a), abs(b)))
                        for e, a, b in zip(err_l, y_l, y5_l))
         if err_norm <= 1.0:
             t_prev, t = t, (t_end if last else t + h)
-            yield t_prev, t, h, y5, Y, rejected
+            yield t_prev, t, h, y5, Y, counts
             y_l = y5_l
             Y[0] = y5
             Y[1] = Y[7]
         else:
-            rejected += 1
+            counts["rejected"] += 1
         factor = 0.9 * (1.0 / max(err_norm, 1e-16)) ** 0.2
         h = h * min(5.0, max(0.2, factor))
     if t >= t_end:  # the last of the max_steps trials landed on t_end
@@ -271,6 +331,210 @@ def dense_output(Y, y, h: float, theta: float):
     return y_prev + theta * (dy + rest * (slope + theta * (bend + rest * quartic)))
 
 
+def _rms(x) -> float:
+    """The root-mean-square norm of an array."""
+    x = x.ravel()
+    return math.sqrt(float(x.dot(x)) / x.size)
+
+
+def _radau_newton(f, t, y, h, Z, F, scale, tol, inv_real, inv_complex):
+    """The simplified Newton iteration on the Radau collocation system,
+    started from the stage increments ``Z`` (3 x n: stage i at
+    ``t + C_i h`` is ``y + Z_i``) and run on the transformed variables
+    W = T^-1 Z.  ``inv_real`` and ``inv_complex`` are the inverses of
+    mu_real/h I - J and mu_complex/h I - J.  The stage derivatives go to
+    ``F``; a stage that raises ``EvaluationError`` leaves a nan row there,
+    and a non-finite stage ends the iteration unconverged.  Returns
+    (converged, iterations, Z, rate of convergence)."""
+    m_real, m_complex = _MU_REAL / h, _MU_COMPLEX / h
+    ch = h * _RADAU_C
+    W = _RADAU_TI.dot(Z)
+    norm_old = rate = None
+    for k in range(_NEWTON_MAXITER):
+        for i in range(3):
+            try:
+                F[i] = f(t + ch[i], y + Z[i])
+            except EvaluationError:
+                F[i] = math.nan
+                break
+        if not np.isfinite(F).all():
+            break
+        dw_complex = inv_complex.dot(F.T.dot(_TI_COMPLEX) - m_complex * (W[1] + 1j * W[2]))
+        dW = np.array((inv_real.dot(F.T.dot(_TI_REAL) - m_real * W[0]),
+                       dw_complex.real, dw_complex.imag))
+        norm = _rms(dW / scale)
+        if norm_old is not None:
+            rate = norm / norm_old
+            if rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * norm > tol:
+                break
+        W += dW
+        Z = _RADAU_T.dot(W)
+        if norm == 0 or rate is not None and rate / (1 - rate) * norm < tol:
+            return True, k + 1, Z, rate
+        norm_old = norm
+    return False, k + 1, Z, rate
+
+
+def _radau_factor(h, h_prev, err, err_prev) -> float:
+    """Gustafsson's predictive step control: the factor on the step size
+    from this and the previous accepted step's error norms."""
+    multiplier = 1.0
+    if err_prev is not None and err != 0:
+        multiplier = min(1.0, h / h_prev * (err_prev / err) ** 0.25)
+    return multiplier * err ** -0.25 if err else math.inf
+
+
+def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
+                 t0: float, t_end: float, rtol: float, atol: float,
+                 max_steps: int = MAX_STEPS):
+    """Radau IIA(5) stepping kernel: a generator over accepted steps, as
+    ``_dopri_steps`` is (Hairer & Wanner, *Solving ODEs II*, IV.8; the
+    algorithm of scipy's ``Radau``, in numpy alone).
+
+    Each accepted step yields ``(t_prev, t, h, y, Y, counts)``: the step
+    runs from ``t_prev`` to ``t`` with size ``h``, ``y`` is the new state,
+    ``Y = [y_prev; q1; q2; q3]`` the step's collocation polynomial for
+    ``collocation_output``, and ``counts`` one dict, updated in place, with
+    the trial steps ``rejected``, the ``rhs_evals`` (finite-difference
+    Jacobians included; an evaluation that raises counts), the
+    ``jac_evals`` and the ``factorizations`` (matrix inversions) so far.
+
+    Each step solves the collocation system by simplified Newton on its
+    real and complex transformed systems, with the inverses of their
+    matrices formed once per step size and Jacobian.  The Jacobian is
+    ``_fd_jacobian`` at the step's start, kept across steps while Newton
+    converges fast; a Newton solve that fails with a stale Jacobian is
+    retried with a fresh one, and one that fails with a fresh Jacobian (a
+    stage that is non-finite or raises ``EvaluationError`` counts as a
+    failure) halves the step.  The embedded 3rd-order error estimate is
+    held to 1 in the root-mean-square norm scaled by
+    ``atol + rtol * max(|y|, |y_new|)``, and the step size follows
+    Gustafsson's predictive controller.  The first trial step is
+    ``(t_end - t0) / 100``; the last accepted time is ``t_end`` exactly.
+    A step below 1e-14 * (t_end - t0) raises ``BlowupError`` when the
+    trials that drove it there were non-finite and ``StiffnessError``
+    otherwise, and so does a run of more than ``max_steps`` trial steps.
+
+    Iterate it inside ``np.errstate(all="ignore")``, as ``_dopri_steps``.
+    """
+    if rtol <= 0 or atol <= 0:
+        raise DomainError("rtol and atol must be positive")
+    p, y = _prepare(model, params, state0, t0, t_end)
+    rhs = model.rhs
+    counts = {"rejected": 0, "rhs_evals": 0, "jac_evals": 0, "factorizations": 0}
+
+    def f(t, x):
+        counts["rhs_evals"] += 1
+        return rhs(t, x, p)
+
+    def jacobian(t, x):
+        counts["jac_evals"] += 1
+        try:
+            return _fd_jacobian(lambda z: f(t, z), x)
+        except EvaluationError:  # no Jacobian here: every Newton solve fails
+            return np.full((x.size, x.size), math.nan)
+
+    def inverses(h, J):
+        counts["factorizations"] += 2
+        eye = np.identity(J.shape[0])
+        return np.linalg.inv(_MU_REAL / h * eye - J), np.linalg.inv(_MU_COMPLEX / h * eye - J)
+
+    span = t_end - t0
+    h_min = 1e-14 * span
+    newton_tol = max(10 * np.finfo(float).eps / rtol, min(0.03, rtol ** 0.5))
+    t = t0
+    try:
+        f_y = f(t, y)
+    except EvaluationError:  # outside the rhs's domain: as a nan rate
+        f_y = np.full(y.size, math.nan)
+    J, fresh = jacobian(t, y), True
+    inv = None  # (h, the two inverses for h and the current J)
+    F = np.empty((3, y.size))
+    h_next = span / 100.0
+    h_prev = err_prev = None  # size and error norm of the last accepted step
+    finite, retried = True, False  # retried: a trial of this step failed its error test
+    Y = None  # the last accepted step's polynomial, which predicts the next stages
+    for _ in range(max_steps):
+        last = t_end - t - h_next < h_min  # no remainder shorter than h_min
+        h = t_end - t if last else h_next
+        if h < h_min:
+            if not finite:
+                raise BlowupError(f"state became non-finite at t = {t + h:g}", time=t + h)
+            raise StiffnessError(
+                f"step size underflow ({h:.3e}) at t = {t:g}; problem too stiff"
+            )
+        if Y is None:
+            Z0 = np.zeros((3, y.size))
+        else:
+            Z0 = collocation_output(Y, ((t + h * _RADAU_C - t_prev) / h_prev)[:, None]) - y
+        scale = atol + rtol * np.abs(y)
+        while True:
+            try:
+                if inv is None or inv[0] != h:
+                    inv = (h, *inverses(h, J))
+            except np.linalg.LinAlgError:  # singular: no Newton step, as a nan stage
+                converged, F[:] = False, math.nan
+            else:
+                converged, n_iter, Z, rate = _radau_newton(
+                    f, t, y, h, Z0, F, scale, newton_tol, inv[1], inv[2])
+            if converged or fresh:
+                break
+            J, fresh, inv = jacobian(t, y), True, None
+        if not converged:
+            counts["rejected"] += 1
+            finite = np.isfinite(F).all()
+            h_next = 0.5 * h
+            continue
+        y_new = y + Z[-1]
+        ZE = Z.T.dot(_RADAU_E) / h
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        error = inv[1].dot(f_y + ZE)
+        err = _rms(error / scale)
+        if retried and err > 1:  # a sharper estimate after a rejection
+            try:
+                error = inv[1].dot(f(t, y + error) + ZE)
+                err = _rms(error / scale)
+            except EvaluationError:
+                err = math.inf
+        safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+        finite = math.isfinite(err) and np.isfinite(y_new).all()
+        if not (err <= 1 and finite):
+            counts["rejected"] += 1
+            factor = _radau_factor(h, h_prev, err, err_prev) if finite else 0.0
+            h_next, retried = h * max(0.2, safety * factor), True
+            continue
+        factor = min(10.0, safety * _radau_factor(h, h_prev, err, err_prev))
+        refresh = n_iter > 2 and rate > 1e-3  # Newton converged slowly
+        if not refresh and factor < 1.2:
+            factor = 1.0  # keep h, and with it the inverses
+        h_prev, err_prev, retried = h, err, False
+        h_next = h * factor
+        Y = np.vstack((y, Z.T.dot(_RADAU_P).T))
+        t_prev, t = t, (t_end if last else t + h)
+        y = y_new
+        yield t_prev, t, h, y, Y, counts
+        if t >= t_end:
+            return
+        try:
+            f_y = f(t, y)
+        except EvaluationError:
+            f_y = np.full(y.size, math.nan)
+        if refresh:
+            J, fresh, inv = jacobian(t, y), True, None
+        else:
+            fresh = False
+    raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
+
+
+def collocation_output(Y, theta):
+    """The state at ``t_prev + theta * h`` inside one accepted Radau step:
+    its collocation polynomial, ``Y = [y_prev; q1; q2; q3]`` as
+    ``_radau_steps`` yields it.  theta may be a column of values, giving one
+    state row each; theta = 0 gives ``y_prev``, and theta = 1 the new state
+    up to rounding."""
+    return Y[0] + theta * (Y[1] + theta * (Y[2] + theta * Y[3]))
+
+
 @np.errstate(all="ignore")  # non-finite trial steps are rejected, not warned about
 def integrate_adaptive(model: ModelSystem, params: ParameterSet, state0: StateVector,
                        t0: float, t_end: float, rtol: float = 1e-8,
@@ -291,17 +555,18 @@ def integrate_adaptive(model: ModelSystem, params: ParameterSet, state0: StateVe
     nan k1.  A step size below 1e-14*(t_end - t0) raises ``BlowupError``
     when the trials that drove it there were non-finite and
     ``StiffnessError`` otherwise.  ``max_steps`` bounds the
-    number of trial steps.  The steps are those of ``_dopri_steps``.
+    number of trial steps.  The steps are those of ``_dopri_steps``;
+    ``solver_info`` counts them (``accepted``, ``rejected``) and the
+    ``rhs_evals``.
     """
     times = [t0]
     states = [np.array(state0.values, dtype=float)]
-    rejected = 0
-    for _, t, _, y, _, rejected in _dopri_steps(model, params, state0, t0, t_end,
-                                                rtol, atol, max_steps):
+    for _, t, _, y, _, counts in _dopri_steps(model, params, state0, t0, t_end,
+                                              rtol, atol, max_steps):
         times.append(t)
         states.append(y)
     return Trajectory(
         np.array(times), np.array(states), model.state_names,
         {"scheme": "dopri54", "rtol": rtol, "atol": atol,
-         "accepted": len(times) - 1, "rejected": rejected},
+         "accepted": len(times) - 1, **counts},
     )

@@ -169,6 +169,14 @@ class TestClassifyCurvature:
         with pytest.raises(InsufficientDataError):
             classify_curvature(traj, "T", window=(0.0, 0.2))
 
+    def test_flat_on_fewer_than_eight_points(self):
+        # linear destruction with a = 0 rests at T = 0: four Dormand-Prince steps
+        traj = integrate_adaptive(make_base_model("linear-destruction"),
+                                  ParameterSet(a=0, y=1, gamma=1), StateVector(("T",), [0.0]),
+                                  0.0, 4.0)
+        assert len(traj) == 5
+        assert classify_curvature(traj, "T").curvature_class == "flat"
+
     def test_mechanism_collapse_window_accelerates(self):
         from qsslab.claims import collapse_window
 

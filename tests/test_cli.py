@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -336,6 +339,16 @@ def test_steady_guess_flag(outdir, capsys):
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["values"]["T"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "qsslab", "check", "qss-reduction-valid"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "qss-reduction-valid: PASS" in done.stderr
 
 
 def test_check_plot_writes_overview_svg(outdir):

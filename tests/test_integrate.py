@@ -18,7 +18,13 @@ from qsslab import (
     make_model,
     qss_reduce,
 )
-from qsslab.catalog import MechanismKind, all_kind_names
+from qsslab import integrate
+from qsslab.catalog import (
+    MechanismKind,
+    all_kind_names,
+    default_horizon,
+    make_mechanism_model,
+)
 from qsslab.claims import mechanism_trajectory
 from qsslab.cli import run_cli
 from qsslab.core import ModelSystem, ParamSpec
@@ -30,7 +36,7 @@ from qsslab.errors import (
     StiffnessError,
     ValidationError,
 )
-from qsslab.integrate import Trajectory, _dopri_steps, dense_output
+from qsslab.integrate import Trajectory, _dopri_steps, _radau_steps, dense_output
 from test_dsl import read_model_text
 
 
@@ -314,9 +320,10 @@ class TestTrajectory:
 
 
 class TestMechanismKernel:
-    """The Dormand-Prince kernel on the four mechanisms at the claim settings."""
+    """The four mechanisms at the claim settings: the Dormand-Prince kernel,
+    and the Radau runs that the claims store."""
 
-    # accepted steps per mechanism at rtol 1e-8, atol 1e-12
+    # Dormand-Prince accepted steps per mechanism at rtol 1e-8, atol 1e-12
     BASELINE_STEPS = {
         "virulence-drift": 4521,
         "cytokine-inversion": 6647,
@@ -326,23 +333,201 @@ class TestMechanismKernel:
 
     @pytest.mark.parametrize("kind", [k.value for k in MechanismKind])
     def test_accepted_steps_do_not_grow(self, kind):
-        _, _, traj = mechanism_trajectory(kind)
+        traj = integrate_adaptive(make_mechanism_model(kind), default_params(kind),
+                                  default_state(kind), 0.0, default_horizon(kind),
+                                  rtol=1e-8, atol=1e-12)
         assert traj.solver_info["accepted"] <= 1.10 * self.BASELINE_STEPS[kind]
 
     @pytest.mark.parametrize("kind", [k.value for k in MechanismKind])
+    def test_radau_steps_and_rhs_evals(self, kind):
+        # Dormand-Prince takes 27,157 to 147,115 rhs evaluations here
+        _, _, traj = mechanism_trajectory(kind)
+        assert traj.solver_info["scheme"] == "radau5"
+        assert traj.solver_info["accepted"] <= 1000
+        assert traj.solver_info["rhs_evals"] <= 8000
+
+    @pytest.mark.parametrize("kind", [k.value for k in MechanismKind])
     def test_agrees_with_scipy_radau(self, kind):
+        # on every stored time: T to 1e-8 relative, every state to 1e-8 of its peak
         integrate = pytest.importorskip("scipy.integrate")
         model, params, traj = mechanism_trajectory(kind)
+        assert np.array_equal(traj.times, np.linspace(0.0, default_horizon(kind), 4097))
         p = model.resolve_params(params)
-        picks = np.linspace(1, len(traj) - 1, 10).astype(int)
         ref = integrate.solve_ivp(
             lambda t, y: model.rhs(t, y, p), (traj.times[0], traj.times[-1]),
-            traj.states[0], method="Radau", rtol=1e-11, atol=1e-14,
-            t_eval=traj.times[picks],
+            traj.states[0], method="Radau", rtol=1e-12, atol=1e-15, t_eval=traj.times,
         )
         assert ref.success
-        T = traj.component("T")[picks]
-        np.testing.assert_allclose(T, ref.y[0], rtol=1e-6)
+        np.testing.assert_allclose(traj.component("T"), ref.y[0], rtol=1e-8)
+        peak = np.abs(ref.y).max(axis=1)
+        assert np.all(np.abs(traj.states - ref.y.T) <= 1e-8 * peak)
+
+
+MU = 1000.0
+
+
+def van_der_pol_model():
+    """u'' = mu (1 - u^2) u' - u as a first-order system: stiff for large mu."""
+    def rhs(t, s, p):
+        u, v = s
+        return np.array([v, MU * (1.0 - u * u) * v - u])
+
+    return ModelSystem(name="van-der-pol", state_names=("u", "v"), param_schema=(), rhs=rhs)
+
+
+def counting(model):
+    """``model`` with an rhs that counts its calls, those that raise too."""
+    calls = []
+
+    def rhs(t, s, p):
+        calls.append(t)
+        return model.rhs(t, s, p)
+
+    return dataclasses.replace(model, rhs=rhs), calls
+
+
+def raising_once_healthy_model():
+    """The healthy model, whose rhs raises ``EvaluationError`` at its first
+    call after t = 0, and the times of those calls."""
+    base = make_base_model("healthy")
+    stage_times = []
+
+    def rhs(t, s, p):
+        if t > 0.0:
+            stage_times.append(t)
+            if len(stage_times) == 1:
+                raise EvaluationError("outside the domain")
+        return base.rhs(t, s, p)
+
+    return dataclasses.replace(base, rhs=rhs), stage_times
+
+
+def radau_run(model, state0, t_end, rtol=1e-8, atol=1e-12, params=ParameterSet(), **kwargs):
+    """The accepted steps (t, y, Y) of one Radau run and its final counts."""
+    steps = []
+    with np.errstate(all="ignore"):
+        for _, t, _, y, Y, counts in _radau_steps(model, params, state0, 0.0, t_end,
+                                                  rtol, atol, **kwargs):
+            steps.append((t, y, Y))
+    return steps, dict(counts)
+
+
+class TestRadauKernel:
+    VDP_STATE = StateVector(("u", "v"), [2.0, 0.0])
+
+    def test_stiff_model_outside_the_catalog(self):
+        integrate = pytest.importorskip("scipy.integrate")
+        model = van_der_pol_model()
+        dp5 = integrate_adaptive(model, ParameterSet(), self.VDP_STATE, 0.0, 10.0,
+                                 rtol=1e-6, atol=1e-9)
+        steps, counts = radau_run(model, self.VDP_STATE, 10.0, rtol=1e-6, atol=1e-9)
+        assert len(steps) <= dp5.solver_info["accepted"] / 10
+        times = [t for t, _, _ in steps]
+        ref = integrate.solve_ivp(lambda t, y: model.rhs(t, y, None), (0.0, 10.0),
+                                  self.VDP_STATE.values, method="Radau", rtol=1e-12,
+                                  atol=1e-14, t_eval=times)
+        assert ref.success
+        peak = np.abs(ref.y).max(axis=1)
+        assert np.all(np.abs(np.array([y for _, y, _ in steps]) - ref.y.T) <= 1e-6 * peak)
+
+    def test_collocation_polynomial_spans_each_step(self):
+        steps, _ = radau_run(van_der_pol_model(), self.VDP_STATE, 10.0, rtol=1e-6, atol=1e-9)
+        y_prev = self.VDP_STATE.values
+        for t, y, Y in steps:
+            assert np.array_equal(integrate.collocation_output(Y, 0.0), y_prev)
+            np.testing.assert_allclose(integrate.collocation_output(Y, 1.0), y,
+                                       rtol=1e-13, atol=1e-15)
+            y_prev = y
+
+    def test_evaluation_error_in_a_stage_rejects_the_step(self):
+        # the first stage of the first trial step raises: that Newton solve
+        # fails, and the next trial is at half the step
+        model, stage_times = raising_once_healthy_model()
+        steps, counts = radau_run(model, StateVector(("T",), [0.0]), 5.0,
+                                  params=ParameterSet(a=1, y=1))
+        assert stage_times[1] == 0.5 * stage_times[0]
+        assert counts["rejected"] >= 1
+        assert steps[-1][1][0] == pytest.approx(linear_solution(1, 1, 0, 5.0), rel=1e-7)
+
+    @pytest.mark.parametrize("t_end", [1.474, 1.542, 3.009, 7.681])
+    def test_last_time_is_exactly_t_end(self, t_end):
+        # at the fixed point the step grows 10x at a time, as in the
+        # Dormand-Prince test of the same name
+        steps, _ = radau_run(make_base_model("healthy"), StateVector(("T",), [1.0]), t_end,
+                             params=ParameterSet(a=1, y=1))
+        times = [t for t, _, _ in steps]
+        assert times[-1] == t_end
+        assert all(a < b for a, b in zip(times, times[1:]))
+
+    def test_budget_counts_every_trial(self):
+        # trials rejected for their error and the one whose Newton solve fails
+        def run(**kwargs):
+            return radau_run(raising_once_healthy_model()[0], StateVector(("T",), [0.0]),
+                             5.0, params=ParameterSet(a=1, y=1), **kwargs)
+
+        steps, counts = run()
+        trials = len(steps) + counts["rejected"]
+        assert run(max_steps=trials)[0][-1][0] == 5.0
+        with pytest.raises(StiffnessError, match=f"step budget of {trials - 1} exhausted"):
+            run(max_steps=trials - 1)
+
+    def test_runs_are_bit_identical(self):
+        kind = "cytokine-inversion"
+        runs = []
+        for _ in range(2):
+            steps, counts = radau_run(make_mechanism_model(kind), default_state(kind), 50.0,
+                                      params=default_params(kind))
+            runs.append(([(t, y.tobytes(), Y.tobytes()) for t, y, Y in steps], counts))
+        assert runs[0] == runs[1]
+
+
+class TestSolverCounts:
+    """``solver_info`` counts against counting wrappers."""
+
+    def test_dopri_rhs_evals(self):
+        model, calls = counting(make_base_model("coupled-agent"))
+        traj = integrate_adaptive(model, ParameterSet(a=1, y=1, x=2, delta_D=4),
+                                  StateVector(("T", "D"), [2.0, 1.0]), 0.0, 20.0)
+        assert traj.solver_info["rhs_evals"] == len(calls)
+        assert len(calls) == 1 + 6 * (traj.solver_info["accepted"]
+                                      + traj.solver_info["rejected"])
+
+    def test_dopri_rhs_evals_with_a_stage_that_raises(self):
+        # the trial steps of TestAdaptive.test_non_finite_trial_step_is_rejected:
+        # a stage overshoots to T < 0, where T**n raises for a fractional n
+        params = ParameterSet(a=0.33014751191550706, y=0.29421304314213753,
+                              gamma=96.0681310956346, n=2.205395261283672)
+        base = make_base_model("power-destruction")
+        raised = []
+
+        def rhs(t, s, p):
+            try:
+                return base.rhs(t, s, p)
+            except EvaluationError:
+                raised.append(t)
+                raise
+
+        model, calls = counting(dataclasses.replace(base, rhs=rhs))
+        traj = integrate_adaptive(model, params, StateVector(("T",), [16.745582880360338]),
+                                  0.0, 2.387002511409681, rtol=1e-10, atol=1e-13)
+        assert raised
+        assert traj.solver_info["rhs_evals"] == len(calls)
+
+    def test_radau_counts(self, monkeypatch):
+        jacobians, inversions = [], []
+        fd_jacobian, inv = integrate._fd_jacobian, np.linalg.inv
+        monkeypatch.setattr(integrate, "_fd_jacobian",
+                            lambda f, x: jacobians.append(x) or fd_jacobian(f, x))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
+        kind = "bcell-depletion"
+        model, calls = counting(make_mechanism_model(kind))
+        with np.errstate(all="ignore"):
+            for *_, counts in _radau_steps(model, default_params(kind), default_state(kind),
+                                           0.0, default_horizon(kind), 1e-8, 1e-12):
+                pass
+        assert counts["rhs_evals"] == len(calls)
+        assert counts["jac_evals"] == len(jacobians) > 1
+        assert counts["factorizations"] == len(inversions) > 2
 
 
 def _numpy_scalar_eval(expr, env):
