@@ -16,8 +16,8 @@ Five claims are registered:
 
 ``aids-curve-needs-feedback``
     The four slow-feedback mechanisms produce an accelerating-decline
-    verdict on their collapse window, while no destruction-only grid point
-    does.
+    verdict on their collapse window, while every destruction-only grid
+    point classifies and none accelerates.
 
 ``qss-reduction-valid``
     With a fast destroyer agent (delta_D/y in {100, 1000}) the full
@@ -58,8 +58,14 @@ from .catalog import (
 )
 from .closedform import power_approx_steady, steady_state_formula
 from .core import ModelSystem, ParameterSet, StateVector
-from .errors import QsslabError, UnsupportedKindError, UsageError
-from .integrate import Trajectory, _radau_steps, collocation_output, integrate_adaptive
+from .errors import (
+    NUMERICAL_ERRORS,
+    InsufficientDataError,
+    QsslabError,
+    UnsupportedKindError,
+    UsageError,
+)
+from .integrate import Trajectory, _radau_steps, integrate_adaptive
 
 STRENGTH_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 EPSILON = 0.01
@@ -173,19 +179,32 @@ MECHANISM_SAMPLES = 4097
 def _sampled_radau_run(model: ModelSystem, params: ParameterSet, state0: StateVector,
                        t_end: float) -> Trajectory:
     """Radau IIA(5) from 0 to ``t_end`` at the claim settings, stored as its
-    collocation polynomial sampled at ``MECHANISM_SAMPLES`` uniform times."""
-    times = np.linspace(0.0, t_end, MECHANISM_SAMPLES)
-    states = np.empty((times.size, model.dimension))
-    states[0] = state0.values
-    done = accepted = 0
+    collocation polynomial sampled at ``MECHANISM_SAMPLES`` uniform times.
+
+    The steps are kept and sampled after the run: each time after 0 is
+    evaluated in the first step that ends at or after it, by
+    ``collocation_output``'s Horner scheme, one gathered coefficient row at
+    a time."""
+    starts, ends, sizes, polys = [], [], [], []
     for t_prev, t, h, _, Y, counts in _radau_steps(model, params, state0, 0.0, t_end,
                                                    **_SOLVER):
-        accepted += 1
-        start, done = done + 1, int(np.searchsorted(times, t, side="right")) - 1
-        theta = (times[start:done + 1] - t_prev) / h
-        states[start:done + 1] = collocation_output(Y, theta[:, None])
+        starts.append(t_prev)
+        ends.append(t)
+        sizes.append(h)
+        polys.append(Y)
+    times = np.linspace(0.0, t_end, MECHANISM_SAMPLES)
+    step = np.searchsorted(ends, times[1:])
+    theta = ((times[1:] - np.take(starts, step)) / np.take(sizes, step))[:, None]
+    coef = np.array(polys)  # (steps, 4, n)
+    states = np.empty((times.size, model.dimension))
+    states[0] = state0.values
+    inner = states[1:]
+    inner[:] = coef[step, 3]
+    for row in (2, 1, 0):
+        inner *= theta
+        inner += coef[step, row]
     return Trajectory(times, states, model.state_names,
-                      {"scheme": "radau5", **_SOLVER, "accepted": accepted, **counts})
+                      {"scheme": "radau5", **_SOLVER, "accepted": len(polys), **counts})
 
 
 def mechanism_trajectory(kind: MechanismKind | str,
@@ -367,7 +386,7 @@ def _claim_destruction_decelerates(overrides=None) -> ClaimReport:
             })
             if verdict.curvature_class != "decelerating-decline":
                 failures.append(f"{label} -> {verdict.curvature_class}")
-        except QsslabError as exc:
+        except (*NUMERICAL_ERRORS, InsufficientDataError) as exc:  # bad input propagates
             rows.append({"point": label, "error": str(exc)})
             failures.append(f"{label} -> error: {exc}")
     verdict = "pass" if not failures else "fail"
@@ -406,12 +425,18 @@ def _claim_needs_feedback(overrides=None) -> ClaimReport:
     accel_in_base = [
         r["point"] for r in base.grid if r.get("class") == "accelerating-decline"
     ]
-    rows.append({
+    errored = [r for r in base.grid if "error" in r]
+    summary = {
         "destruction_only_combinations": len(base.grid),
         "accelerating_among_them": accel_in_base,
-    })
+    }
+    if errored:  # an unclassified point is no evidence of deceleration
+        summary["errored_among_them"] = [r["point"] for r in errored]
+    rows.append(summary)
     if accel_in_base:
         failures.append(f"destruction-only points accelerated: {accel_in_base}")
+    failures.extend(f"destruction-only point {r['point']} -> error: {r['error']}"
+                    for r in errored)
     verdict = "pass" if not failures else "fail"
     narrative = (
         "Only the slow positive-feedback mechanisms reproduce the accelerating "

@@ -20,26 +20,9 @@ from .analysis import classify_curvature, find_steady_state
 from .claims import CLAIMS, SweepSpec, collapse_window, mechanism_trajectory, run_claim, sweep
 from .core import ParameterSet, StateVector
 from .dsl import compile_model, default_initial_state, parse_model
-from .errors import (
-    BlowupError,
-    ConvergenceTimeoutError,
-    EvaluationError,
-    NoConvergenceError,
-    ParseError,
-    QsslabError,
-    SemanticError,
-    StiffnessError,
-    UsageError,
-)
+from .errors import NUMERICAL_ERRORS, ParseError, QsslabError, SemanticError, UsageError
 from .integrate import Trajectory, integrate_adaptive, integrate_fixed
 from .svg import render_plot
-
-# EvaluationError counts as numerical: it fires while a compiled model is
-# being integrated (overflow, division by zero), not while parsing.
-_NUMERICAL_ERRORS = (
-    BlowupError, StiffnessError, NoConvergenceError, ConvergenceTimeoutError,
-    EvaluationError,
-)
 
 
 def _parse_kv(pairs, what):
@@ -384,7 +367,7 @@ def run_cli(argv) -> int:
     except (ParseError, SemanticError) as exc:
         print(f"model definition error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except QsslabError as exc:

@@ -107,3 +107,12 @@ class EvaluationError(QsslabError):
 
 class UsageError(QsslabError):
     """Invalid request at the API or CLI surface."""
+
+
+# The failures of the numerics on valid input, as against a bad request.
+# EvaluationError counts: it fires while a compiled model is being
+# integrated (overflow, division by zero), not while parsing.
+NUMERICAL_ERRORS = (
+    BlowupError, StiffnessError, NoConvergenceError, ConvergenceTimeoutError,
+    EvaluationError,
+)

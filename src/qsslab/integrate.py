@@ -13,9 +13,11 @@ so a caller can stop at an event (``time_to_epsilon`` does).
 
 ``_radau_steps`` is the implicit kernel, a generator over accepted steps
 like ``_dopri_steps``; between its points ``collocation_output`` evaluates
-the step's collocation polynomial.  The slow-feedback mechanisms, whose
-explicit steps are pinned at the stability limit, run on it: the claims
-store each mechanism run as that polynomial sampled at 4,097 uniform times
+the step's collocation polynomial.  Its Newton iteration runs on one real
+3n x 3n block matrix, so an iteration is one matrix-vector product.  The
+slow-feedback mechanisms, whose explicit steps are pinned at the stability
+limit, run on it: the claims store each mechanism run as that polynomial
+sampled at 4,097 uniform times, in one pass after the last step
 (``claims.mechanism_trajectory``).
 """
 from __future__ import annotations
@@ -52,14 +54,18 @@ _DP_D = np.array((-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 # Radau IIA of order 5 (Hairer & Wanner, *Solving ODEs II*, IV.8): the
 # collocation nodes, the weights of the embedded 3rd-order error estimate,
 # the eigenvalues of the inverse of the Runge-Kutta matrix (one real, one
-# complex pair) and the transformation T that splits the 3n-dimensional
-# Newton system into one real and one complex n-dimensional system
+# complex pair) and the transformation T that turns that matrix into the
+# real block form _RADAU_LAMBDA, so that the 3n-dimensional Newton system
+# splits into one real and one complex n-dimensional system
 _S6 = 6 ** 0.5
 _RADAU_C = np.array(((4 - _S6) / 10, (4 + _S6) / 10, 1.0))
 _RADAU_E = np.array((-13 - 7 * _S6, -13 + 7 * _S6, -1.0)) / 3
 _MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
 _MU_COMPLEX = (3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3))
                - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6)))
+_RADAU_LAMBDA = np.array(((_MU_REAL, 0.0, 0.0),
+                          (0.0, _MU_COMPLEX.real, -_MU_COMPLEX.imag),
+                          (0.0, _MU_COMPLEX.imag, _MU_COMPLEX.real)))
 _RADAU_T = np.array((
     (0.09443876248897524, -0.14125529502095421, 0.03002919410514742),
     (0.25021312296533332, 0.20412935229379994, -0.38294211275726192),
@@ -68,14 +74,13 @@ _RADAU_TI = np.array((
     (4.17871859155190428, 0.32768282076106237, 0.52337644549944951),
     (-4.17871859155190428, -0.32768282076106237, 0.47662355450055044),
     (0.50287263494578682, -2.57192694985560522, 0.59603920482822492)))
-_TI_REAL = _RADAU_TI[0]
-_TI_COMPLEX = _RADAU_TI[1] + 1j * _RADAU_TI[2]
 # Coefficients of theta, theta^2, theta^3 of the collocation polynomial,
 # per stage increment Z_i = Y_i - y_prev
 _RADAU_P = np.array((
     (13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6),
     (13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6),
     (1 / 3, -8 / 3, 10 / 3)))
+_POWERS = np.arange(4.0)  # theta^0 ... theta^3
 _NEWTON_MAXITER = 6
 
 # Step budget of one integration, adaptive trial steps or fixed RK4 steps
@@ -337,42 +342,60 @@ def _rms(x) -> float:
     return math.sqrt(float(x.dot(x)) / x.size)
 
 
-def _radau_newton(f, t, y, h, Z, F, scale, tol, inv_real, inv_complex):
+def _radau_newton(f, t, y, h, Z, scale, tol, M):
     """The simplified Newton iteration on the Radau collocation system,
     started from the stage increments ``Z`` (3 x n: stage i at
     ``t + C_i h`` is ``y + Z_i``) and run on the transformed variables
-    W = T^-1 Z.  ``inv_real`` and ``inv_complex`` are the inverses of
-    mu_real/h I - J and mu_complex/h I - J.  The stage derivatives go to
-    ``F``; a stage that raises ``EvaluationError`` leaves a nan row there,
-    and a non-finite stage ends the iteration unconverged.  Returns
-    (converged, iterations, Z, rate of convergence)."""
-    m_real, m_complex = _MU_REAL / h, _MU_COMPLEX / h
-    ch = h * _RADAU_C
+    W = T^-1 Z.  ``M`` is the inverse of the Newton matrix of W, a real
+    3n x 3n block matrix (``_radau_newton_matrix``), so an iteration is
+    one product dW = M (T^-1 F - (Lambda / h) W) with the stage
+    derivatives F.  A stage that raises ``EvaluationError`` ends the
+    iteration unconverged, and so does a non-finite Newton norm (a
+    non-finite stage or matrix).  Returns (converged, finite, iterations,
+    Z, rate of convergence)."""
+    n = y.size
+    stage_times = (t + h * _RADAU_C).tolist()
+    lam = _RADAU_LAMBDA / h
+    scale = np.concatenate((scale, scale, scale))  # the scale of each row of W
+    F = np.empty((3, n))
     W = _RADAU_TI.dot(Z)
+    w = W.reshape(-1)  # a view: W += dW through it
     norm_old = rate = None
     for k in range(_NEWTON_MAXITER):
-        for i in range(3):
-            try:
-                F[i] = f(t + ch[i], y + Z[i])
-            except EvaluationError:
-                F[i] = math.nan
-                break
-        if not np.isfinite(F).all():
-            break
-        dw_complex = inv_complex.dot(F.T.dot(_TI_COMPLEX) - m_complex * (W[1] + 1j * W[2]))
-        dW = np.array((inv_real.dot(F.T.dot(_TI_REAL) - m_real * W[0]),
-                       dw_complex.real, dw_complex.imag))
+        stages = y + Z
+        try:
+            for i in range(3):
+                F[i] = f(stage_times[i], stages[i])
+        except EvaluationError:
+            return False, False, k + 1, Z, rate
+        dW = M.dot((_RADAU_TI.dot(F) - lam.dot(W)).reshape(-1))
         norm = _rms(dW / scale)
+        if not math.isfinite(norm):
+            return False, False, k + 1, Z, rate
         if norm_old is not None:
             rate = norm / norm_old
             if rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * norm > tol:
                 break
-        W += dW
+        w += dW
         Z = _RADAU_T.dot(W)
         if norm == 0 or rate is not None and rate / (1 - rate) * norm < tol:
-            return True, k + 1, Z, rate
+            return True, True, k + 1, Z, rate
         norm_old = norm
-    return False, k + 1, Z, rate
+    return False, True, k + 1, Z, rate
+
+
+def _radau_newton_matrix(A, C):
+    """The inverse of the Newton matrix of the transformed stages as one real
+    block matrix, from the inverses ``A`` of mu_real/h I - J and ``C`` of
+    mu_complex/h I - J: A acts on the real component, and the real form of
+    C on the real and imaginary parts of the complex one."""
+    n = A.shape[0]
+    M = np.zeros((3 * n, 3 * n))
+    M[:n, :n] = A
+    M[n:2 * n, n:2 * n] = M[2 * n:, 2 * n:] = C.real
+    M[n:2 * n, 2 * n:] = -C.imag
+    M[2 * n:, n:2 * n] = C.imag
+    return M
 
 
 def _radau_factor(h, h_prev, err, err_prev) -> float:
@@ -399,14 +422,16 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     Jacobians included; an evaluation that raises counts), the
     ``jac_evals`` and the ``factorizations`` (matrix inversions) so far.
 
-    Each step solves the collocation system by simplified Newton on its
-    real and complex transformed systems, with the inverses of their
-    matrices formed once per step size and Jacobian.  The Jacobian is
-    ``_fd_jacobian`` at the step's start, kept across steps while Newton
-    converges fast; a Newton solve that fails with a stale Jacobian is
-    retried with a fresh one, and one that fails with a fresh Jacobian (a
-    stage that is non-finite or raises ``EvaluationError`` counts as a
-    failure) halves the step.  The embedded 3rd-order error estimate is
+    Each step solves the collocation system by simplified Newton on the
+    transformed stages (``_radau_newton``), with the inverses of the real
+    and the complex system's matrices formed once per step size and
+    Jacobian and assembled into one real block matrix.  The stages start
+    from the last step's polynomial.  The Jacobian is ``_fd_jacobian`` at
+    the step's start, kept across steps while Newton converges fast; a
+    Newton solve that fails with a stale Jacobian is retried with a fresh
+    one, and one that fails with a fresh Jacobian (a stage that raises
+    ``EvaluationError`` or a non-finite Newton norm counts as a failure)
+    halves the step.  The embedded 3rd-order error estimate is
     held to 1 in the root-mean-square norm scaled by
     ``atol + rtol * max(|y|, |y_new|)``, and the step size follows
     Gustafsson's predictive controller.  The first trial step is
@@ -437,7 +462,8 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     def inverses(h, J):
         counts["factorizations"] += 2
         eye = np.identity(J.shape[0])
-        return np.linalg.inv(_MU_REAL / h * eye - J), np.linalg.inv(_MU_COMPLEX / h * eye - J)
+        A = np.linalg.inv(_MU_REAL / h * eye - J)
+        return A, _radau_newton_matrix(A, np.linalg.inv(_MU_COMPLEX / h * eye - J))
 
     span = t_end - t0
     h_min = 1e-14 * span
@@ -448,8 +474,7 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     except EvaluationError:  # outside the rhs's domain: as a nan rate
         f_y = np.full(y.size, math.nan)
     J, fresh = jacobian(t, y), True
-    inv = None  # (h, the two inverses for h and the current J)
-    F = np.empty((3, y.size))
+    inv = None  # (h, the real inverse and the block matrix for h and the current J)
     h_next = span / 100.0
     h_prev = err_prev = None  # size and error norm of the last accepted step
     finite, retried = True, False  # retried: a trial of this step failed its error test
@@ -465,24 +490,24 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
             )
         if Y is None:
             Z0 = np.zeros((3, y.size))
-        else:
-            Z0 = collocation_output(Y, ((t + h * _RADAU_C - t_prev) / h_prev)[:, None]) - y
+        else:  # the last polynomial at the new stage times
+            theta = (t + h * _RADAU_C - t_prev) / h_prev
+            Z0 = (theta[:, None] ** _POWERS).dot(Y) - y
         scale = atol + rtol * np.abs(y)
         while True:
             try:
                 if inv is None or inv[0] != h:
                     inv = (h, *inverses(h, J))
-            except np.linalg.LinAlgError:  # singular: no Newton step, as a nan stage
-                converged, F[:] = False, math.nan
+            except np.linalg.LinAlgError:  # singular: no Newton step, as a non-finite stage
+                converged = finite = False
             else:
-                converged, n_iter, Z, rate = _radau_newton(
-                    f, t, y, h, Z0, F, scale, newton_tol, inv[1], inv[2])
+                converged, finite, n_iter, Z, rate = _radau_newton(
+                    f, t, y, h, Z0, scale, newton_tol, inv[2])
             if converged or fresh:
                 break
             J, fresh, inv = jacobian(t, y), True, None
         if not converged:
             counts["rejected"] += 1
-            finite = np.isfinite(F).all()
             h_next = 0.5 * h
             continue
         y_new = y + Z[-1]
@@ -509,7 +534,9 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
             factor = 1.0  # keep h, and with it the inverses
         h_prev, err_prev, retried = h, err, False
         h_next = h * factor
-        Y = np.vstack((y, Z.T.dot(_RADAU_P).T))
+        Y = np.empty((4, y.size))
+        Y[0] = y
+        Y[1:] = Z.T.dot(_RADAU_P).T
         t_prev, t = t, (t_end if last else t + h)
         y = y_new
         yield t_prev, t, h, y, Y, counts

@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from qsslab import ParameterSet, StateVector, run_claim, sweep
+from qsslab import ParameterSet, StateVector, claims, run_claim, sweep
 from qsslab.claims import SweepSpec, collapse_window, mechanism_trajectory
-from qsslab.errors import UsageError
+from qsslab.errors import NoConvergenceError, UsageError
 
 
 class TestSweepSpec:
@@ -85,6 +85,28 @@ class TestClaims:
         mech_rows = [r for r in report.grid if "mechanism" in r]
         assert len(mech_rows) == 4
         assert all(r["class"] == "accelerating-decline" for r in mech_rows)
+
+    def test_feedback_claim_summary_row(self):
+        summary = run_claim("aids-curve-needs-feedback").grid[-1]
+        assert summary == {"destruction_only_combinations": 32,
+                           "accelerating_among_them": []}
+
+    def test_errored_destruction_only_point_fails_the_feedback_claim(self, monkeypatch):
+        # an unclassified point is no evidence that destruction alone decelerates
+        original = claims.find_steady_state
+
+        def find_steady_state(model, params, guess):
+            if model.name == "power-destruction" and params["n"] == 3 and params["gamma"] == 1:
+                raise NoConvergenceError("no root found")
+            return original(model, params, guess)
+
+        monkeypatch.setattr(claims, "find_steady_state", find_steady_state)
+        report = run_claim("aids-curve-needs-feedback")
+        assert report.verdict == "fail"
+        assert report.grid[-1]["errored_among_them"] == ["power-n3[s=1]"]
+        assert report.grid[-1]["accelerating_among_them"] == []
+        assert report.narrative == ("Feedback signature not reproduced: destruction-only "
+                                    "point power-n3[s=1] -> error: no root found")
 
     def test_ordering_claim_documents_the_slow_tail(self):
         # the steady state always drops, and four of five legs also reach it

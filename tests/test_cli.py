@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qsslab import cli
+from qsslab.claims import CLAIMS
 from qsslab.cli import read_trajectory_csv, run_cli
 from qsslab.svg import render_plot
 from qsslab.errors import UsageError
@@ -76,6 +77,13 @@ def test_check_pass_and_fail_exit_codes(outdir):
 
 def test_check_unknown_claim_is_usage_error():
     assert run_cli(["check", "definitely-not-a-claim"]) == 2
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+def test_check_with_invalid_override_is_usage_error(claim, capsys):
+    # a = -1 violates every grid model's schema: a bad request, not a failed claim
+    assert run_cli(["check", claim, "--override", "a=-1"]) == 2
+    assert "a must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_steady_json(outdir, capsys):

@@ -25,7 +25,7 @@ from qsslab.catalog import (
     default_horizon,
     make_mechanism_model,
 )
-from qsslab.claims import mechanism_trajectory
+from qsslab.claims import _sampled_radau_run, mechanism_trajectory
 from qsslab.cli import run_cli
 from qsslab.core import ModelSystem, ParamSpec
 from qsslab.dsl import Call, Neg, Num, SourceLocation, Var, compile_model, parse_model
@@ -338,13 +338,45 @@ class TestMechanismKernel:
                                   rtol=1e-8, atol=1e-12)
         assert traj.solver_info["accepted"] <= 1.10 * self.BASELINE_STEPS[kind]
 
+    # Radau IIA(5) counters per mechanism at the claim settings: accepted
+    # steps, rhs evaluations, Jacobians and matrix inversions
+    RADAU_COUNTS = {
+        "virulence-drift": (544, 5680, 163, 394),
+        "cytokine-inversion": (537, 5019, 89, 300),
+        "humoral-cellular-competition": (493, 6012, 192, 458),
+        "bcell-depletion": (519, 6549, 252, 602),
+    }
+
     @pytest.mark.parametrize("kind", [k.value for k in MechanismKind])
     def test_radau_steps_and_rhs_evals(self, kind):
         # Dormand-Prince takes 27,157 to 147,115 rhs evaluations here
         _, _, traj = mechanism_trajectory(kind)
-        assert traj.solver_info["scheme"] == "radau5"
-        assert traj.solver_info["accepted"] <= 1000
-        assert traj.solver_info["rhs_evals"] <= 8000
+        info = traj.solver_info
+        assert info["scheme"] == "radau5"
+        for name, baseline in zip(("accepted", "rhs_evals", "jac_evals", "factorizations"),
+                                  self.RADAU_COUNTS[kind]):
+            assert info[name] <= 1.01 * baseline, name
+
+    def test_sampled_run_is_the_collocation_polynomial(self):
+        # every stored time after 0 is collocation_output of the first step
+        # that ends at or after it, bit for bit; the last stored time is
+        # t_end, which is also the last step's end
+        kind, t_end = "cytokine-inversion", 40.0
+        model, params, state0 = make_mechanism_model(kind), default_params(kind), default_state(kind)
+        traj = _sampled_radau_run(model, params, state0, t_end)
+        with np.errstate(all="ignore"):
+            steps = [(t_prev, t, h, Y) for t_prev, t, h, _, Y, _ in
+                     _radau_steps(model, params, state0, 0.0, t_end, 1e-8, 1e-12)]
+        assert traj.solver_info["accepted"] == len(steps)
+        assert traj.times.size == 4097 and traj.times[-1] == steps[-1][1] == t_end
+        assert np.array_equal(traj.states[0], state0.values)
+        i = 0
+        for tau, state in zip(traj.times[1:], traj.states[1:]):
+            while steps[i][1] < tau:
+                i += 1
+            t_prev, _, h, Y = steps[i]
+            assert np.array_equal(state, integrate.collocation_output(Y, (tau - t_prev) / h))
+        assert i == len(steps) - 1
 
     @pytest.mark.parametrize("kind", [k.value for k in MechanismKind])
     def test_agrees_with_scipy_radau(self, kind):
@@ -449,6 +481,19 @@ class TestRadauKernel:
         assert counts["rejected"] >= 1
         assert steps[-1][1][0] == pytest.approx(linear_solution(1, 1, 0, 5.0), rel=1e-7)
 
+    def test_non_finite_stages_end_in_a_blowup(self):
+        # every stage after t = 0 is nan: each Newton solve stops at its
+        # non-finite norm, the step halves down to its minimum, and the run
+        # raises BlowupError, not StiffnessError
+        base = make_base_model("healthy")
+
+        def rhs(t, s, p):
+            return base.rhs(t, s, p) * (math.nan if t > 0.0 else 1.0)
+
+        model = dataclasses.replace(base, rhs=rhs)
+        with pytest.raises(BlowupError, match="non-finite"):
+            radau_run(model, StateVector(("T",), [0.5]), 5.0, params=ParameterSet(a=1, y=1))
+
     @pytest.mark.parametrize("t_end", [1.474, 1.542, 3.009, 7.681])
     def test_last_time_is_exactly_t_end(self, t_end):
         # at the fixed point the step grows 10x at a time, as in the
@@ -470,6 +515,33 @@ class TestRadauKernel:
         assert run(max_steps=trials)[0][-1][0] == 5.0
         with pytest.raises(StiffnessError, match=f"step budget of {trials - 1} exhausted"):
             run(max_steps=trials - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_newton_matrix_is_the_complex_split(self, n):
+        # the real block matrix times a vector is the real system's inverse
+        # on the first block and the complex system's on the other two as
+        # real and imaginary parts, and it inverts the Newton matrix of the
+        # transformed stages, Lambda / h (x) I - I (x) J
+        rng = np.random.default_rng(n)
+        J, h = rng.normal(size=(n, n)), 0.1
+        eye = np.identity(n)
+        A = np.linalg.inv(integrate._MU_REAL / h * eye - J)
+        C = np.linalg.inv(integrate._MU_COMPLEX / h * eye - J)
+        M = integrate._radau_newton_matrix(A, C)
+        v = rng.normal(size=3 * n)
+        w = C.dot(v[n:2 * n] + 1j * v[2 * n:])
+        split = np.concatenate((A.dot(v[:n]), w.real, w.imag))
+        np.testing.assert_allclose(M.dot(v), split, rtol=1e-13, atol=0)
+        newton = np.kron(integrate._RADAU_LAMBDA / h, eye) - np.kron(np.identity(3), J)
+        np.testing.assert_allclose(M.dot(newton), np.identity(3 * n), atol=1e-12)
+
+    def test_lambda_is_the_transformed_inverse_of_the_runge_kutta_matrix(self):
+        s6 = 6 ** 0.5
+        a = np.array((((88 - 7 * s6) / 360, (296 - 169 * s6) / 1800, (-2 + 3 * s6) / 225),
+                      ((296 + 169 * s6) / 1800, (88 + 7 * s6) / 360, (-2 - 3 * s6) / 225),
+                      ((16 - s6) / 36, (16 + s6) / 36, 1 / 9)))
+        transformed = integrate._RADAU_TI.dot(np.linalg.inv(a)).dot(integrate._RADAU_T)
+        np.testing.assert_allclose(transformed, integrate._RADAU_LAMBDA, atol=1e-14)
 
     def test_runs_are_bit_identical(self):
         kind = "cytokine-inversion"
