@@ -29,6 +29,7 @@ from .integrate import Trajectory, _dopri_steps, _fd_jacobian, dense_output
 
 _RESIDUAL_LIMIT = 1e-9
 _DIFFERENCE_LIMIT = 2.0 ** 1021  # 4x this is still finite
+_POLISH_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -102,12 +103,38 @@ def _report(f, names, x, residual, method):
     return SteadyStateReport(StateVector(names, x), residual, method, rate)
 
 
+def _polish(f, x, fx, res, limit):
+    """Full Newton steps from ``x``, a root by the residual test (``fx`` and
+    its max-norm ``res`` there, at most ``limit``), until a step moves no
+    component by more than 4 ulps, at most ``_POLISH_STEPS`` of them.  The
+    residual test alone leaves x off by up to the residual over the slope,
+    which at a small root moved the rate by 1.5e-9 relative.  A step that
+    cannot be taken or whose residual exceeds ``limit`` ends the polish;
+    returns the last root and its residual."""
+    for _ in range(_POLISH_STEPS):
+        try:
+            step = np.linalg.solve(_fd_jacobian(f, x), -fx)
+            x_new = x + step
+            f_new = f(x_new)
+        except (np.linalg.LinAlgError, EvaluationError):
+            break
+        res_new = float(np.max(np.abs(f_new)))
+        if not res_new <= limit:  # nan too
+            break
+        x, fx, res = x_new, f_new, res_new
+        if np.all(np.abs(step) <= 4.0 * np.spacing(np.abs(x))):
+            break
+    return x, res
+
+
 def find_steady_state(model: ModelSystem, params: ParameterSet,
                       guess: StateVector) -> SteadyStateReport:
     """Damped Newton on the right-hand side, with the finite-difference
     Jacobian of ``integrate._fd_jacobian``.  A damping trial at which the rhs raises
     ``EvaluationError`` counts as one whose residual did not decrease, as a
-    non-finite residual does.
+    non-finite residual does.  Once the max-norm residual is at most
+    1e-13 * max(1, max|x|), full Newton steps polish the root until a step
+    is within 4 ulps of it (``_polish``).
 
     The best iterate is returned only if it is a steady state: max-norm
     residual <= 1e-9, no negative component, and every eigenvalue of the
@@ -124,8 +151,8 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
         raise ValidationError(
             [f"guess components {guess.names} do not match model states {model.state_names}"]
         )
-    p = model.resolve_params(params)
-    f = lambda x: np.asarray(model.rhs(0.0, x, p), dtype=float)
+    rhs = model.bind(model.resolve_params(params))
+    f = lambda x: np.array(rhs(0.0, x.tolist()))
 
     x = np.array(guess.values, dtype=float)
     best, best_res = x, math.nan
@@ -134,7 +161,9 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
         res = float(np.max(np.abs(fx)))
         if res < best_res or math.isnan(best_res) and not math.isnan(res):  # nan ranks last
             best, best_res = x.copy(), res
-        if res <= 1e-13 * max(1.0, float(np.max(np.abs(x)))):
+        limit = 1e-13 * max(1.0, float(np.max(np.abs(x))))
+        if res <= limit:
+            best, best_res = _polish(f, x, fx, res, limit)
             break
         J = _fd_jacobian(f, x)
         try:
@@ -158,8 +187,8 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
     except NoConvergenceError:
         if model.dimension != 1:
             raise
-        root = _bisection_1d(lambda v: float(f(np.array([v]))[0]), 0.0,
-                             max(10.0 * abs(guess.values[0]), 1.0))
+        root = _bisection_1d(lambda v: rhs(0.0, [v])[0], 0.0,
+                             max(10.0 * abs(float(guess.values[0])), 1.0))
         if root is None:
             raise
     x = np.array([root])
@@ -197,7 +226,7 @@ def _time_to_epsilon(model: ModelSystem, params: ParameterSet, state0: StateVect
         return 0.0
     horizon = 50.0 / report.relaxation_rate
 
-    for t_prev, t, h, y, Y, _ in _dopri_steps(model, params, state0, 0.0, horizon, rtol, atol):
+    for t_prev, t, h, y, K, _ in _dopri_steps(model, params, state0, 0.0, horizon, rtol, atol):
         if abs(y[0] - t_star) <= target:
             break
     else:
@@ -205,7 +234,7 @@ def _time_to_epsilon(model: ModelSystem, params: ParameterSet, state0: StateVect
             f"|T - T*| did not reach {target:.3e} within {horizon:g} time units"
         )
     # bisect the crossing on the step's continuous extension
-    stages, y_end = Y[:, 0].tolist(), float(y[0])
+    stages, y_end = [row[0] for row in K], y[0]
     lo, hi = t_prev, t
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if abs(dense_output(stages, y_end, h, (mid - t_prev) / h) - t_star) <= target:
@@ -222,6 +251,11 @@ def classify_curvature(trajectory: Trajectory, component: str,
     maximal strictly decreasing run inside ``window`` (default: the whole
     trajectory).
 
+    A window outside the trajectory's time range raises ``ValidationError``;
+    an empty one, t0 == t1 (``collapse_window`` of a decline that is
+    steepest at its start), raises ``InsufficientDataError``, as too few
+    points do.
+
     Classes: ``flat`` when total variation is below 1e-9 * |first value|
     (two points in the window suffice; the other classes need 8);
     ``non-monotonic`` when no decreasing run covers half the window;
@@ -232,8 +266,10 @@ def classify_curvature(trajectory: Trajectory, component: str,
     values = trajectory.component(component)
     if window is not None:
         lo, hi = window
-        if lo < times[0] - 1e-12 or hi > times[-1] + 1e-12 or hi <= lo:
+        if lo < times[0] - 1e-12 or hi > times[-1] + 1e-12 or hi < lo:
             raise ValidationError([f"window {window} outside trajectory range"])
+        if hi == lo:  # holds no span of the trajectory to classify
+            raise InsufficientDataError(f"window {window} is empty")
         mask = (times >= lo) & (times <= hi)
         times = times[mask]
         values = values[mask]

@@ -163,9 +163,10 @@ def per_capita_removal(model: ModelSystem, params: ParameterSet,
         lo = int(np.searchsorted(times, window[0], side="left"))
         hi = int(np.searchsorted(times, window[1], side="right"))
     T = trajectory.component("T")
+    rhs = model.bind(p)
     out = np.empty(hi - lo)
     for i in range(lo, hi):
-        dT = float(model.rhs(float(times[i]), trajectory.states[i], p)[0])
+        dT = rhs(float(times[i]), trajectory.states[i].tolist())[0]
         out[i - lo] = (a - y * T[i] - dT) / T[i]
     return out
 
@@ -412,7 +413,7 @@ def _claim_needs_feedback(overrides=None) -> ClaimReport:
             verdict = classify_curvature(traj, "T", window=window)
             cls = verdict.curvature_class
             evidence = verdict.evidence
-        except QsslabError as exc:
+        except (*NUMERICAL_ERRORS, InsufficientDataError) as exc:  # bad input propagates
             cls = f"error: {exc}"
             evidence = {}
         rows.append({

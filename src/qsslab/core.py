@@ -150,6 +150,7 @@ class ParamSpec:
 
 
 RhsFunction = Callable[[float, np.ndarray, Mapping[str, float]], np.ndarray]
+BoundRhs = Callable[[float, list], list]
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,9 @@ class ModelSystem:
     """An autonomous (or, for the drifting-virulence model, time-forced) ODE system.
 
     ``rhs(t, values, params)`` must be pure and return an array with the
-    declared state dimension.  ``equation`` is a human-readable rendering of
+    declared state dimension; it is the public entry point.  The solvers
+    evaluate the system through ``bind(params)`` instead, which fixes the
+    parameters once per run.  ``equation`` is a human-readable rendering of
     the system used by the CLI catalog listing.
     """
 
@@ -176,6 +179,23 @@ class ModelSystem:
     @property
     def dimension(self) -> int:
         return len(self.state_names)
+
+    def bind(self, params: Mapping[str, float]) -> BoundRhs:
+        """The right-hand side at the resolved ``params``, as a function
+        ``f(t, values)`` from a list of floats to a list of floats.
+
+        A compiled model's ``rhs`` carries its own ``bind``, which reads each
+        parameter once, here.  Any other ``rhs`` gets an adapter that calls
+        it on an array at every evaluation.
+        """
+        bind = getattr(self.rhs, "bind", None)
+        if bind is not None:
+            return bind(params)
+        rhs = self.rhs
+
+        def bound(t, values):
+            return np.asarray(rhs(t, np.array(values), params), dtype=float).tolist()
+        return bound
 
     def schema_for(self, name: str) -> ParamSpec | None:
         for spec in self.param_schema:

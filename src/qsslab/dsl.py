@@ -704,20 +704,29 @@ def _emit(expr: Expr, names: dict, lines: list) -> str:
 
 
 def _rhs_source(state_names, param_names, exprs, reads_time: bool) -> str:
+    """The model's one generated source: ``bind(params)`` reads each
+    parameter once and returns the list form ``rhs(t, values)``, and the
+    array form ``rhs(t, values, params)`` binds and calls it."""
     names = {name: f"v_{name}" for name in (*state_names, *param_names, RESERVED_TIME)}
-    lines = []
-    if reads_time:
-        lines.append("v_t = float(t)")
-    lines.append(f"[{', '.join(names[s] for s in state_names)}] = values.tolist()")
-    lines += [f"{names[p]} = float(params[{p!r}])" for p in param_names]
+    lines = ["v_t = float(t)"] if reads_time else []
+    lines.append(f"[{', '.join(names[s] for s in state_names)}] = values")
     results = [_emit(e, names, lines) for e in exprs]
-    lines.append(f"return _array([{', '.join(results)}])")
-    return "def rhs(t, values, params):\n" + "".join(f"    {line}\n" for line in lines)
+    lines.append(f"return [{', '.join(results)}]")
+    return "".join((
+        "def bind(params):\n",
+        *(f"    {names[p]} = float(params[{p!r}])\n" for p in param_names),
+        "    def rhs(t, values):\n",
+        *(f"        {line}\n" for line in lines),
+        "    return rhs\n",
+        "def rhs(t, values, params):\n",
+        "    return _array(bind(params)(t, values.tolist()))\n",
+        "rhs.bind = bind\n",
+    ))
 
 
 @functools.lru_cache(maxsize=64)
 def _rhs_function(source: str):
-    """The function ``source`` defines, compiled once per process."""
+    """The array-form rhs ``source`` defines, compiled once per process."""
     namespace = dict(_RUNTIME)
     exec(compile(source, "<qssm rhs>", "exec"), namespace)
     return namespace["rhs"]
@@ -726,15 +735,18 @@ def _rhs_function(source: str):
 def compile_model(defn: ModelDefinition) -> ModelSystem:
     """Turn a validated definition into an executable ``ModelSystem``.
 
-    The right-hand side is generated Python: one straight-line function that
-    unpacks the state and binds each parameter once, then computes every
-    node of every equation into a local in ``eval_expr``'s order, so that it
-    returns bit for bit what ``eval_expr`` returns and raises the same
-    ``EvaluationError`` (message and ``SourceLocation``) where ``eval_expr``
-    raises.  Generated sources are compiled once per process, behind a memo
-    of the 64 most recently used: compiling an equal definition again
-    returns the same function.  A definition that ``parse_model`` would
-    reject raises its ``SemanticError``.
+    The right-hand side is generated Python.  ``bind(params)`` reads each
+    parameter once (``ModelSystem.bind`` calls it) and returns a
+    straight-line function of ``(t, values)`` on lists of floats that
+    unpacks the state, then computes every node of every equation into a
+    local in ``eval_expr``'s order, so that it returns bit for bit what
+    ``eval_expr`` returns and raises the same ``EvaluationError`` (message
+    and ``SourceLocation``) where ``eval_expr`` raises.  The array form
+    ``rhs(t, values, params)`` binds and calls it.  Generated sources are
+    compiled once per process, behind a memo of the 64 most recently used:
+    compiling an equal definition again returns the same function.  A
+    definition that ``parse_model`` would reject raises its
+    ``SemanticError``.
     """
     state_names = tuple(s.name for s in defn.states)
     param_names = tuple(p.name for p in defn.params)

@@ -1,8 +1,10 @@
 """Time stepping: classic fixed-step RK4, an adaptive Dormand-Prince 5(4)
 embedded pair with proportional step control, and an L-stable Radau IIA
-of order 5 for stiff runs.  The Dormand-Prince stages are formed by small
-matrix products against one constant weight matrix, so a step costs a
-handful of numpy calls besides its seven rhs evaluations.
+of order 5 for stiff runs.  Every solver evaluates the model through
+``ModelSystem.bind``, so the parameters are read once per run.  The
+Dormand-Prince kernel computes on Python floats: its states and stages
+are lists, and a step makes no numpy call at all besides those a
+hand-built rhs makes.
 
 Both explicit integrators return a ``Trajectory`` of accepted points.
 Between the points of a Dormand-Prince step, ``dense_output`` evaluates the
@@ -45,6 +47,12 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))  # the error estimate's weights
+# The kernel's weights on k1 ... k7, row by row: the inputs of stages 2 ... 6,
+# the 5th-order solution (the input of stage 7) and the error estimate,
+# the last two without their zero weights on k2 (and on k7, for B5)
+_DP_WEIGHTS = (*_DP_A[1], *_DP_A[2], *_DP_A[3], *_DP_A[4], *_DP_A[5],
+               _DP_B5[0], *_DP_B5[2:6], _DP_E[0], *_DP_E[2:])
 # Weights on k1 ... k7 of the quartic term of the continuous extension
 # (Hairer's dopri5.f, contd5)
 _DP_D = np.array((-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
@@ -86,20 +94,6 @@ _NEWTON_MAXITER = 6
 # Step budget of one integration, adaptive trial steps or fixed RK4 steps
 MAX_STEPS = 2_000_000
 _FD_STEP = np.finfo(float).eps ** (1 / 3)  # balances O(h^2) truncation against rounding
-
-
-def _dp_weights() -> np.ndarray:
-    """Weights on Y = [y; k1 ... k7]: row i (1..6) gives the input of stage
-    i + 1 once its y weight is set to 1, row 0 the error estimate.  B5 is
-    the last row of A, so row 6 is also the 5th-order solution."""
-    W = np.zeros((7, 8))
-    for i in range(1, 7):
-        W[i, 1:i + 1] = _DP_A[i]
-    W[0, 1:] = np.subtract(_DP_B5, _DP_B4)
-    return W
-
-
-_DP_W = _dp_weights()
 
 
 @dataclass(frozen=True)
@@ -197,13 +191,16 @@ def integrate_fixed(model: ModelSystem, params: ParameterSet, state0: StateVecto
         raise DomainError(
             f"dt = {dt:g} needs more than {MAX_STEPS} steps over [{t0:g}, {t_end:g}]"
         )
-    f = model.rhs
+    rhs = model.bind(p)
+
+    def f(t, y):
+        return np.array(rhs(t, y.tolist()))
 
     def rk4_step(t, y, h):
-        k1 = f(t, y, p)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1, p)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2, p)
-        k4 = f(t + h, y + h * k3, p)
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     n_whole = int(np.floor((t_end - t0) / dt + 1e-9))
@@ -235,40 +232,42 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
                  max_steps: int = MAX_STEPS):
     """Dormand-Prince 5(4) stepping kernel: a generator over accepted steps.
 
-    Each accepted step yields ``(t_prev, t, h, y, Y, counts)``: the step
+    Each accepted step yields ``(t_prev, t, h, y, K, counts)``: the step
     runs from ``t_prev`` to ``t`` with stage size ``h``, ``y`` is the new
-    state (a fresh array), ``Y`` the stage buffer ``[y_prev; k1 ... k7]``,
-    valid only until the generator resumes, and ``counts`` one dict, updated
-    in place, with the trial steps ``rejected`` and the ``rhs_evals`` so far
-    (an evaluation that raises counts).  ``dense_output(Y, y, h, theta)`` evaluates
-    the step in between.  Step control is described at ``integrate_adaptive``.
+    state and ``K = (y_prev, k1, ..., k7)`` the step's stages, each a fresh
+    list of floats, and ``counts`` one dict, updated in place, with the
+    trial steps ``rejected`` and the ``rhs_evals`` so far (an evaluation
+    that raises counts).  ``dense_output`` evaluates the step in between.
+    Step control is described at ``integrate_adaptive``.
 
-    Each stage input, the 5th-order solution and the error estimate cost one
-    small product of a row of h * _DP_W with the filled rows of Y.
+    The arithmetic is on Python floats: the rhs is the model's bound form
+    (``ModelSystem.bind``), the tableau is scaled by ``h`` once per trial,
+    and each stage input, the 5th-order solution and the error estimate
+    is one list comprehension over the components.
 
-    Iterate it inside ``np.errstate(all="ignore")``: non-finite trial steps
-    are rejected, not warned about.  The error state has to be set by the
-    caller, around the loop, because a decorator on a generator function
-    covers only the creation of the generator, and a ``with`` block in its
-    body would leak into the caller between steps.
+    Iterate it inside ``np.errstate(all="ignore")``: a hand-built rhs may
+    compute in numpy, whose non-finite trial steps are rejected, not warned
+    about.  The error state has to be set by the caller, around the loop,
+    because a decorator on a generator function covers only the creation
+    of the generator, and a ``with`` block in its body would leak into the
+    caller between steps.
     """
     if rtol <= 0 or atol <= 0:
         raise DomainError("rtol and atol must be positive")
     p, y = _prepare(model, params, state0, t0, t_end)
-    f = model.rhs
+    f = model.bind(p)
+    y = y.tolist()
+    t0, t_end = float(t0), float(t_end)  # numpy scalars would reach the stages through h
+    c2, c3, c4, c5 = _DP_C[1:5]
     span = t_end - t0
     h = span / 100.0
     h_min = 1e-14 * span
     t = t0
     counts = {"rejected": 0, "rhs_evals": 1}
-    Y = np.empty((8, y.size))
-    Y[0] = y
     try:
-        Y[1] = f(t, y, p)  # FSAL: k1 is the previous step's k7
+        k1 = f(t, y)  # FSAL: k1 is the previous step's k7
     except EvaluationError:  # outside the rhs's domain: as a nan rate
-        Y[1] = math.nan
-    filled = [Y[:i + 1] for i in range(8)]
-    y_l = y.tolist()
+        k1 = [math.nan] * len(y)
     finite = True
     for _ in range(max_steps):
         if t >= t_end:
@@ -282,32 +281,44 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
             raise StiffnessError(
                 f"step size underflow ({h:.3e}) at t = {t:g}; problem too stiff"
             )
-        hW = h * _DP_W
-        hW[1:, 0] = 1.0
+        (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
+         b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = [h * w for w in _DP_WEIGHTS]
+        stage = 1  # k2 ... k7 are stages 1 ... 6 of the trial
         try:
-            for i in range(1, 7):
-                z = hW[i, :i + 1].dot(filled[i])
-                Y[i + 1] = f(t + _DP_C[i] * h, z, p)
+            k2 = f(t + c2 * h, [u + a21 * q1 for u, q1 in zip(y, k1)])
+            stage = 2
+            k3 = f(t + c3 * h, [u + a31 * q1 + a32 * q2 for u, q1, q2 in zip(y, k1, k2)])
+            stage = 3
+            k4 = f(t + c4 * h, [u + a41 * q1 + a42 * q2 + a43 * q3
+                                for u, q1, q2, q3 in zip(y, k1, k2, k3)])
+            stage = 4
+            k5 = f(t + c5 * h, [u + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4
+                                for u, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)])
+            stage = 5
+            k6 = f(t + h, [u + a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5
+                           for u, q1, q2, q3, q4, q5 in zip(y, k1, k2, k3, k4, k5)])
+            stage = 6
+            y5 = [u + b1 * q1 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6
+                  for u, q1, q3, q4, q5, q6 in zip(y, k1, k3, k4, k5, k6)]
+            k7 = f(t + h, y5)  # the last stage is evaluated at the 5th-order solution
         except EvaluationError:  # a stage left the rhs's domain: a non-finite trial
-            Y[7] = math.nan
-        counts["rhs_evals"] += i  # k2 ... k(i + 1); the last may have raised
-        y5 = z  # the last stage is evaluated at the 5th-order solution
-        err = hW[0].dot(Y)
-        err_l, y5_l = err.tolist(), y5.tolist()
-        # err weighs every stage but k2, and k2 enters every later stage
-        finite = all(map(math.isfinite, err_l + y5_l))
+            finite = False
+        else:
+            err = [e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7
+                   for q1, q3, q4, q5, q6, q7 in zip(k1, k3, k4, k5, k6, k7)]
+            # err weighs every stage but k2, and k2 enters every later stage
+            finite = all(map(math.isfinite, err + y5))
+        counts["rhs_evals"] += stage  # the last may have raised
         if not finite:
             counts["rejected"] += 1
             h *= 0.2
             continue
-        err_norm = max(abs(e) / (atol + rtol * max(abs(a), abs(b)))
-                       for e, a, b in zip(err_l, y_l, y5_l))
+        err_norm = max([abs(e) / (atol + rtol * max(abs(a), abs(b)))
+                        for e, a, b in zip(err, y, y5)])
         if err_norm <= 1.0:
             t_prev, t = t, (t_end if last else t + h)
-            yield t_prev, t, h, y5, Y, counts
-            y_l = y5_l
-            Y[0] = y5
-            Y[1] = Y[7]
+            yield t_prev, t, h, y5, (y, k1, k2, k3, k4, k5, k6, k7), counts
+            y, k1 = y5, k7
         else:
             counts["rejected"] += 1
         factor = 0.9 * (1.0 / max(err_norm, 1e-16)) ** 0.2
@@ -322,10 +333,11 @@ def dense_output(Y, y, h: float, theta: float):
     accepted Dormand-Prince step: the free 4th-order continuous extension
     (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6, ``contd5``).
 
-    ``Y = [y_prev; k1 ... k7]`` and ``y`` are what ``_dopri_steps`` yields
-    for the step.  Rows may be state vectors or, for one component, floats
-    (``Y[:, j]`` with ``y[j]``).  theta = 0 gives ``y_prev`` and theta = 1
-    gives ``y``, each up to one rounding of ``y - y_prev``.
+    ``Y = [y_prev; k1 ... k7]`` and ``y`` are the stages ``K`` and the state
+    that ``_dopri_steps`` yields for the step, either as arrays
+    (``np.array(K)``) or, for one component, as floats (``[row[j] for row
+    in K]`` with ``y[j]``).  theta = 0 gives ``y_prev`` and theta = 1 gives
+    ``y``, each up to one rounding of ``y - y_prev``.
     """
     y_prev = Y[0]
     dy = y - y_prev
@@ -445,12 +457,12 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     if rtol <= 0 or atol <= 0:
         raise DomainError("rtol and atol must be positive")
     p, y = _prepare(model, params, state0, t0, t_end)
-    rhs = model.rhs
+    rhs = model.bind(p)
     counts = {"rejected": 0, "rhs_evals": 0, "jac_evals": 0, "factorizations": 0}
 
     def f(t, x):
         counts["rhs_evals"] += 1
-        return rhs(t, x, p)
+        return np.array(rhs(t, x.tolist()))
 
     def jacobian(t, x):
         counts["jac_evals"] += 1

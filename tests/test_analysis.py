@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsslab import (
@@ -163,6 +163,13 @@ class TestClassifyCurvature:
         verdict = classify_curvature(traj, "T", window=(1.0, 2.5))
         assert verdict.curvature_class == "accelerating-decline"
         assert verdict.window[0] >= 1.0 - 1e-9 and verdict.window[1] <= 2.5 + 1e-9
+
+    def test_empty_window_is_insufficient_data(self):
+        traj = sampled_trajectory(lambda t: 1.0 - t, np.linspace(0, 1, 64))
+        with pytest.raises(InsufficientDataError, match=r"window \(0.5, 0.5\) is empty"):
+            classify_curvature(traj, "T", window=(0.5, 0.5))
+        with pytest.raises(ValidationError, match="outside trajectory range"):
+            classify_curvature(traj, "T", window=(0.6, 0.5))
 
     def test_too_few_points(self):
         traj = sampled_trajectory(lambda t: 1.0 - t, np.linspace(0, 1, 8))
@@ -440,6 +447,9 @@ class TestSteadyStateAtTheRoot:
         a=st.floats(0.0, 10.0), y=st.floats(0.05, 10.0), gamma=st.floats(0.05, 50.0),
         n=st.floats(1.5, 4.0), delta_D=st.floats(0.1, 10.0), guess=st.floats(0.0, 20.0),
     )
+    # a small root that the residual test alone left 1.5e-9 relative off in its rate
+    @example(kind="logistic-source", a=0.0, y=0.05078125, gamma=49.0, n=2.0, delta_D=1.0,
+             guess=0.1015625)
     def test_returned_roots_are_nonnegative_and_stable(self, kind, a, y, gamma, n, delta_D, guess):
         params = {
             "healthy": dict(a=a, y=y),

@@ -166,6 +166,16 @@ class TestClaims:
         report = run_claim("mechanism-satisfies-conditions", {"delta_C": 0.5})
         assert report.verdict == "fail"
 
+    def test_mechanism_without_a_fall_is_a_numerical_row(self):
+        # without a source T decays from t = 0, where its decline is
+        # steepest, so each collapse window is empty: a row of the failed
+        # report, not a raised error
+        report = run_claim("aids-curve-needs-feedback", {"a": 0.0})
+        assert report.verdict == "fail"
+        mechanisms = [row for row in report.grid if "mechanism" in row]
+        assert len(mechanisms) == 4
+        assert all(row["class"] == "error: window (0.0, 0.0) is empty" for row in mechanisms)
+
     def test_falsified_qss_configuration_fails(self):
         report = run_claim("qss-reduction-valid", {"delta_D": 2.0})
         assert report.verdict == "fail"

@@ -371,10 +371,16 @@ def _parity_model(exprs):
 
 
 def _assert_parity(exprs, t, T, V, params):
+    """The array form and the bound list form (``ModelSystem.bind``) of the
+    generated rhs against ``eval_expr``: the same bits or the same error."""
     model = _parity_model(exprs)
     bindings = {"t": t, "T": T, "V": V, **params}
     expected = _outcome(lambda: [eval_expr(e, bindings) for e in exprs])
     assert _outcome(lambda: model.rhs(t, np.array([T, V]), params).tolist()) == expected
+    bound = model.bind(params)
+    assert _outcome(lambda: bound(t, [T, V])) == expected
+    if isinstance(expected, list):  # values, not an error
+        assert {type(v) for v in bound(t, [T, V])} == {float}
 
 
 @given(st.tuples(_exprs(4), _exprs(2)), _value, _value, _value,

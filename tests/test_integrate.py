@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -239,7 +240,7 @@ class TestDenseOutput:
     def steps(self, rtol=1e-8):
         state0 = StateVector(("y",), [1.0])
         with np.errstate(all="ignore"):
-            return [(t_prev, t, h, y, Y.copy()) for t_prev, t, h, y, Y, _ in _dopri_steps(
+            return [(t_prev, t, h, y, np.array(K)) for t_prev, t, h, y, K, _ in _dopri_steps(
                 forced_decay_model(), ParameterSet(), state0, 0.0, 10.0, rtol, 1e-12)]
 
     def test_kernel_steps_are_the_adaptive_trajectory(self):
@@ -268,8 +269,9 @@ class TestDenseOutput:
         model = make_base_model("coupled-agent")
         state0 = StateVector(("T", "D"), [2.0, 1.0])
         with np.errstate(all="ignore"):
-            t_prev, t, h, y, Y, _ = next(_dopri_steps(
+            t_prev, t, h, y, K, _ = next(_dopri_steps(
                 model, ParameterSet(a=1, y=1, x=1, delta_D=1), state0, 0.0, 5.0, 1e-8, 1e-12))
+        Y = np.array(K)
         for j in range(2):
             column = dense_output(Y[:, j].tolist(), float(y[j]), h, 0.3)
             assert column == pytest.approx(dense_output(Y, y, h, 0.3)[j], rel=1e-15)
@@ -600,6 +602,79 @@ class TestSolverCounts:
         assert counts["rhs_evals"] == len(calls)
         assert counts["jac_evals"] == len(jacobians) > 1
         assert counts["factorizations"] == len(inversions) > 2
+
+
+class CountingParams(Mapping):
+    """A parameter mapping that counts the reads of each name."""
+
+    def __init__(self, entries):
+        self.entries = dict(entries)
+        self.reads = {}
+
+    def __getitem__(self, name):
+        self.reads[name] = self.reads.get(name, 0) + 1
+        return self.entries[name]
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self):
+        return len(self.entries)
+
+
+def _radau_to_end(model, params, state0, t0, t_end):
+    with np.errstate(all="ignore"):
+        for _ in _radau_steps(model, params, state0, t0, t_end, 1e-8, 1e-12):
+            pass
+
+
+class TestBoundRhs:
+    """The solvers evaluate a model through ``ModelSystem.bind``: a compiled
+    model's generated bound form, any other model's adapter."""
+
+    @pytest.mark.parametrize("solve", [
+        integrate_adaptive,
+        lambda *run: integrate_fixed(*run, 0.01),
+        _radau_to_end,
+        lambda model, params, state0, *_: find_steady_state(model, params, state0),
+    ], ids=["dopri", "rk4", "radau", "newton"])
+    def test_a_run_reads_each_parameter_once(self, monkeypatch, solve):
+        resolved, evaluations = [], []
+        resolve, bind = ModelSystem.resolve_params, ModelSystem.bind
+
+        def counting_resolve(model, params):
+            resolved.append(CountingParams(resolve(model, params)))
+            return resolved[-1]
+
+        def counting_bind(model, params):
+            f = bind(model, params)
+            return lambda t, values: evaluations.append(t) or f(t, values)
+
+        monkeypatch.setattr(ModelSystem, "resolve_params", counting_resolve)
+        monkeypatch.setattr(ModelSystem, "bind", counting_bind)
+        solve(make_base_model("coupled-agent"), ParameterSet(a=1, y=1, x=2, delta_D=4),
+              StateVector(("T", "D"), [2.0, 1.0]), 0.0, 5.0)
+        assert len(evaluations) > 20
+        assert [m.reads for m in resolved] == [{"a": 1, "y": 1, "x": 1, "delta_D": 1}]
+
+    def test_hand_built_model_steps_like_its_compiled_source(self):
+        # the adapter around a hand-written rhs and the generated bound form
+        # of the same equations, in the same order of operations
+        compiled = make_base_model("coupled-agent")
+
+        def rhs(t, values, p):
+            T, D = values
+            return np.array([p["a"] - p["y"] * T - D * T, p["x"] * T - p["delta_D"] * D])
+
+        hand = ModelSystem(name="hand-built", state_names=("T", "D"),
+                           param_schema=compiled.param_schema, rhs=rhs)
+        assert hasattr(compiled.rhs, "bind") and not hasattr(hand.rhs, "bind")
+        runs = [integrate_adaptive(m, ParameterSet(a=1, y=1, x=2, delta_D=4),
+                                   StateVector(("T", "D"), [2.0, 1.0]), 0.0, 20.0)
+                for m in (compiled, hand)]
+        assert runs[0].solver_info == runs[1].solver_info
+        assert runs[0].times.tobytes() == runs[1].times.tobytes()
+        assert runs[0].states.tobytes() == runs[1].states.tobytes()
 
 
 def _numpy_scalar_eval(expr, env):
