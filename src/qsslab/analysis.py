@@ -40,20 +40,24 @@ class SteadyStateReport:
 
     Construction raises ``NoConvergenceError`` carrying ``values`` when the
     residual is above 1e-9 or nan, a component is negative, or the rate is
-    not finite and positive.
+    not finite and positive; a rate of 0 marks a root that is not
+    hyperbolic.
     """
 
     values: StateVector
     residual: float
     method: str  # "newton" | "bisection"
     relaxation_rate: float
-    time_to_epsilon: float | None = None
 
     def __post_init__(self):
         if not self.residual <= _RESIDUAL_LIMIT:
             problem = f"no steady state found (best residual {self.residual:.3e})"
         elif min(self.values.values) < 0:
             problem = f"steady state {self.values} has a negative component"
+        elif self.relaxation_rate == 0:
+            problem = (f"steady state {self.values} is not hyperbolic: its relaxation "
+                       "rate is 0 to within the root's error, so the approach to it "
+                       "is slower than exponential")
         elif not math.isfinite(self.relaxation_rate) or self.relaxation_rate <= 0:
             problem = f"steady state {self.values} is not stable (rate {self.relaxation_rate:g})"
         else:
@@ -92,14 +96,31 @@ def _bisection_1d(g, lo, hi):
     return lo
 
 
+def _rate(J) -> float:
+    """-max Re(lambda) over the eigenvalues of ``J``."""
+    return float(-np.linalg.eigvals(J).real.max())
+
+
 def _report(f, names, x, residual, method):
     """The ``SteadyStateReport`` of ``x``, linearised there if it is a
-    nonnegative root."""
+    nonnegative root.
+
+    A positive rate is linearised again one Newton step on.  A simple root
+    keeps its rate there; at a multiple root, which Newton approaches only
+    linearly, the rate roughly halves.  A rate that moves by more than a
+    quarter is 0 to within the root's error and is reported as 0."""
     rate = math.nan
     if residual <= _RESIDUAL_LIMIT and x.min() >= 0:
         J = _fd_jacobian(f, x)
         if np.isfinite(J).all():
-            rate = float(-np.linalg.eigvals(J).real.max())
+            rate = _rate(J)
+            if rate > 0:
+                try:
+                    rate_next = _rate(_fd_jacobian(f, x - np.linalg.solve(J, f(x))))
+                except (np.linalg.LinAlgError, EvaluationError):
+                    rate_next = rate  # no step to take: nothing tells against the rate
+                if abs(rate_next - rate) > 0.25 * rate:
+                    rate = 0.0
     return SteadyStateReport(StateVector(names, x), residual, method, rate)
 
 
@@ -139,7 +160,8 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
     The best iterate is returned only if it is a steady state: max-norm
     residual <= 1e-9, no negative component, and every eigenvalue of the
     Jacobian there with negative real part; its relaxation rate is -max
-    Re(lambda).  Otherwise a one-state model falls back to bisection for a
+    Re(lambda), and it must not vanish to within the root's error
+    (``_report``).  Otherwise a one-state model falls back to bisection for a
     stable root on [0, max(10*|guess|, 1)], expanding the bracket upwards,
     and any other model raises ``NoConvergenceError`` carrying the
     iterate.

@@ -36,6 +36,12 @@ settings, stored as its collocation polynomial sampled at
 windows, curvature, removal trends, plateaus and ``check --plot`` read that
 grid.  The destruction-only and reduction claims step with Dormand-Prince.
 
+The two destruction claims stand on the model and ``find_steady_state``
+alone: every steady state, the ordering claim's T0 included, is the
+numerical root from the kind's default state, and a point that fails
+numerically is recorded with its error and fails its claim.  The closed
+forms serve only ``sweep``'s ``T*_formula`` metric.
+
 Every claim is a deterministic predicate: re-running with identical
 configuration reproduces the report bit for bit (reports carry no
 timestamps).
@@ -62,7 +68,6 @@ from .errors import (
     NUMERICAL_ERRORS,
     InsufficientDataError,
     QsslabError,
-    UnsupportedKindError,
     UsageError,
 )
 from .integrate import Trajectory, _radau_steps, integrate_adaptive
@@ -149,26 +154,25 @@ def collapse_window(trajectory: Trajectory, component: str = "T") -> tuple[float
 
 
 def per_capita_removal(model: ModelSystem, params: ParameterSet,
-                       trajectory: Trajectory,
-                       window: tuple[float, float] | None = None) -> np.ndarray:
-    """r(t) = (a - y*T - dT/dt) / T along a trajectory: the total removal
-    pressure on T beyond baseline death, per cell.  dT/dt is evaluated
-    exactly from the model right-hand side at the stored states; with a
-    ``window`` (t_a, t_b), only at the accepted times inside it."""
+                       times, states) -> np.ndarray:
+    """r = (a - y*T - dT/dt) / T at each of ``times`` with the matching row
+    of ``states``: the total removal pressure on T beyond baseline death,
+    per cell.  dT/dt is evaluated exactly from the model right-hand side."""
     p = model.resolve_params(params)
     a, y = p["a"], p["y"]
-    times = trajectory.times
-    lo, hi = 0, len(times)
-    if window is not None:
-        lo = int(np.searchsorted(times, window[0], side="left"))
-        hi = int(np.searchsorted(times, window[1], side="right"))
-    T = trajectory.component("T")
+    i = model.state_names.index("T")
     rhs = model.bind(p)
-    out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        dT = rhs(float(times[i]), trajectory.states[i].tolist())[0]
-        out[i - lo] = (a - y * T[i] - dT) / T[i]
+    out = np.empty(len(times))
+    for k, (t, state) in enumerate(zip(times, states)):
+        T = state[i]
+        out[k] = (a - y * T - rhs(float(t), state.tolist())[i]) / T
     return out
+
+
+def _with_overrides(params: ParameterSet, overrides: dict | None) -> ParameterSet:
+    """``params`` with the overrides whose names it declares."""
+    applicable = {k: v for k, v in (overrides or {}).items() if k in params}
+    return params.with_updates(**applicable) if applicable else params
 
 
 _MECH_CACHE: dict = {}
@@ -215,11 +219,7 @@ def mechanism_trajectory(kind: MechanismKind | str,
     polynomial at ``MECHANISM_SAMPLES`` uniform times (cached: claims share
     these runs)."""
     kind = MechanismKind(str(kind)) if not isinstance(kind, MechanismKind) else kind
-    params = default_params(kind)
-    if overrides:
-        applicable = {k: v for k, v in overrides.items() if k in params}
-        if applicable:
-            params = params.with_updates(**applicable)
+    params = _with_overrides(default_params(kind), overrides)
     key = (kind.value, tuple(sorted(params.items())))
     if key not in _MECH_CACHE:
         model = make_mechanism_model(kind, params)
@@ -260,39 +260,29 @@ def _destruction_legs():
 
 def _leg_params(params_of, s, overrides) -> ParameterSet:
     """A leg's parameters at strength s, with the overrides it declares."""
-    params = params_of(s)
-    if overrides:
-        applicable = {k: v for k, v in overrides.items() if k in params}
-        params = params.with_updates(**applicable)
-    return params
+    return _with_overrides(params_of(s), overrides)
 
 
 def _baseline_T0(kind: str, params: ParameterSet) -> float:
-    """T0 = 2x the leg's baseline (s = 0) steady state: the closed form
-    where it is exact (power destruction at gamma = 0 is linear), else the
-    numerical root."""
-    if kind == "power-destruction" and params["gamma"] == 0.0:
-        kind = "linear-destruction"
-    try:
-        return 2.0 * steady_state_formula(kind, params)
-    except UnsupportedKindError:
-        model = make_base_model(kind, params)
-        report = find_steady_state(model, params, StateVector(("T",), [1.0]))
-        return 2.0 * float(report.values.values[0])
+    """T0 = 2x the leg's baseline (s = 0) steady state, found from the
+    kind's default state."""
+    report = find_steady_state(make_base_model(kind, params), params, default_state(kind))
+    return 2.0 * float(report.values.values[0])
 
 
 def _ordering_narrative(failures, broken) -> str:
     """Narrative for the ordering claim, explaining only what failed.
 
     ``broken`` holds one (leg, quantity) pair per failed ordering, with
-    quantity ``"T*"`` or ``"t_eps"``.
+    quantity ``"T*"`` or ``"t_eps"``, and (leg, ``"error"``) for a leg
+    with a point that could not be evaluated.
     """
     if not failures:
         return (
             "Raising the destruction strength lowered the steady state and shortened "
             f"the approach time (epsilon = {EPSILON:g}) across every variant."
         )
-    steady_held = not any(quantity == "T*" for _leg, quantity in broken)
+    steady_held = all(quantity == "t_eps" for _leg, quantity in broken)
     slow_tail = (("logistic-y-lowered", "t_eps") in broken
                  and ("logistic-y-lowered", "T*") not in broken)
     tail = (
@@ -315,22 +305,36 @@ def _claim_lowers_and_hastens(overrides=None) -> ClaimReport:
     failures = []
     broken = set()
     for leg, kind, params_of in _destruction_legs():
-        T0 = _baseline_T0(kind, _leg_params(params_of, 0.0, overrides))
+        try:
+            T0 = _baseline_T0(kind, _leg_params(params_of, 0.0, overrides))
+        except (*NUMERICAL_ERRORS, InsufficientDataError) as exc:  # bad input propagates
+            rows.append({"leg": leg, "strength": 0.0, "error": f"baseline: {exc}"})
+            failures.append(f"{leg}: baseline -> error: {exc}")
+            broken.add((leg, "error"))
+            continue
         state0 = StateVector(("T",), [T0])
         t_stars = []
         t_epss = []
         for s in STRENGTH_GRID:
             params = _leg_params(params_of, s, overrides)
-            model = make_base_model(kind, params)
-            report = find_steady_state(model, params, state0)
-            t_star = float(report.values.values[0])
-            t_eps = _time_to_epsilon(model, params, state0, EPSILON, report)
+            try:
+                model = make_base_model(kind, params)
+                report = find_steady_state(model, params, state0)
+                t_star = float(report.values.values[0])
+                t_eps = _time_to_epsilon(model, params, state0, EPSILON, report)
+            except (*NUMERICAL_ERRORS, InsufficientDataError) as exc:  # bad input propagates
+                rows.append({"leg": leg, "strength": s, "error": str(exc)})
+                failures.append(f"{leg}[s={s:g}] -> error: {exc}")
+                broken.add((leg, "error"))
+                continue
             t_stars.append(t_star)
             t_epss.append(t_eps)
             rows.append({
                 "leg": leg, "model": kind, "strength": s,
                 "T_star": t_star, "t_eps": t_eps,
             })
+        if (leg, "error") in broken:  # the orderings need every point
+            continue
         for quantity, values in (("T*", t_stars), ("t_eps", t_epss)):
             if not _strictly_decreasing(values):
                 broken.add((leg, quantity))
@@ -362,21 +366,9 @@ def _claim_destruction_decelerates(overrides=None) -> ClaimReport:
     for label, kind, params in _destruction_grid_points(overrides):
         try:
             model = make_base_model(kind, params)
-            if model.dimension == 1:
-                guess = StateVector(("T",), [1.0])
-            else:
-                g_eff = params["x"] / params["delta_D"]
-                guess = StateVector(("T", "D"), [1.0, g_eff])
-            ss = find_steady_state(model, params, guess)
+            ss = find_steady_state(model, params, default_state(kind))
             t_star = ss.values.values[0]
-            scale = 2.0
-            if model.dimension == 1:
-                state0 = StateVector(("T",), [scale * t_star])
-            else:
-                state0 = StateVector(
-                    ("T", "D"),
-                    [scale * t_star, scale * ss.values.values[1]],
-                )
+            state0 = StateVector(model.state_names, 2.0 * ss.values.values)
             horizon = 8.0 / ss.relaxation_rate
             traj = integrate_adaptive(model, params, state0, 0.0, horizon, **_SOLVER)
             verdict = classify_curvature(traj, "T")
@@ -459,10 +451,7 @@ def _claim_qss_reduction(overrides=None) -> ClaimReport:
     failures = []
     cases = [(100.0, 100.0), (1000.0, 1000.0), (100.0, 1.0)]
     for delta_D, x in cases:
-        params = ParameterSet(a=1.0, y=1.0, x=x, delta_D=delta_D)
-        if overrides:
-            applicable = {k: v for k, v in overrides.items() if k in params}
-            params = params.with_updates(**applicable)
+        params = _with_overrides(ParameterSet(a=1.0, y=1.0, x=x, delta_D=delta_D), overrides)
         model = make_base_model("coupled-agent", params)
         g_eff = params["x"] / params["delta_D"]
         T0 = 2.0
@@ -509,14 +498,11 @@ def _claim_mechanism_conditions(overrides=None) -> ClaimReport:
 
         # condition 1: destruction is indirect -- at fixed compartment levels
         # the per-capita removal rate does not depend on T
-        state = default_state(kind)
-        removal = per_capita_removal(model, params, _two_point_traj(model, state))
-        halved = StateVector(
-            state.names, [v * (0.5 if n == "T" else 1.0)
-                          for n, v in zip(state.names, state.values)]
-        )
-        removal_h = per_capita_removal(model, params, _two_point_traj(model, halved))
-        indirect = abs(removal[0] - removal_h[0]) <= 1e-9 * max(abs(removal[0]), 1e-12)
+        chronic = default_state(kind).values
+        halved = chronic.copy()
+        halved[model.state_names.index("T")] *= 0.5
+        removal, removal_h = per_capita_removal(model, params, (0.0, 0.0), (chronic, halved))
+        indirect = abs(removal - removal_h) <= 1e-9 * max(abs(removal), 1e-12)
 
         # condition 2: designated slow rates at most y/100
         slow_values = {name: p[name] for name in model.slow_rate_params}
@@ -531,7 +517,8 @@ def _claim_mechanism_conditions(overrides=None) -> ClaimReport:
         # condition 3: per-capita removal non-decreasing while T falls
         # on the collapse window
         t_a, t_b = collapse_window(traj, "T")
-        r = per_capita_removal(model, params, traj, (t_a, t_b))
+        inside = (traj.times >= t_a) & (traj.times <= t_b)
+        r = per_capita_removal(model, params, traj.times[inside], traj.states[inside])
         drops = np.nonzero(
             np.diff(r) < -1e-6 * np.maximum(np.abs(r[:-1]), 1e-12)
         )[0]
@@ -560,16 +547,6 @@ def _claim_mechanism_conditions(overrides=None) -> ClaimReport:
     return ClaimReport(
         "mechanism-satisfies-conditions", verdict, rows, narrative,
         {"plateau_rule": "first drop below 90% of max", **_SOLVER},
-    )
-
-
-def _two_point_traj(model: ModelSystem, state: StateVector) -> Trajectory:
-    """Degenerate two-point trajectory used to evaluate removal at one state."""
-    return Trajectory(
-        np.array([0.0, 1.0]),
-        np.vstack([state.values, state.values]),
-        model.state_names,
-        {"scheme": "probe"},
     )
 
 

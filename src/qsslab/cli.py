@@ -182,7 +182,6 @@ def _cmd_steady(args) -> int:
             "residual": report.residual,
             "method": report.method,
             "relaxation_rate": report.relaxation_rate,
-            "time_to_epsilon": report.time_to_epsilon,
         },
         args.out,
     )

@@ -197,12 +197,6 @@ class ModelSystem:
             return np.asarray(rhs(t, np.array(values), params), dtype=float).tolist()
         return bound
 
-    def schema_for(self, name: str) -> ParamSpec | None:
-        for spec in self.param_schema:
-            if spec.name == name:
-                return spec
-        return None
-
     def resolve_params(self, params: ParameterSet) -> dict[str, float]:
         """Apply defaults and alternative parameterizations; raise on a missing
 

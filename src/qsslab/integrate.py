@@ -15,11 +15,12 @@ so a caller can stop at an event (``time_to_epsilon`` does).
 
 ``_radau_steps`` is the implicit kernel, a generator over accepted steps
 like ``_dopri_steps``; between its points ``collocation_output`` evaluates
-the step's collocation polynomial.  Its Newton iteration runs on one real
-3n x 3n block matrix, so an iteration is one matrix-vector product.  The
-slow-feedback mechanisms, whose explicit steps are pinned at the stability
-limit, run on it: the claims store each mechanism run as that polynomial
-sampled at 4,097 uniform times, in one pass after the last step
+the step's collocation polynomial, which also predicts the next step's
+stages.  Its Newton iteration runs on the inverse of one real 3n x 3n
+matrix, so an iteration is one matrix-vector product.  The slow-feedback
+mechanisms, whose explicit steps are pinned at the stability limit, run
+on it: the claims store each mechanism run as that polynomial sampled at
+4,097 uniform times, in one pass after the last step
 (``claims.mechanism_trajectory``).
 """
 from __future__ import annotations
@@ -63,8 +64,8 @@ _DP_D = np.array((-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 # collocation nodes, the weights of the embedded 3rd-order error estimate,
 # the eigenvalues of the inverse of the Runge-Kutta matrix (one real, one
 # complex pair) and the transformation T that turns that matrix into the
-# real block form _RADAU_LAMBDA, so that the 3n-dimensional Newton system
-# splits into one real and one complex n-dimensional system
+# real block form _RADAU_LAMBDA, the Newton matrix of the transformed stages
+# being Lambda / h (x) I - I (x) J
 _S6 = 6 ** 0.5
 _RADAU_C = np.array(((4 - _S6) / 10, (4 + _S6) / 10, 1.0))
 _RADAU_E = np.array((-13 - 7 * _S6, -13 + 7 * _S6, -1.0)) / 3
@@ -88,7 +89,6 @@ _RADAU_P = np.array((
     (13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6),
     (13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6),
     (1 / 3, -8 / 3, 10 / 3)))
-_POWERS = np.arange(4.0)  # theta^0 ... theta^3
 _NEWTON_MAXITER = 6
 
 # Step budget of one integration, adaptive trial steps or fixed RK4 steps
@@ -358,9 +358,9 @@ def _radau_newton(f, t, y, h, Z, scale, tol, M):
     """The simplified Newton iteration on the Radau collocation system,
     started from the stage increments ``Z`` (3 x n: stage i at
     ``t + C_i h`` is ``y + Z_i``) and run on the transformed variables
-    W = T^-1 Z.  ``M`` is the inverse of the Newton matrix of W, a real
-    3n x 3n block matrix (``_radau_newton_matrix``), so an iteration is
-    one product dW = M (T^-1 F - (Lambda / h) W) with the stage
+    W = T^-1 Z.  ``M`` is the inverse of the Newton matrix of W
+    (``_radau_newton_inverse``), so an iteration is one product
+    dW = M (T^-1 F - (Lambda / h) W) with the stage
     derivatives F.  A stage that raises ``EvaluationError`` ends the
     iteration unconverged, and so does a non-finite Newton norm (a
     non-finite stage or matrix).  Returns (converged, finite, iterations,
@@ -396,18 +396,16 @@ def _radau_newton(f, t, y, h, Z, scale, tol, M):
     return False, True, k + 1, Z, rate
 
 
-def _radau_newton_matrix(A, C):
-    """The inverse of the Newton matrix of the transformed stages as one real
-    block matrix, from the inverses ``A`` of mu_real/h I - J and ``C`` of
-    mu_complex/h I - J: A acts on the real component, and the real form of
-    C on the real and imaginary parts of the complex one."""
-    n = A.shape[0]
-    M = np.zeros((3 * n, 3 * n))
-    M[:n, :n] = A
-    M[n:2 * n, n:2 * n] = M[2 * n:, 2 * n:] = C.real
-    M[n:2 * n, 2 * n:] = -C.imag
-    M[2 * n:, n:2 * n] = C.imag
-    return M
+def _radau_newton_inverse(lam, h, J):
+    """The inverse of the Newton matrix of the transformed stages,
+    Lambda / h (x) I - I (x) J, from ``lam`` = Lambda (x) I: one real
+    3n x 3n inversion.  Lambda is block diagonal, so the inverse's first
+    n x n block is the inverse of mu_real / h I - J."""
+    n = J.shape[0]
+    N = lam / h
+    for i in range(0, 3 * n, n):
+        N[i:i + n, i:i + n] -= J
+    return np.linalg.inv(N)
 
 
 def _radau_factor(h, h_prev, err, err_prev) -> float:
@@ -432,13 +430,14 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     ``collocation_output``, and ``counts`` one dict, updated in place, with
     the trial steps ``rejected``, the ``rhs_evals`` (finite-difference
     Jacobians included; an evaluation that raises counts), the
-    ``jac_evals`` and the ``factorizations`` (matrix inversions) so far.
+    ``jac_evals`` and the ``factorizations`` (inversions of the Newton
+    matrix) so far.
 
     Each step solves the collocation system by simplified Newton on the
-    transformed stages (``_radau_newton``), with the inverses of the real
-    and the complex system's matrices formed once per step size and
-    Jacobian and assembled into one real block matrix.  The stages start
-    from the last step's polynomial.  The Jacobian is ``_fd_jacobian`` at
+    transformed stages (``_radau_newton``), with the inverse of their
+    Newton matrix formed once per step size and Jacobian; its first block
+    serves the error estimate.  The stages start from the last step's
+    polynomial (``collocation_output``).  The Jacobian is ``_fd_jacobian`` at
     the step's start, kept across steps while Newton converges fast; a
     Newton solve that fails with a stale Jacobian is retried with a fresh
     one, and one that fails with a fresh Jacobian (a stage that raises
@@ -471,11 +470,11 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
         except EvaluationError:  # no Jacobian here: every Newton solve fails
             return np.full((x.size, x.size), math.nan)
 
-    def inverses(h, J):
-        counts["factorizations"] += 2
-        eye = np.identity(J.shape[0])
-        A = np.linalg.inv(_MU_REAL / h * eye - J)
-        return A, _radau_newton_matrix(A, np.linalg.inv(_MU_COMPLEX / h * eye - J))
+    lam = np.kron(_RADAU_LAMBDA, np.identity(y.size))
+
+    def newton_inverse(h, J):
+        counts["factorizations"] += 1
+        return _radau_newton_inverse(lam, h, J)
 
     span = t_end - t0
     h_min = 1e-14 * span
@@ -486,7 +485,7 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     except EvaluationError:  # outside the rhs's domain: as a nan rate
         f_y = np.full(y.size, math.nan)
     J, fresh = jacobian(t, y), True
-    inv = None  # (h, the real inverse and the block matrix for h and the current J)
+    inv = None  # (h, the Newton inverse for h and the current J)
     h_next = span / 100.0
     h_prev = err_prev = None  # size and error norm of the last accepted step
     finite, retried = True, False  # retried: a trial of this step failed its error test
@@ -504,17 +503,17 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
             Z0 = np.zeros((3, y.size))
         else:  # the last polynomial at the new stage times
             theta = (t + h * _RADAU_C - t_prev) / h_prev
-            Z0 = (theta[:, None] ** _POWERS).dot(Y) - y
+            Z0 = collocation_output(Y, theta[:, None]) - y
         scale = atol + rtol * np.abs(y)
         while True:
             try:
                 if inv is None or inv[0] != h:
-                    inv = (h, *inverses(h, J))
+                    inv = (h, newton_inverse(h, J))
             except np.linalg.LinAlgError:  # singular: no Newton step, as a non-finite stage
                 converged = finite = False
             else:
                 converged, finite, n_iter, Z, rate = _radau_newton(
-                    f, t, y, h, Z0, scale, newton_tol, inv[2])
+                    f, t, y, h, Z0, scale, newton_tol, inv[1])
             if converged or fresh:
                 break
             J, fresh, inv = jacobian(t, y), True, None
@@ -525,11 +524,12 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
         y_new = y + Z[-1]
         ZE = Z.T.dot(_RADAU_E) / h
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        error = inv[1].dot(f_y + ZE)
+        E = inv[1][:y.size, :y.size]  # the inverse of mu_real / h I - J
+        error = E.dot(f_y + ZE)
         err = _rms(error / scale)
         if retried and err > 1:  # a sharper estimate after a rejection
             try:
-                error = inv[1].dot(f(t, y + error) + ZE)
+                error = E.dot(f(t, y + error) + ZE)
                 err = _rms(error / scale)
             except EvaluationError:
                 err = math.inf
@@ -543,7 +543,7 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
         factor = min(10.0, safety * _radau_factor(h, h_prev, err, err_prev))
         refresh = n_iter > 2 and rate > 1e-3  # Newton converged slowly
         if not refresh and factor < 1.2:
-            factor = 1.0  # keep h, and with it the inverses
+            factor = 1.0  # keep h, and with it the Newton inverse
         h_prev, err_prev, retried = h, err, False
         h_next = h * factor
         Y = np.empty((4, y.size))

@@ -474,6 +474,35 @@ class TestSteadyStateAtTheRoot:
             assert report.relaxation_rate == pytest.approx(relaxation_rate(kind, p), rel=1e-9)
 
 
+class TestNonHyperbolicRoot:
+    """A root whose linearisation vanishes is refused: Newton approaches it
+    only linearly, and the rate at the point it stops at is an artefact of
+    how far it got."""
+
+    @pytest.mark.parametrize("kind,params", [
+        ("power-destruction", dict(a=0, y=0, gamma=1, n=2)),
+        ("logistic-source", dict(a=0, y=0, gamma=1)),
+        ("logistic-proliferation", dict(a=0, y=0, gamma=1)),
+        ("coupled-agent", dict(a=0, y=0, x=1, delta_D=1)),
+    ], ids=["power-n2", "logistic-source", "logistic-proliferation", "coupled-agent"])
+    def test_zero_rate_raises(self, kind, params):
+        # dT/dt = -gamma T^2 (and dT/dt = -D T with D -> 0): the root 0 has rate 0
+        model = make_base_model(kind)
+        with pytest.raises(NoConvergenceError, match="is not hyperbolic"):
+            steady(kind, params, [1.0] * model.dimension)
+
+    def test_hyperbolic_root_at_zero_is_returned(self):
+        # dT/dt = -T - T^2/4: the root 0 has rate 1
+        report = steady("power-destruction", dict(a=0, y=1, gamma=0.25, n=2), [1.0])
+        assert 0.0 <= report.values["T"] < 1e-100
+        assert report.relaxation_rate == pytest.approx(1.0, rel=1e-12)
+
+    def test_steady_exits_3_with_the_reason(self, capsys):
+        assert run_cli(["steady", "--model", "power-destruction",
+                        "--param", "a=0", "--param", "y=0"]) == 3
+        assert "is not hyperbolic" in capsys.readouterr().err
+
+
 class TestClassifyCurvatureRange:
     @pytest.mark.parametrize("scale", [2.0 ** 1023, 1.5 * 2.0 ** 1022, -(2.0 ** 1023)])
     def test_values_near_the_float_limit_classify_like_unit_values(self, scale):

@@ -156,6 +156,33 @@ class TestClaims:
         # T0 = 2 a/y = 4 on the linear leg: t_eps = ln(1/eps)/(y + gamma) > 0
         assert linear[0]["t_eps"] == pytest.approx(math.log(100.0) / 0.5, rel=1e-6)
 
+    def test_ordering_claim_records_points_that_fail_numerically(self):
+        # a = 0 leaves dT/dt = -gamma*T^2, whose root 0 is not hyperbolic, on
+        # the logistic-gamma-raised baseline and at s = 1 on logistic-y-lowered
+        report = run_claim("destruction-lowers-and-hastens", {"a": 0.0})
+        assert report.verdict == "fail"
+        errors = [row for row in report.grid if "error" in row]
+        assert [(row["leg"], row["strength"]) for row in errors] == [
+            ("logistic-gamma-raised", 0.0), ("logistic-y-lowered", 1.0)]
+        assert all("is not hyperbolic" in row["error"] for row in errors)
+        assert errors[0]["error"].startswith("baseline: ")
+        assert "logistic-gamma-raised: baseline -> error:" in report.narrative
+        assert "logistic-y-lowered[s=1] -> error:" in report.narrative
+        assert "steady state always drops" not in report.narrative
+        rows = [row for row in report.grid if row["leg"] == "logistic-y-lowered"]
+        assert len(rows) == len(claims.STRENGTH_GRID)
+
+    @pytest.mark.parametrize("claim_id", ["destruction-lowers-and-hastens",
+                                          "destruction-only-decelerates"])
+    def test_destruction_claims_read_no_closed_form(self, monkeypatch, claim_id):
+        expected = json.dumps(run_claim(claim_id).to_json_dict(), sort_keys=True)
+
+        def closed_form(*args):
+            raise AssertionError("a closed form was read")
+
+        monkeypatch.setattr(claims, "steady_state_formula", closed_form)
+        assert json.dumps(run_claim(claim_id).to_json_dict(), sort_keys=True) == expected
+
     def test_reports_are_bit_identical_across_runs(self):
         a = json.dumps(run_claim("qss-reduction-valid").to_json_dict(), sort_keys=True)
         b = json.dumps(run_claim("qss-reduction-valid").to_json_dict(), sort_keys=True)

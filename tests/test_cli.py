@@ -96,6 +96,19 @@ def test_steady_json(outdir, capsys):
     assert payload["residual"] <= 1e-9
 
 
+def test_steady_json_keys(capsys):
+    assert run_cli(["steady", "--model", "healthy"]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)) == [
+        "method", "model", "relaxation_rate", "residual", "schema", "values"]
+
+
+def test_ordering_claim_records_failing_points(capsys):
+    # a = 0 leaves dT/dt = -gamma*T^2 on the logistic-gamma-raised baseline
+    # and at s = 1 on logistic-y-lowered: roots that are not hyperbolic
+    assert run_cli(["check", "destruction-lowers-and-hastens", "--override", "a=0"]) == 1
+    assert "logistic-gamma-raised: baseline -> error:" in capsys.readouterr().err
+
+
 def test_sweep_csv(outdir):
     out = outdir / "sweep.csv"
     code = run_cli([
