@@ -1,5 +1,5 @@
-"""Steady states, approach times, trajectory curvature, and the fast-agent
-quasi-steady-state reduction.
+"""Steady states, approach times (stepped in ``integrate``), curvature on a
+trajectory's own points, and the fast-agent quasi-steady-state reduction.
 
 Curvature naming: a decreasing trajectory whose decline keeps slowing has a
 positive second derivative (mathematically convex); one whose decline keeps
@@ -25,9 +25,10 @@ from .errors import (
     UnsupportedKindError,
     ValidationError,
 )
-from .integrate import Trajectory, _dopri_steps, _fd_jacobian, dense_output
+from .integrate import Trajectory, _fd_jacobian, first_crossing
 
 _RESIDUAL_LIMIT = 1e-9
+_T_EPS_RTOL, _T_EPS_ATOL = 1e-10, 1e-13  # Dormand-Prince tolerances of time_to_epsilon
 _DIFFERENCE_LIMIT = 2.0 ** 1021  # 4x this is still finite
 _POLISH_STEPS = 8
 
@@ -218,71 +219,56 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
 
 
 def time_to_epsilon(model: ModelSystem, params: ParameterSet, state0: StateVector,
-                    epsilon: float, rtol: float = 1e-10, atol: float = 1e-13) -> float:
+                    epsilon: float, report: SteadyStateReport | None = None) -> float:
     """Smallest t with |T(t) - T*| <= epsilon * |T(0) - T*| for the first
-    state component, T* being the steady state found from ``state0``.
+    state component, T* being ``report``, the steady state found from
+    ``state0`` (found here when None).
 
-    Dormand-Prince steps from ``state0`` until the first accepted state
-    within the bound; the crossing inside that step is then bisected on the
-    step's continuous extension down to float resolution.
+    The Dormand-Prince run from ``state0`` (rtol 1e-10, atol 1e-13) stops
+    at the first accepted state within the bound, and the crossing is
+    bisected on that step's continuous extension (``first_crossing``).
 
     Raises ``ConvergenceTimeoutError`` if the bound is not met within
     50 / relaxation_rate.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValidationError([f"epsilon must be in (0, 1), got {epsilon:g}"])
-    report = find_steady_state(model, params, state0)
-    return _time_to_epsilon(model, params, state0, epsilon, report, rtol, atol)
-
-
-@np.errstate(all="ignore")  # the kernel's trial steps run under this error state
-def _time_to_epsilon(model: ModelSystem, params: ParameterSet, state0: StateVector,
-                     epsilon: float, report: SteadyStateReport,
-                     rtol: float = 1e-10, atol: float = 1e-13) -> float:
-    """``time_to_epsilon`` towards ``report``, the steady state the caller
-    found from ``state0``."""
+    if report is None:
+        report = find_steady_state(model, params, state0)
     t_star = float(report.values.values[0])
     gap0 = abs(float(state0.values[0]) - t_star)
     target = epsilon * gap0
     if gap0 <= target:  # gap0 == 0, or so small that epsilon * gap0 rounds back to it
         return 0.0
     horizon = 50.0 / report.relaxation_rate
-
-    for t_prev, t, h, y, K, _ in _dopri_steps(model, params, state0, 0.0, horizon, rtol, atol):
-        if abs(y[0] - t_star) <= target:
-            break
-    else:
+    t = first_crossing(model, params, state0, horizon, lambda T: abs(T - t_star) <= target,
+                       _T_EPS_RTOL, _T_EPS_ATOL)
+    if t is None:
         raise ConvergenceTimeoutError(
-            f"|T - T*| did not reach {target:.3e} within {horizon:g} time units"
-        )
-    # bisect the crossing on the step's continuous extension
-    stages, y_end = [row[0] for row in K], y[0]
-    lo, hi = t_prev, t
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if abs(dense_output(stages, y_end, h, (mid - t_prev) / h) - t_star) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+            f"|T - T*| did not reach {target:.3e} within {horizon:g} time units")
+    return t
 
 
 def classify_curvature(trajectory: Trajectory, component: str,
-                       window: tuple[float, float] | None = None,
-                       grid_size: int = 512) -> CurvatureVerdict:
-    """Second-difference classification on a uniform resampling of the
-    maximal strictly decreasing run inside ``window`` (default: the whole
-    trajectory).
+                       window: tuple[float, float] | None = None) -> CurvatureVerdict:
+    """Second-difference classification on the trajectory's own points: the
+    maximal decreasing run inside ``window`` (default: the whole
+    trajectory), the longest in time.
 
     A window outside the trajectory's time range raises ``ValidationError``;
     an empty one, t0 == t1 (``collapse_window`` of a decline that is
     steepest at its start), raises ``InsufficientDataError``, as too few
     points do.
 
-    Classes: ``flat`` when total variation is below 1e-9 * |first value|
-    (two points in the window suffice; the other classes need 8);
-    ``non-monotonic`` when no decreasing run covers half the window;
-    ``decelerating-decline`` / ``accelerating-decline`` when at least 90% of
-    the nonzero second differences share a sign; ``mixed`` otherwise.
+    Classes: ``flat`` when the total variation is at most 1e-9 * |first
+    value| or the run's own ``solver_info["atol"]``, below which a solver
+    resolves nothing (two points in the window suffice; the other classes
+    need 8); ``non-monotonic`` when no decreasing run covers half the
+    window's time; ``decelerating-decline`` / ``accelerating-decline`` when
+    at least 90% of the nonzero second differences share a sign; ``mixed``
+    otherwise.  The second difference at an interior point of the run is
+    its change of slope times the harmonic mean of its two spacings, which
+    on a uniform grid is v[i+1] - 2 v[i] + v[i-1].
     """
     times = trajectory.times
     values = trajectory.component(component)
@@ -300,46 +286,41 @@ def classify_curvature(trajectory: Trajectory, component: str,
         raise too_few
 
     ref = abs(float(trajectory.component(component)[0]))
-    # second differences reach 4x the largest magnitude: near the top of the
-    # float range, work on values scaled by a power of two, which is exact
+    # differences of values near the top of the float range, and of any
+    # times, can overflow: work on them scaled by powers of two (exact)
     exponent = 0
     largest = float(np.abs(values).max())
     if largest > _DIFFERENCE_LIMIT:
         exponent = math.frexp(largest)[1]
         values, ref = np.ldexp(values, -exponent), math.ldexp(ref, -exponent)
     span = float(values.max() - values.min())
-    if span <= 1e-9 * ref:
+    if span <= max(1e-9 * ref, math.ldexp(trajectory.solver_info.get("atol", 0.0), -exponent)):
         return CurvatureVerdict(
             "flat", (float(times[0]), float(times[-1])),
             {"total_variation": math.ldexp(span, exponent)}, shape_label="constant",
         )
     if times.size < 8:
         raise too_few
+    t = np.ldexp(times, -math.frexp(max(-float(times[0]), float(times[-1])))[1])  # in [-1, 1]
 
-    grid_t = np.linspace(times[0], times[-1], grid_size)
-    grid_v = np.interp(grid_t, times, values)
-
-    # maximal strictly decreasing run (ties tolerated up to resampling noise)
-    tol = 1e-12 * max(abs(grid_v).max(), 1.0)
-    decreasing = np.diff(grid_v) < tol
-    best_start, best_len = 0, 0
-    start = 0
-    for idx in range(decreasing.size + 1):
-        if idx < decreasing.size and decreasing[idx]:
-            continue
-        if idx - start > best_len:
-            best_start, best_len = start, idx - start
-        start = idx + 1
-    if best_len + 1 < grid_size // 2:
+    # maximal decreasing runs (ties tolerated up to rounding noise), as
+    # [first step, one past the last step) of each
+    tol = 1e-12 * max(float(np.abs(values).max()), 1.0)
+    decreasing = np.concatenate(([False], np.diff(values) < tol, [False]))
+    runs = np.flatnonzero(decreasing[1:] != decreasing[:-1]).reshape(-1, 2)
+    lengths = t[runs[:, 1]] - t[runs[:, 0]]
+    fraction = float(lengths.max() / (t[-1] - t[0])) if runs.size else 0.0
+    if fraction < 0.5:
         return CurvatureVerdict(
             "non-monotonic", (float(times[0]), float(times[-1])),
-            {"longest_decreasing_fraction": (best_len + 1) / grid_size},
-            shape_label="not monotone",
+            {"longest_decreasing_fraction": fraction}, shape_label="not monotone",
         )
 
-    run = grid_v[best_start: best_start + best_len + 1]
-    run_t = grid_t[best_start: best_start + best_len + 1]
-    d2 = run[2:] - 2.0 * run[1:-1] + run[:-2]
+    first, last = runs[int(np.argmax(lengths))]
+    run = values[first:last + 1]
+    dv, dt = np.diff(run), np.diff(t[first:last + 1])
+    spacing = dt[:-1] + dt[1:]
+    d2 = 2.0 * (dv[1:] * (dt[:-1] / spacing) - dv[:-1] * (dt[1:] / spacing))
     zero_tol = 1e-12 * max(abs(run).max(), 1e-300)
     pos = int(np.sum(d2 > zero_tol))
     neg = int(np.sum(d2 < -zero_tol))
@@ -350,7 +331,7 @@ def classify_curvature(trajectory: Trajectory, component: str,
         "zero_fraction": (d2.size - nonzero) / max(d2.size, 1),
         "points": int(d2.size),
     }
-    win = (float(run_t[0]), float(run_t[-1]))
+    win = (float(times[first]), float(times[last]))
     if nonzero == 0:
         return CurvatureVerdict("mixed", win, evidence, shape_label="linear decline")
     if pos / nonzero >= 0.9:

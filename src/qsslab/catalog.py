@@ -56,7 +56,8 @@ from enum import Enum
 from importlib import resources
 
 from .core import ModelSystem, ParameterSet, StateVector, validate
-from .dsl import ModelDefinition, compile_model, default_initial_state, parse_model
+from . import dsl
+from .dsl import ModelDefinition, compile_model, parse_model
 from .errors import ParameterError, UsageError
 
 
@@ -158,15 +159,14 @@ def make_model(kind: str, params: ParameterSet | None = None) -> ModelSystem:
 def default_params(kind: str | BaseModelKind | MechanismKind) -> ParameterSet:
     """The documented default parameter set for a catalog kind: the
     defaults declared in its ``.qssm`` file."""
-    defn = _definition(_kind(kind, BaseModelKind, MechanismKind))
-    return ParameterSet({p.name: p.default for p in defn.params})
+    return dsl.default_params(_definition(_kind(kind, BaseModelKind, MechanismKind)))
 
 
 def default_state(kind: str | BaseModelKind | MechanismKind) -> StateVector:
     """Default initial state, as declared in the kind's ``.qssm`` file: the
     chronic latent state for mechanisms, unit concentration (with the
     matching agent level) for the base kinds."""
-    return default_initial_state(_definition(_kind(kind, BaseModelKind, MechanismKind)))
+    return dsl.default_initial_state(_definition(_kind(kind, BaseModelKind, MechanismKind)))
 
 
 def default_horizon(kind: str | MechanismKind) -> float:

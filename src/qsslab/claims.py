@@ -34,7 +34,10 @@ The two mechanism claims share one run per mechanism
 settings, stored as its collocation polynomial sampled at
 ``MECHANISM_SAMPLES`` (4,097) uniform times over the horizon.  Collapse
 windows, curvature, removal trends, plateaus and ``check --plot`` read that
-grid.  The destruction-only and reduction claims step with Dormand-Prince.
+grid.  The destruction-only and reduction claims step with Dormand-Prince,
+and curvature is classified on the run's own points.  The reduction claim
+evaluates the reduced run at the full run's times through the reduced
+run's continuous extension (``integrate.sampled_dopri_run``).
 
 The two destruction claims stand on the model and ``find_steady_state``
 alone: every steady state, the ordering claim's T0 included, is the
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _time_to_epsilon, classify_curvature, find_steady_state
+from .analysis import classify_curvature, find_steady_state, qss_reduce, time_to_epsilon
 from .catalog import (
     MechanismKind,
     default_horizon,
@@ -61,6 +64,7 @@ from .catalog import (
     default_state,
     make_base_model,
     make_mechanism_model,
+    make_model,
 )
 from .closedform import power_approx_steady, steady_state_formula
 from .core import ModelSystem, ParameterSet, StateVector
@@ -70,7 +74,7 @@ from .errors import (
     QsslabError,
     UsageError,
 )
-from .integrate import Trajectory, _radau_steps, integrate_adaptive
+from .integrate import Trajectory, integrate_adaptive, sampled_dopri_run, sampled_radau_run
 
 STRENGTH_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 EPSILON = 0.01
@@ -180,38 +184,6 @@ _MECH_CACHE: dict = {}
 MECHANISM_SAMPLES = 4097
 
 
-@np.errstate(all="ignore")  # the kernel's trial steps run under this error state
-def _sampled_radau_run(model: ModelSystem, params: ParameterSet, state0: StateVector,
-                       t_end: float) -> Trajectory:
-    """Radau IIA(5) from 0 to ``t_end`` at the claim settings, stored as its
-    collocation polynomial sampled at ``MECHANISM_SAMPLES`` uniform times.
-
-    The steps are kept and sampled after the run: each time after 0 is
-    evaluated in the first step that ends at or after it, by
-    ``collocation_output``'s Horner scheme, one gathered coefficient row at
-    a time."""
-    starts, ends, sizes, polys = [], [], [], []
-    for t_prev, t, h, _, Y, counts in _radau_steps(model, params, state0, 0.0, t_end,
-                                                   **_SOLVER):
-        starts.append(t_prev)
-        ends.append(t)
-        sizes.append(h)
-        polys.append(Y)
-    times = np.linspace(0.0, t_end, MECHANISM_SAMPLES)
-    step = np.searchsorted(ends, times[1:])
-    theta = ((times[1:] - np.take(starts, step)) / np.take(sizes, step))[:, None]
-    coef = np.array(polys)  # (steps, 4, n)
-    states = np.empty((times.size, model.dimension))
-    states[0] = state0.values
-    inner = states[1:]
-    inner[:] = coef[step, 3]
-    for row in (2, 1, 0):
-        inner *= theta
-        inner += coef[step, row]
-    return Trajectory(times, states, model.state_names,
-                      {"scheme": "radau5", **_SOLVER, "accepted": len(polys), **counts})
-
-
 def mechanism_trajectory(kind: MechanismKind | str,
                          overrides: dict | None = None) -> tuple[ModelSystem, ParameterSet, Trajectory]:
     """Simulate a mechanism from its chronic default state over its default
@@ -223,7 +195,8 @@ def mechanism_trajectory(kind: MechanismKind | str,
     key = (kind.value, tuple(sorted(params.items())))
     if key not in _MECH_CACHE:
         model = make_mechanism_model(kind, params)
-        traj = _sampled_radau_run(model, params, default_state(kind), default_horizon(kind))
+        times = np.linspace(0.0, default_horizon(kind), MECHANISM_SAMPLES)
+        traj = sampled_radau_run(model, params, default_state(kind), times, **_SOLVER)
         _MECH_CACHE[key] = (model, params, traj)
     return _MECH_CACHE[key]
 
@@ -307,9 +280,15 @@ def _claim_lowers_and_hastens(overrides=None) -> ClaimReport:
     for leg, kind, params_of in _destruction_legs():
         try:
             T0 = _baseline_T0(kind, _leg_params(params_of, 0.0, overrides))
+            # T0 - T*(0) = T*(0): an approach no run resolves below its atol
+            reason = None if T0 > 2.0 * _SOLVER["atol"] else (
+                f"steady state is 0 (T* = {0.5 * T0:g}, within atol), so T0 = 0 "
+                "and there is nothing to order")
         except (*NUMERICAL_ERRORS, InsufficientDataError) as exc:  # bad input propagates
-            rows.append({"leg": leg, "strength": 0.0, "error": f"baseline: {exc}"})
-            failures.append(f"{leg}: baseline -> error: {exc}")
+            reason = exc
+        if reason is not None:
+            rows.append({"leg": leg, "strength": 0.0, "error": f"baseline: {reason}"})
+            failures.append(f"{leg}: baseline -> error: {reason}")
             broken.add((leg, "error"))
             continue
         state0 = StateVector(("T",), [T0])
@@ -321,7 +300,7 @@ def _claim_lowers_and_hastens(overrides=None) -> ClaimReport:
                 model = make_base_model(kind, params)
                 report = find_steady_state(model, params, state0)
                 t_star = float(report.values.values[0])
-                t_eps = _time_to_epsilon(model, params, state0, EPSILON, report)
+                t_eps = time_to_epsilon(model, params, state0, EPSILON, report)
             except (*NUMERICAL_ERRORS, InsufficientDataError) as exc:  # bad input propagates
                 rows.append({"leg": leg, "strength": s, "error": str(exc)})
                 failures.append(f"{leg}[s={s:g}] -> error: {exc}")
@@ -445,8 +424,6 @@ def _claim_needs_feedback(overrides=None) -> ClaimReport:
 
 
 def _claim_qss_reduction(overrides=None) -> ClaimReport:
-    from .analysis import qss_reduce
-
     rows = []
     failures = []
     cases = [(100.0, 100.0), (1000.0, 1000.0), (100.0, 1.0)]
@@ -458,14 +435,11 @@ def _claim_qss_reduction(overrides=None) -> ClaimReport:
         state0 = StateVector(("T", "D"), [T0, g_eff * T0])
         full = integrate_adaptive(model, params, state0, 0.0, 10.0, **_SOLVER)
         reduced_model, reduced_params = qss_reduce(model, params)
-        red = integrate_adaptive(
-            reduced_model, reduced_params, StateVector(("T",), [T0]), 0.0, 10.0,
-            **_SOLVER,
-        )
-        red_on_full = np.interp(full.times, red.times, red.component("T"))
+        red = sampled_dopri_run(reduced_model, reduced_params, StateVector(("T",), [T0]),
+                                full.times, **_SOLVER)
         T_full = full.component("T")
         t_range = float(T_full.max() - T_full.min())
-        gap = float(np.max(np.abs(T_full - red_on_full)))
+        gap = float(np.max(np.abs(T_full - red.component("T"))))
         rel = gap / t_range if t_range > 0 else float("inf")
         rows.append({
             "delta_D": params["delta_D"], "x": params["x"], "gamma_eff": g_eff,
@@ -577,8 +551,6 @@ def sweep(spec: SweepSpec) -> list[dict]:
     Rows are ordered by grid value; numerical failures are recorded in the
     row (``error`` key) rather than aborting the sweep.
     """
-    from .catalog import make_model
-
     rows = []
     for value in spec.grid:
         params = spec.base_params.with_updates(**{spec.sweep_param: value})
@@ -596,7 +568,7 @@ def sweep(spec: SweepSpec) -> list[dict]:
                     elif metric == "rate":
                         row[metric] = ss.relaxation_rate
                     elif metric == "t_eps":
-                        row[metric] = _time_to_epsilon(model, params, state0, EPSILON, ss)
+                        row[metric] = time_to_epsilon(model, params, state0, EPSILON, ss)
                     elif metric == "curvature":
                         horizon = 8.0 / ss.relaxation_rate
                         traj = integrate_adaptive(

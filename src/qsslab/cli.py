@@ -18,8 +18,8 @@ import numpy as np
 from . import catalog as cat
 from .analysis import classify_curvature, find_steady_state
 from .claims import CLAIMS, SweepSpec, collapse_window, mechanism_trajectory, run_claim, sweep
-from .core import ParameterSet, StateVector
-from .dsl import compile_model, default_initial_state, parse_model
+from .core import StateVector
+from .dsl import compile_model, default_initial_state, default_params, parse_model
 from .errors import NUMERICAL_ERRORS, ParseError, QsslabError, SemanticError, UsageError
 from .integrate import Trajectory, integrate_adaptive, integrate_fixed
 from .svg import render_plot
@@ -58,7 +58,8 @@ def _positive(text: str) -> float:
 
 
 def _load_model(spec: str):
-    """Resolve a --model argument: catalog name or .qssm path."""
+    """Resolve a --model argument, a catalog name or a .qssm path, to the
+    model, its default parameters and its default initial state."""
     if spec.endswith(".qssm"):
         try:
             with open(spec, encoding="utf-8") as fh:
@@ -66,25 +67,17 @@ def _load_model(spec: str):
         except OSError as exc:
             raise UsageError(f"cannot read model file {spec!r}: {exc}") from None
         defn = parse_model(text)
-        return compile_model(defn), default_initial_state(defn), None
+        return compile_model(defn), default_params(defn), default_initial_state(defn)
     names = cat.all_kind_names()
     if spec not in names:
         raise UsageError(
             f"unknown model {spec!r}; catalog: " + ", ".join(names)
             + " (or give a .qssm file path)"
         )
-    return cat.make_model(spec), cat.default_state(spec), spec
+    return cat.make_model(spec), cat.default_params(spec), cat.default_state(spec)
 
 
-def _assemble_params(model, kind, param_args):
-    given = _parse_kv(param_args, "--param")
-    if kind is not None:
-        params = cat.default_params(kind)
-        return params.with_updates(**given) if given else params
-    return ParameterSet(given)
-
-
-def _assemble_state(model, base_state, init_args):
+def _assemble_state(base_state, init_args):
     given = _parse_kv(init_args, "--init")
     values = dict(zip(base_state.names, base_state.values))
     for name, value in given.items():
@@ -148,9 +141,9 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    model, base_state, kind = _load_model(args.model)
-    params = _assemble_params(model, kind, args.param)
-    state0 = _assemble_state(model, base_state, args.init)
+    model, params, base_state = _load_model(args.model)
+    params = params.with_updates(**_parse_kv(args.param, "--param"))
+    state0 = _assemble_state(base_state, args.init)
     if args.dt is not None:
         traj = integrate_fixed(model, params, state0, args.t0, args.t_end, args.dt)
     else:
@@ -170,9 +163,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_steady(args) -> int:
-    model, base_state, kind = _load_model(args.model)
-    params = _assemble_params(model, kind, args.param)
-    guess = _assemble_state(model, base_state, args.guess)
+    model, params, base_state = _load_model(args.model)
+    params = params.with_updates(**_parse_kv(args.param, "--param"))
+    guess = _assemble_state(base_state, args.guess)
     report = find_steady_state(model, params, guess)
     _write_json(
         {
@@ -215,8 +208,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    model, base_state, kind = _load_model(args.model)
-    params = _assemble_params(model, kind, args.param)
+    model, params, base_state = _load_model(args.model)
+    params = params.with_updates(**_parse_kv(args.param, "--param"))
     name, _, values = args.sweep.partition("=")
     if not values:
         raise UsageError("--sweep expects name=v1,v2,...")
@@ -224,7 +217,7 @@ def _cmd_sweep(args) -> int:
         grid = tuple(float(v) for v in values.split(","))
     except ValueError:
         raise UsageError(f"--sweep values must be numbers, got {values!r}") from None
-    state0 = _assemble_state(model, base_state, args.init)
+    state0 = _assemble_state(base_state, args.init)
     metrics = tuple(m.strip() for m in args.metrics.split(","))
     spec = SweepSpec(
         model_kind=args.model, base_params=params, sweep_param=name.strip(),

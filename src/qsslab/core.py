@@ -135,7 +135,8 @@ class ParamSpec:
 
     @property
     def nonneg(self) -> bool:
-        return self.minimum is not None and self.minimum >= 0.0
+        """The bound ``>= 0``, spelled ``nonneg`` in a ``.qssm`` file."""
+        return self.minimum == 0.0 and not self.exclusive
 
     def check(self, value: float) -> str | None:
         """Return a violation message, or None if the value is admissible."""

@@ -29,7 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import ModelSystem, ParamSpec
+from .core import ModelSystem, ParameterSet, ParamSpec, StateVector
 from .errors import BindingError, EvaluationError, ParseError, SemanticError
 
 RESERVED_TIME = "t"
@@ -92,27 +92,6 @@ class StateDecl:
 
 
 @dataclass(frozen=True)
-class ParamDecl:
-    """A parameter with its default (None: required) and lower bound.
-
-    ``minimum``/``exclusive`` hold the bound (``> minimum`` when exclusive);
-    ``nonneg`` is the bound ``>= 0`` and is kept in step with them, so that
-    both spellings give equal declarations.
-    """
-
-    name: str
-    default: float | None
-    nonneg: bool = False
-    minimum: float | None = None
-    exclusive: bool = False
-
-    def __post_init__(self):
-        if self.nonneg and self.minimum is None:
-            object.__setattr__(self, "minimum", 0.0)
-        object.__setattr__(self, "nonneg", self.minimum == 0.0 and not self.exclusive)
-
-
-@dataclass(frozen=True)
 class ModelDefinition:
     """A parsed model; ``equations`` (state name -> Expr) is read-only, so
     that the definition ``parse_model`` shares between equal sources cannot
@@ -120,7 +99,7 @@ class ModelDefinition:
 
     name: str
     states: tuple[StateDecl, ...]
-    params: tuple[ParamDecl, ...]
+    params: tuple[ParamSpec, ...]  # the compiled model's schema
     equations: MappingProxyType
     slow: tuple[str, ...] = ()  # designated slow rates, in order
 
@@ -292,7 +271,7 @@ def parse_model(source: str) -> ModelDefinition:
     """
     names_seen: list[str] = []
     states: list[StateDecl] = []
-    params: list[ParamDecl] = []
+    params: list[ParamSpec] = []
     equations: dict[str, Expr] = {}
     slow: list[str] = []
     semantic: list[str] = []
@@ -415,7 +394,7 @@ def _parse_statement(parser: _Parser, names_seen, states, params, equations, slo
         elif parser.at_op(">", ">="):
             exclusive = parser.advance().text == ">"
             minimum = _parse_signed_number(parser)
-        params.append(ParamDecl(name_tok.text, default, minimum=minimum, exclusive=exclusive))
+        params.append(ParamSpec(name_tok.text, minimum, exclusive, default))
         return
     if head == "slow":
         parser.advance()
@@ -760,14 +739,13 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
         raise SemanticError(sorted(problems)) from None
     rhs = _rhs_function(source)
 
-    schema = tuple(ParamSpec(p.name, p.minimum, p.exclusive, p.default) for p in defn.params)
     equation = " ; ".join(
         f"d{name}/dt = {format_expr(defn.equations[name])}" for name in state_names
     )
     return ModelSystem(
         name=defn.name,
         state_names=state_names,
-        param_schema=schema,
+        param_schema=defn.params,
         rhs=rhs,
         time_dependent=time_dependent,
         equation=equation,
@@ -776,8 +754,11 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
     )
 
 
-def default_initial_state(defn: ModelDefinition):
-    from .core import StateVector
+def default_params(defn: ModelDefinition) -> ParameterSet:
+    """The parameters that ``defn`` declares with a default, at it."""
+    return ParameterSet({p.name: p.default for p in defn.params if p.default is not None})
 
-    return StateVector(tuple(s.name for s in defn.states),
-                       [s.initial for s in defn.states])
+
+def default_initial_state(defn: ModelDefinition) -> StateVector:
+    """The initial values that ``defn`` declares for its states."""
+    return StateVector(tuple(s.name for s in defn.states), [s.initial for s in defn.states])

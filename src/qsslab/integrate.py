@@ -7,20 +7,19 @@ are lists, and a step makes no numpy call at all besides those a
 hand-built rhs makes.
 
 Both explicit integrators return a ``Trajectory`` of accepted points.
-Between the points of a Dormand-Prince step, ``dense_output`` evaluates the
-method's free 4th-order continuous extension from the step's stages; the
-stepping kernel ``_dopri_steps`` yields them one accepted step at a time,
-so a caller can stop at an event (``time_to_epsilon`` does).
-``classify_curvature`` still interpolates linearly between accepted points.
-
-``_radau_steps`` is the implicit kernel, a generator over accepted steps
-like ``_dopri_steps``; between its points ``collocation_output`` evaluates
-the step's collocation polynomial, which also predicts the next step's
-stages.  Its Newton iteration runs on the inverse of one real 3n x 3n
-matrix, so an iteration is one matrix-vector product.  The slow-feedback
-mechanisms, whose explicit steps are pinned at the stability limit, run
-on it: the claims store each mechanism run as that polynomial sampled at
-4,097 uniform times, in one pass after the last step
+The two adaptive kernels, ``_dopri_steps`` and ``_radau_steps``, are
+generators over accepted steps, and between a step's points only its own
+interpolant is evaluated: the free 4th-order continuous extension for
+Dormand-Prince (``dense_output``), the collocation polynomial for Radau
+(``collocation_output``, which also predicts the next step's stages).
+No other module reads a step: ``sampled_dopri_run`` and
+``sampled_radau_run`` keep a run's steps and evaluate them at given
+times in one pass after the last step, and ``first_crossing`` stops the
+Dormand-Prince run at an event and bisects it on the step's extension
+(``analysis.time_to_epsilon``).  The Radau Newton iteration runs on the
+inverse of one real 3n x 3n matrix, so an iteration is one
+matrix-vector product; the slow-feedback mechanisms, whose explicit
+steps are pinned at the stability limit, run on it
 (``claims.mechanism_trajectory``).
 """
 from __future__ import annotations
@@ -335,9 +334,10 @@ def dense_output(Y, y, h: float, theta: float):
 
     ``Y = [y_prev; k1 ... k7]`` and ``y`` are the stages ``K`` and the state
     that ``_dopri_steps`` yields for the step, either as arrays
-    (``np.array(K)``) or, for one component, as floats (``[row[j] for row
-    in K]`` with ``y[j]``).  theta = 0 gives ``y_prev`` and theta = 1 gives
-    ``y``, each up to one rounding of ``y - y_prev``.
+    (``np.array(K)``, or several steps side by side as columns, with ``h``
+    and ``theta`` one per column) or, for one component, as floats
+    (``[row[j] for row in K]`` with ``y[j]``).  theta = 0 gives ``y_prev``
+    and theta = 1 gives ``y``, each up to one rounding of ``y - y_prev``.
     """
     y_prev = Y[0]
     dy = y - y_prev
@@ -609,3 +609,75 @@ def integrate_adaptive(model: ModelSystem, params: ParameterSet, state0: StateVe
         {"scheme": "dopri54", "rtol": rtol, "atol": atol,
          "accepted": len(times) - 1, **counts},
     )
+
+
+@np.errstate(all="ignore")  # the kernel's trial steps run under this error state
+def _sampled_run(kernel, evaluate, scheme, model: ModelSystem, params: ParameterSet,
+                 state0: StateVector, times, rtol: float, atol: float) -> Trajectory:
+    """The run of ``kernel`` stored at ``times``: after its last step,
+    ``evaluate(out, ys, records, step, h, theta)`` fills a row of ``out``
+    per later time from the kept steps' new states and records, by the
+    first step that ends at or after it: its index, size h and theta."""
+    times = np.asarray(times, dtype=float)
+    starts, ends, sizes, ys, records, counts = zip(*kernel(
+        model, params, state0, float(times[0]), float(times[-1]), rtol, atol))
+    step = np.searchsorted(ends, times[1:])
+    h = np.take(sizes, step)
+    states = np.empty((times.size, model.dimension))
+    states[0] = state0.values
+    evaluate(states[1:], ys, records, step, h, (times[1:] - np.take(starts, step)) / h)
+    return Trajectory(times, states, model.state_names, {
+        "scheme": scheme, "rtol": rtol, "atol": atol, "accepted": len(ends), **counts[-1]})
+
+
+def sampled_dopri_run(model: ModelSystem, params: ParameterSet, state0: StateVector,
+                      times, rtol: float, atol: float) -> Trajectory:
+    """``integrate_adaptive``'s run stored at the strictly increasing
+    ``times``: each time after the first is the continuous extension
+    (``dense_output``) of its step, each (time, component) one column."""
+
+    def contd5(out, ys, stages, step, h, theta):
+        m, n = out.shape
+        Y = np.array(stages).transpose(1, 0, 2)[:, step].reshape(8, m * n)
+        out[:] = dense_output(Y, np.array(ys)[step].ravel(), np.repeat(h, n),
+                              np.repeat(theta, n)).reshape(m, n)
+    return _sampled_run(_dopri_steps, contd5, "dopri54", model, params, state0, times,
+                        rtol, atol)
+
+
+def sampled_radau_run(model: ModelSystem, params: ParameterSet, state0: StateVector,
+                      times, rtol: float, atol: float) -> Trajectory:
+    """The Radau IIA(5) run stored at the strictly increasing ``times``:
+    each time after the first is the collocation polynomial
+    (``collocation_output``) of its step, by Horner's scheme in place."""
+
+    def horner(out, ys, polys, step, h, theta):
+        coef, theta = np.array(polys), theta[:, None]  # (steps, 4, n)
+        out[:] = coef[step, 3]
+        for row in (2, 1, 0):
+            out *= theta
+            out += coef[step, row]
+    return _sampled_run(_radau_steps, horner, "radau5", model, params, state0, times,
+                        rtol, atol)
+
+
+@np.errstate(all="ignore")  # the kernel's trial steps run under this error state
+def first_crossing(model: ModelSystem, params: ParameterSet, state0: StateVector,
+                   t_end: float, reached, rtol: float, atol: float) -> float | None:
+    """The first time in (0, t_end] at which ``reached(T)`` holds for the
+    first component T of the Dormand-Prince run from ``state0``, or None:
+    stepping stops at the first accepted state that reaches it, and the
+    crossing is bisected on that step's ``dense_output`` to float resolution."""
+    for t_prev, t, h, y, K, _ in _dopri_steps(model, params, state0, 0.0, t_end, rtol, atol):
+        if reached(y[0]):
+            break
+    else:
+        return None
+    stages, y_end = [row[0] for row in K], y[0]
+    lo, hi = t_prev, t
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if reached(dense_output(stages, y_end, h, (mid - t_prev) / h)):
+            hi = mid
+        else:
+            lo = mid
+    return hi

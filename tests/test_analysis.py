@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -527,3 +528,93 @@ class TestClassifyCurvatureRange:
             verdict = classify_curvature(Trajectory(times, values, ("T",), {}), "T")
         assert verdict.curvature_class == "flat"
         assert verdict.evidence["total_variation"] == 1.5e308 - np.nextafter(1.5e308, 0)
+
+
+class TestCurvatureOnTheRunsOwnPoints:
+    def test_dormand_prince_run_has_no_zero_differences(self):
+        # every interior point of a decreasing DP5 run is one second
+        # difference, and an exponential approach bends at each of them
+        traj = integrate_adaptive(make_base_model("linear-destruction"),
+                                  ParameterSet(a=1, y=1, gamma=1), StateVector(("T",), [1.0]),
+                                  0.0, 4.0)
+        verdict = classify_curvature(traj, "T")
+        assert verdict.curvature_class == "decelerating-decline"
+        assert verdict.evidence["zero_fraction"] == 0.0
+        assert verdict.evidence["points"] == len(traj) - 2
+        assert verdict.window == (0.0, 4.0)
+
+    @pytest.mark.parametrize("fn", [
+        lambda t: 0.5 + math.exp(-t),  # decelerating
+        lambda t: 2.0 - 0.01 * math.exp(t),  # accelerating
+        lambda t: 1.0 - t + 0.05 * math.sin(9 * t),  # mixed
+        lambda t: 1.0 - 0.25 * t,  # linear: differences at rounding level
+    ])
+    def test_uniform_grid_census_is_the_value_second_differences(self, fn):
+        times = np.arange(65) * 0.0625  # exact spacing
+        traj = sampled_trajectory(fn, times)
+        values = traj.component("T")
+        d2 = np.diff(values, 2)
+        zero_tol = 1e-12 * np.abs(values).max()
+        pos, neg = int(np.sum(d2 > zero_tol)), int(np.sum(d2 < -zero_tol))
+        evidence = classify_curvature(traj, "T").evidence
+        assert evidence["points"] == d2.size
+        assert evidence["positive_fraction"] == pos / max(pos + neg, 1)
+        assert evidence["negative_fraction"] == neg / max(pos + neg, 1)
+        assert evidence["zero_fraction"] == (d2.size - pos - neg) / d2.size
+
+    def test_decreasing_run_is_the_longest_in_time(self):
+        # a rise over [0, 1] on 40 points, then a fall over [1, 4] on 10:
+        # the fall covers more time with fewer points
+        times = np.concatenate((np.linspace(0.0, 1.0, 40), np.linspace(1.0, 4.0, 11)[1:]))
+        traj = sampled_trajectory(lambda t: t if t <= 1.0 else math.exp(1.0 - t), times)
+        verdict = classify_curvature(traj, "T")
+        assert verdict.curvature_class == "decelerating-decline"
+        assert verdict.window == (1.0, 4.0)
+        assert verdict.evidence["points"] == 9
+
+    def test_half_the_window_is_measured_in_time(self):
+        # falls on 30 of 40 points, but over only a third of the time
+        times = np.concatenate((np.linspace(0.0, 1.0, 30), np.linspace(1.0, 3.0, 11)[1:]))
+        traj = sampled_trajectory(lambda t: 2.0 - t if t <= 1.0 else t, times)
+        verdict = classify_curvature(traj, "T")
+        assert verdict.curvature_class == "non-monotonic"
+        assert verdict.evidence["longest_decreasing_fraction"] == pytest.approx(1 / 3)
+
+    def test_decline_below_the_runs_atol_is_flat(self):
+        # power destruction with a = 0 settles at T* ~ 1e-147, where the run
+        # resolves nothing; a CSV of the same points keeps the relative rule
+        model, params = make_base_model("power-destruction"), ParameterSet(a=0, y=1, gamma=1, n=2)
+        traj = integrate_adaptive(model, params, StateVector(("T",), [1e-146]), 0.0, 8.0)
+        assert len(traj) < 8 and traj.solver_info["atol"] == 1e-12
+        verdict = classify_curvature(traj, "T")
+        assert verdict.curvature_class == "flat"
+        csv = Trajectory(traj.times, traj.states, ("T",), {"scheme": "csv"})
+        with pytest.raises(InsufficientDataError):
+            classify_curvature(csv, "T")
+
+    def test_times_near_the_float_limit_classify_like_unit_times(self):
+        scale = 2.0 ** 1023
+        # at 2^1023 the span of the times, 2^1024, is beyond the float range
+        times = np.linspace(-1, 1, 64)
+        unit = sampled_trajectory(lambda t: 0.5 + math.exp(-2 * t), times)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = classify_curvature(Trajectory(times * scale, unit.states, ("T",), {}), "T")
+        expected = classify_curvature(unit, "T")
+        assert verdict.curvature_class == expected.curvature_class
+        assert verdict.evidence == expected.evidence
+
+
+class TestOneTimeToEpsilon:
+    def test_no_tolerance_parameters(self):
+        assert list(inspect.signature(time_to_epsilon).parameters) == [
+            "model", "params", "state0", "epsilon", "report"]
+
+    def test_given_report_is_the_one_found(self):
+        model, params = make_base_model("power-destruction"), ParameterSet(a=1, y=1, gamma=1, n=2)
+        state0 = StateVector(("T",), [2.0])
+        report = find_steady_state(model, params, state0)
+        assert time_to_epsilon(model, params, state0, 0.01, report) == time_to_epsilon(
+            model, params, state0, 0.01)
+        with pytest.raises(ValidationError, match="epsilon"):
+            time_to_epsilon(model, params, state0, 1.0, report)

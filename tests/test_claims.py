@@ -158,12 +158,16 @@ class TestClaims:
 
     def test_ordering_claim_records_points_that_fail_numerically(self):
         # a = 0 leaves dT/dt = -gamma*T^2, whose root 0 is not hyperbolic, on
-        # the logistic-gamma-raised baseline and at s = 1 on logistic-y-lowered
+        # the logistic-gamma-raised baseline and at s = 1 on logistic-y-lowered;
+        # the linear and power legs rest at the root 0 and have nothing to order
         report = run_claim("destruction-lowers-and-hastens", {"a": 0.0})
         assert report.verdict == "fail"
         errors = [row for row in report.grid if "error" in row]
         assert [(row["leg"], row["strength"]) for row in errors] == [
+            ("linear", 0.0), ("power-n2", 0.0), ("power-n3", 0.0),
             ("logistic-gamma-raised", 0.0), ("logistic-y-lowered", 1.0)]
+        assert all("nothing to order" in row["error"] for row in errors[:3])
+        errors = errors[3:]
         assert all("is not hyperbolic" in row["error"] for row in errors)
         assert errors[0]["error"].startswith("baseline: ")
         assert "logistic-gamma-raised: baseline -> error:" in report.narrative
@@ -206,6 +210,39 @@ class TestClaims:
     def test_falsified_qss_configuration_fails(self):
         report = run_claim("qss-reduction-valid", {"delta_D": 2.0})
         assert report.verdict == "fail"
+
+    def test_qss_gap_is_measured_on_the_reduced_runs_extension(self):
+        # at the full run's times the reduced run is its own continuous
+        # extension; linear interpolation between its points read 1.28e-3
+        row = run_claim("qss-reduction-valid").grid[2]
+        assert (row["delta_D"], row["x"]) == (100.0, 1.0)
+        assert row["relative_gap"] < 1e-4
+
+    def test_decline_below_atol_is_flat(self):
+        # a = 0: these four points settle at T* ~ 1e-147 to 1e-143, so the
+        # whole decline lies below the run's atol
+        report = run_claim("destruction-only-decelerates", {"a": 0.0})
+        rows = {row["point"]: row for row in report.grid}
+        assert not any("need at least 8 points" in row.get("error", "") for row in report.grid)
+        for point in ("power-n2[s=0.25]", "power-n2[s=1]",
+                      "logistic-y-lowered[s=2]", "logistic-y-lowered[s=4]"):
+            assert rows[point]["class"] == "flat"
+            assert 0.0 < rows[point]["T_star"] < 1e-140
+        assert sum(row.get("class") == "flat" for row in report.grid) == 20
+        assert sum("error" in row for row in report.grid) == 7  # roots that are not hyperbolic
+
+    @pytest.mark.parametrize("a,t_star", [(0.0, "0"), (1e-160, "1e-160")])
+    def test_leg_resting_at_zero_has_nothing_to_order(self, a, t_star):
+        report = run_claim("destruction-lowers-and-hastens", {"a": a})
+        assert report.verdict == "fail"
+        message = (f"baseline: steady state is 0 (T* = {t_star}, within atol), so T0 = 0 "
+                   "and there is nothing to order")
+        legs = ("linear", "power-n2", "power-n3") if a == 0.0 else ("linear",)
+        for leg in legs:
+            assert [row for row in report.grid if row["leg"] == leg] == [
+                {"leg": leg, "strength": 0.0, "error": message}]
+            assert f"{leg}: baseline -> error: steady state is 0" in report.narrative
+            assert f"{leg}: T* not strictly decreasing" not in report.narrative
 
 
 class TestCollapseWindow:

@@ -109,6 +109,14 @@ def test_ordering_claim_records_failing_points(capsys):
     assert "logistic-gamma-raised: baseline -> error:" in capsys.readouterr().err
 
 
+def test_ordering_claim_names_legs_with_nothing_to_order(capsys):
+    assert run_cli(["check", "destruction-lowers-and-hastens", "--override", "a=0"]) == 1
+    err = capsys.readouterr().err
+    for leg in ("linear", "power-n2", "power-n3"):
+        assert f"{leg}: baseline -> error: steady state is 0" in err
+    assert err.count("nothing to order") == 3 and "not strictly decreasing" not in err
+
+
 def test_sweep_csv(outdir):
     out = outdir / "sweep.csv"
     code = run_cli([

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qsslab import (
     ParameterSet,
+    ParamSpec,
     StateVector,
     all_kind_names,
     compile_model,
@@ -19,13 +20,13 @@ from qsslab import (
     make_model,
     parse_model,
 )
+from qsslab import dsl
 from qsslab.dsl import (
     BinOp,
     Call,
     ModelDefinition,
     Neg,
     Num,
-    ParamDecl,
     SourceLocation,
     StateDecl,
     Var,
@@ -171,7 +172,8 @@ class TestParseModel:
         assert bounds == {"a": (0.0, False, True), "b": (0.0, False, True),
                           "y": (0.0, True, False), "n": (1.0, True, False),
                           "s": (-2.5, False, False), "z": (None, False, False)}
-        assert defn.params[0] == ParamDecl("a", 1.0, True) == ParamDecl("a", 1.0, False, 0.0)
+        assert defn.params[0] == ParamSpec("a", 0.0, False, 1.0) == parse_model(
+            "state T = 1\nparam a = 1 >= 0\ndT/dt = 0\n").params[0]
         schema = {spec.name: spec for spec in compile_model(defn).param_schema}
         assert schema["n"].check(1.0) == "n must be > 1, got 1"
         assert schema["s"].check(-2.5) is None and schema["z"].minimum is None
@@ -261,6 +263,16 @@ class TestCompile:
         traj = integrate_adaptive(model, params, StateVector(("T",), [10.0]), 0.0, 5.0)
         expected = linear_destruction_solution(10, 1, 1, 10.0, 5.0)
         assert traj.component("T")[-1] == pytest.approx(expected, abs=1e-6)
+
+    def test_the_parsed_declarations_are_the_schema(self):
+        defn = parse_model("state T = 1\nparam a = 1 nonneg\nparam y = 2 > 0\n"
+                           "param n = 3 >= 1\nparam z\ndT/dt = a - y*T + z\n")
+        assert compile_model(defn).param_schema is defn.params
+        # nonneg is the bound >= 0 alone, the one format_model spells so
+        assert [p.nonneg for p in defn.params] == [True, False, False, False]
+        assert format_model(defn).splitlines()[2:6] == [
+            "param a = 1.0 nonneg", "param y = 2.0 > 0.0", "param n = 3.0 >= 1.0", "param z"]
+        assert dsl.default_params(defn) == ParameterSet(a=1, y=2, n=3)
 
     def test_nonneg_flag_enters_schema(self):
         defn = parse_model("state T = 1\nparam a = 1 nonneg\nparam z\ndT/dt = a*z - T\n")
@@ -364,7 +376,7 @@ def _outcome(evaluate):
 def _parity_model(exprs):
     defn = ModelDefinition(
         "parity", (StateDecl("T", 1.0), StateDecl("V", 1.0)),
-        tuple(ParamDecl(p, None, False) for p in _PARITY_PARAMS),
+        tuple(ParamSpec(p, None) for p in _PARITY_PARAMS),
         {"T": exprs[0], "V": exprs[1]},
     )
     return compile_model(defn)

@@ -26,7 +26,7 @@ from qsslab.catalog import (
     default_horizon,
     make_mechanism_model,
 )
-from qsslab.claims import _sampled_radau_run, mechanism_trajectory
+from qsslab.claims import MECHANISM_SAMPLES, mechanism_trajectory
 from qsslab.cli import run_cli
 from qsslab.core import ModelSystem, ParamSpec
 from qsslab.dsl import Call, Neg, Num, SourceLocation, Var, compile_model, parse_model
@@ -37,7 +37,14 @@ from qsslab.errors import (
     StiffnessError,
     ValidationError,
 )
-from qsslab.integrate import Trajectory, _dopri_steps, _radau_steps, dense_output
+from qsslab.integrate import (
+    Trajectory,
+    _dopri_steps,
+    _radau_steps,
+    dense_output,
+    sampled_dopri_run,
+    sampled_radau_run,
+)
 from test_dsl import read_model_text
 
 
@@ -277,6 +284,42 @@ class TestDenseOutput:
             assert column == pytest.approx(dense_output(Y, y, h, 0.3)[j], rel=1e-15)
 
 
+class TestSampledDopriRun:
+    MODEL, PARAMS = "coupled-agent", ParameterSet(a=1, y=1, x=1, delta_D=1)
+    STATE0 = StateVector(("T", "D"), [2.0, 1.0])
+
+    def run(self, times):
+        return sampled_dopri_run(make_base_model(self.MODEL), self.PARAMS, self.STATE0,
+                                 times, 1e-8, 1e-12)
+
+    def test_each_time_is_the_extension_of_its_step(self):
+        # every time after 0 is dense_output of the first step that ends at
+        # or after it, the step stages of many steps evaluated side by side
+        traj = self.run(np.linspace(0.0, 5.0, 301))
+        with np.errstate(all="ignore"):
+            steps = [(t_prev, t, h, np.array(y), np.array(K)) for t_prev, t, h, y, K, _ in
+                     _dopri_steps(make_base_model(self.MODEL), self.PARAMS, self.STATE0,
+                                  0.0, 5.0, 1e-8, 1e-12)]
+        assert traj.solver_info["accepted"] == len(steps)
+        assert traj.solver_info["scheme"] == "dopri54"
+        assert np.array_equal(traj.states[0], self.STATE0.values)
+        i = 0
+        for tau, state in zip(traj.times[1:], traj.states[1:]):
+            while steps[i][1] < tau:
+                i += 1
+            t_prev, _, h, y, Y = steps[i]
+            np.testing.assert_allclose(state, dense_output(Y, y, h, (tau - t_prev) / h),
+                                       rtol=1e-15, atol=0)
+        assert i == len(steps) - 1
+
+    def test_at_the_accepted_times_it_is_the_adaptive_run(self):
+        full = integrate_adaptive(make_base_model(self.MODEL), self.PARAMS, self.STATE0,
+                                  0.0, 5.0)
+        traj = self.run(full.times)
+        assert {k: traj.solver_info[k] for k in full.solver_info} == full.solver_info
+        np.testing.assert_allclose(traj.states, full.states, rtol=1e-15, atol=1e-16)
+
+
 class TestStepBudget:
     def test_adaptive_budget_counts_every_trial(self):
         # this run takes 33 trials, the last landing on t_end
@@ -365,7 +408,8 @@ class TestMechanismKernel:
         # t_end, which is also the last step's end
         kind, t_end = "cytokine-inversion", 40.0
         model, params, state0 = make_mechanism_model(kind), default_params(kind), default_state(kind)
-        traj = _sampled_radau_run(model, params, state0, t_end)
+        traj = sampled_radau_run(model, params, state0,
+                                 np.linspace(0.0, t_end, MECHANISM_SAMPLES), 1e-8, 1e-12)
         with np.errstate(all="ignore"):
             steps = [(t_prev, t, h, Y) for t_prev, t, h, _, Y, _ in
                      _radau_steps(model, params, state0, 0.0, t_end, 1e-8, 1e-12)]
