@@ -1,6 +1,10 @@
 """Steady states, approach times (stepped in ``integrate``), curvature on a
 trajectory's own points, and the fast-agent quasi-steady-state reduction.
 
+Newton, its polish and the relaxation rate of a steady state take the
+model's generated Jacobian (``ModelSystem.jacobian``), and finite
+differences only for a model without one.
+
 Curvature naming: a decreasing trajectory whose decline keeps slowing has a
 positive second derivative (mathematically convex); one whose decline keeps
 steepening has a negative second derivative.  The classes are named by
@@ -25,7 +29,7 @@ from .errors import (
     UnsupportedKindError,
     ValidationError,
 )
-from .integrate import Trajectory, _fd_jacobian, first_crossing
+from .integrate import Trajectory, array_jacobian, first_crossing
 
 _RESIDUAL_LIMIT = 1e-9
 _T_EPS_RTOL, _T_EPS_ATOL = 1e-10, 1e-13  # Dormand-Prince tolerances of time_to_epsilon
@@ -80,7 +84,10 @@ def _bisection_1d(g, lo, hi):
     """A root at which g falls through zero, from g(lo) >= 0 to g(hi) < 0:
     a stable fixed point of dT/dt = g(T).  While g(hi) >= 0, lo moves up to
     hi and hi doubles (at most 60 times), so an unstable root at lo is
-    skipped.  None when no such bracket is found."""
+    skipped.  None when no such bracket is found.  The bisection keeps lo
+    where g > 0 only: a g(mid) of 0 may have underflowed (-T^2 at T below
+    1e-162), so it moves hi, and a root at lo = 0 is found as 0.  A g(hi)
+    of 0 above a g(lo) > 0 is a root hit exactly, and is returned."""
     glo = g(lo)
     for _ in range(60):
         ghi = g(hi)
@@ -90,11 +97,12 @@ def _bisection_1d(g, lo, hi):
     if not glo >= 0 > ghi:
         return None
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if g(mid) >= 0:
-            lo = mid
+        gmid = g(mid)
+        if gmid > 0:
+            lo, glo = mid, gmid
         else:
-            hi = mid
-    return lo
+            hi, ghi = mid, gmid
+    return hi if ghi == 0 < glo else lo
 
 
 def _rate(J) -> float:
@@ -102,9 +110,9 @@ def _rate(J) -> float:
     return float(-np.linalg.eigvals(J).real.max())
 
 
-def _report(f, names, x, residual, method):
-    """The ``SteadyStateReport`` of ``x``, linearised there if it is a
-    nonnegative root.
+def _report(f, jacobian, names, x, residual, method):
+    """The ``SteadyStateReport`` of ``x``, linearised there (``jacobian``,
+    of the state) if it is a nonnegative root.
 
     A positive rate is linearised again one Newton step on.  A simple root
     keeps its rate there; at a multiple root, which Newton approaches only
@@ -112,12 +120,12 @@ def _report(f, names, x, residual, method):
     quarter is 0 to within the root's error and is reported as 0."""
     rate = math.nan
     if residual <= _RESIDUAL_LIMIT and x.min() >= 0:
-        J = _fd_jacobian(f, x)
+        J = jacobian(x)
         if np.isfinite(J).all():
             rate = _rate(J)
             if rate > 0:
                 try:
-                    rate_next = _rate(_fd_jacobian(f, x - np.linalg.solve(J, f(x))))
+                    rate_next = _rate(jacobian(x - np.linalg.solve(J, f(x))))
                 except (np.linalg.LinAlgError, EvaluationError):
                     rate_next = rate  # no step to take: nothing tells against the rate
                 if abs(rate_next - rate) > 0.25 * rate:
@@ -125,7 +133,7 @@ def _report(f, names, x, residual, method):
     return SteadyStateReport(StateVector(names, x), residual, method, rate)
 
 
-def _polish(f, x, fx, res, limit):
+def _polish(f, jacobian, x, fx, res, limit):
     """Full Newton steps from ``x``, a root by the residual test (``fx`` and
     its max-norm ``res`` there, at most ``limit``), until a step moves no
     component by more than 4 ulps, at most ``_POLISH_STEPS`` of them.  The
@@ -135,7 +143,7 @@ def _polish(f, x, fx, res, limit):
     returns the last root and its residual."""
     for _ in range(_POLISH_STEPS):
         try:
-            step = np.linalg.solve(_fd_jacobian(f, x), -fx)
+            step = np.linalg.solve(jacobian(x), -fx)
             x_new = x + step
             f_new = f(x_new)
         except (np.linalg.LinAlgError, EvaluationError):
@@ -151,8 +159,10 @@ def _polish(f, x, fx, res, limit):
 
 def find_steady_state(model: ModelSystem, params: ParameterSet,
                       guess: StateVector) -> SteadyStateReport:
-    """Damped Newton on the right-hand side, with the finite-difference
-    Jacobian of ``integrate._fd_jacobian``.  A damping trial at which the rhs raises
+    """Damped Newton on the right-hand side, with the Jacobian of
+    ``integrate.array_jacobian``: the model's generated one, or finite
+    differences for a model without one; the same Jacobian gives the
+    relaxation rate.  A damping trial at which the rhs raises
     ``EvaluationError`` counts as one whose residual did not decrease, as a
     non-finite residual does.  Once the max-norm residual is at most
     1e-13 * max(1, max|x|), full Newton steps polish the root until a step
@@ -174,8 +184,11 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
         raise ValidationError(
             [f"guess components {guess.names} do not match model states {model.state_names}"]
         )
-    rhs = model.bind(model.resolve_params(params))
+    p = model.resolve_params(params)
+    rhs = model.bind(p)
     f = lambda x: np.array(rhs(0.0, x.tolist()))
+    jac = array_jacobian(model, p, lambda t, x: f(x))
+    jacobian = lambda x: jac(0.0, x)
 
     x = np.array(guess.values, dtype=float)
     best, best_res = x, math.nan
@@ -186,9 +199,9 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
             best, best_res = x.copy(), res
         limit = 1e-13 * max(1.0, float(np.max(np.abs(x))))
         if res <= limit:
-            best, best_res = _polish(f, x, fx, res, limit)
+            best, best_res = _polish(f, jacobian, x, fx, res, limit)
             break
-        J = _fd_jacobian(f, x)
+        J = jacobian(x)
         try:
             step = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError:
@@ -206,7 +219,7 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
         x = x + lam * step
 
     try:
-        return _report(f, model.state_names, best, best_res, "newton")
+        return _report(f, jacobian, model.state_names, best, best_res, "newton")
     except NoConvergenceError:
         if model.dimension != 1:
             raise
@@ -215,7 +228,7 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
         if root is None:
             raise
     x = np.array([root])
-    return _report(f, model.state_names, x, float(abs(f(x)[0])), "bisection")
+    return _report(f, jacobian, model.state_names, x, float(abs(f(x)[0])), "bisection")
 
 
 def time_to_epsilon(model: ModelSystem, params: ParameterSet, state0: StateVector,

@@ -55,10 +55,10 @@ import functools
 from enum import Enum
 from importlib import resources
 
-from .core import ModelSystem, ParameterSet, StateVector, validate
+from .core import ModelSystem, ParameterSet, StateVector, check_params
 from . import dsl
 from .dsl import ModelDefinition, compile_model, parse_model
-from .errors import ParameterError, UsageError
+from .errors import UsageError
 
 
 class BaseModelKind(str, Enum):
@@ -132,13 +132,7 @@ def _model(kind: BaseModelKind | MechanismKind) -> ModelSystem:
 
 def _build(kind: BaseModelKind | MechanismKind, params: ParameterSet | None) -> ModelSystem:
     model = _model(kind)
-    if params is not None:
-        violations = validate(model, params)
-        if violations:
-            raise ParameterError(
-                f"invalid parameters for {kind.value}: " + "; ".join(violations)
-            )
-    return model
+    return model if params is None else check_params(model, params)
 
 
 def make_base_model(kind: str | BaseModelKind, params: ParameterSet | None = None) -> ModelSystem:

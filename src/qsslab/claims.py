@@ -67,7 +67,7 @@ from .catalog import (
     make_model,
 )
 from .closedform import power_approx_steady, steady_state_formula
-from .core import ModelSystem, ParameterSet, StateVector
+from .core import ModelSystem, ParameterSet, StateVector, check_params
 from .errors import (
     NUMERICAL_ERRORS,
     InsufficientDataError,
@@ -84,7 +84,9 @@ _SOLVER = {"rtol": 1e-8, "atol": 1e-12}
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-parameter sweep request for the ``sweep`` operation."""
+    """One-parameter sweep request for the ``sweep`` operation.  The swept
+    model is ``model`` when given (a compiled ``.qssm`` file; ``model_kind``
+    then only labels it), else the catalog kind ``model_kind``."""
 
     model_kind: str
     base_params: ParameterSet
@@ -92,6 +94,7 @@ class SweepSpec:
     grid: tuple[float, ...]
     initial_state: StateVector | None = None
     metrics: tuple[str, ...] = ("T*", "t_eps")
+    model: ModelSystem | None = None
 
     def __post_init__(self):
         grid = tuple(float(v) for v in self.grid)
@@ -556,7 +559,10 @@ def sweep(spec: SweepSpec) -> list[dict]:
         params = spec.base_params.with_updates(**{spec.sweep_param: value})
         row: dict = {spec.sweep_param: value}
         try:
-            model = make_model(spec.model_kind, params)
+            if spec.model is None:
+                model = make_model(spec.model_kind, params)
+            else:
+                model = check_params(spec.model, params)
             state0 = spec.initial_state or default_state(spec.model_kind)
             ss = None
             for metric in spec.metrics:

@@ -221,7 +221,7 @@ def _cmd_sweep(args) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(","))
     spec = SweepSpec(
         model_kind=args.model, base_params=params, sweep_param=name.strip(),
-        grid=grid, initial_state=state0, metrics=metrics,
+        grid=grid, initial_state=state0, metrics=metrics, model=model,
     )
     rows = sweep(spec)
     columns = [spec.sweep_param] + [m for m in metrics]

@@ -152,6 +152,7 @@ class ParamSpec:
 
 RhsFunction = Callable[[float, np.ndarray, Mapping[str, float]], np.ndarray]
 BoundRhs = Callable[[float, list], list]
+BoundJacobian = Callable[[float, list], list]  # (t, values) -> rows of df_i/dy_j
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,16 @@ class ModelSystem:
     evaluate the system through ``bind(params)`` instead, which fixes the
     parameters once per run.  ``equation`` is a human-readable rendering of
     the system used by the CLI catalog listing.
+
+    ``jacobian(params)``, where present, returns the bound Jacobian
+    ``jac(t, values)``: the rows df_i/dy_j at the resolved ``params``, as
+    lists of floats.  A compiled model carries one generated from its
+    syntax tree; a model without one (a hand-built model) is differenced
+    by the solvers instead (``integrate._fd_jacobian``).  ``jacobian`` must
+    be the derivative of ``rhs``.  It does not take part in comparisons,
+    and ``dataclasses.replace(model, rhs=...)`` keeps it: that is right for
+    a wrapper that calls the same rhs (a counter, a tracer), and wrong for
+    a different function, which needs ``jacobian=None`` beside it.
     """
 
     name: str
@@ -175,6 +186,9 @@ class ModelSystem:
     slow_rate_params: tuple[str, ...] = ()
     param_resolver: Callable[[Mapping[str, float]], dict[str, float]] | None = field(
         default=None, repr=False
+    )
+    jacobian: Callable[[Mapping[str, float]], BoundJacobian] | None = field(
+        default=None, repr=False, compare=False
     )
 
     @property
@@ -276,3 +290,12 @@ def validate(model: ModelSystem, params: ParameterSet, state0: StateVector | Non
                 elif value < 0:
                     violations.append(f"initial {name} is negative ({value:g})")
     return violations
+
+
+def check_params(model: ModelSystem, params: ParameterSet) -> ModelSystem:
+    """``model``, once ``params`` are valid for it; otherwise raise
+    ``ParameterError`` listing every violation (``validate``)."""
+    violations = validate(model, params)
+    if violations:
+        raise ParameterError(f"invalid parameters for {model.name}: " + "; ".join(violations))
+    return model

@@ -18,6 +18,12 @@ file each under ``models/``.
 Expression grammar (see models/grammar.ebnf): ``^`` is right-associative
 and binds tightest, then unary minus, then ``* /``, then ``+ -``; calls
 ``exp ln sqrt tanh min max``; the symbol ``t`` is reserved for time.
+
+A compiled model carries its right-hand side as generated Python and, as
+``ModelSystem.jacobian``, its exact Jacobian, generated from the same tree
+on first use (``derivatives``).  ``min(a, b)`` is a unless b < a, and
+``max(a, b)`` a unless b > a: at a tie both are the first argument, and so
+is their derivative.
 """
 from __future__ import annotations
 
@@ -29,7 +35,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import ModelSystem, ParameterSet, ParamSpec, StateVector
+from .core import BoundJacobian, ModelSystem, ParameterSet, ParamSpec, StateVector
 from .errors import BindingError, EvaluationError, ParseError, SemanticError
 
 RESERVED_TIME = "t"
@@ -612,7 +618,7 @@ def format_model(defn: ModelDefinition) -> str:
 # Compilation
 # ---------------------------------------------------------------------------
 
-# Globals of the generated rhs; every other name in it is a local.
+# Globals of the generated sources; every other name in them is a local.
 _RUNTIME = {
     "_array": np.array, "_floor": math.floor, "_exp": math.exp, "_log": math.log,
     "_sqrt": math.sqrt, "_tanh": math.tanh, "_EvaluationError": EvaluationError,
@@ -631,24 +637,30 @@ def _raise(message: str, loc: SourceLocation) -> str:
             f"_Loc({loc.line}, {loc.column})) from None")
 
 
-def _emit(expr: Expr, names: dict, lines: list) -> str:
+def _literal(value: float) -> str:
+    """``value`` as an operand in generated code."""
+    text = repr(value)
+    if not math.isfinite(value):
+        return f"float({text!r})"
+    return f"({text})" if text.startswith("-") else text
+
+
+def _emit(expr: Expr, names: dict, lines: list, derive=None) -> str:
     """Append statements computing ``expr`` to ``lines``, node by node in
     ``eval_expr``'s order and with its errors; return the Python expression
-    (a literal, a bound name or a local) that holds the value."""
+    (a literal, a bound name or a local) that holds the value.  After each
+    operation node, ``derive(expr, args, out)`` (if given) gets the node,
+    its operands' expressions and its own, and may append lines too."""
     if isinstance(expr, Var):
         return names[expr.name]
     if isinstance(expr, Num):
-        text = repr(expr.value)
-        if not math.isfinite(expr.value):
-            return f"float({text!r})"
-        return f"({text})" if text.startswith("-") else text
+        return _literal(expr.value)
     if isinstance(expr, Neg):
-        operand = _emit(expr.operand, names, lines)
+        args = [_emit(expr.operand, names, lines, derive)]
         out = f"n{len(lines)}"  # every node adds a line, so the names differ
-        lines.append(f"{out} = -{operand}")
-        return out
-    if isinstance(expr, Call):
-        args = [_emit(a, names, lines) for a in expr.args]
+        lines.append(f"{out} = -{args[0]}")
+    elif isinstance(expr, Call):
+        args = [_emit(a, names, lines, derive) for a in expr.args]
         out = f"n{len(lines)}"
         key = (expr.func, len(args))
         if key in _PICKS:
@@ -660,55 +672,84 @@ def _emit(expr: Expr, names: dict, lines: list) -> str:
                       f"    raise _EvaluationError(str(exc) + "
                       f"{f' in {expr.func}() at {expr.loc}'!r}, "
                       f"_Loc({expr.loc.line}, {expr.loc.column})) from None"]
-        return out
-    op = expr.op
-    left = _emit(expr.left, names, lines)
-    right = _emit(expr.right, names, lines)
-    out = f"n{len(lines)}"
-    if op == "/":
-        if not (isinstance(expr.right, Num) and expr.right.value != 0.0):
-            lines += [f"if {right} == 0.0:", "    " + _raise("division by zero", expr.loc)]
-        lines.append(f"{out} = {left} / {right}")
-    elif op == "^":
-        lines.append("try:")
-        if not (isinstance(expr.right, Num) and float(expr.right.value).is_integer()):
-            lines += [f"    if {left} < 0.0 and ({right} != {right} or {right} != _floor({right})):",
-                      "        " + _raise("negative base with non-integer exponent", expr.loc)]
-        lines += [f"    {out} = {left} ** {right}",
-                  "except OverflowError:", "    " + _raise("overflow in '^'", expr.loc),
-                  "except ZeroDivisionError:", "    " + _raise("division by zero", expr.loc)]
     else:
-        lines.append(f"{out} = {left} {_RAISE_FREE[op]} {right}")
+        op = expr.op
+        args = [_emit(expr.left, names, lines, derive), _emit(expr.right, names, lines, derive)]
+        left, right = args
+        out = f"n{len(lines)}"
+        if op == "/":
+            if not (isinstance(expr.right, Num) and expr.right.value != 0.0):
+                lines += [f"if {right} == 0.0:", "    " + _raise("division by zero", expr.loc)]
+            lines.append(f"{out} = {left} / {right}")
+        elif op == "^":
+            lines.append("try:")
+            if not (isinstance(expr.right, Num) and float(expr.right.value).is_integer()):
+                lines += [f"    if {left} < 0.0 and ({right} != {right} or {right} != _floor({right})):",
+                          "        " + _raise("negative base with non-integer exponent", expr.loc)]
+            lines += [f"    {out} = {left} ** {right}",
+                      "except OverflowError:", "    " + _raise("overflow in '^'", expr.loc),
+                      "except ZeroDivisionError:", "    " + _raise("division by zero", expr.loc)]
+        else:
+            lines.append(f"{out} = {left} {_RAISE_FREE[op]} {right}")
+    if derive is not None:
+        derive(expr, args, out)
     return out
 
 
-def _rhs_source(state_names, param_names, exprs, reads_time: bool) -> str:
-    """The model's one generated source: ``bind(params)`` reads each
-    parameter once and returns the list form ``rhs(t, values)``, and the
-    array form ``rhs(t, values, params)`` binds and calls it."""
+def _bound_source(param_names, name: str, lines) -> str:
+    """``bind(params)``, which reads each parameter once and returns the
+    function ``name(t, values)`` whose body is ``lines``."""
+    return "".join((
+        "def bind(params):\n",
+        *(f"    v_{p} = float(params[{p!r}])\n" for p in param_names),
+        f"    def {name}(t, values):\n",
+        *(f"        {line}\n" for line in lines),
+        f"    return {name}\n",
+    ))
+
+
+def _names_and_header(state_names, param_names, reads_time):
+    """The locals of a generated body by model name, and its first lines,
+    which read the time (if used) and unpack the state."""
     names = {name: f"v_{name}" for name in (*state_names, *param_names, RESERVED_TIME)}
     lines = ["v_t = float(t)"] if reads_time else []
     lines.append(f"[{', '.join(names[s] for s in state_names)}] = values")
+    return names, lines
+
+
+def _rhs_source(state_names, param_names, exprs, reads_time: bool) -> str:
+    """The model's one generated rhs source: ``bind(params)`` returns the
+    list form ``rhs(t, values)``, and the array form ``rhs(t, values,
+    params)`` binds and calls it."""
+    names, lines = _names_and_header(state_names, param_names, reads_time)
     results = [_emit(e, names, lines) for e in exprs]
     lines.append(f"return [{', '.join(results)}]")
-    return "".join((
-        "def bind(params):\n",
-        *(f"    {names[p]} = float(params[{p!r}])\n" for p in param_names),
-        "    def rhs(t, values):\n",
-        *(f"        {line}\n" for line in lines),
-        "    return rhs\n",
-        "def rhs(t, values, params):\n",
-        "    return _array(bind(params)(t, values.tolist()))\n",
-        "rhs.bind = bind\n",
-    ))
+    return _bound_source(param_names, "rhs", lines) + (
+        "def rhs(t, values, params):\n"
+        "    return _array(bind(params)(t, values.tolist()))\n"
+        "rhs.bind = bind\n")
+
+
+def _compiled(source: str, filename: str, runtime: dict = _RUNTIME) -> dict:
+    """The namespace that executing ``source`` leaves, on ``runtime``'s globals."""
+    namespace = dict(runtime)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
 
 
 @functools.lru_cache(maxsize=64)
 def _rhs_function(source: str):
     """The array-form rhs ``source`` defines, compiled once per process."""
-    namespace = dict(_RUNTIME)
-    exec(compile(source, "<qssm rhs>", "exec"), namespace)
-    return namespace["rhs"]
+    return _compiled(source, "<qssm rhs>")["rhs"]
+
+
+def _bind_jacobian(rhs_source: str, tree: tuple, params) -> BoundJacobian:
+    """The bound Jacobian of the model whose rhs is ``rhs_source``, at
+    ``params``, generated from ``tree`` (``derivatives.jacobian_source``'s
+    arguments) on first use."""
+    from .derivatives import jacobian_function  # imports this module
+
+    return jacobian_function(rhs_source, tree)(params)
 
 
 def compile_model(defn: ModelDefinition) -> ModelSystem:
@@ -726,6 +767,11 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
     compiling an equal definition again returns the same function.  A
     definition that ``parse_model`` would reject raises its
     ``SemanticError``.
+
+    The model's ``jacobian(params)`` binds the exact Jacobian, generated
+    from the same tree (``derivatives``) on its first use, not here, and
+    compiled once per process behind a memo of the 64 most recently used,
+    as the rhs is.
     """
     state_names = tuple(s.name for s in defn.states)
     param_names = tuple(p.name for p in defn.params)
@@ -738,6 +784,7 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
         problems = {p for e in exprs for p in _expression_issues(e, declared)}
         raise SemanticError(sorted(problems)) from None
     rhs = _rhs_function(source)
+    tree = (state_names, param_names, tuple(exprs), time_dependent)
 
     equation = " ; ".join(
         f"d{name}/dt = {format_expr(defn.equations[name])}" for name in state_names
@@ -751,6 +798,7 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
         equation=equation,
         kind=None,
         slow_rate_params=defn.slow,
+        jacobian=functools.partial(_bind_jacobian, source, tree),
     )
 
 

@@ -16,11 +16,12 @@ No other module reads a step: ``sampled_dopri_run`` and
 ``sampled_radau_run`` keep a run's steps and evaluate them at given
 times in one pass after the last step, and ``first_crossing`` stops the
 Dormand-Prince run at an event and bisects it on the step's extension
-(``analysis.time_to_epsilon``).  The Radau Newton iteration runs on the
-inverse of one real 3n x 3n matrix, so an iteration is one
-matrix-vector product; the slow-feedback mechanisms, whose explicit
-steps are pinned at the stability limit, run on it
-(``claims.mechanism_trajectory``).
+(``analysis.time_to_epsilon``).  Radau takes the model's generated
+Jacobian (``ModelSystem.jacobian``; finite differences only for a model
+without one), and its Newton iteration runs on the inverse of one real
+3n x 3n matrix, so an iteration is one matrix-vector product around
+three rhs calls; the slow-feedback mechanisms, whose explicit steps are
+pinned at the stability limit, run on it (``claims.mechanism_trajectory``).
 """
 from __future__ import annotations
 
@@ -66,7 +67,7 @@ _DP_D = np.array((-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 # real block form _RADAU_LAMBDA, the Newton matrix of the transformed stages
 # being Lambda / h (x) I - I (x) J
 _S6 = 6 ** 0.5
-_RADAU_C = np.array(((4 - _S6) / 10, (4 + _S6) / 10, 1.0))
+_RADAU_C = ((4 - _S6) / 10, (4 + _S6) / 10, 1.0)
 _RADAU_E = np.array((-13 - 7 * _S6, -13 + 7 * _S6, -1.0)) / 3
 _MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
 _MU_COMPLEX = (3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3))
@@ -176,6 +177,16 @@ def _fd_jacobian(f, x):
                 fx = f(x)
             J[:, j] = (4.0 * f(x + e) - f(x + 2.0 * e) - 3.0 * fx) / (2.0 * h)
     return J
+
+
+def array_jacobian(model: ModelSystem, params, f):
+    """J(t, x) as an array at the resolved ``params``: the model's
+    generated Jacobian (``ModelSystem.jacobian``), or, for a model without
+    one, ``_fd_jacobian`` of ``f(t, x)``, an array-valued rhs."""
+    if model.jacobian is None:
+        return lambda t, x: _fd_jacobian(lambda z: f(t, z), x)
+    jac = model.jacobian(params)
+    return lambda t, x: np.array(jac(t, x.tolist()))
 
 
 def integrate_fixed(model: ModelSystem, params: ParameterSet, state0: StateVector,
@@ -354,46 +365,56 @@ def _rms(x) -> float:
     return math.sqrt(float(x.dot(x)) / x.size)
 
 
-def _radau_newton(f, t, y, h, Z, scale, tol, M):
+def _radau_newton(rhs, t, y, h, Z, scale, tol, K, transforms, counts):
     """The simplified Newton iteration on the Radau collocation system,
     started from the stage increments ``Z`` (3 x n: stage i at
     ``t + C_i h`` is ``y + Z_i``) and run on the transformed variables
-    W = T^-1 Z.  ``M`` is the inverse of the Newton matrix of W
-    (``_radau_newton_inverse``), so an iteration is one product
-    dW = M (T^-1 F - (Lambda / h) W) with the stage
-    derivatives F.  A stage that raises ``EvaluationError`` ends the
+    W = T^-1 Z, both kept flat, stage after stage.  An iteration is one
+    product dW = K [F; W] with the stage derivatives F (``newton_inverse``
+    in ``_radau_steps`` forms K with the Newton inverse), and the stages
+    are y + (T (x) I) W, ``transforms`` being (T^-1 (x) I, T (x) I).
+    ``rhs`` is the bound rhs; each evaluation is counted in ``counts``,
+    one that raises too.  A stage that raises ``EvaluationError`` ends the
     iteration unconverged, and so does a non-finite Newton norm (a
     non-finite stage or matrix).  Returns (converged, finite, iterations,
     Z, rate of convergence)."""
     n = y.size
-    stage_times = (t + h * _RADAU_C).tolist()
-    lam = _RADAU_LAMBDA / h
-    scale = np.concatenate((scale, scale, scale))  # the scale of each row of W
-    F = np.empty((3, n))
-    W = _RADAU_TI.dot(Z)
-    w = W.reshape(-1)  # a view: W += dW through it
+    t0, t1, t2 = [t + h * c for c in _RADAU_C]
+    y3 = np.concatenate((y, y, y))
+    scale = np.concatenate((scale, scale, scale))  # the scale of each element of W
+    FW = np.empty(6 * n)  # [F; W]
+    w = FW[3 * n:]  # W += dW through it
+    z = Z.ravel()
+    w[:] = transforms[0].dot(z)
     norm_old = rate = None
     for k in range(_NEWTON_MAXITER):
-        stages = y + Z
+        stages = (y3 + z).tolist()
+        evals = 1
         try:
-            for i in range(3):
-                F[i] = f(stage_times[i], stages[i])
+            f0 = rhs(t0, stages[:n])
+            evals = 2
+            f1 = rhs(t1, stages[n:2 * n])
+            evals = 3
+            FW[:3 * n] = f0 + f1 + rhs(t2, stages[2 * n:])
         except EvaluationError:
-            return False, False, k + 1, Z, rate
-        dW = M.dot((_RADAU_TI.dot(F) - lam.dot(W)).reshape(-1))
-        norm = _rms(dW / scale)
+            counts["rhs_evals"] += evals
+            return False, False, k + 1, z.reshape(3, n), rate
+        counts["rhs_evals"] += 3
+        dW = K.dot(FW)
+        scaled = dW / scale
+        norm = math.sqrt(scaled.dot(scaled) / scaled.size)  # the rms norm
         if not math.isfinite(norm):
-            return False, False, k + 1, Z, rate
+            return False, False, k + 1, z.reshape(3, n), rate
         if norm_old is not None:
             rate = norm / norm_old
             if rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * norm > tol:
                 break
         w += dW
-        Z = _RADAU_T.dot(W)
+        z = transforms[1].dot(w)
         if norm == 0 or rate is not None and rate / (1 - rate) * norm < tol:
-            return True, True, k + 1, Z, rate
+            return True, True, k + 1, z.reshape(3, n), rate
         norm_old = norm
-    return False, True, k + 1, Z, rate
+    return False, True, k + 1, z.reshape(3, n), rate
 
 
 def _radau_newton_inverse(lam, h, J):
@@ -428,21 +449,23 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     runs from ``t_prev`` to ``t`` with size ``h``, ``y`` is the new state,
     ``Y = [y_prev; q1; q2; q3]`` the step's collocation polynomial for
     ``collocation_output``, and ``counts`` one dict, updated in place, with
-    the trial steps ``rejected``, the ``rhs_evals`` (finite-difference
-    Jacobians included; an evaluation that raises counts), the
+    the trial steps ``rejected``, the ``rhs_evals`` (an evaluation that
+    raises counts, and so do those of finite-difference Jacobians), the
     ``jac_evals`` and the ``factorizations`` (inversions of the Newton
-    matrix) so far.
+    matrix) so far, and which ``jacobian`` the run takes: ``"generated"``
+    or ``"finite-difference"``.
 
     Each step solves the collocation system by simplified Newton on the
     transformed stages (``_radau_newton``), with the inverse of their
     Newton matrix formed once per step size and Jacobian; its first block
     serves the error estimate.  The stages start from the last step's
-    polynomial (``collocation_output``).  The Jacobian is ``_fd_jacobian`` at
-    the step's start, kept across steps while Newton converges fast; a
-    Newton solve that fails with a stale Jacobian is retried with a fresh
-    one, and one that fails with a fresh Jacobian (a stage that raises
-    ``EvaluationError`` or a non-finite Newton norm counts as a failure)
-    halves the step.  The embedded 3rd-order error estimate is
+    polynomial (``collocation_output``).  The Jacobian is
+    ``array_jacobian``'s (the generated one, or finite differences for a
+    model without one) at the step's start, kept across steps while
+    Newton converges fast; a Newton solve that fails with a stale Jacobian
+    is retried with a fresh one, and one that fails with a fresh Jacobian
+    (a stage that raises ``EvaluationError`` or a non-finite Newton norm
+    counts as a failure) halves the step.  The embedded 3rd-order error estimate is
     held to 1 in the root-mean-square norm scaled by
     ``atol + rtol * max(|y|, |y_new|)``, and the step size follows
     Gustafsson's predictive controller.  The first trial step is
@@ -457,24 +480,35 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
         raise DomainError("rtol and atol must be positive")
     p, y = _prepare(model, params, state0, t0, t_end)
     rhs = model.bind(p)
-    counts = {"rejected": 0, "rhs_evals": 0, "jac_evals": 0, "factorizations": 0}
+    counts = {"rejected": 0, "rhs_evals": 0, "jac_evals": 0, "factorizations": 0,
+              "jacobian": "finite-difference" if model.jacobian is None else "generated"}
 
     def f(t, x):
         counts["rhs_evals"] += 1
         return np.array(rhs(t, x.tolist()))
 
+    jac = array_jacobian(model, p, f)
+
     def jacobian(t, x):
         counts["jac_evals"] += 1
         try:
-            return _fd_jacobian(lambda z: f(t, z), x)
+            return jac(t, x)
         except EvaluationError:  # no Jacobian here: every Newton solve fails
             return np.full((x.size, x.size), math.nan)
 
-    lam = np.kron(_RADAU_LAMBDA, np.identity(y.size))
+    n = y.size
+    eye = np.identity(n)
+    lam = np.kron(_RADAU_LAMBDA, eye)
+    transforms = np.kron(_RADAU_TI, eye), np.kron(_RADAU_T, eye)
+    B = np.hstack((transforms[0], lam))  # [T^-1 (x) I | -(Lambda / h) (x) I] once h is set
 
     def newton_inverse(h, J):
+        """(h, M, K): the Newton inverse M for ``h`` and ``J``, and the
+        Newton iteration's K = M [T^-1 (x) I | -(Lambda / h) (x) I]."""
         counts["factorizations"] += 1
-        return _radau_newton_inverse(lam, h, J)
+        M = _radau_newton_inverse(lam, h, J)
+        np.divide(lam, -h, out=B[:, 3 * n:])
+        return h, M, M.dot(B)
 
     span = t_end - t0
     h_min = 1e-14 * span
@@ -485,7 +519,7 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     except EvaluationError:  # outside the rhs's domain: as a nan rate
         f_y = np.full(y.size, math.nan)
     J, fresh = jacobian(t, y), True
-    inv = None  # (h, the Newton inverse for h and the current J)
+    inv = None  # newton_inverse(h, J) for the current h and J
     h_next = span / 100.0
     h_prev = err_prev = None  # size and error norm of the last accepted step
     finite, retried = True, False  # retried: a trial of this step failed its error test
@@ -500,20 +534,20 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
                 f"step size underflow ({h:.3e}) at t = {t:g}; problem too stiff"
             )
         if Y is None:
-            Z0 = np.zeros((3, y.size))
+            Z0 = np.zeros((3, n))
         else:  # the last polynomial at the new stage times
-            theta = (t + h * _RADAU_C - t_prev) / h_prev
-            Z0 = collocation_output(Y, theta[:, None]) - y
+            theta = np.array([[(t + h * c - t_prev) / h_prev] for c in _RADAU_C])
+            Z0 = collocation_output(Y, theta) - y
         scale = atol + rtol * np.abs(y)
         while True:
             try:
                 if inv is None or inv[0] != h:
-                    inv = (h, newton_inverse(h, J))
+                    inv = newton_inverse(h, J)
             except np.linalg.LinAlgError:  # singular: no Newton step, as a non-finite stage
                 converged = finite = False
             else:
                 converged, finite, n_iter, Z, rate = _radau_newton(
-                    f, t, y, h, Z0, scale, newton_tol, inv[1])
+                    rhs, t, y, h, Z0, scale, newton_tol, inv[2], transforms, counts)
             if converged or fresh:
                 break
             J, fresh, inv = jacobian(t, y), True, None
@@ -524,7 +558,7 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
         y_new = y + Z[-1]
         ZE = Z.T.dot(_RADAU_E) / h
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        E = inv[1][:y.size, :y.size]  # the inverse of mu_real / h I - J
+        E = inv[1][:n, :n]  # the inverse of mu_real / h I - J
         error = E.dot(f_y + ZE)
         err = _rms(error / scale)
         if retried and err > 1:  # a sharper estimate after a rejection
@@ -534,7 +568,7 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
             except EvaluationError:
                 err = math.inf
         safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
-        finite = math.isfinite(err) and np.isfinite(y_new).all()
+        finite = math.isfinite(err) and all(map(math.isfinite, y_new.tolist()))
         if not (err <= 1 and finite):
             counts["rejected"] += 1
             factor = _radau_factor(h, h_prev, err, err_prev) if finite else 0.0
@@ -546,7 +580,7 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
             factor = 1.0  # keep h, and with it the Newton inverse
         h_prev, err_prev, retried = h, err, False
         h_next = h * factor
-        Y = np.empty((4, y.size))
+        Y = np.empty((4, n))
         Y[0] = y
         Y[1:] = Z.T.dot(_RADAU_P).T
         t_prev, t = t, (t_end if last else t + h)

@@ -485,12 +485,27 @@ class TestNonHyperbolicRoot:
         ("logistic-source", dict(a=0, y=0, gamma=1)),
         ("logistic-proliferation", dict(a=0, y=0, gamma=1)),
         ("coupled-agent", dict(a=0, y=0, x=1, delta_D=1)),
-    ], ids=["power-n2", "logistic-source", "logistic-proliferation", "coupled-agent"])
+        ("power-destruction", dict(a=0, y=0, gamma=0.0034, n=3.27)),
+    ], ids=["power-n2", "logistic-source", "logistic-proliferation", "coupled-agent",
+            "power-n3.27"])
     def test_zero_rate_raises(self, kind, params):
-        # dT/dt = -gamma T^2 (and dT/dt = -D T with D -> 0): the root 0 has rate 0
+        # dT/dt = -gamma T^n (and dT/dt = -D T with D -> 0): the root 0 has
+        # rate 0; a one-state model's bisection lands on it, not on a T
+        # whose g(T) underflowed to -0.0
         model = make_base_model(kind)
-        with pytest.raises(NoConvergenceError, match="is not hyperbolic"):
+        with pytest.raises(NoConvergenceError, match="is not hyperbolic") as info:
             steady(kind, params, [1.0] * model.dimension)
+        if model.dimension == 1:
+            assert info.value.best.values[0] == 0.0
+
+    @pytest.mark.parametrize("kind", ["logistic-source", "logistic-proliferation"])
+    @pytest.mark.parametrize("guess", [0.0, 1.0])
+    def test_logistic_without_source_finds_y_over_gamma(self, kind, guess):
+        # a = 0: dT/dt = T (y - gamma T); the bisection from the root 0
+        # skips it and lands on y / gamma, hit exactly
+        report = steady(kind, dict(a=0, y=0.5, gamma=3), [guess])
+        assert report.values["T"] == 0.5 / 3
+        assert report.relaxation_rate == pytest.approx(0.5, rel=1e-15)
 
     def test_hyperbolic_root_at_zero_is_returned(self):
         # dT/dt = -T - T^2/4: the root 0 has rate 1

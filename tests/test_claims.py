@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
 from qsslab import ParameterSet, StateVector, claims, run_claim, sweep
+from qsslab.catalog import MechanismKind
 from qsslab.claims import SweepSpec, collapse_window, mechanism_trajectory
 from qsslab.errors import NoConvergenceError, UsageError
 
@@ -192,6 +194,33 @@ class TestClaims:
         b = json.dumps(run_claim("qss-reduction-valid").to_json_dict(), sort_keys=True)
         assert a == b
 
+    def test_a_traced_pass_reports_the_same_bytes(self, monkeypatch):
+        # a tracer replaces every model's rhs with a plain function that has
+        # no bind, so ModelSystem.bind takes its array adapter; the
+        # generated Jacobian stays the model's, and nothing else moves
+        ids = ("aids-curve-needs-feedback", "mechanism-satisfies-conditions")
+
+        def run_pass():
+            claims._MECH_CACHE.clear()
+            reports = [json.dumps(run_claim(c).to_json_dict(), sort_keys=True) for c in ids]
+            return reports, {k: mechanism_trajectory(k)[2].solver_info for k in MechanismKind}
+
+        plain = run_pass()
+        make = claims.make_mechanism_model
+
+        def traced(kind, params=None):
+            model = make(kind, params)
+            rhs = model.rhs
+            return dataclasses.replace(model, rhs=lambda t, y, p: rhs(t, y, p))
+
+        monkeypatch.setattr(claims, "make_mechanism_model", traced)
+        try:
+            again = run_pass()
+        finally:
+            claims._MECH_CACHE.clear()
+        assert again == plain
+        assert {info["jacobian"] for info in plain[1].values()} == {"generated"}
+
     def test_falsified_configuration_fails(self):
         # a fast CTL death rate destroys the timescale separation
         report = run_claim("mechanism-satisfies-conditions", {"delta_C": 0.5})
@@ -219,7 +248,9 @@ class TestClaims:
         assert row["relative_gap"] < 1e-4
 
     def test_decline_below_atol_is_flat(self):
-        # a = 0: these four points settle at T* ~ 1e-147 to 1e-143, so the
+        # a = 0: Newton on the exact Jacobian lands on the root 0 of these
+        # four points (finite differences left it at 1e-147 to 1e-143), so
+        # they rest there; at a = 1e-160 they settle at T* ~ 1e-160 and the
         # whole decline lies below the run's atol
         report = run_claim("destruction-only-decelerates", {"a": 0.0})
         rows = {row["point"]: row for row in report.grid}
@@ -227,9 +258,15 @@ class TestClaims:
         for point in ("power-n2[s=0.25]", "power-n2[s=1]",
                       "logistic-y-lowered[s=2]", "logistic-y-lowered[s=4]"):
             assert rows[point]["class"] == "flat"
-            assert 0.0 < rows[point]["T_star"] < 1e-140
+            assert rows[point]["T_star"] == 0.0
         assert sum(row.get("class") == "flat" for row in report.grid) == 20
         assert sum("error" in row for row in report.grid) == 7  # roots that are not hyperbolic
+        rows = {row["point"]: row for row in
+                run_claim("destruction-only-decelerates", {"a": 1e-160}).grid}
+        for point in ("power-n2[s=0.25]", "power-n2[s=1]",
+                      "logistic-y-lowered[s=2]", "logistic-y-lowered[s=4]"):
+            assert rows[point]["class"] == "flat"
+            assert 0.0 < rows[point]["evidence"]["total_variation"] < 1e-12
 
     @pytest.mark.parametrize("a,t_star", [(0.0, "0"), (1e-160, "1e-160")])
     def test_leg_resting_at_zero_has_nothing_to_order(self, a, t_star):

@@ -135,6 +135,19 @@ def test_sweep_csv(outdir):
     assert float(second[2]) < float(first[2])  # destruction hastens here
 
 
+def test_sweep_runs_a_model_file(outdir):
+    # the file's model is swept, not looked up as a catalog kind by its path
+    model_file = Path(cli.__file__).parent / "models" / "power-destruction.qssm"
+    tables = []
+    for model in (str(model_file), "power-destruction"):
+        out = outdir / "sweep.csv"
+        assert run_cli(["sweep", "--model", model, "--sweep", "gamma=0.5,1",
+                        "--metrics", "T*,t_eps,rate", "--out", str(out)]) == 0
+        tables.append(out.read_text())
+    assert tables[0] == tables[1]
+    assert tables[0].splitlines()[0] == "gamma,T*,t_eps,rate"
+
+
 def test_numerical_failure_exit_code(outdir):
     blowup = outdir / "blowup.qssm"
     blowup.write_text("model blowup\nstate T = 1\ndT/dt = T^2\n")

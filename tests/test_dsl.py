@@ -20,7 +20,7 @@ from qsslab import (
     make_model,
     parse_model,
 )
-from qsslab import dsl
+from qsslab import derivatives, dsl
 from qsslab.dsl import (
     BinOp,
     Call,
@@ -499,3 +499,134 @@ def test_compile_rejects_an_unchecked_definition(expr, problems):
     with pytest.raises(SemanticError) as excinfo:
         compile_model(defn)
     assert [m.split(" at ")[0] for m in excinfo.value.messages] == problems
+
+
+# ---------------------------------------------------------------------------
+# Generated Jacobian against central differences
+# ---------------------------------------------------------------------------
+
+def _differences(f, x, h, side=0):
+    """Differences of ``f`` at ``x`` with the steps ``h * max(|x_j|, 1)``:
+    central (``side`` 0), forward (1) or backward (-1)."""
+    columns = []
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h * max(abs(x[j]), 1.0)
+        if side:
+            columns.append(side * (f(x + side * e) - f(x)) / e[j])
+        else:
+            columns.append((f(x + e) - f(x - e)) / (2.0 * e[j]))
+    return np.array(columns).T
+
+
+def _children(expr):
+    return ((expr.operand,) if isinstance(expr, Neg) else expr.args if isinstance(expr, Call)
+            else (expr.left, expr.right) if isinstance(expr, BinOp) else ())
+
+
+def _magnitude(expr, bindings) -> float:
+    """The largest |value| of a node of ``expr`` at ``bindings``."""
+    return max([abs(eval_expr(expr, bindings)),
+                *(_magnitude(e, bindings) for e in _children(expr))])
+
+
+def _assert_jacobian_is_the_derivative(model, exprs, params, t, x):
+    """The generated Jacobian at (t, x) against ``integrate._fd_jacobian``
+    (central differences wherever x_j >= its step): the difference must lie
+    within the finite-difference error, bounded by Richardson's estimate
+    from a second set of differences at a quarter of the step.  That
+    holds where the rhs is smooth on the scale of the steps, which a kink
+    of min or max is not: there central differences average the two
+    sides, and the gap between forward and backward differences does not
+    close in as the step shrinks.  Returns whether the point was compared."""
+    from qsslab.integrate import _FD_STEP, _fd_jacobian
+
+    rhs = model.bind(params)
+    f = lambda z: np.array(rhs(t, z.tolist()))
+    try:
+        with np.errstate(all="ignore"):
+            fd, fine = _fd_jacobian(f, x), _differences(f, x, _FD_STEP / 4)
+            gap, gap_fine = (_differences(f, x, h, 1) - _differences(f, x, h, -1)
+                             for h in (_FD_STEP, _FD_STEP / 4))
+    except EvaluationError:  # a step leaves the rhs's domain
+        return False
+    J = np.array(model.jacobian(params)(t, x.tolist()))
+    assert J.shape == (x.size, x.size)
+    if not all(np.isfinite(d).all() for d in (fd, fine, gap, gap_fine)):
+        return False
+    # rounding in the differences at the quarter step: about eps times the
+    # largest node of f_i (f_i itself may cancel to 0), over the step
+    bindings = {"t": t, **dict(zip(model.state_names, x.tolist())), **params}
+    size = np.array([1.0 + _magnitude(e, bindings) for e in exprs])
+    noise = 2e-14 * size[:, None] / (_FD_STEP * np.maximum(np.abs(x), 1.0))
+    if np.any(np.abs(gap_fine) > 0.5 * np.abs(gap) + noise):
+        return False  # a kink
+    bound = 2.0 * np.abs(fd - fine) + 1e-7 * (1.0 + np.abs(fd)) + noise
+    assert np.all(np.abs(J - fd) <= bound), (J, fd)
+    return True
+
+
+@pytest.mark.parametrize("name", CATALOG_FILES)
+@given(st.lists(st.floats(0.5, 2.0), min_size=5, max_size=5), st.floats(0.0, 500.0))
+@settings(max_examples=30, deadline=None)
+def test_generated_jacobian_of_the_catalog_models(name, factors, t):
+    # near the default state (a zero component at 0.1 times the factor)
+    defn = parse_model(read_model_text(name))
+    model = compile_model(defn)
+    state = default_initial_state(defn).values
+    x = np.array([max(v, 0.1) * k for v, k in zip(state, factors)])
+    exprs = [defn.equations[s.name] for s in defn.states]
+    assert _assert_jacobian_is_the_derivative(model, exprs, dsl.default_params(defn).as_dict(),
+                                              t, x)
+
+
+_point = st.floats(0.1, 4.0)
+
+
+def _has_tie(expr, bindings) -> bool:
+    """Whether a min or max in ``expr`` has equal arguments at ``bindings``."""
+    if isinstance(expr, Call) and expr.func in ("min", "max"):
+        first, second = (eval_expr(e, bindings) for e in expr.args)
+        if first == second:
+            return True
+    return any(_has_tie(e, bindings) for e in _children(expr))
+
+
+@given(st.tuples(_exprs(4), _exprs(2)), _point, _point, _point,
+       st.fixed_dictionaries({p: _point for p in _PARITY_PARAMS}))
+@settings(max_examples=400, deadline=None)
+def test_generated_jacobian_of_random_trees(exprs, t, T, V, params):
+    # ties of min and max are test_min_max_tie_takes_the_branch_eval_expr_takes's
+    model = _parity_model(exprs)
+    raised = _outcome(lambda: model.bind(params)(t, [T, V]))
+    if not isinstance(raised, list):  # the Jacobian raises the rhs's error
+        assert _outcome(lambda: model.jacobian(params)(t, [T, V])[0]) == raised
+    elif not any(_has_tie(e, {"t": t, "T": T, "V": V, **params}) for e in exprs):
+        _assert_jacobian_is_the_derivative(model, exprs, params, t, np.array([T, V]))
+
+
+@pytest.mark.parametrize("func", ["min", "max"])
+def test_min_max_tie_takes_the_branch_eval_expr_takes(func):
+    # at a tie min(a, b) and max(a, b) are a, as eval_expr's builtin min and
+    # max return the first of equal values: a signed zero shows which
+    for first, second, row in (("T", "V", [1.0, 0.0]), ("V", "T", [0.0, 1.0])):
+        expr = Call(func, (Var(first), Var(second)))
+        model = _parity_model((expr, Num(0.0)))
+        bindings = {first: 0.0, second: -0.0}
+        assert _bits(eval_expr(expr, bindings)) == _bits(0.0)
+        assert model.jacobian({p: 1.0 for p in _PARITY_PARAMS})(
+            0.0, [bindings["T"], bindings["V"]])[0] == row
+
+
+def test_jacobian_is_generated_once_per_source_and_not_by_compile():
+    # an equation of this test alone, so that no other test generated it
+    source = read_model_text("power-destruction").replace("gamma*T^n", "gamma*T^n + 0*T^7")
+    misses = derivatives.jacobian_function.cache_info().misses
+    model = compile_model(parse_model(source))
+    assert derivatives.jacobian_function.cache_info().misses == misses
+    params = {"a": 1.0, "y": 1.0, "gamma": 2.0, "n": 3.0}
+    assert model.jacobian(params)(0.0, [0.5]) == [[-1.0 - 2.0 * 3.0 * 0.25]]
+    assert derivatives.jacobian_function.cache_info().misses == misses + 1
+    again = compile_model(parse_model(source))
+    assert again.jacobian(params).__code__ is model.jacobian(params).__code__
+    assert derivatives.jacobian_function.cache_info().misses == misses + 1

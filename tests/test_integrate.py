@@ -384,12 +384,13 @@ class TestMechanismKernel:
         assert traj.solver_info["accepted"] <= 1.10 * self.BASELINE_STEPS[kind]
 
     # Radau IIA(5) counters per mechanism at the claim settings: accepted
-    # steps, rhs evaluations, Jacobians and matrix inversions
+    # steps, rhs evaluations (generated Jacobians: none of them are
+    # finite-difference calls), Jacobians and matrix inversions
     RADAU_COUNTS = {
-        "virulence-drift": (544, 5680, 163, 197),
-        "cytokine-inversion": (537, 5019, 89, 150),
-        "humoral-cellular-competition": (493, 6012, 192, 229),
-        "bcell-depletion": (519, 6547, 252, 301),
+        "virulence-drift": (544, 4375, 163, 197),
+        "cytokine-inversion": (537, 4128, 89, 150),
+        "humoral-cellular-competition": (493, 4091, 192, 229),
+        "bcell-depletion": (519, 4485, 252, 301),
     }
 
     @pytest.mark.parametrize("kind", [k.value for k in MechanismKind])
@@ -477,7 +478,8 @@ def raising_once_healthy_model():
                 raise EvaluationError("outside the domain")
         return base.rhs(t, s, p)
 
-    return dataclasses.replace(base, rhs=rhs), stage_times
+    # a different function from the base rhs: no generated Jacobian of it
+    return dataclasses.replace(base, rhs=rhs, jacobian=None), stage_times
 
 
 def radau_run(model, state0, t_end, rtol=1e-8, atol=1e-12, params=ParameterSet(), **kwargs):
@@ -536,7 +538,7 @@ class TestRadauKernel:
         def rhs(t, s, p):
             return base.rhs(t, s, p) * (math.nan if t > 0.0 else 1.0)
 
-        model = dataclasses.replace(base, rhs=rhs)
+        model = dataclasses.replace(base, rhs=rhs, jacobian=None)
         with pytest.raises(BlowupError, match="non-finite"):
             radau_run(model, StateVector(("T",), [0.5]), 5.0, params=ParameterSet(a=1, y=1))
 
@@ -631,7 +633,12 @@ class TestSolverCounts:
         assert raised
         assert traj.solver_info["rhs_evals"] == len(calls)
 
-    def test_radau_counts(self, monkeypatch):
+    @staticmethod
+    def _radau_counts(monkeypatch, jacobian):
+        """A bcell-depletion run's counts and the calls they count: rhs
+        calls, Jacobians (the generated one's calls, or _fd_jacobian's for
+        a model without one, whose rhs calls count as rhs evaluations) and
+        inversions."""
         jacobians, inversions = [], []
         fd_jacobian, inv = integrate._fd_jacobian, np.linalg.inv
         monkeypatch.setattr(integrate, "_fd_jacobian",
@@ -639,10 +646,40 @@ class TestSolverCounts:
         monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
         kind = "bcell-depletion"
         model, calls = counting(make_mechanism_model(kind))
+        bind_jacobian = model.jacobian
+
+        def counted_jacobian(params):
+            jac = bind_jacobian(params)
+            return lambda t, values: jacobians.append(t) or jac(t, values)
+
+        model = dataclasses.replace(
+            model, jacobian=counted_jacobian if jacobian == "generated" else None)
         with np.errstate(all="ignore"):
             for *_, counts in _radau_steps(model, default_params(kind), default_state(kind),
                                            0.0, default_horizon(kind), 1e-8, 1e-12):
                 pass
+        return counts, calls, jacobians, inversions
+
+    def test_radau_rhs_evals_with_a_stage_that_raises(self):
+        # the first stage after t = 0 raises: that evaluation counts, and
+        # the two stages of its Newton iteration that never ran do not
+        model, stage_times = raising_once_healthy_model()
+        model, calls = counting(model)
+        _, counts = radau_run(model, StateVector(("T",), [0.0]), 5.0,
+                              params=ParameterSet(a=1, y=1))
+        assert counts["rejected"] >= 1 and len(stage_times) > 1
+        assert counts["rhs_evals"] == len(calls)
+
+    def test_radau_counts(self, monkeypatch):
+        counts, calls, jacobians, inversions = self._radau_counts(monkeypatch, "generated")
+        assert counts["jacobian"] == "generated"
+        assert counts["rhs_evals"] == len(calls)
+        assert counts["jac_evals"] == len(jacobians) > 1
+        assert counts["factorizations"] == len(inversions) > 2
+
+    def test_radau_counts_by_finite_differences(self, monkeypatch):
+        counts, calls, jacobians, inversions = self._radau_counts(monkeypatch, "finite-difference")
+        assert counts["jacobian"] == "finite-difference"
         assert counts["rhs_evals"] == len(calls)
         assert counts["jac_evals"] == len(jacobians) > 1
         assert counts["factorizations"] == len(inversions) > 2
@@ -676,30 +713,42 @@ class TestBoundRhs:
     """The solvers evaluate a model through ``ModelSystem.bind``: a compiled
     model's generated bound form, any other model's adapter."""
 
-    @pytest.mark.parametrize("solve", [
-        integrate_adaptive,
-        lambda *run: integrate_fixed(*run, 0.01),
-        _radau_to_end,
-        lambda model, params, state0, *_: find_steady_state(model, params, state0),
+    @pytest.mark.parametrize("solve,takes_jacobian", [
+        (integrate_adaptive, False),
+        (lambda *run: integrate_fixed(*run, 0.01), False),
+        (_radau_to_end, True),
+        (lambda model, params, state0, *_: find_steady_state(model, params, state0), True),
     ], ids=["dopri", "rk4", "radau", "newton"])
-    def test_a_run_reads_each_parameter_once(self, monkeypatch, solve):
+    def test_a_run_reads_each_parameter_once(self, monkeypatch, solve, takes_jacobian):
+        # each binder (the rhs's, and the generated Jacobian's where the
+        # solver takes it) reads each parameter once from the mapping it is
+        # given, however often the run evaluates what it bound
         resolved, evaluations = [], []
+        bound = {"rhs": [], "jacobian": []}  # the mapping each binder got
         resolve, bind = ModelSystem.resolve_params, ModelSystem.bind
 
         def counting_resolve(model, params):
-            resolved.append(CountingParams(resolve(model, params)))
+            resolved.append(resolve(model, params))
             return resolved[-1]
 
-        def counting_bind(model, params):
-            f = bind(model, params)
-            return lambda t, values: evaluations.append(t) or f(t, values)
+        def counting(name, binder):
+            def counted(params):
+                bound[name].append(CountingParams(params))
+                f = binder(bound[name][-1])
+                return lambda t, values: evaluations.append(t) or f(t, values)
+            return counted
 
         monkeypatch.setattr(ModelSystem, "resolve_params", counting_resolve)
-        monkeypatch.setattr(ModelSystem, "bind", counting_bind)
-        solve(make_base_model("coupled-agent"), ParameterSet(a=1, y=1, x=2, delta_D=4),
+        monkeypatch.setattr(ModelSystem, "bind",
+                            lambda model, params: counting("rhs", bind.__get__(model))(params))
+        model = make_base_model("coupled-agent")
+        model = dataclasses.replace(model, jacobian=counting("jacobian", model.jacobian))
+        solve(model, ParameterSet(a=1, y=1, x=2, delta_D=4),
               StateVector(("T", "D"), [2.0, 1.0]), 0.0, 5.0)
-        assert len(evaluations) > 20
-        assert [m.reads for m in resolved] == [{"a": 1, "y": 1, "x": 1, "delta_D": 1}]
+        assert len(resolved) == 1 and len(evaluations) > 20
+        once = {"a": 1, "y": 1, "x": 1, "delta_D": 1}
+        assert [m.reads for m in bound["rhs"]] == [once]
+        assert [m.reads for m in bound["jacobian"]] == ([once] if takes_jacobian else [])
 
     def test_hand_built_model_steps_like_its_compiled_source(self):
         # the adapter around a hand-written rhs and the generated bound form
