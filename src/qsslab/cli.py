@@ -90,13 +90,21 @@ def _assemble_state(base_state, init_args):
     return StateVector(base_state.names, [values[n] for n in base_state.names])
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path``; a path that cannot be written
+    raises ``UsageError``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc}") from None
+
+
 def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(trajectory.state_names) + "\n")
-        for i in range(len(trajectory)):
-            row = [f"{trajectory.times[i]:.17g}"]
-            row += [f"{v:.17g}" for v in trajectory.states[i]]
-            fh.write(",".join(row) + "\n")
+    lines = ["t," + ",".join(trajectory.state_names)]
+    for t, state in zip(trajectory.times.tolist(), trajectory.states.tolist()):
+        lines.append(",".join([f"{t:.17g}", *[f"{v:.17g}" for v in state]]))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path: str) -> Trajectory:
@@ -134,8 +142,7 @@ def read_trajectory_csv(path: str) -> Trajectory:
 def _write_json(payload: dict, path: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_text(path, text)
     else:
         sys.stdout.write(text)
 
@@ -157,8 +164,8 @@ def _cmd_simulate(args) -> int:
             (name, traj.times.tolist(), traj.component(name).tolist())
             for name in traj.state_names
         ]
-        with open(args.plot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_plot(series, title=model.name, xlabel="t", ylabel="concentration"))
+        _write_text(args.plot, render_plot(series, title=model.name, xlabel="t",
+                                           ylabel="concentration"))
     return 0
 
 
@@ -227,14 +234,14 @@ def _cmd_sweep(args) -> int:
     columns = [spec.sweep_param] + [m for m in metrics]
     extras = sorted({k for row in rows for k in row} - set(columns))
     columns += extras
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = []
-            for col in columns:
-                value = row.get(col, "")
-                cells.append(f"{value:.17g}" if isinstance(value, float) else str(value))
-            fh.write(",".join(cells) + "\n")
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = []
+        for col in columns:
+            value = row.get(col, "")
+            cells.append(f"{value:.17g}" if isinstance(value, float) else str(value))
+        lines.append(",".join(cells))
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -251,11 +258,8 @@ def _cmd_check(args) -> int:
             series.append((kind.value, traj.times.tolist(), traj.component("T").tolist()))
             if shade is None:
                 shade = collapse_window(traj, "T")
-        with open(args.plot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_plot(
-                series, title=args.claim, xlabel="t", ylabel="T",
-                shade=shade,
-            ))
+        _write_text(args.plot, render_plot(series, title=args.claim, xlabel="t", ylabel="T",
+                                           shade=shade))
     print(f"{report.claim_id}: {report.verdict.upper()}", file=sys.stderr)
     print(report.narrative, file=sys.stderr)
     return 0 if report.passed else 1

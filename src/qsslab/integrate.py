@@ -2,9 +2,11 @@
 embedded pair with proportional step control, and an L-stable Radau IIA
 of order 5 for stiff runs.  Every solver evaluates the model through
 ``ModelSystem.bind``, so the parameters are read once per run.  The
-Dormand-Prince kernel computes on Python floats: its states and stages
-are lists, and a step makes no numpy call at all besides those a
-hand-built rhs makes.
+Dormand-Prince kernel computes on Python floats, in a stepping loop
+generated for the run's dimension (``_dopri_source``) that keeps each
+component of the state and the stages in a local variable and writes
+each stage input out component by component; a step makes no numpy call
+at all besides those a hand-built rhs makes.
 
 Both explicit integrators return a ``Trajectory`` of accepted points.
 The two adaptive kernels, ``_dopri_steps`` and ``_radau_steps``, are
@@ -25,6 +27,7 @@ pinned at the stability limit, run on it (``claims.mechanism_trajectory``).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -237,6 +240,110 @@ def integrate_fixed(model: ModelSystem, params: ParameterSet, state0: StateVecto
     )
 
 
+def _step_underflow(t: float, h: float, finite: bool):
+    """The error of a trial step size below the minimum at ``t``:
+    ``BlowupError`` when the trials that drove it there were non-finite,
+    ``StiffnessError`` otherwise."""
+    if not finite:
+        return BlowupError(f"state became non-finite at t = {t + h:g}", time=t + h)
+    return StiffnessError(f"step size underflow ({h:.3e}) at t = {t:g}; problem too stiff")
+
+
+def _dopri_source(n: int) -> str:
+    """The source of the Dormand-Prince stepping loop for ``n`` components.
+
+    The loop keeps the state ``y_#``, the stages ``k1_#`` ... ``k7_#``, the
+    5th-order solution ``y5_#`` and the error estimate ``e_#`` as local
+    floats, component ``#`` by component: each per-component form below
+    is written out once per component, in the operation order of the
+    formula.  The weights, scaled by ``h`` once per trial, are the products
+    ``h * <literal>``.  ``kernel`` yields what ``_dopri_steps`` yields, and
+    returns the time it reached.
+    """
+
+    def each(form: str, sep: str = ", ") -> str:
+        """``form`` once per component, ``#`` its index, joined by ``sep``."""
+        return sep.join(form.replace("#", str(i)) for i in range(n))
+
+    weights = "; ".join(f"{name} = h * {w!r}" for name, w in zip(
+        ("a21 a31 a32 a41 a42 a43 a51 a52 a53 a54 a61 a62 a63 a64 a65 "
+         "b1 b3 b4 b5 b6 e1 e3 e4 e5 e6 e7").split(), _DP_WEIGHTS))
+    c2, c3, c4, c5 = map(repr, _DP_C[1:5])
+    err_norm = "abs(e_#) / (atol + rtol * max(abs(y_#), abs(y5_#)))"
+    return f'''\
+def kernel(f, t, t_end, h, h_min, rtol, atol, max_steps, y, k1, counts):
+    {each("y_#")}, = y
+    {each("k1_#")}, = k1
+    finite = True
+    for _ in range(max_steps):
+        if t >= t_end:
+            return t
+        last = t_end - t - h < h_min  # no remainder shorter than h_min
+        if last:
+            h = t_end - t
+        if h < h_min:
+            raise _step_underflow(t, h, finite)
+        {weights}
+        stage = 1  # k2 ... k7 are stages 1 ... 6 of the trial
+        try:
+            k2 = f(t + {c2} * h, [{each("y_# + a21 * k1_#")}])
+            {each("k2_#")}, = k2
+            stage = 2
+            k3 = f(t + {c3} * h, [{each("y_# + a31 * k1_# + a32 * k2_#")}])
+            {each("k3_#")}, = k3
+            stage = 3
+            k4 = f(t + {c4} * h, [{each("y_# + a41 * k1_# + a42 * k2_# + a43 * k3_#")}])
+            {each("k4_#")}, = k4
+            stage = 4
+            k5 = f(t + {c5} * h, [{each(
+                "y_# + a51 * k1_# + a52 * k2_# + a53 * k3_# + a54 * k4_#")}])
+            {each("k5_#")}, = k5
+            stage = 5
+            k6 = f(t + h, [{each(
+                "y_# + a61 * k1_# + a62 * k2_# + a63 * k3_# + a64 * k4_# + a65 * k5_#")}])
+            {each("k6_#")}, = k6
+            stage = 6
+            {each("y5_# = y_# + b1 * k1_# + b3 * k3_# + b4 * k4_# + b5 * k5_# + b6 * k6_#",
+                  "; ")}
+            y5 = [{each("y5_#")}]
+            k7 = f(t + h, y5)  # the last stage is evaluated at the 5th-order solution
+            {each("k7_#")}, = k7
+        except EvaluationError:  # a stage left the rhs's domain: a non-finite trial
+            finite = False
+        else:
+            {each("e_# = e1 * k1_# + e3 * k3_# + e4 * k4_# + e5 * k5_# + e6 * k6_# + e7 * k7_#",
+                  "; ")}
+            # err weighs every stage but k2, and k2 enters every later stage
+            finite = {each("isfinite(e_#)", " and ")} and {each("isfinite(y5_#)", " and ")}
+        counts["rhs_evals"] += stage  # the last may have raised
+        if not finite:
+            counts["rejected"] += 1
+            h *= 0.2
+            continue
+        err_norm = {each(err_norm) if n == 1 else f"max({each(err_norm)})"}
+        if err_norm <= 1.0:
+            t_prev, t = t, (t_end if last else t + h)
+            yield t_prev, t, h, y5, (y, k1, k2, k3, k4, k5, k6, k7), counts
+            y, k1 = y5, k7
+            {each("y_# = y5_#", "; ")}
+            {each("k1_# = k7_#", "; ")}
+        else:
+            counts["rejected"] += 1
+        factor = 0.9 * (1.0 / max(err_norm, 1e-16)) ** 0.2
+        h = h * min(5.0, max(0.2, factor))
+    return t
+'''
+
+
+@functools.cache
+def _dopri_kernel(n: int):
+    """The stepping loop of ``_dopri_source(n)``, compiled on first use."""
+    namespace = {"EvaluationError": EvaluationError, "isfinite": math.isfinite,
+                 "_step_underflow": _step_underflow}
+    exec(compile(_dopri_source(n), f"<dopri5 kernel, n = {n}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
                  t0: float, t_end: float, rtol: float, atol: float,
                  max_steps: int = MAX_STEPS):
@@ -251,9 +358,10 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     Step control is described at ``integrate_adaptive``.
 
     The arithmetic is on Python floats: the rhs is the model's bound form
-    (``ModelSystem.bind``), the tableau is scaled by ``h`` once per trial,
-    and each stage input, the 5th-order solution and the error estimate
-    is one list comprehension over the components.
+    (``ModelSystem.bind``), and the steps are taken by the loop generated
+    for the model's dimension (``_dopri_source``, compiled once per
+    dimension and process), which holds each component of the state and
+    the stages in its own local variable.
 
     Iterate it inside ``np.errstate(all="ignore")``: a hand-built rhs may
     compute in numpy, whose non-finite trial steps are rejected, not warned
@@ -268,74 +376,16 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     f = model.bind(p)
     y = y.tolist()
     t0, t_end = float(t0), float(t_end)  # numpy scalars would reach the stages through h
-    c2, c3, c4, c5 = _DP_C[1:5]
     span = t_end - t0
-    h = span / 100.0
-    h_min = 1e-14 * span
-    t = t0
     counts = {"rejected": 0, "rhs_evals": 1}
     try:
-        k1 = f(t, y)  # FSAL: k1 is the previous step's k7
+        k1 = f(t0, y)  # FSAL: k1 is the previous step's k7
     except EvaluationError:  # outside the rhs's domain: as a nan rate
         k1 = [math.nan] * len(y)
-    finite = True
-    for _ in range(max_steps):
-        if t >= t_end:
-            return
-        last = t_end - t - h < h_min  # no remainder shorter than h_min
-        if last:
-            h = t_end - t
-        if h < h_min:
-            if not finite:
-                raise BlowupError(f"state became non-finite at t = {t + h:g}", time=t + h)
-            raise StiffnessError(
-                f"step size underflow ({h:.3e}) at t = {t:g}; problem too stiff"
-            )
-        (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
-         b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = [h * w for w in _DP_WEIGHTS]
-        stage = 1  # k2 ... k7 are stages 1 ... 6 of the trial
-        try:
-            k2 = f(t + c2 * h, [u + a21 * q1 for u, q1 in zip(y, k1)])
-            stage = 2
-            k3 = f(t + c3 * h, [u + a31 * q1 + a32 * q2 for u, q1, q2 in zip(y, k1, k2)])
-            stage = 3
-            k4 = f(t + c4 * h, [u + a41 * q1 + a42 * q2 + a43 * q3
-                                for u, q1, q2, q3 in zip(y, k1, k2, k3)])
-            stage = 4
-            k5 = f(t + c5 * h, [u + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4
-                                for u, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)])
-            stage = 5
-            k6 = f(t + h, [u + a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5
-                           for u, q1, q2, q3, q4, q5 in zip(y, k1, k2, k3, k4, k5)])
-            stage = 6
-            y5 = [u + b1 * q1 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6
-                  for u, q1, q3, q4, q5, q6 in zip(y, k1, k3, k4, k5, k6)]
-            k7 = f(t + h, y5)  # the last stage is evaluated at the 5th-order solution
-        except EvaluationError:  # a stage left the rhs's domain: a non-finite trial
-            finite = False
-        else:
-            err = [e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7
-                   for q1, q3, q4, q5, q6, q7 in zip(k1, k3, k4, k5, k6, k7)]
-            # err weighs every stage but k2, and k2 enters every later stage
-            finite = all(map(math.isfinite, err + y5))
-        counts["rhs_evals"] += stage  # the last may have raised
-        if not finite:
-            counts["rejected"] += 1
-            h *= 0.2
-            continue
-        err_norm = max([abs(e) / (atol + rtol * max(abs(a), abs(b)))
-                        for e, a, b in zip(err, y, y5)])
-        if err_norm <= 1.0:
-            t_prev, t = t, (t_end if last else t + h)
-            yield t_prev, t, h, y5, (y, k1, k2, k3, k4, k5, k6, k7), counts
-            y, k1 = y5, k7
-        else:
-            counts["rejected"] += 1
-        factor = 0.9 * (1.0 / max(err_norm, 1e-16)) ** 0.2
-        h = h * min(5.0, max(0.2, factor))
-    if t >= t_end:  # the last of the max_steps trials landed on t_end
-        return
-    raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
+    t = yield from _dopri_kernel(len(y))(f, t0, t_end, span / 100.0, 1e-14 * span,
+                                         rtol, atol, max_steps, y, k1, counts)
+    if t < t_end:  # the budget's last trial did not land on t_end
+        raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
 
 
 def dense_output(Y, y, h: float, theta: float):
@@ -367,17 +417,17 @@ def _rms(x) -> float:
 
 def _radau_newton(rhs, t, y, h, Z, scale, tol, K, transforms, counts):
     """The simplified Newton iteration on the Radau collocation system,
-    started from the stage increments ``Z`` (3 x n: stage i at
-    ``t + C_i h`` is ``y + Z_i``) and run on the transformed variables
-    W = T^-1 Z, both kept flat, stage after stage.  An iteration is one
-    product dW = K [F; W] with the stage derivatives F (``newton_inverse``
-    in ``_radau_steps`` forms K with the Newton inverse), and the stages
-    are y + (T (x) I) W, ``transforms`` being (T^-1 (x) I, T (x) I).
+    started from the stage increments ``Z`` (flat, stage after stage: stage
+    i at ``t + C_i h`` is ``y + Z_i``) and run on the transformed variables
+    W = T^-1 Z, kept flat as well.  An iteration is one product
+    dW = K [F; W] with the stage derivatives F (``newton_inverse`` in
+    ``_radau_steps`` forms K with the Newton inverse), and the stages are
+    y + (T (x) I) W, ``transforms`` being (T^-1 (x) I, T (x) I).
     ``rhs`` is the bound rhs; each evaluation is counted in ``counts``,
     one that raises too.  A stage that raises ``EvaluationError`` ends the
     iteration unconverged, and so does a non-finite Newton norm (a
     non-finite stage or matrix).  Returns (converged, finite, iterations,
-    Z, rate of convergence)."""
+    Z as 3 x n, rate of convergence)."""
     n = y.size
     t0, t1, t2 = [t + h * c for c in _RADAU_C]
     y3 = np.concatenate((y, y, y))
@@ -528,16 +578,14 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
         last = t_end - t - h_next < h_min  # no remainder shorter than h_min
         h = t_end - t if last else h_next
         if h < h_min:
-            if not finite:
-                raise BlowupError(f"state became non-finite at t = {t + h:g}", time=t + h)
-            raise StiffnessError(
-                f"step size underflow ({h:.3e}) at t = {t:g}; problem too stiff"
-            )
+            raise _step_underflow(t, h, finite)
         if Y is None:
-            Z0 = np.zeros((3, n))
-        else:  # the last polynomial at the new stage times
-            theta = np.array([[(t + h * c - t_prev) / h_prev] for c in _RADAU_C])
-            Z0 = collocation_output(Y, theta) - y
+            Z0 = np.zeros(3 * n)
+        else:  # the last polynomial at the new stage times, on floats, stage after stage
+            thetas = [(t + h * c - t_prev) / h_prev for c in _RADAU_C]
+            columns = list(zip(*Y.tolist(), y.tolist()))  # (y_prev, q1, q2, q3, y) by component
+            Z0 = np.array([collocation_output(column, theta) - column[4]
+                           for theta in thetas for column in columns])
         scale = atol + rtol * np.abs(y)
         while True:
             try:
@@ -602,9 +650,9 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
 def collocation_output(Y, theta):
     """The state at ``t_prev + theta * h`` inside one accepted Radau step:
     its collocation polynomial, ``Y = [y_prev; q1; q2; q3]`` as
-    ``_radau_steps`` yields it.  theta may be a column of values, giving one
-    state row each; theta = 0 gives ``y_prev``, and theta = 1 the new state
-    up to rounding."""
+    ``_radau_steps`` yields it, or one column of it.  theta may be a column
+    of values, giving one state row each; theta = 0 gives ``y_prev``, and
+    theta = 1 the new state up to rounding."""
     return Y[0] + theta * (Y[1] + theta * (Y[2] + theta * Y[3]))
 
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from qsslab import cli
 from qsslab.claims import CLAIMS
-from qsslab.cli import read_trajectory_csv, run_cli
+from qsslab.cli import read_trajectory_csv, run_cli, write_trajectory_csv
+from qsslab.integrate import Trajectory
 from qsslab.svg import render_plot
 from qsslab.errors import UsageError
 
@@ -400,6 +401,42 @@ def test_check_plot_writes_overview_svg(outdir):
     svg = plot.read_text()
     assert svg.count("<polyline") == 4  # one curve per mechanism
     assert 'fill="#fde2c0"' in svg  # collapse window shading
+
+
+def test_trajectory_csv_bytes(outdir):
+    # each cell is the shortest text of 17 significant digits: signed
+    # zero, the smallest subnormal and the largest float included
+    path = outdir / "traj.csv"
+    write_trajectory_csv(Trajectory(
+        [-0.0, 5e-324, 1.7976931348623157e308],
+        [[-0.0, 0.1], [1.7976931348623157e308, 1 / 3], [5e-324, -2.5]], ("T", "D"), {}), path)
+    assert path.read_bytes() == (
+        b"t,T,D\n"
+        b"-0,-0,0.10000000000000001\n"
+        b"4.9406564584124654e-324,1.7976931348623157e+308,0.33333333333333331\n"
+        b"1.7976931348623157e+308,4.9406564584124654e-324,-2.5\n")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command, flag", [
+    (["simulate", "--model", "healthy", "--t-end", "1"], "--out"),
+    (["simulate", "--model", "healthy", "--t-end", "1", "--out", "{ok}"], "--plot"),
+    (["steady", "--model", "healthy"], "--out"),
+    (["classify", "--traj", "{traj}"], "--out"),
+    (["sweep", "--model", "linear-destruction", "--sweep", "gamma=1,2", "--metrics", "T*",
+      "--init", "T=1"], "--out"),
+    (["check", "qss-reduction-valid"], "--json"),
+    (["check", "qss-reduction-valid"], "--plot"),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v[:2]))
+def test_unwritable_output_is_a_usage_error(outdir, capsys, command, flag, where):
+    traj = outdir / "traj.csv"
+    times = [i / 16 for i in range(17)]
+    write_trajectory_csv(Trajectory(times, [[math.exp(-t)] for t in times], ("T",), {}), traj)
+    path = outdir / "missing" / "out" if where == "missing-directory" else outdir
+    argv = [arg.format(ok=outdir / "ok.csv", traj=traj) for arg in command]
+    assert run_cli(argv + [flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {str(path)!r}" in err and "Traceback" not in err
 
 
 class TestRenderPlot:

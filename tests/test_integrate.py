@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,12 +38,18 @@ from qsslab.errors import (
     BlowupError,
     DomainError,
     EvaluationError,
+    QsslabError,
     StiffnessError,
     ValidationError,
 )
 from qsslab.integrate import (
+    _DP_C,
+    _DP_WEIGHTS,
+    MAX_STEPS,
     Trajectory,
+    _dopri_kernel,
     _dopri_steps,
+    _prepare,
     _radau_steps,
     dense_output,
     sampled_dopri_run,
@@ -318,6 +328,252 @@ class TestSampledDopriRun:
         traj = self.run(full.times)
         assert {k: traj.solver_info[k] for k in full.solver_info} == full.solver_info
         np.testing.assert_allclose(traj.states, full.states, rtol=1e-15, atol=1e-16)
+
+
+def reference_dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
+                          t0: float, t_end: float, rtol: float, atol: float,
+                          max_steps: int = MAX_STEPS):
+    """The reference for ``_dopri_steps``: the same Dormand-Prince 5(4)
+    stepping kernel written with one list comprehension per stage.
+
+    Each accepted step yields ``(t_prev, t, h, y, K, counts)``: the step
+    runs from ``t_prev`` to ``t`` with stage size ``h``, ``y`` is the new
+    state and ``K = (y_prev, k1, ..., k7)`` the step's stages, each a fresh
+    list of floats, and ``counts`` one dict, updated in place, with the
+    trial steps ``rejected`` and the ``rhs_evals`` so far (an evaluation
+    that raises counts).  ``dense_output`` evaluates the step in between.
+    Step control is described at ``integrate_adaptive``.
+
+    The arithmetic is on Python floats: the rhs is the model's bound form
+    (``ModelSystem.bind``), the tableau is scaled by ``h`` once per trial,
+    and each stage input, the 5th-order solution and the error estimate
+    is one list comprehension over the components.
+
+    Iterate it inside ``np.errstate(all="ignore")``: a hand-built rhs may
+    compute in numpy, whose non-finite trial steps are rejected, not warned
+    about.  The error state has to be set by the caller, around the loop,
+    because a decorator on a generator function covers only the creation
+    of the generator, and a ``with`` block in its body would leak into the
+    caller between steps.
+    """
+    if rtol <= 0 or atol <= 0:
+        raise DomainError("rtol and atol must be positive")
+    p, y = _prepare(model, params, state0, t0, t_end)
+    f = model.bind(p)
+    y = y.tolist()
+    t0, t_end = float(t0), float(t_end)  # numpy scalars would reach the stages through h
+    c2, c3, c4, c5 = _DP_C[1:5]
+    span = t_end - t0
+    h = span / 100.0
+    h_min = 1e-14 * span
+    t = t0
+    counts = {"rejected": 0, "rhs_evals": 1}
+    try:
+        k1 = f(t, y)  # FSAL: k1 is the previous step's k7
+    except EvaluationError:  # outside the rhs's domain: as a nan rate
+        k1 = [math.nan] * len(y)
+    finite = True
+    for _ in range(max_steps):
+        if t >= t_end:
+            return
+        last = t_end - t - h < h_min  # no remainder shorter than h_min
+        if last:
+            h = t_end - t
+        if h < h_min:
+            if not finite:
+                raise BlowupError(f"state became non-finite at t = {t + h:g}", time=t + h)
+            raise StiffnessError(
+                f"step size underflow ({h:.3e}) at t = {t:g}; problem too stiff"
+            )
+        (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
+         b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = [h * w for w in _DP_WEIGHTS]
+        stage = 1  # k2 ... k7 are stages 1 ... 6 of the trial
+        try:
+            k2 = f(t + c2 * h, [u + a21 * q1 for u, q1 in zip(y, k1)])
+            stage = 2
+            k3 = f(t + c3 * h, [u + a31 * q1 + a32 * q2 for u, q1, q2 in zip(y, k1, k2)])
+            stage = 3
+            k4 = f(t + c4 * h, [u + a41 * q1 + a42 * q2 + a43 * q3
+                                for u, q1, q2, q3 in zip(y, k1, k2, k3)])
+            stage = 4
+            k5 = f(t + c5 * h, [u + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4
+                                for u, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)])
+            stage = 5
+            k6 = f(t + h, [u + a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5
+                           for u, q1, q2, q3, q4, q5 in zip(y, k1, k2, k3, k4, k5)])
+            stage = 6
+            y5 = [u + b1 * q1 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6
+                  for u, q1, q3, q4, q5, q6 in zip(y, k1, k3, k4, k5, k6)]
+            k7 = f(t + h, y5)  # the last stage is evaluated at the 5th-order solution
+        except EvaluationError:  # a stage left the rhs's domain: a non-finite trial
+            finite = False
+        else:
+            err = [e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7
+                   for q1, q3, q4, q5, q6, q7 in zip(k1, k3, k4, k5, k6, k7)]
+            # err weighs every stage but k2, and k2 enters every later stage
+            finite = all(map(math.isfinite, err + y5))
+        counts["rhs_evals"] += stage  # the last may have raised
+        if not finite:
+            counts["rejected"] += 1
+            h *= 0.2
+            continue
+        err_norm = max([abs(e) / (atol + rtol * max(abs(a), abs(b)))
+                        for e, a, b in zip(err, y, y5)])
+        if err_norm <= 1.0:
+            t_prev, t = t, (t_end if last else t + h)
+            yield t_prev, t, h, y5, (y, k1, k2, k3, k4, k5, k6, k7), counts
+            y, k1 = y5, k7
+        else:
+            counts["rejected"] += 1
+        factor = 0.9 * (1.0 / max(err_norm, 1e-16)) ** 0.2
+        h = h * min(5.0, max(0.2, factor))
+    if t >= t_end:  # the last of the max_steps trials landed on t_end
+        return
+    raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
+
+
+def stepping_record(kernel, model, params, state0, t0, t_end, rtol=1e-8, atol=1e-12,
+                    **kwargs):
+    """Every yield of ``kernel``'s run as bytes and types, ``counts`` as it
+    stood at each yield and at the end, and the error the run ends in."""
+    steps, counts, error = [], {}, None
+    try:
+        with np.errstate(all="ignore"):
+            for t_prev, t, h, y, K, counts in kernel(model, params, state0, t0, t_end,
+                                                     rtol, atol, **kwargs):
+                floats = [t_prev, t, h, *y, *(v for row in K for v in row)]
+                steps.append((np.array(floats).tobytes(), [type(v) for v in floats],
+                              [type(row) for row in (y, *K)], dict(counts)))
+    except QsslabError as exc:
+        error = type(exc), str(exc)
+    return steps, dict(counts), error
+
+
+def power_destruction_by_hand():
+    """power-destruction as a hand-built numpy rhs: a trial below T = 0 makes
+    a nan rate under the fractional power, where the compiled form raises."""
+    base = make_base_model("power-destruction")
+
+    def rhs(t, s, p):
+        return np.array([p["a"] - p["y"] * s[0] - p["gamma"] * s[0] ** p["n"]])
+
+    return dataclasses.replace(base, name="power-destruction-by-hand", rhs=rhs, jacobian=None)
+
+
+# the trial steps of TestAdaptive.test_non_finite_trial_step_is_rejected:
+# the first trial overshoots to T < 0 under a fractional power
+OVERSHOOT = (ParameterSet(a=0.33014751191550706, y=0.29421304314213753,
+                          gamma=96.0681310956346, n=2.205395261283672),
+             StateVector(("T",), [16.745582880360338]), 0.0, 2.387002511409681)
+
+
+class TestGeneratedDopriKernel:
+    """``_dopri_steps`` steps through the loop generated for the model's
+    dimension; ``reference_dopri_steps`` is the same kernel on lists.
+    Every yield must be the same, bit for bit, counts included."""
+
+    @staticmethod
+    def assert_same_steps(model, params, state0, t0, t_end, **kwargs):
+        steps, counts, error = stepping_record(_dopri_steps, model, params, state0,
+                                               t0, t_end, **kwargs)
+        assert (steps, counts, error) == stepping_record(
+            reference_dopri_steps, model, params, state0, t0, t_end, **kwargs)
+        assert all(types == [float] * len(types) for _, types, _, _ in steps)
+        assert all(rows == [list] * 9 for _, _, rows, _ in steps)
+        return steps, counts, error
+
+    @pytest.mark.parametrize("kind, t_end", [
+        ("power-destruction", 10.0), ("logistic-source", 10.0), ("coupled-agent", 20.0),
+        ("bcell-depletion", 20.0), ("virulence-drift", 20.0),
+        ("cytokine-inversion", 20.0), ("humoral-cellular-competition", 20.0),
+    ])
+    def test_catalog_models(self, kind, t_end):
+        model = make_model(kind)
+        steps, counts, error = self.assert_same_steps(
+            model, default_params(kind), default_state(kind), 0.0, t_end)
+        assert error is None and len(steps) > 10
+        assert hasattr(model.rhs, "bind")
+
+    def test_hand_built_models_through_the_adapter(self):
+        def rhs(t, values, p):
+            T, D = values
+            return np.array([p["a"] - p["y"] * T - D * T, p["x"] * T - p["delta_D"] * D])
+
+        coupled = dataclasses.replace(make_base_model("coupled-agent"), rhs=rhs, jacobian=None)
+        for model, params, state0 in (
+                (forced_decay_model(), ParameterSet(), StateVector(("y",), [1.0])),
+                (coupled, ParameterSet(a=1, y=1, x=2, delta_D=4),
+                 StateVector(("T", "D"), [2.0, 1.0]))):
+            assert not hasattr(model.rhs, "bind")
+            steps, _, error = self.assert_same_steps(model, params, state0, 0.0, 10.0)
+            assert error is None and len(steps) > 10
+
+    def test_non_finite_trial(self):
+        params, state0, t0, t_end = OVERSHOOT
+        model = power_destruction_by_hand()
+        with np.errstate(all="ignore"):
+            assert math.isnan(model.bind(params.as_dict())(0.0, [-1.0])[0])
+        _, counts, error = self.assert_same_steps(model, params, state0, t0, t_end,
+                                                  rtol=1e-10, atol=1e-13)
+        assert error is None and counts["rejected"] >= 1
+
+    def test_stage_that_raises(self):
+        params, state0, t0, t_end = OVERSHOOT
+        model = make_base_model("power-destruction")
+        with pytest.raises(EvaluationError):
+            model.bind(params.as_dict())(0.0, [-1.0])
+        _, counts, error = self.assert_same_steps(model, params, state0, t0, t_end,
+                                                  rtol=1e-10, atol=1e-13)
+        assert error is None and counts["rejected"] >= 1
+        assert (counts["rhs_evals"] - 1) % 6 != 0  # a trial ended at the stage that raised
+
+    def test_step_size_underflow_ends_in_stiffness(self):
+        # the rate flips sign at T = 1: no step across it meets the tolerance
+        model = ModelSystem(name="switch", state_names=("T",), param_schema=(),
+                            rhs=lambda t, s, p: np.array([-1e10 if s[0] > 1 else 1e10]))
+        _, _, error = self.assert_same_steps(model, ParameterSet(), StateVector(("T",), [0.0]),
+                                             0.0, 1.0)
+        assert error[0] is StiffnessError and "step size underflow" in error[1]
+
+    def test_step_size_underflow_ends_in_blowup(self):
+        model = ModelSystem(name="nan-rate", state_names=("T", "U"), param_schema=(),
+                            rhs=lambda t, s, p: np.array([math.nan, 1.0]))
+        steps, _, error = self.assert_same_steps(model, ParameterSet(),
+                                                 StateVector(("T", "U"), [1.0, 1.0]), 0.0, 1.0)
+        assert error[0] is BlowupError and not steps
+
+    @pytest.mark.parametrize("max_steps", [32, 33])
+    def test_step_budget(self, max_steps):
+        # TestStepBudget's run: 33 trials, the last landing on t_end
+        _, counts, error = self.assert_same_steps(
+            make_base_model("healthy"), ParameterSet(a=1, y=1), StateVector(("T",), [0.5]),
+            0.0, 5.0, max_steps=max_steps)
+        assert counts["rhs_evals"] == 1 + 6 * max_steps  # every trial of the budget taken
+        assert (error is None) == (max_steps == 33)
+        if error:
+            assert error == (StiffnessError, "step budget of 32 exhausted at t = 4.85853")
+
+    def test_each_dimension_compiles_once(self):
+        model = make_base_model("coupled-agent")
+        args = ParameterSet(a=1, y=1, x=2, delta_D=4), StateVector(("T", "D"), [2.0, 1.0])
+        integrate_adaptive(model, *args, 0.0, 1.0)
+        before = _dopri_kernel.cache_info()
+        for _ in range(3):
+            integrate_adaptive(model, *args, 0.0, 1.0)
+        after = _dopri_kernel.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits + 3
+        assert _dopri_kernel(2) is _dopri_kernel(2) is not _dopri_kernel(1)
+
+    def test_import_compiles_no_kernel(self):
+        src = Path(integrate.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        code = ("import qsslab, qsslab.cli; from qsslab.integrate import _dopri_kernel; "
+                "print(_dopri_kernel.cache_info().misses)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
 
 
 class TestStepBudget:
