@@ -1,9 +1,10 @@
 """qsslab: a workbench for quasi-steady-state CD4 T-cell decline models.
 
 Build catalog models or define your own in the ``.qssm`` language, integrate
-them with fixed-step RK4 or an adaptive embedded 5(4) pair, extract steady
-states / approach times / curvature classes, and check the registered
-claims about destruction-only versus slow-feedback dynamics.
+them with fixed-step RK4, the adaptive Dormand-Prince 5(4) pair or the stiff
+Radau IIA(5) kernel, extract steady states / approach times / curvature
+classes, and check the registered claims about destruction-only versus
+slow-feedback dynamics.
 """
 
 from .analysis import (
@@ -26,15 +27,6 @@ from .catalog import (
     make_model,
 )
 from .claims import ClaimReport, SweepSpec, run_claim, sweep
-from .closedform import (
-    initial_slope,
-    linear_destruction_solution,
-    linear_solution,
-    logistic_solution,
-    power_approx_steady,
-    relaxation_rate,
-    steady_state_formula,
-)
 from .core import ModelSystem, ParameterSet, ParamSpec, StateVector, eval_rhs, validate
 from .dsl import ModelDefinition, compile_model, eval_expr, format_model, parse_model
 from .integrate import Trajectory, integrate_adaptive, integrate_fixed
@@ -65,22 +57,15 @@ __all__ = [
     "eval_rhs",
     "find_steady_state",
     "format_model",
-    "initial_slope",
     "integrate_adaptive",
     "integrate_fixed",
-    "linear_destruction_solution",
-    "linear_solution",
-    "logistic_solution",
     "make_base_model",
     "make_mechanism_model",
     "make_model",
     "parse_model",
-    "power_approx_steady",
     "qss_reduce",
-    "relaxation_rate",
     "render_plot",
     "run_claim",
-    "steady_state_formula",
     "sweep",
     "time_to_epsilon",
     "validate",

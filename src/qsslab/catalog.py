@@ -4,15 +4,14 @@ multi-compartment collapse mechanisms.
 Each model is defined once, in ``models/<kind>.qssm``: its states and their
 default initial values, its parameters with defaults and lower bounds, its
 slow rates and its equations.  The factories below parse and compile a file
-on first use and keep the result; this module adds only the kind enums, the
-``healthy`` split parameterization and the mechanisms' horizons.  Catalog
-models require every parameter (``default_params`` gives the defaults).
+on first use and keep the result; this module adds only the kind enums and
+the mechanisms' horizons.  Catalog models require every parameter
+(``default_params`` gives the defaults) and accept no other.
 
 Destruction models
 ------------------
 The base kinds share the state variable T (CD4 T-lymphocyte concentration)
-and the source/death parameters ``a`` and ``y``.  ``healthy`` optionally
-accepts the split parameterization (``b``, ``delta_T``) with ``y = delta_T - b``.
+and the source/death parameters ``a`` and ``y``.
 
 Mechanism models
 ----------------
@@ -92,14 +91,6 @@ def _kind(value: str | BaseModelKind | MechanismKind, *enums):
     raise UsageError(f"unknown model kind {value!r}; expected one of: {names}")
 
 
-def _healthy_resolver(raw: dict) -> dict:
-    # collapsed parameterization is canonical: y = delta_T - b
-    if "y" not in raw and "b" in raw and "delta_T" in raw:
-        raw = dict(raw)
-        raw["y"] = raw["delta_T"] - raw["b"]
-    return raw
-
-
 # Simulation horizons that contain plateau, collapse, and floor for the
 # default parameters (used by the claims module and the CLI defaults).
 _MECHANISM_HORIZONS = {
@@ -126,7 +117,6 @@ def _model(kind: BaseModelKind | MechanismKind) -> ModelSystem:
         model,
         kind=kind.value,
         param_schema=tuple(dataclasses.replace(s, default=None) for s in model.param_schema),
-        param_resolver=_healthy_resolver if kind is BaseModelKind.HEALTHY else None,
     )
 
 

@@ -42,8 +42,9 @@ run's continuous extension (``integrate.sampled_dopri_run``).
 The two destruction claims stand on the model and ``find_steady_state``
 alone: every steady state, the ordering claim's T0 included, is the
 numerical root from the kind's default state, and a point that fails
-numerically is recorded with its error and fails its claim.  The closed
-forms serve only ``sweep``'s ``T*_formula`` metric.
+numerically is recorded with its error and fails its claim.  No claim and
+no ``sweep`` metric reads a closed form; the closed forms are the tests'
+oracle.
 
 Every claim is a deterministic predicate: re-running with identical
 configuration reproduces the report bit for bit (reports carry no
@@ -66,7 +67,6 @@ from .catalog import (
     make_mechanism_model,
     make_model,
 )
-from .closedform import power_approx_steady, steady_state_formula
 from .core import ModelSystem, ParameterSet, StateVector, check_params
 from .errors import (
     NUMERICAL_ERRORS,
@@ -86,7 +86,8 @@ _SOLVER = {"rtol": 1e-8, "atol": 1e-12}
 class SweepSpec:
     """One-parameter sweep request for the ``sweep`` operation.  The swept
     model is ``model`` when given (a compiled ``.qssm`` file; ``model_kind``
-    then only labels it), else the catalog kind ``model_kind``."""
+    then only labels it, and ``initial_state`` is required), else the
+    catalog kind ``model_kind``."""
 
     model_kind: str
     base_params: ParameterSet
@@ -105,7 +106,9 @@ class SweepSpec:
         if list(grid) != sorted(grid):
             raise UsageError("sweep grid values must be sorted ascending")
         object.__setattr__(self, "grid", grid)
-        known = {"T*", "T*_formula", "T*_approx", "t_eps", "rate", "curvature"}
+        if self.model is not None and self.initial_state is None:
+            raise UsageError("a sweep of a given model needs its initial_state")
+        known = {"T*", "t_eps", "rate", "curvature"}
         bad = [m for m in self.metrics if m not in known]
         if bad:
             raise UsageError(f"unknown metrics {bad}; known: {sorted(known)}")
@@ -552,22 +555,28 @@ def sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the requested metrics at every grid value of one parameter.
 
     Rows are ordered by grid value; numerical failures are recorded in the
-    row (``error`` key) rather than aborting the sweep.
+    row (``error`` key) rather than aborting the sweep.  A parameter, swept
+    or given, that the model does not declare raises ``UsageError`` first.
     """
+    model = spec.model or make_model(spec.model_kind)
+    declared = [p.name for p in model.param_schema]
+    undeclared = [n for n in (spec.sweep_param, *spec.base_params) if n not in declared]
+    if undeclared:
+        raise UsageError(
+            f"undeclared parameter {undeclared[0]!r} for {model.name} "
+            f"(parameters: {', '.join(declared)})"
+        )
+    state0 = spec.initial_state or default_state(spec.model_kind)
     rows = []
     for value in spec.grid:
         params = spec.base_params.with_updates(**{spec.sweep_param: value})
         row: dict = {spec.sweep_param: value}
         try:
-            if spec.model is None:
-                model = make_model(spec.model_kind, params)
-            else:
-                model = check_params(spec.model, params)
-            state0 = spec.initial_state or default_state(spec.model_kind)
+            check_params(model, params)
             ss = None
             for metric in spec.metrics:
                 try:
-                    if metric in ("T*", "t_eps", "rate", "curvature") and ss is None:
+                    if ss is None:
                         ss = find_steady_state(model, params, state0)
                     if metric == "T*":
                         row[metric] = float(ss.values.values[0])
@@ -581,14 +590,6 @@ def sweep(spec: SweepSpec) -> list[dict]:
                             model, params, state0, 0.0, horizon, **_SOLVER
                         )
                         row[metric] = classify_curvature(traj, model.state_names[0]).curvature_class
-                    elif metric == "T*_formula":
-                        result = steady_state_formula(spec.model_kind, params)
-                        row[metric] = result[0] if isinstance(result, tuple) else result
-                    elif metric == "T*_approx":
-                        row[metric] = power_approx_steady(
-                            params["a"], params["y"], params["gamma"],
-                            params["n"] if "n" in params else 1.0,
-                        )
                 except QsslabError as exc:
                     row[f"{metric}_error"] = str(exc)
         except QsslabError as exc:

@@ -3,7 +3,8 @@
 Subcommands: ``simulate``, ``steady``, ``classify``, ``sweep``, ``check``,
 ``catalog``.  Exit codes: 0 success (or claim pass), 1 claim fail, 2 usage
 error, 3 numerical failure.  Diagnostics go to stderr; data goes only to the
-paths given by flags (or stdout for ``catalog``).
+paths given by flags (or stdout for ``catalog``), and each such path is
+checked before the command computes anything.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -88,6 +90,22 @@ def _assemble_state(base_state, init_args):
             )
         values[name] = value
     return StateVector(base_state.names, [values[n] for n in base_state.names])
+
+
+def _check_writable(path: str) -> None:
+    """Raise ``UsageError`` unless ``path`` could be written as a file: its
+    directory exists and is writable, and the path is not a directory.
+    Neither creates nor truncates the file."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent!r}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise UsageError(f"cannot write {path!r}: {reason}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -356,6 +374,9 @@ def run_cli(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for path in (getattr(args, flag, None) for flag in ("out", "plot", "json")):
+            if path:
+                _check_writable(path)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -184,9 +184,6 @@ class ModelSystem:
     equation: str = ""
     kind: str | None = None
     slow_rate_params: tuple[str, ...] = ()
-    param_resolver: Callable[[Mapping[str, float]], dict[str, float]] | None = field(
-        default=None, repr=False
-    )
     jacobian: Callable[[Mapping[str, float]], BoundJacobian] | None = field(
         default=None, repr=False, compare=False
     )
@@ -212,25 +209,26 @@ class ModelSystem:
             return np.asarray(rhs(t, np.array(values), params), dtype=float).tolist()
         return bound
 
-    def resolve_params(self, params: ParameterSet) -> dict[str, float]:
-        """Apply defaults and alternative parameterizations; raise on a missing
+    def _declared_values(self, params: ParameterSet) -> list[tuple[ParamSpec, float | None]]:
+        """Each declared parameter with its value: the one ``params`` gives,
+        else the schema default, else None (missing)."""
+        return [
+            (spec, params[spec.name] if spec.name in params else spec.default)
+            for spec in self.param_schema
+        ]
 
-        required parameter.  Schema range checks live in ``validate``; this
-        only guarantees every declared name has a value.
+    def resolve_params(self, params: ParameterSet) -> dict[str, float]:
+        """Apply defaults; raise on a missing required parameter.  Range
+        checks and undeclared names live in ``validate``; this only
+        guarantees every declared name has a value.
         """
-        raw = params.as_dict()
-        if self.param_resolver is not None:
-            raw = self.param_resolver(raw)
         resolved: dict[str, float] = {}
-        for spec in self.param_schema:
-            if spec.name in raw:
-                resolved[spec.name] = raw[spec.name]
-            elif spec.default is not None:
-                resolved[spec.name] = spec.default
-            else:
+        for spec, value in self._declared_values(params):
+            if value is None:
                 raise ParameterError(
                     f"missing parameter {spec.name!r} for model {self.name!r}"
                 )
+            resolved[spec.name] = value
         return resolved
 
 
@@ -254,27 +252,14 @@ def eval_rhs(model: ModelSystem, t: float, state: StateVector, params: Parameter
 
 
 def validate(model: ModelSystem, params: ParameterSet, state0: StateVector | None = None) -> list[str]:
-    """Collect every violation: missing/out-of-range parameters, wrong state
-
-    dimension, non-finite or negative initial components.  An empty list
-    means the combination is valid.
+    """Collect every violation: missing, undeclared or out-of-range
+    parameters, wrong state dimension, non-finite or negative initial
+    components.  An empty list means the combination is valid.
     """
-    violations: list[str] = []
-    raw = params.as_dict()
-    if model.param_resolver is not None:
-        try:
-            raw = model.param_resolver(raw)
-        except ParameterError as exc:
-            violations.append(str(exc))
-    for spec in model.param_schema:
-        if spec.name in raw:
-            value = raw[spec.name]
-        elif spec.default is not None:
-            value = spec.default
-        else:
-            violations.append(f"missing parameter {spec.name!r}")
-            continue
-        message = spec.check(value)
+    declared = {spec.name for spec in model.param_schema}
+    violations = [f"undeclared parameter {name!r}" for name in params if name not in declared]
+    for spec, value in model._declared_values(params):
+        message = f"missing parameter {spec.name!r}" if value is None else spec.check(value)
         if message:
             violations.append(message)
     if state0 is not None:

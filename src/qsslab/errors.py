@@ -33,7 +33,9 @@ class ValidationError(QsslabError):
 
 
 class DomainError(QsslabError, ValueError):
-    """Arguments lie outside a closed-form expression's domain."""
+    """A time span, tolerance or step size lies outside its domain:
+    ``t_end <= t0``, a non-positive ``rtol``, ``atol`` or ``dt``, or a ``dt``
+    that needs more than the step budget."""
 
 
 class UnsupportedKindError(QsslabError):

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .catalog import BaseModelKind
-from .core import ParameterSet
-from .errors import DomainError, UnsupportedKindError
+from qsslab.catalog import BaseModelKind
+from qsslab.core import ParameterSet
+from qsslab.errors import DomainError, UnsupportedKindError
 
 
 def _as_kind(kind) -> BaseModelKind:

@@ -20,6 +20,7 @@ from qsslab.cli import run_cli
 from qsslab.dsl import parse_model
 from qsslab.errors import ParseError, SemanticError
 
+import closedform as cf
 from test_dsl import CATALOG_FILES, MALFORMED, read_model_text
 
 
@@ -51,7 +52,7 @@ def test_criterion_1_integrator_vs_closed_form():
         traj = q.integrate_adaptive(model, params, q.StateVector(("T",), [0.0]),
                                     0.0, 10.0, rtol=1e-10, atol=1e-13)
         worst = max(
-            abs(T - q.linear_destruction_solution(1, 1, gamma, 0.0, t))
+            abs(T - cf.linear_destruction_solution(1, 1, gamma, 0.0, t))
             for t, T in zip(traj.times, traj.component("T"))
         )
         if worst > 1e-8:
@@ -63,7 +64,7 @@ def test_criterion_1_integrator_vs_closed_form():
 
     def endpoint_error(dt):
         traj = q.integrate_fixed(model, params, state0, 0.0, 5.0, dt)
-        return abs(traj.component("T")[-1] - q.linear_solution(1, 1, 0, 5.0))
+        return abs(traj.component("T")[-1] - cf.linear_solution(1, 1, 0, 5.0))
 
     ratio = endpoint_error(0.25) / endpoint_error(0.125)
     if ratio < 15.5:
@@ -86,7 +87,7 @@ def test_criterion_2_steady_state_formulas():
                 }
                 for kind, params in cases.items():
                     model = q.make_base_model(kind)
-                    value = q.steady_state_formula(kind, params)
+                    value = cf.steady_state_formula(kind, params)
                     values = list(value) if isinstance(value, tuple) else [value]
                     state = q.StateVector(model.state_names, values)
                     residual = float(np.max(np.abs(
@@ -104,7 +105,7 @@ def test_criterion_2_steady_state_formulas():
 
 def test_criterion_3_power_approximation_gap():
     failures = []
-    approx = q.power_approx_steady(1, 1, 1, 2)
+    approx = cf.power_approx_steady(1, 1, 1, 2)
     if abs(approx - 2.0 / 3.0) > 1e-15:
         failures.append(f"first-order formula gave {approx!r}, expected 2/3")
     true_root = bisect_root(lambda T: 1 - T - T * T, 0.0, 1.0)
@@ -114,7 +115,7 @@ def test_criterion_3_power_approximation_gap():
     if abs(gap - 0.0486) > 5e-4:
         failures.append(f"approximation gap {gap:.5f} not ~ 0.0486")
     for a, y, g in [(1, 1, 1), (2, 0.5, 3), (0.3, 2, 0.1)]:
-        if abs(q.power_approx_steady(a, y, g, 1) - a / (y + g)) > 1e-15:
+        if abs(cf.power_approx_steady(a, y, g, 1) - a / (y + g)) > 1e-15:
             failures.append(f"n=1 reduction broken at ({a},{y},{g})")
     _report(3, "first-order steady-state gap", failures)
 
@@ -137,7 +138,7 @@ def logistic_t_eps(a, y, gamma, T0, epsilon):
     target = epsilon * (T0 - t_star)
     horizon = 50.0 / math.sqrt(y * y + 4.0 * a * gamma)
     return bisect_root(
-        lambda t: q.logistic_solution(a, y, gamma, T0, t) - t_star - target,
+        lambda t: cf.logistic_solution(a, y, gamma, T0, t) - t_star - target,
         0.0, horizon,
     )
 
@@ -189,7 +190,7 @@ def test_criterion_4_ordering_claim():
                 if residual > 1e-9:
                     failures.append(f"{leg}[s={r['strength']:g}]: residual {residual:.2e}")
             else:
-                exact = q.steady_state_formula(kind, q.ParameterSet(**p))
+                exact = cf.steady_state_formula(kind, q.ParameterSet(**p))
                 if _rel_gap(r["T_star"], exact) > 1e-10:
                     failures.append(f"{leg}[s={r['strength']:g}]: T* {r['T_star']!r} != {exact!r}")
             if kind == "linear-destruction":

@@ -16,12 +16,9 @@ from qsslab import (
     default_params,
     find_steady_state,
     integrate_adaptive,
-    linear_destruction_solution,
     make_base_model,
     make_mechanism_model,
     qss_reduce,
-    relaxation_rate,
-    steady_state_formula,
     time_to_epsilon,
 )
 from qsslab.claims import (
@@ -43,6 +40,8 @@ from qsslab.errors import (
     ValidationError,
 )
 from qsslab.integrate import Trajectory
+
+from closedform import linear_destruction_solution, relaxation_rate, steady_state_formula
 
 
 def sampled_trajectory(fn, times, name="T"):
@@ -323,7 +322,9 @@ class TestTimeToEpsilonOnDenseOutput:
         ("logistic-proliferation", ("t_eps",)),
     ])
     def test_sweep_reuses_its_steady_state(self, kind, metrics):
-        base = ParameterSet(a=1, y=1, gamma=1, n=2)
+        base = ParameterSet(a=1, y=1, gamma=1)
+        if kind == "power-destruction":
+            base = base.with_updates(n=2)
         state0 = StateVector(("T",), [3.0])
         spec = SweepSpec(model_kind=kind, base_params=base, sweep_param="gamma",
                          grid=(0.5, 2.0), initial_state=state0, metrics=metrics)

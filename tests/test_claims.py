@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qsslab import ParameterSet, StateVector, claims, run_claim, sweep
+from qsslab import ParameterSet, StateVector, claims, make_base_model, run_claim, sweep
 from qsslab.catalog import MechanismKind
 from qsslab.claims import SweepSpec, collapse_window, mechanism_trajectory
 from qsslab.errors import NoConvergenceError, UsageError
@@ -20,30 +20,28 @@ class TestSweepSpec:
             SweepSpec("linear-destruction", ParameterSet(a=1, y=1), "gamma", (2.0, 1.0))
 
     def test_unknown_metric_rejected(self):
-        with pytest.raises(UsageError):
-            SweepSpec("healthy", ParameterSet(a=1, y=1), "y", (1.0, 2.0),
-                      metrics=("bogus",))
+        # the closed forms are the tests' oracle, not sweep metrics
+        for metric in ("bogus", "T*_formula", "T*_approx"):
+            with pytest.raises(UsageError):
+                SweepSpec("healthy", ParameterSet(a=1, y=1), "y", (1.0, 2.0),
+                          metrics=(metric,))
+
+    def test_a_given_model_needs_its_initial_state(self):
+        # a file model's label is no catalog kind to take a default state from
+        model = make_base_model("healthy")
+        with pytest.raises(UsageError, match="initial_state"):
+            SweepSpec("my.qssm", ParameterSet(a=1, y=1), "y", (1.0, 2.0), model=model)
 
 
 class TestSweep:
-    def test_linear_destruction_steady_states(self):
-        spec = SweepSpec(
-            "linear-destruction", ParameterSet(a=10, y=1), "gamma", (0.0, 1.0),
-            initial_state=StateVector(("T",), [12.0]), metrics=("T*", "T*_formula"),
-        )
-        rows = sweep(spec)
-        assert rows[0]["gamma"] == 0.0 and rows[0]["T*"] == pytest.approx(10.0, abs=1e-9)
-        assert rows[1]["gamma"] == 1.0 and rows[1]["T*"] == pytest.approx(5.0, abs=1e-9)
-        assert rows[0]["T*_formula"] == pytest.approx(10.0)
-
-    def test_power_approximation_gap_exposed(self):
-        spec = SweepSpec(
-            "power-destruction", ParameterSet(a=1, y=1, gamma=1), "n", (2.0, 3.0),
-            initial_state=StateVector(("T",), [1.0]), metrics=("T*", "T*_approx"),
-        )
-        rows = sweep(spec)
-        for row in rows:
-            assert row["T*_approx"] > row["T*"]  # first-order formula overshoots
+    @pytest.mark.parametrize("model", [None, make_base_model("healthy")], ids=["kind", "model"])
+    @pytest.mark.parametrize("base, name", [(dict(a=1, y=1), "gama"), (dict(a=1, gama=3), "y")],
+                             ids=["swept", "given"])
+    def test_undeclared_parameter_is_a_usage_error(self, model, base, name):
+        spec = SweepSpec("healthy", ParameterSet(base), name, (1.0, 2.0),
+                         initial_state=StateVector(("T",), [1.0]), model=model)
+        with pytest.raises(UsageError, match="undeclared parameter 'gama' for healthy"):
+            sweep(spec)
 
     def test_failures_recorded_per_row(self):
         spec = SweepSpec(
@@ -177,17 +175,6 @@ class TestClaims:
         assert "steady state always drops" not in report.narrative
         rows = [row for row in report.grid if row["leg"] == "logistic-y-lowered"]
         assert len(rows) == len(claims.STRENGTH_GRID)
-
-    @pytest.mark.parametrize("claim_id", ["destruction-lowers-and-hastens",
-                                          "destruction-only-decelerates"])
-    def test_destruction_claims_read_no_closed_form(self, monkeypatch, claim_id):
-        expected = json.dumps(run_claim(claim_id).to_json_dict(), sort_keys=True)
-
-        def closed_form(*args):
-            raise AssertionError("a closed form was read")
-
-        monkeypatch.setattr(claims, "steady_state_formula", closed_form)
-        assert json.dumps(run_claim(claim_id).to_json_dict(), sort_keys=True) == expected
 
     def test_reports_are_bit_identical_across_runs(self):
         a = json.dumps(run_claim("qss-reduction-valid").to_json_dict(), sort_keys=True)

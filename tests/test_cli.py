@@ -428,15 +428,41 @@ def test_trajectory_csv_bytes(outdir):
     (["check", "qss-reduction-valid"], "--json"),
     (["check", "qss-reduction-valid"], "--plot"),
 ], ids=lambda v: v if isinstance(v, str) else " ".join(v[:2]))
-def test_unwritable_output_is_a_usage_error(outdir, capsys, command, flag, where):
+def test_unwritable_output_is_a_usage_error(outdir, capsys, monkeypatch, command, flag, where):
+    # the path is checked before the command computes or writes anything
     traj = outdir / "traj.csv"
     times = [i / 16 for i in range(17)]
     write_trajectory_csv(Trajectory(times, [[math.exp(-t)] for t in times], ("T",), {}), traj)
+    calls = []
+    for name in ("integrate_adaptive", "integrate_fixed", "find_steady_state",
+                 "classify_curvature", "sweep", "run_claim"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _f=original, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
     path = outdir / "missing" / "out" if where == "missing-directory" else outdir
     argv = [arg.format(ok=outdir / "ok.csv", traj=traj) for arg in command]
     assert run_cli(argv + [flag, str(path)]) == 2
     err = capsys.readouterr().err
     assert f"error: cannot write {str(path)!r}" in err and "Traceback" not in err
+    assert calls == [] and not (outdir / "ok.csv").exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--model", "healthy", "--param", "yy=5", "--t-end", "1"], "yy"),
+    (["steady", "--model", "healthy", "--param", "gama=3"], "gama"),
+    (["sweep", "--model", "healthy", "--sweep", "gama=1,2"], "gama"),
+    (["sweep", "--model", "healthy", "--param", "gama=3", "--sweep", "y=1,2"], "gama"),
+], ids=["simulate", "steady", "sweep", "sweep-param"])
+def test_undeclared_parameter_is_a_usage_error(outdir, capsys, argv, name):
+    out = outdir / "out.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert f"error: undeclared parameter {name!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_ignores_an_override_no_grid_model_declares():
+    # --override reaches only the grid models that declare the name
+    assert run_cli(["check", "destruction-only-decelerates", "--override", "gama=3"]) == 0
 
 
 class TestRenderPlot:

@@ -5,21 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsslab import (
-    ParameterSet,
-    StateVector,
-    eval_rhs,
+from qsslab import ParameterSet, StateVector, eval_rhs, integrate_adaptive, make_base_model
+from qsslab.errors import DomainError, UnsupportedKindError
+
+from closedform import (
     initial_slope,
-    integrate_adaptive,
     linear_destruction_solution,
     linear_solution,
     logistic_solution,
-    make_base_model,
     power_approx_steady,
     relaxation_rate,
     steady_state_formula,
 )
-from qsslab.errors import DomainError, UnsupportedKindError
 
 
 def bisect_root(f, lo, hi, iters=200):

@@ -11,10 +11,11 @@ from qsslab import (
     default_params,
     eval_rhs,
     make_base_model,
-    steady_state_formula,
     validate,
 )
 from qsslab.errors import ParameterError, ShapeError
+
+from closedform import steady_state_formula
 
 
 class TestParameterSet:
@@ -93,15 +94,6 @@ class TestEvalRhs:
             eval_rhs(model, 0.0, StateVector(("T",), [1.0]),
                      ParameterSet(a=1, y=1, x=1, delta_D=1))
 
-    def test_split_parameterization_of_healthy(self):
-        # y = delta_T - b is canonical
-        model = make_base_model("healthy")
-        collapsed = eval_rhs(model, 0.0, StateVector(("T",), [3.0]), ParameterSet(a=1, y=0.75))
-        split = eval_rhs(
-            model, 0.0, StateVector(("T",), [3.0]), ParameterSet(a=1, b=0.25, delta_T=1.0)
-        )
-        assert collapsed.values[0] == split.values[0]
-
     def test_referential_transparency(self):
         model = make_base_model("power-destruction")
         params = ParameterSet(a=1.3, y=0.7, gamma=2.0, n=2.5)
@@ -133,6 +125,12 @@ class TestValidate:
         )
         # missing a, missing y, bad gamma, bad n, negative initial state
         assert len(report) == 5
+
+    def test_undeclared_parameters_reported(self):
+        # a model's parameters are exactly those its file declares
+        model = make_base_model("healthy")
+        report = validate(model, ParameterSet(a=1, y=1, b=0.25, delta_T=1.0))
+        assert report == ["undeclared parameter 'b'", "undeclared parameter 'delta_T'"]
 
     def test_negative_y_allowed_only_in_logistic_proliferation(self):
         prolif = make_base_model("logistic-proliferation")

@@ -255,7 +255,8 @@ class TestCompile:
             assert delta <= 1e-12
 
     def test_compiled_model_integrates(self):
-        from qsslab import integrate_adaptive, linear_destruction_solution
+        from closedform import linear_destruction_solution
+        from qsslab import integrate_adaptive
 
         defn = parse_model(read_model_text("linear-destruction"))
         model = compile_model(defn)

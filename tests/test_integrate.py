@@ -17,8 +17,6 @@ from qsslab import (
     find_steady_state,
     integrate_adaptive,
     integrate_fixed,
-    linear_solution,
-    logistic_solution,
     make_base_model,
     make_model,
     qss_reduce,
@@ -55,6 +53,7 @@ from qsslab.integrate import (
     sampled_dopri_run,
     sampled_radau_run,
 )
+from closedform import linear_solution, logistic_solution
 from test_dsl import read_model_text
 
 
