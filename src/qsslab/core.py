@@ -217,6 +217,12 @@ class ModelSystem:
             for spec in self.param_schema
         ]
 
+    def _undeclared(self, params: ParameterSet) -> list[str]:
+        """A violation for each name in ``params`` that the schema does not
+        declare."""
+        declared = {spec.name for spec in self.param_schema}
+        return [f"undeclared parameter {name!r}" for name in params if name not in declared]
+
     def resolve_params(self, params: ParameterSet) -> dict[str, float]:
         """Apply defaults; raise on a missing required parameter.  Range
         checks and undeclared names live in ``validate``; this only
@@ -236,12 +242,16 @@ def eval_rhs(model: ModelSystem, t: float, state: StateVector, params: Parameter
     """Evaluate the model derivative at (t, state).  Pure; no mutation.
 
     Raises ``ShapeError`` on dimension mismatch and ``ParameterError`` when a
-    schema parameter is absent.
+    schema parameter is absent or ``params`` names one the schema does not
+    declare.
     """
     if state.names != model.state_names:
         raise ShapeError(
             f"state components {state.names} do not match model states {model.state_names}"
         )
+    undeclared = model._undeclared(params)
+    if undeclared:
+        raise ParameterError("; ".join(undeclared))
     resolved = model.resolve_params(params)
     out = np.asarray(model.rhs(float(t), state.values, resolved), dtype=float).reshape(-1)
     if out.size != model.dimension:
@@ -256,8 +266,7 @@ def validate(model: ModelSystem, params: ParameterSet, state0: StateVector | Non
     parameters, wrong state dimension, non-finite or negative initial
     components.  An empty list means the combination is valid.
     """
-    declared = {spec.name for spec in model.param_schema}
-    violations = [f"undeclared parameter {name!r}" for name in params if name not in declared]
+    violations = model._undeclared(params)
     for spec, value in model._declared_values(params):
         message = f"missing parameter {spec.name!r}" if value is None else spec.check(value)
         if message:

@@ -1,29 +1,27 @@
 """Time stepping: classic fixed-step RK4, an adaptive Dormand-Prince 5(4)
 embedded pair with proportional step control, and an L-stable Radau IIA
 of order 5 for stiff runs.  Every solver evaluates the model through
-``ModelSystem.bind``, so the parameters are read once per run.  The
-Dormand-Prince kernel computes on Python floats, in a stepping loop
-generated for the run's dimension (``_dopri_source``) that keeps each
-component of the state and the stages in a local variable and writes
-each stage input out component by component; a step makes no numpy call
-at all besides those a hand-built rhs makes.
+``ModelSystem.bind``, so the parameters are read once per run.  Both
+adaptive kernels compute on Python floats, in a stepping loop generated
+once per dimension (``_dopri_source``, ``_radau_source``) that keeps each
+component of its state and stages in a local variable.  A Dormand-Prince
+step makes no numpy call besides those a hand-built rhs makes; a Radau
+step inverts one real 3n x 3n Newton matrix per step size and Jacobian
+(the model's generated one, ``ModelSystem.jacobian``, or finite
+differences for a model without one) and makes one matrix-vector product
+per Newton iteration, around three rhs calls.
 
-Both explicit integrators return a ``Trajectory`` of accepted points.
-The two adaptive kernels, ``_dopri_steps`` and ``_radau_steps``, are
-generators over accepted steps, and between a step's points only its own
-interpolant is evaluated: the free 4th-order continuous extension for
-Dormand-Prince (``dense_output``), the collocation polynomial for Radau
-(``collocation_output``, which also predicts the next step's stages).
-No other module reads a step: ``sampled_dopri_run`` and
-``sampled_radau_run`` keep a run's steps and evaluate them at given
-times in one pass after the last step, and ``first_crossing`` stops the
-Dormand-Prince run at an event and bisects it on the step's extension
-(``analysis.time_to_epsilon``).  Radau takes the model's generated
-Jacobian (``ModelSystem.jacobian``; finite differences only for a model
-without one), and its Newton iteration runs on the inverse of one real
-3n x 3n matrix, so an iteration is one matrix-vector product around
-three rhs calls; the slow-feedback mechanisms, whose explicit steps are
-pinned at the stability limit, run on it (``claims.mechanism_trajectory``).
+The kernels, ``_dopri_steps`` and ``_radau_steps``, are generators over
+accepted steps, and between a step's points only its own interpolant is
+evaluated: the free 4th-order continuous extension for Dormand-Prince
+(``dense_coefficients``, ``dense_output``), the collocation polynomial for
+Radau (``collocation_output``).  No other module reads a step:
+``sampled_dopri_run`` and ``sampled_radau_run`` keep a run's steps and
+evaluate them at given times in one pass after the last step, and
+``first_crossing`` stops the Dormand-Prince run at an event and bisects it
+on the step's extension (``analysis.time_to_epsilon``).  The slow-feedback
+mechanisms, whose explicit steps are pinned at the stability limit, run on
+Radau (``claims.mechanism_trajectory``).
 """
 from __future__ import annotations
 
@@ -269,7 +267,8 @@ def _dopri_source(n: int) -> str:
         ("a21 a31 a32 a41 a42 a43 a51 a52 a53 a54 a61 a62 a63 a64 a65 "
          "b1 b3 b4 b5 b6 e1 e3 e4 e5 e6 e7").split(), _DP_WEIGHTS))
     c2, c3, c4, c5 = map(repr, _DP_C[1:5])
-    err_norm = "abs(e_#) / (atol + rtol * max(abs(y_#), abs(y5_#)))"
+    # each component's error; max(u, v) is v if v > u else u, nan included
+    err = "abs(e_#) / (atol + rtol * (b if (b := abs(y5_#)) > (a := abs(y_#)) else a))"
     return f'''\
 def kernel(f, t, t_end, h, h_min, rtol, atol, max_steps, y, k1, counts):
     {each("y_#")}, = y
@@ -320,7 +319,9 @@ def kernel(f, t, t_end, h, h_min, rtol, atol, max_steps, y, k1, counts):
             counts["rejected"] += 1
             h *= 0.2
             continue
-        err_norm = {each(err_norm) if n == 1 else f"max({each(err_norm)})"}
+        err_norm = {err.replace("#", "0")}
+        {"; ".join(f"err_norm = r if (r := {err}) > err_norm else err_norm".replace("#", str(j))
+                   for j in range(1, n))}
         if err_norm <= 1.0:
             t_prev, t = t, (t_end if last else t + h)
             yield t_prev, t, h, y5, (y, k1, k2, k3, k4, k5, k6, k7), counts
@@ -329,8 +330,9 @@ def kernel(f, t, t_end, h, h_min, rtol, atol, max_steps, y, k1, counts):
             {each("k1_# = k7_#", "; ")}
         else:
             counts["rejected"] += 1
-        factor = 0.9 * (1.0 / max(err_norm, 1e-16)) ** 0.2
-        h = h * min(5.0, max(0.2, factor))
+        factor = 0.9 * (1.0 / (1e-16 if 1e-16 > err_norm else err_norm)) ** 0.2
+        factor = factor if factor > 0.2 else 0.2
+        h = h * (factor if factor < 5.0 else 5.0)
     return t
 '''
 
@@ -388,83 +390,28 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
         raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
 
 
-def dense_output(Y, y, h: float, theta: float):
-    """The state at ``t_prev + theta * h``, theta in [0, 1], inside one
-    accepted Dormand-Prince step: the free 4th-order continuous extension
-    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6, ``contd5``).
-
-    ``Y = [y_prev; k1 ... k7]`` and ``y`` are the stages ``K`` and the state
-    that ``_dopri_steps`` yields for the step, either as arrays
-    (``np.array(K)``, or several steps side by side as columns, with ``h``
-    and ``theta`` one per column) or, for one component, as floats
-    (``[row[j] for row in K]`` with ``y[j]``).  theta = 0 gives ``y_prev``
-    and theta = 1 gives ``y``, each up to one rounding of ``y - y_prev``.
-    """
+def dense_coefficients(Y, y, h: float):
+    """The coefficients of the free 4th-order continuous extension of one
+    accepted Dormand-Prince step (Hairer, Norsett & Wanner, *Solving ODEs I*,
+    II.6, ``contd5``), which ``dense_output`` evaluates.  ``Y = [y_prev; k1
+    ... k7]`` and ``y`` are the stages ``K`` and the state that
+    ``_dopri_steps`` yields for the step, as arrays (``np.array(K)``, or
+    several steps side by side as columns, with ``h`` one per column) or, for
+    one component, as floats (``[row[j] for row in K]`` with ``y[j]``)."""
     y_prev = Y[0]
     dy = y - y_prev
     slope = h * Y[1] - dy
-    bend = dy - h * Y[7] - slope
-    quartic = h * np.dot(_DP_D, Y[1:])
+    return y_prev, dy, slope, dy - h * Y[7] - slope, h * np.dot(_DP_D, Y[1:])
+
+
+def dense_output(coefficients, theta):
+    """The state at ``t_prev + theta * h``, theta in [0, 1], inside the
+    step of ``coefficients = dense_coefficients(Y, y, h)``; theta may be one
+    per column.  theta = 0 gives ``y_prev`` and theta = 1 gives ``y``, each
+    up to one rounding of ``y - y_prev``."""
+    y_prev, dy, slope, bend, quartic = coefficients
     rest = 1.0 - theta
     return y_prev + theta * (dy + rest * (slope + theta * (bend + rest * quartic)))
-
-
-def _rms(x) -> float:
-    """The root-mean-square norm of an array."""
-    x = x.ravel()
-    return math.sqrt(float(x.dot(x)) / x.size)
-
-
-def _radau_newton(rhs, t, y, h, Z, scale, tol, K, transforms, counts):
-    """The simplified Newton iteration on the Radau collocation system,
-    started from the stage increments ``Z`` (flat, stage after stage: stage
-    i at ``t + C_i h`` is ``y + Z_i``) and run on the transformed variables
-    W = T^-1 Z, kept flat as well.  An iteration is one product
-    dW = K [F; W] with the stage derivatives F (``newton_inverse`` in
-    ``_radau_steps`` forms K with the Newton inverse), and the stages are
-    y + (T (x) I) W, ``transforms`` being (T^-1 (x) I, T (x) I).
-    ``rhs`` is the bound rhs; each evaluation is counted in ``counts``,
-    one that raises too.  A stage that raises ``EvaluationError`` ends the
-    iteration unconverged, and so does a non-finite Newton norm (a
-    non-finite stage or matrix).  Returns (converged, finite, iterations,
-    Z as 3 x n, rate of convergence)."""
-    n = y.size
-    t0, t1, t2 = [t + h * c for c in _RADAU_C]
-    y3 = np.concatenate((y, y, y))
-    scale = np.concatenate((scale, scale, scale))  # the scale of each element of W
-    FW = np.empty(6 * n)  # [F; W]
-    w = FW[3 * n:]  # W += dW through it
-    z = Z.ravel()
-    w[:] = transforms[0].dot(z)
-    norm_old = rate = None
-    for k in range(_NEWTON_MAXITER):
-        stages = (y3 + z).tolist()
-        evals = 1
-        try:
-            f0 = rhs(t0, stages[:n])
-            evals = 2
-            f1 = rhs(t1, stages[n:2 * n])
-            evals = 3
-            FW[:3 * n] = f0 + f1 + rhs(t2, stages[2 * n:])
-        except EvaluationError:
-            counts["rhs_evals"] += evals
-            return False, False, k + 1, z.reshape(3, n), rate
-        counts["rhs_evals"] += 3
-        dW = K.dot(FW)
-        scaled = dW / scale
-        norm = math.sqrt(scaled.dot(scaled) / scaled.size)  # the rms norm
-        if not math.isfinite(norm):
-            return False, False, k + 1, z.reshape(3, n), rate
-        if norm_old is not None:
-            rate = norm / norm_old
-            if rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * norm > tol:
-                break
-        w += dW
-        z = transforms[1].dot(w)
-        if norm == 0 or rate is not None and rate / (1 - rate) * norm < tol:
-            return True, True, k + 1, z.reshape(3, n), rate
-        norm_old = norm
-    return False, True, k + 1, z.reshape(3, n), rate
 
 
 def _radau_newton_inverse(lam, h, J):
@@ -479,13 +426,185 @@ def _radau_newton_inverse(lam, h, J):
     return np.linalg.inv(N)
 
 
-def _radau_factor(h, h_prev, err, err_prev) -> float:
-    """Gustafsson's predictive step control: the factor on the step size
-    from this and the previous accepted step's error norms."""
-    multiplier = 1.0
-    if err_prev is not None and err != 0:
-        multiplier = min(1.0, h / h_prev * (err_prev / err) ** 0.25)
-    return multiplier * err ** -0.25 if err else math.inf
+def _radau_source(n: int) -> str:
+    """The source of the Radau IIA(5) stepping loop for ``n`` components.
+
+    Each component ``#`` is a local float, as in ``_dopri_source``: of the
+    state ``y_#``, f(y) ``fy_#``, the predicted stages ``p<i>_#`` (i = 0, 1,
+    2), Newton's stages ``z<i>_#``, transformed stages ``w<i>_#`` and update
+    ``d<i>_#``, the scale ``s_#``, the error estimate ``r_#`` and the last
+    polynomial ``yp_#``, ``q1_#`` ... ``q3_#``.  The transforms, the error
+    estimate and the polynomial are sums over literals.  dW = K [F; W] is the
+    one numpy product: ``newton_inverse(h, J)`` returns K's bound ``dot`` and
+    the first block of the Newton inverse as floats ``m<j>_<k>``.  ``kernel``
+    yields what ``_radau_steps`` yields, and returns the time it reached.
+    """
+
+    def each(form: str, sep: str = ", ") -> str:
+        """``form`` once per component, ``#`` its index, joined by ``sep``."""
+        return sep.join(form.replace("#", str(j)) for j in range(n))
+
+    def stages(form: str, sep: str = ", ") -> str:
+        """``each(form)`` once per stage, ``@`` its index."""
+        return sep.join(each(form.replace("@", str(i)), sep) for i in range(3))
+
+    def combination(weights, term: str) -> str:
+        """sum_i weights[i] * term, ``@`` in term standing for i, zero terms
+        left out."""
+        return " + ".join(term.replace("@", str(i)) if w == 1.0 else
+                          f"{w!r} * {term.replace('@', str(i))}"
+                          for i, w in enumerate(weights) if w != 0.0)
+
+    def products(matrix, target: str, source: str, first: int = 0) -> str:
+        """target<i + first>_# = sum_k matrix[i][k] * source<k>_#."""
+        return "; ".join(each(f"{target}{i + first}_# = {combination(row, source + '@_#')}",
+                              "; ") for i, row in enumerate(matrix.tolist()))
+
+    def rms(terms) -> str:
+        """The root-mean-square of ``terms``, each evaluated once."""
+        return f"sqrt(({' + '.join(f'(x := {term}) * x' for term in terms)}) / {len(terms)})"
+
+    def error_estimate(v: str) -> str:
+        """r_# = sum_k m#_k * v, ``@`` in v standing for k."""
+        return each("r_# = " + " + ".join(f"m#_{k} * " + v.replace("@", str(k))
+                                          for k in range(n)), "; ")
+
+    state = f"[{each('y_#')}]"
+    block = ", ".join(f"m{j}_{k}" for j in range(n) for k in range(n))
+    c0, c1, c2 = map(repr, _RADAU_C)
+    predict = "\n            ".join(
+        f"theta = (t + h * {c!r} - t_prev) / h_prev\n            "
+        + each(f"p{i}_# = yp_# + theta * (q1_# + theta * (q2_# + theta * q3_#)) - y_#", "; ")
+        for i, c in enumerate(_RADAU_C))
+    maxiter, err_norm = _NEWTON_MAXITER, rms([f"r_{j} / s_{j}" for j in range(n)])
+    return f'''\
+def kernel(f, jacobian, newton_inverse, t, t_end, h_next, h_min, rtol, atol, newton_tol,
+           max_steps, y, fy, J, counts):
+    {each("y_#")}, = y
+    {each("fy_#")}, = fy
+    h_inv = h_prev = err_prev = None  # the Newton inverse's h; the last accepted h and error
+    fresh, finite, retried = True, True, False  # retried: a trial of this step failed its error test
+    for _ in range(max_steps):
+        last = t_end - t - h_next < h_min  # no remainder shorter than h_min
+        h = t_end - t if last else h_next
+        if h < h_min:
+            raise _step_underflow(t, h, finite)
+        if h_prev is None:
+            {stages("p@_#", " = ")} = 0.0
+        else:  # the last polynomial at the new stage times
+            {predict}
+        {each("s_# = atol + rtol * abs(y_#)", "; ")}
+        t0, t1, t2 = t + h * {c0}, t + h * {c1}, t + h * {c2}
+        while True:
+            try:
+                if h_inv != h:
+                    K_dot, {block}, = newton_inverse(h, J)
+                    h_inv = h
+            except LinAlgError:  # singular: no Newton step, as a non-finite stage
+                converged = finite = False
+            else:  # simplified Newton from the predicted stages
+                {stages("z@_#")} = {stages("p@_#")}
+                {products(_RADAU_TI, "w", "z")}
+                converged, finite, norm_old, rate = False, True, None, None
+                for k in range({maxiter}):
+                    stage = 1
+                    try:
+                        F0 = f(t0, [{each("y_# + z0_#")}])
+                        stage = 2
+                        F1 = f(t1, [{each("y_# + z1_#")}])
+                        stage = 3
+                        F2 = f(t2, [{each("y_# + z2_#")}])
+                    except EvaluationError:  # a stage left the rhs's domain
+                        counts["rhs_evals"] += stage
+                        finite = False
+                        break
+                    counts["rhs_evals"] += 3
+                    {stages("d@_#")}, = K_dot(F0 + F1 + F2 + [{stages("w@_#")}]).tolist()
+                    norm = {rms([f"d{i}_{j} / s_{j}" for i in range(3) for j in range(n)])}
+                    if not isfinite(norm):
+                        finite = False
+                        break
+                    if norm_old is not None:
+                        rate = norm / norm_old
+                        if rate >= 1 or rate ** ({maxiter} - k) / (1 - rate) * norm > newton_tol:
+                            break
+                    {stages("w@_# += d@_#", "; ")}
+                    {products(_RADAU_T, "z", "w")}
+                    if norm == 0 or rate is not None and rate / (1 - rate) * norm < newton_tol:
+                        converged = True
+                        break
+                    norm_old = norm
+                n_iter = k + 1
+            if converged or fresh:
+                break
+            J, fresh, h_inv = jacobian(t, {state}), True, None
+        if not converged:
+            counts["rejected"] += 1
+            h_next = 0.5 * h
+            continue
+        {each("yn_# = y_# + z2_#", "; ")}
+        {each(f"ze_# = ({combination(_RADAU_E.tolist(), 'z@_#')}) / h", "; ")}
+        {each("a = abs(y_#); b = abs(yn_#); s_# = atol + rtol * (b if b > a else a)", "; ")}
+        {error_estimate("(fy_@ + ze_@)")}
+        err = {err_norm}
+        if retried and err > 1:  # a sharper estimate after a rejection
+            counts["rhs_evals"] += 1
+            try:
+                {each("fe_#")}, = f(t, [{each("y_# + r_#")}])
+            except EvaluationError:
+                err = inf
+            else:
+                {error_estimate("(fe_@ + ze_@)")}
+                err = {err_norm}
+        safety = 0.9 * {2 * maxiter + 1} / ({2 * maxiter} + n_iter)
+        finite = isfinite(err) and {each("isfinite(yn_#)", " and ")}
+        factor = 0.0
+        if finite:  # Gustafsson's predictive control
+            factor = err ** -0.25 if err else inf
+            if err_prev is not None and err != 0:
+                multiplier = h / h_prev * (err_prev / err) ** 0.25
+                if multiplier < 1.0:
+                    factor = multiplier * factor
+            factor = safety * factor
+        if not (err <= 1 and finite):
+            counts["rejected"] += 1
+            h_next, retried = h * (factor if factor > 0.2 else 0.2), True
+            continue
+        factor = factor if factor < 10.0 else 10.0
+        refresh = n_iter > 2 and rate > 1e-3  # Newton converged slowly
+        if not refresh and factor < 1.2:
+            factor = 1.0  # keep h, and with it the Newton inverse
+        h_prev, err_prev, retried = h, err, False
+        h_next = h * factor
+        {products(_RADAU_P.T, "q", "z", 1)}
+        {each("yp_# = y_#; y_# = yn_#", "; ")}
+        t_prev, t = t, (t_end if last else t + h)
+        yield t_prev, t, h, array({state}), array(({", ".join(
+            f"({each(row + '_#')},)" for row in ("yp", "q1", "q2", "q3"))})), counts
+        if t >= t_end:
+            return t
+        counts["rhs_evals"] += 1
+        try:
+            {each("fy_#")}, = f(t, {state})
+        except EvaluationError:  # outside the rhs's domain: as a nan rate
+            {each("fy_#", " = ")} = nan
+        if refresh:
+            J, fresh, h_inv = jacobian(t, {state}), True, None
+        else:
+            fresh = False
+    return t
+'''
+
+
+@functools.cache
+def _radau_kernel(n: int):
+    """The stepping loop of ``_radau_source(n)``, compiled on first use."""
+    namespace = {"EvaluationError": EvaluationError, "LinAlgError": np.linalg.LinAlgError,
+                 "array": np.array, "inf": math.inf, "nan": math.nan,
+                 "isfinite": math.isfinite, "sqrt": math.sqrt,
+                 "_step_underflow": _step_underflow}
+    exec(compile(_radau_source(n), f"<radau5 kernel, n = {n}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
@@ -493,167 +612,98 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
                  max_steps: int = MAX_STEPS):
     """Radau IIA(5) stepping kernel: a generator over accepted steps, as
     ``_dopri_steps`` is (Hairer & Wanner, *Solving ODEs II*, IV.8; the
-    algorithm of scipy's ``Radau``, in numpy alone).
+    algorithm of scipy's ``Radau``).
 
     Each accepted step yields ``(t_prev, t, h, y, Y, counts)``: the step
     runs from ``t_prev`` to ``t`` with size ``h``, ``y`` is the new state,
     ``Y = [y_prev; q1; q2; q3]`` the step's collocation polynomial for
-    ``collocation_output``, and ``counts`` one dict, updated in place, with
-    the trial steps ``rejected``, the ``rhs_evals`` (an evaluation that
-    raises counts, and so do those of finite-difference Jacobians), the
-    ``jac_evals`` and the ``factorizations`` (inversions of the Newton
-    matrix) so far, and which ``jacobian`` the run takes: ``"generated"``
-    or ``"finite-difference"``.
+    ``collocation_output``, both arrays, and ``counts`` one dict, updated
+    in place, with the trial steps ``rejected``, the ``rhs_evals`` (an
+    evaluation that raises counts, and so do those of finite-difference
+    Jacobians), the ``jac_evals`` and the ``factorizations`` (inversions of
+    the Newton matrix) so far, and which ``jacobian`` the run takes:
+    ``"generated"`` or ``"finite-difference"``.
 
-    Each step solves the collocation system by simplified Newton on the
-    transformed stages (``_radau_newton``), with the inverse of their
-    Newton matrix formed once per step size and Jacobian; its first block
-    serves the error estimate.  The stages start from the last step's
-    polynomial (``collocation_output``).  The Jacobian is
-    ``array_jacobian``'s (the generated one, or finite differences for a
-    model without one) at the step's start, kept across steps while
-    Newton converges fast; a Newton solve that fails with a stale Jacobian
-    is retried with a fresh one, and one that fails with a fresh Jacobian
-    (a stage that raises ``EvaluationError`` or a non-finite Newton norm
-    counts as a failure) halves the step.  The embedded 3rd-order error estimate is
-    held to 1 in the root-mean-square norm scaled by
-    ``atol + rtol * max(|y|, |y_new|)``, and the step size follows
-    Gustafsson's predictive controller.  The first trial step is
-    ``(t_end - t0) / 100``; the last accepted time is ``t_end`` exactly.
-    A step below 1e-14 * (t_end - t0) raises ``BlowupError`` when the
-    trials that drove it there were non-finite and ``StiffnessError``
-    otherwise, and so does a run of more than ``max_steps`` trial steps.
-
-    Iterate it inside ``np.errstate(all="ignore")``, as ``_dopri_steps``.
+    A step solves the collocation system by simplified Newton on the
+    transformed stages, from the stages that the last step's polynomial
+    predicts, with the inverse of their Newton matrix formed once per step
+    size and Jacobian; its first block serves the error estimate.  The
+    Jacobian, ``array_jacobian``'s at the step's start, is kept while Newton
+    converges fast.  A Newton solve that fails with a stale Jacobian is
+    retried with a fresh one from the same prediction; one that fails with
+    a fresh Jacobian (a stage that raises ``EvaluationError`` or a
+    non-finite Newton norm counts as a failure) halves the step.  The
+    embedded 3rd-order error estimate is held to 1 in the RMS norm scaled
+    by ``atol + rtol * max(|y|, |y_new|)``, under Gustafsson's predictive
+    control.  The first trial step, the last accepted time, the minimum
+    step and the ``max_steps`` budget are those of ``integrate_adaptive``.  The
+    steps are taken by the loop generated for the model's dimension
+    (``_radau_source``, compiled once per dimension and process).  Iterate
+    it inside ``np.errstate(all="ignore")``, as ``_dopri_steps``.
     """
     if rtol <= 0 or atol <= 0:
         raise DomainError("rtol and atol must be positive")
     p, y = _prepare(model, params, state0, t0, t_end)
     rhs = model.bind(p)
-    counts = {"rejected": 0, "rhs_evals": 0, "jac_evals": 0, "factorizations": 0,
+    counts = {"rejected": 0, "rhs_evals": 1, "jac_evals": 0, "factorizations": 0,
               "jacobian": "finite-difference" if model.jacobian is None else "generated"}
 
-    def f(t, x):
+    def f(t, x):  # the rhs of a finite-difference Jacobian
         counts["rhs_evals"] += 1
         return np.array(rhs(t, x.tolist()))
 
     jac = array_jacobian(model, p, f)
+    n = y.size
 
-    def jacobian(t, x):
+    def jacobian(t, values):
         counts["jac_evals"] += 1
         try:
-            return jac(t, x)
+            return jac(t, np.array(values))
         except EvaluationError:  # no Jacobian here: every Newton solve fails
-            return np.full((x.size, x.size), math.nan)
+            return np.full((n, n), math.nan)
 
-    n = y.size
     eye = np.identity(n)
     lam = np.kron(_RADAU_LAMBDA, eye)
-    transforms = np.kron(_RADAU_TI, eye), np.kron(_RADAU_T, eye)
-    B = np.hstack((transforms[0], lam))  # [T^-1 (x) I | -(Lambda / h) (x) I] once h is set
+    B = np.hstack((np.kron(_RADAU_TI, eye), lam))  # [T^-1 (x) I | -(Lambda/h) (x) I] once h is set
 
     def newton_inverse(h, J):
-        """(h, M, K): the Newton inverse M for ``h`` and ``J``, and the
-        Newton iteration's K = M [T^-1 (x) I | -(Lambda / h) (x) I]."""
+        """K.dot, K = M [T^-1 (x) I | -(Lambda/h) (x) I] with the Newton inverse
+        M for ``h`` and ``J``, and M's first n x n block as floats, row by row."""
         counts["factorizations"] += 1
         M = _radau_newton_inverse(lam, h, J)
         np.divide(lam, -h, out=B[:, 3 * n:])
-        return h, M, M.dot(B)
+        return M.dot(B).dot, *M[:n, :n].ravel().tolist()
 
+    t0, t_end = float(t0), float(t_end)  # numpy scalars would reach the stages through h
     span = t_end - t0
-    h_min = 1e-14 * span
     newton_tol = max(10 * np.finfo(float).eps / rtol, min(0.03, rtol ** 0.5))
-    t = t0
+    y = y.tolist()
     try:
-        f_y = f(t, y)
+        f_y = rhs(t0, y)
     except EvaluationError:  # outside the rhs's domain: as a nan rate
-        f_y = np.full(y.size, math.nan)
-    J, fresh = jacobian(t, y), True
-    inv = None  # newton_inverse(h, J) for the current h and J
-    h_next = span / 100.0
-    h_prev = err_prev = None  # size and error norm of the last accepted step
-    finite, retried = True, False  # retried: a trial of this step failed its error test
-    Y = None  # the last accepted step's polynomial, which predicts the next stages
-    for _ in range(max_steps):
-        last = t_end - t - h_next < h_min  # no remainder shorter than h_min
-        h = t_end - t if last else h_next
-        if h < h_min:
-            raise _step_underflow(t, h, finite)
-        if Y is None:
-            Z0 = np.zeros(3 * n)
-        else:  # the last polynomial at the new stage times, on floats, stage after stage
-            thetas = [(t + h * c - t_prev) / h_prev for c in _RADAU_C]
-            columns = list(zip(*Y.tolist(), y.tolist()))  # (y_prev, q1, q2, q3, y) by component
-            Z0 = np.array([collocation_output(column, theta) - column[4]
-                           for theta in thetas for column in columns])
-        scale = atol + rtol * np.abs(y)
-        while True:
-            try:
-                if inv is None or inv[0] != h:
-                    inv = newton_inverse(h, J)
-            except np.linalg.LinAlgError:  # singular: no Newton step, as a non-finite stage
-                converged = finite = False
-            else:
-                converged, finite, n_iter, Z, rate = _radau_newton(
-                    rhs, t, y, h, Z0, scale, newton_tol, inv[2], transforms, counts)
-            if converged or fresh:
-                break
-            J, fresh, inv = jacobian(t, y), True, None
-        if not converged:
-            counts["rejected"] += 1
-            h_next = 0.5 * h
-            continue
-        y_new = y + Z[-1]
-        ZE = Z.T.dot(_RADAU_E) / h
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        E = inv[1][:n, :n]  # the inverse of mu_real / h I - J
-        error = E.dot(f_y + ZE)
-        err = _rms(error / scale)
-        if retried and err > 1:  # a sharper estimate after a rejection
-            try:
-                error = E.dot(f(t, y + error) + ZE)
-                err = _rms(error / scale)
-            except EvaluationError:
-                err = math.inf
-        safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
-        finite = math.isfinite(err) and all(map(math.isfinite, y_new.tolist()))
-        if not (err <= 1 and finite):
-            counts["rejected"] += 1
-            factor = _radau_factor(h, h_prev, err, err_prev) if finite else 0.0
-            h_next, retried = h * max(0.2, safety * factor), True
-            continue
-        factor = min(10.0, safety * _radau_factor(h, h_prev, err, err_prev))
-        refresh = n_iter > 2 and rate > 1e-3  # Newton converged slowly
-        if not refresh and factor < 1.2:
-            factor = 1.0  # keep h, and with it the Newton inverse
-        h_prev, err_prev, retried = h, err, False
-        h_next = h * factor
-        Y = np.empty((4, n))
-        Y[0] = y
-        Y[1:] = Z.T.dot(_RADAU_P).T
-        t_prev, t = t, (t_end if last else t + h)
-        y = y_new
-        yield t_prev, t, h, y, Y, counts
-        if t >= t_end:
-            return
-        try:
-            f_y = f(t, y)
-        except EvaluationError:
-            f_y = np.full(y.size, math.nan)
-        if refresh:
-            J, fresh, inv = jacobian(t, y), True, None
-        else:
-            fresh = False
-    raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
+        f_y = [math.nan] * n
+    t = yield from _radau_kernel(n)(rhs, jacobian, newton_inverse, t0, t_end, span / 100.0,
+                                    1e-14 * span, rtol, atol, newton_tol, max_steps, y, f_y,
+                                    jacobian(t0, y), counts)
+    if t < t_end:  # the budget ran out
+        raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
 
 
-def collocation_output(Y, theta):
+def collocation_output(Y, theta, out=None, steps=None):
     """The state at ``t_prev + theta * h`` inside one accepted Radau step:
     its collocation polynomial, ``Y = [y_prev; q1; q2; q3]`` as
-    ``_radau_steps`` yields it, or one column of it.  theta may be a column
-    of values, giving one state row each; theta = 0 gives ``y_prev``, and
-    theta = 1 the new state up to rounding."""
-    return Y[0] + theta * (Y[1] + theta * (Y[2] + theta * Y[3]))
+    ``_radau_steps`` yields it, or one column of it.  theta = 0 gives
+    ``y_prev``, and theta = 1 the new state up to rounding.  With ``out``,
+    ``Y`` holds the rows of many steps, each (steps, n), and theta is a
+    column: row i of ``out`` is step ``steps[i]`` at ``theta[i]``, formed
+    in place by the same operations, gathering one row at a time."""
+    if out is None:
+        return Y[0] + theta * (Y[1] + theta * (Y[2] + theta * Y[3]))
+    out[...] = Y[3][steps]
+    for row in (2, 1, 0):
+        out *= theta
+        out += Y[row][steps]
+    return out
 
 
 @np.errstate(all="ignore")  # non-finite trial steps are rejected, not warned about
@@ -721,8 +771,8 @@ def sampled_dopri_run(model: ModelSystem, params: ParameterSet, state0: StateVec
     def contd5(out, ys, stages, step, h, theta):
         m, n = out.shape
         Y = np.array(stages).transpose(1, 0, 2)[:, step].reshape(8, m * n)
-        out[:] = dense_output(Y, np.array(ys)[step].ravel(), np.repeat(h, n),
-                              np.repeat(theta, n)).reshape(m, n)
+        coefficients = dense_coefficients(Y, np.array(ys)[step].ravel(), np.repeat(h, n))
+        out[:] = dense_output(coefficients, np.repeat(theta, n)).reshape(m, n)
     return _sampled_run(_dopri_steps, contd5, "dopri54", model, params, state0, times,
                         rtol, atol)
 
@@ -731,15 +781,11 @@ def sampled_radau_run(model: ModelSystem, params: ParameterSet, state0: StateVec
                       times, rtol: float, atol: float) -> Trajectory:
     """The Radau IIA(5) run stored at the strictly increasing ``times``:
     each time after the first is the collocation polynomial
-    (``collocation_output``) of its step, by Horner's scheme in place."""
+    (``collocation_output``) of its step, all times in one evaluation."""
 
-    def horner(out, ys, polys, step, h, theta):
-        coef, theta = np.array(polys), theta[:, None]  # (steps, 4, n)
-        out[:] = coef[step, 3]
-        for row in (2, 1, 0):
-            out *= theta
-            out += coef[step, row]
-    return _sampled_run(_radau_steps, horner, "radau5", model, params, state0, times,
+    def polynomial(out, ys, polys, step, h, theta):
+        collocation_output(np.array(polys).transpose(1, 0, 2), theta[:, None], out, step)
+    return _sampled_run(_radau_steps, polynomial, "radau5", model, params, state0, times,
                         rtol, atol)
 
 
@@ -755,10 +801,11 @@ def first_crossing(model: ModelSystem, params: ParameterSet, state0: StateVector
             break
     else:
         return None
-    stages, y_end = [row[0] for row in K], y[0]
+    *head, quartic = dense_coefficients([row[0] for row in K], y[0], h)
+    coefficients = *head, float(quartic)  # floats: numpy scalars are slower
     lo, hi = t_prev, t
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if reached(dense_output(stages, y_end, h, (mid - t_prev) / h)):
+        if reached(dense_output(coefficients, (mid - t_prev) / h)):
             hi = mid
         else:
             lo = mid

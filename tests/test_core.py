@@ -88,6 +88,12 @@ class TestEvalRhs:
         with pytest.raises(ParameterError, match="y"):
             eval_rhs(model, 0.0, StateVector(("T",), [1.0]), ParameterSet(a=1))
 
+    def test_undeclared_parameter_is_refused(self):
+        # a misspelt name is not ignored: the healthy model would give T' = 0
+        model = make_base_model("healthy")
+        with pytest.raises(ParameterError, match="^undeclared parameter 'gama'$"):
+            eval_rhs(model, 0.0, StateVector(("T",), [1.0]), ParameterSet(a=1, y=1, gama=3))
+
     def test_dimension_mismatch(self):
         model = make_base_model("coupled-agent")
         with pytest.raises(ShapeError):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections.abc import Mapping
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,12 +44,25 @@ from qsslab.errors import (
 from qsslab.integrate import (
     _DP_C,
     _DP_WEIGHTS,
+    _NEWTON_MAXITER,
+    _RADAU_C,
+    _RADAU_E,
+    _RADAU_LAMBDA,
+    _RADAU_P,
+    _RADAU_T,
+    _RADAU_TI,
     MAX_STEPS,
     Trajectory,
     _dopri_kernel,
     _dopri_steps,
     _prepare,
+    _radau_kernel,
+    _radau_newton_inverse,
     _radau_steps,
+    _step_underflow,
+    array_jacobian,
+    collocation_output,
+    dense_coefficients,
     dense_output,
     sampled_dopri_run,
     sampled_radau_run,
@@ -269,12 +283,13 @@ class TestDenseOutput:
 
     def test_endpoints_of_each_step(self):
         for t_prev, t, h, y, Y in self.steps():
-            assert dense_output(Y, y, h, 0.0)[0] == Y[0, 0]
-            assert dense_output(Y, y, h, 1.0)[0] == pytest.approx(y[0], abs=1e-15 * abs(Y[0, 0]))
+            step = dense_coefficients(Y, y, h)
+            assert dense_output(step, 0.0)[0] == Y[0, 0]
+            assert dense_output(step, 1.0)[0] == pytest.approx(y[0], abs=1e-15 * abs(Y[0, 0]))
 
     def test_interior_error_is_of_the_order_of_the_tolerance(self):
         errors = [
-            abs(dense_output(Y, y, h, theta)[0]
+            abs(dense_output(dense_coefficients(Y, y, h), theta)[0]
                 - forced_decay_solution(1.0, t_prev + theta * h))
             for t_prev, t, h, y, Y in self.steps(rtol=1e-8)
             for theta in (0.25, 0.5, 0.75)
@@ -289,8 +304,24 @@ class TestDenseOutput:
                 model, ParameterSet(a=1, y=1, x=1, delta_D=1), state0, 0.0, 5.0, 1e-8, 1e-12))
         Y = np.array(K)
         for j in range(2):
-            column = dense_output(Y[:, j].tolist(), float(y[j]), h, 0.3)
-            assert column == pytest.approx(dense_output(Y, y, h, 0.3)[j], rel=1e-15)
+            column = dense_output(dense_coefficients(Y[:, j].tolist(), float(y[j]), h), 0.3)
+            assert column == pytest.approx(dense_output(dense_coefficients(Y, y, h), 0.3)[j],
+                                           rel=1e-15)
+
+    def test_coefficients_evaluate_as_the_one_formula(self):
+        # the split into coefficients and their evaluation keeps the
+        # operation order of contd5 as one formula, also with the quartic
+        # term as a float, as first_crossing takes it: bit for bit
+        for t_prev, t, h, y, Y in self.steps():
+            column, y_end = Y[:, 0].tolist(), float(y[0])
+            *head, quartic = dense_coefficients(column, y_end, h)
+            for theta in (0.0, 0.1, 0.5, 0.9, 1.0):
+                dy, rest = y_end - column[0], 1.0 - theta
+                slope = h * column[1] - dy
+                formula = column[0] + theta * (dy + rest * (slope + theta * (
+                    dy - h * column[7] - slope + rest * (h * np.dot(integrate._DP_D, column[1:])))))
+                value = dense_output((*head, float(quartic)), theta)
+                assert type(value) is float and value == formula
 
 
 class TestSampledDopriRun:
@@ -317,7 +348,8 @@ class TestSampledDopriRun:
             while steps[i][1] < tau:
                 i += 1
             t_prev, _, h, y, Y = steps[i]
-            np.testing.assert_allclose(state, dense_output(Y, y, h, (tau - t_prev) / h),
+            np.testing.assert_allclose(state, dense_output(dense_coefficients(Y, y, h),
+                                                           (tau - t_prev) / h),
                                        rtol=1e-15, atol=0)
         assert i == len(steps) - 1
 
@@ -747,6 +779,233 @@ def radau_run(model, state0, t_end, rtol=1e-8, atol=1e-12, params=ParameterSet()
     return steps, dict(counts)
 
 
+def _rms(x) -> float:
+    """The root-mean-square norm of an array."""
+    x = x.ravel()
+    return math.sqrt(float(x.dot(x)) / x.size)
+
+
+def reference_radau_newton(rhs, t, y, h, Z, scale, tol, K, transforms, counts):
+    """The simplified Newton iteration on the Radau collocation system,
+    started from the stage increments ``Z`` (flat, stage after stage: stage
+    i at ``t + C_i h`` is ``y + Z_i``) and run on the transformed variables
+    W = T^-1 Z, kept flat as well.  An iteration is one product
+    dW = K [F; W] with the stage derivatives F (``newton_inverse`` in
+    ``_radau_steps`` forms K with the Newton inverse), and the stages are
+    y + (T (x) I) W, ``transforms`` being (T^-1 (x) I, T (x) I).
+    ``rhs`` is the bound rhs; each evaluation is counted in ``counts``,
+    one that raises too.  A stage that raises ``EvaluationError`` ends the
+    iteration unconverged, and so does a non-finite Newton norm (a
+    non-finite stage or matrix).  Returns (converged, finite, iterations,
+    Z as 3 x n, rate of convergence)."""
+    n = y.size
+    t0, t1, t2 = [t + h * c for c in _RADAU_C]
+    y3 = np.concatenate((y, y, y))
+    scale = np.concatenate((scale, scale, scale))  # the scale of each element of W
+    FW = np.empty(6 * n)  # [F; W]
+    w = FW[3 * n:]  # W += dW through it
+    z = Z.ravel()
+    w[:] = transforms[0].dot(z)
+    norm_old = rate = None
+    for k in range(_NEWTON_MAXITER):
+        stages = (y3 + z).tolist()
+        evals = 1
+        try:
+            f0 = rhs(t0, stages[:n])
+            evals = 2
+            f1 = rhs(t1, stages[n:2 * n])
+            evals = 3
+            FW[:3 * n] = f0 + f1 + rhs(t2, stages[2 * n:])
+        except EvaluationError:
+            counts["rhs_evals"] += evals
+            return False, False, k + 1, z.reshape(3, n), rate
+        counts["rhs_evals"] += 3
+        dW = K.dot(FW)
+        scaled = dW / scale
+        norm = math.sqrt(scaled.dot(scaled) / scaled.size)  # the rms norm
+        if not math.isfinite(norm):
+            return False, False, k + 1, z.reshape(3, n), rate
+        if norm_old is not None:
+            rate = norm / norm_old
+            if rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * norm > tol:
+                break
+        w += dW
+        z = transforms[1].dot(w)
+        if norm == 0 or rate is not None and rate / (1 - rate) * norm < tol:
+            return True, True, k + 1, z.reshape(3, n), rate
+        norm_old = norm
+    return False, True, k + 1, z.reshape(3, n), rate
+
+
+def _radau_factor(h, h_prev, err, err_prev) -> float:
+    """Gustafsson's predictive step control: the factor on the step size
+    from this and the previous accepted step's error norms."""
+    multiplier = 1.0
+    if err_prev is not None and err != 0:
+        multiplier = min(1.0, h / h_prev * (err_prev / err) ** 0.25)
+    return multiplier * err ** -0.25 if err else math.inf
+
+
+def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
+                          t0: float, t_end: float, rtol: float, atol: float,
+                          max_steps: int = MAX_STEPS):
+    """The reference for ``_radau_steps``: the same Radau IIA(5) stepping
+    kernel on numpy arrays, a generator over accepted steps, as
+    ``_dopri_steps`` is (Hairer & Wanner, *Solving ODEs II*, IV.8; the
+    algorithm of scipy's ``Radau``, in numpy alone).
+
+    Each accepted step yields ``(t_prev, t, h, y, Y, counts)``: the step
+    runs from ``t_prev`` to ``t`` with size ``h``, ``y`` is the new state,
+    ``Y = [y_prev; q1; q2; q3]`` the step's collocation polynomial for
+    ``collocation_output``, and ``counts`` one dict, updated in place, with
+    the trial steps ``rejected``, the ``rhs_evals`` (an evaluation that
+    raises counts, and so do those of finite-difference Jacobians), the
+    ``jac_evals`` and the ``factorizations`` (inversions of the Newton
+    matrix) so far, and which ``jacobian`` the run takes: ``"generated"``
+    or ``"finite-difference"``.
+
+    Each step solves the collocation system by simplified Newton on the
+    transformed stages (``_radau_newton``), with the inverse of their
+    Newton matrix formed once per step size and Jacobian; its first block
+    serves the error estimate.  The stages start from the last step's
+    polynomial (``collocation_output``).  The Jacobian is
+    ``array_jacobian``'s (the generated one, or finite differences for a
+    model without one) at the step's start, kept across steps while
+    Newton converges fast; a Newton solve that fails with a stale Jacobian
+    is retried with a fresh one, and one that fails with a fresh Jacobian
+    (a stage that raises ``EvaluationError`` or a non-finite Newton norm
+    counts as a failure) halves the step.  The embedded 3rd-order error estimate is
+    held to 1 in the root-mean-square norm scaled by
+    ``atol + rtol * max(|y|, |y_new|)``, and the step size follows
+    Gustafsson's predictive controller.  The first trial step is
+    ``(t_end - t0) / 100``; the last accepted time is ``t_end`` exactly.
+    A step below 1e-14 * (t_end - t0) raises ``BlowupError`` when the
+    trials that drove it there were non-finite and ``StiffnessError``
+    otherwise, and so does a run of more than ``max_steps`` trial steps.
+
+    Iterate it inside ``np.errstate(all="ignore")``, as ``_dopri_steps``.
+    """
+    if rtol <= 0 or atol <= 0:
+        raise DomainError("rtol and atol must be positive")
+    p, y = _prepare(model, params, state0, t0, t_end)
+    rhs = model.bind(p)
+    counts = {"rejected": 0, "rhs_evals": 0, "jac_evals": 0, "factorizations": 0,
+              "jacobian": "finite-difference" if model.jacobian is None else "generated"}
+
+    def f(t, x):
+        counts["rhs_evals"] += 1
+        return np.array(rhs(t, x.tolist()))
+
+    jac = array_jacobian(model, p, f)
+
+    def jacobian(t, x):
+        counts["jac_evals"] += 1
+        try:
+            return jac(t, x)
+        except EvaluationError:  # no Jacobian here: every Newton solve fails
+            return np.full((x.size, x.size), math.nan)
+
+    n = y.size
+    eye = np.identity(n)
+    lam = np.kron(_RADAU_LAMBDA, eye)
+    transforms = np.kron(_RADAU_TI, eye), np.kron(_RADAU_T, eye)
+    B = np.hstack((transforms[0], lam))  # [T^-1 (x) I | -(Lambda / h) (x) I] once h is set
+
+    def newton_inverse(h, J):
+        """(h, M, K): the Newton inverse M for ``h`` and ``J``, and the
+        Newton iteration's K = M [T^-1 (x) I | -(Lambda / h) (x) I]."""
+        counts["factorizations"] += 1
+        M = _radau_newton_inverse(lam, h, J)
+        np.divide(lam, -h, out=B[:, 3 * n:])
+        return h, M, M.dot(B)
+
+    span = t_end - t0
+    h_min = 1e-14 * span
+    newton_tol = max(10 * np.finfo(float).eps / rtol, min(0.03, rtol ** 0.5))
+    t = t0
+    try:
+        f_y = f(t, y)
+    except EvaluationError:  # outside the rhs's domain: as a nan rate
+        f_y = np.full(y.size, math.nan)
+    J, fresh = jacobian(t, y), True
+    inv = None  # newton_inverse(h, J) for the current h and J
+    h_next = span / 100.0
+    h_prev = err_prev = None  # size and error norm of the last accepted step
+    finite, retried = True, False  # retried: a trial of this step failed its error test
+    Y = None  # the last accepted step's polynomial, which predicts the next stages
+    for _ in range(max_steps):
+        last = t_end - t - h_next < h_min  # no remainder shorter than h_min
+        h = t_end - t if last else h_next
+        if h < h_min:
+            raise _step_underflow(t, h, finite)
+        if Y is None:
+            Z0 = np.zeros(3 * n)
+        else:  # the last polynomial at the new stage times, on floats, stage after stage
+            thetas = [(t + h * c - t_prev) / h_prev for c in _RADAU_C]
+            columns = list(zip(*Y.tolist(), y.tolist()))  # (y_prev, q1, q2, q3, y) by component
+            Z0 = np.array([collocation_output(column, theta) - column[4]
+                           for theta in thetas for column in columns])
+        scale = atol + rtol * np.abs(y)
+        while True:
+            try:
+                if inv is None or inv[0] != h:
+                    inv = newton_inverse(h, J)
+            except np.linalg.LinAlgError:  # singular: no Newton step, as a non-finite stage
+                converged = finite = False
+            else:
+                converged, finite, n_iter, Z, rate = reference_radau_newton(
+                    rhs, t, y, h, Z0, scale, newton_tol, inv[2], transforms, counts)
+            if converged or fresh:
+                break
+            J, fresh, inv = jacobian(t, y), True, None
+        if not converged:
+            counts["rejected"] += 1
+            h_next = 0.5 * h
+            continue
+        y_new = y + Z[-1]
+        ZE = Z.T.dot(_RADAU_E) / h
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        E = inv[1][:n, :n]  # the inverse of mu_real / h I - J
+        error = E.dot(f_y + ZE)
+        err = _rms(error / scale)
+        if retried and err > 1:  # a sharper estimate after a rejection
+            try:
+                error = E.dot(f(t, y + error) + ZE)
+                err = _rms(error / scale)
+            except EvaluationError:
+                err = math.inf
+        safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+        finite = math.isfinite(err) and all(map(math.isfinite, y_new.tolist()))
+        if not (err <= 1 and finite):
+            counts["rejected"] += 1
+            factor = _radau_factor(h, h_prev, err, err_prev) if finite else 0.0
+            h_next, retried = h * max(0.2, safety * factor), True
+            continue
+        factor = min(10.0, safety * _radau_factor(h, h_prev, err, err_prev))
+        refresh = n_iter > 2 and rate > 1e-3  # Newton converged slowly
+        if not refresh and factor < 1.2:
+            factor = 1.0  # keep h, and with it the Newton inverse
+        h_prev, err_prev, retried = h, err, False
+        h_next = h * factor
+        Y = np.empty((4, n))
+        Y[0] = y
+        Y[1:] = Z.T.dot(_RADAU_P).T
+        t_prev, t = t, (t_end if last else t + h)
+        y = y_new
+        yield t_prev, t, h, y, Y, counts
+        if t >= t_end:
+            return
+        try:
+            f_y = f(t, y)
+        except EvaluationError:
+            f_y = np.full(y.size, math.nan)
+        if refresh:
+            J, fresh, inv = jacobian(t, y), True, None
+        else:
+            fresh = False
+    raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
+
+
 class TestRadauKernel:
     VDP_STATE = StateVector(("u", "v"), [2.0, 0.0])
 
@@ -854,6 +1113,142 @@ class TestRadauKernel:
                                       params=default_params(kind))
             runs.append(([(t, y.tobytes(), Y.tobytes()) for t, y, Y in steps], counts))
         assert runs[0] == runs[1]
+
+
+def radau_record(kernel, model, params, state0, t_end, rtol=1e-8, atol=1e-12, **kwargs):
+    """The accepted steps ``(t_prev, t, h, y, Y)`` of ``kernel``'s run from
+    t = 0, ``counts`` as it stood at each yield and at the end, and the
+    error the run ends in."""
+    steps, seen, counts, error = [], [], {}, None
+    try:
+        with np.errstate(all="ignore"):
+            for t_prev, t, h, y, Y, counts in kernel(model, params, state0, 0.0, t_end,
+                                                     rtol, atol, **kwargs):
+                steps.append((t_prev, t, h, y, Y))
+                seen.append(dict(counts))
+    except QsslabError as exc:
+        error = type(exc), str(exc)
+    return steps, seen, dict(counts), error
+
+
+class TestGeneratedRadauKernel:
+    """``_radau_steps`` steps through the loop generated for the model's
+    dimension; ``reference_radau_steps`` is the same kernel on numpy arrays.
+    Python float sums round differently from numpy's small products, so
+    the two must take the same steps, with the same counts at every yield,
+    end alike, and store the same run to rounding."""
+
+    @staticmethod
+    def assert_same_steps(make, params, state0, t_end, **kwargs):
+        """The runs of both kernels on a fresh model ``make()`` each."""
+        steps, seen, counts, error = radau_record(_radau_steps, make(), params, state0,
+                                                  t_end, **kwargs)
+        ref_steps, *ref = radau_record(reference_radau_steps, make(), params, state0,
+                                       t_end, **kwargs)
+        assert [seen, counts, error] == ref and len(steps) == len(ref_steps)
+        n = len(state0.values)
+        assert all(y.shape == (n,) and Y.shape == (4, n) for *_, y, Y in steps)
+        if steps and error is None:
+            assert steps[-1][1] == ref_steps[-1][1] == t_end
+        return steps, counts, error
+
+    @staticmethod
+    def assert_same_stored_run(model, params, state0, times, rtol, atol):
+        """``sampled_radau_run`` on both kernels: each state within 1e-12
+        of its peak."""
+        traj = sampled_radau_run(model, params, state0, times, rtol, atol)
+        with mock.patch.object(integrate, "_radau_steps", reference_radau_steps):
+            ref = sampled_radau_run(model, params, state0, times, rtol, atol)
+        assert traj.solver_info == ref.solver_info
+        assert np.all(np.abs(traj.states - ref.states) <= 1e-12 * np.abs(ref.states).max(axis=0))
+
+    @pytest.mark.parametrize("kind", [k.value for k in MechanismKind])
+    def test_mechanisms_at_the_claim_settings(self, kind):
+        model, params, state0 = make_mechanism_model(kind), default_params(kind), default_state(kind)
+        steps, counts, error = self.assert_same_steps(lambda: model, params, state0,
+                                                      default_horizon(kind))
+        assert error is None
+        assert (len(steps), counts["rhs_evals"], counts["jac_evals"], counts["factorizations"]
+                ) == TestMechanismKernel.RADAU_COUNTS[kind]
+        self.assert_same_stored_run(model, params, state0, np.linspace(
+            0.0, default_horizon(kind), MECHANISM_SAMPLES), 1e-8, 1e-12)
+
+    def test_hand_built_models_through_the_adapter(self):
+        # van der Pol (mu = 1000) takes finite-difference Jacobians; a
+        # wrapped mechanism rhs, as a tracer wraps it, keeps the generated one
+        kind = "bcell-depletion"
+        wrapped, calls = counting(make_mechanism_model(kind))
+        for model, params, state0, t_end, rtol, atol in (
+                (van_der_pol_model(), ParameterSet(), TestRadauKernel.VDP_STATE, 10.0,
+                 1e-6, 1e-9),
+                (wrapped, default_params(kind), default_state(kind), 100.0, 1e-8, 1e-12)):
+            assert not hasattr(model.rhs, "bind")
+            steps, counts, error = self.assert_same_steps(lambda: model, params, state0, t_end,
+                                                          rtol=rtol, atol=atol)
+            assert error is None and len(steps) > 10
+            self.assert_same_stored_run(model, params, state0, np.linspace(0.0, t_end, 257),
+                                        rtol, atol)
+        assert counts["jacobian"] == "generated" and calls
+
+    def test_stage_that_raises(self):
+        # each run's rhs raises at its first call after t = 0
+        stage_times = []
+
+        def make():
+            model, times = raising_once_healthy_model()
+            stage_times.append(times)
+            return model
+
+        _, counts, error = self.assert_same_steps(make, ParameterSet(a=1, y=1),
+                                                  StateVector(("T",), [0.0]), 5.0)
+        assert error is None and counts["rejected"] >= 1
+        # the trial whose stage raised is retried at half the step, in both
+        first, ref_first = (times[:2] for times in stage_times)
+        assert first == ref_first and first[1] == 0.5 * first[0]
+
+    def test_non_finite_stages_end_in_a_blowup(self):
+        base = make_base_model("healthy")
+
+        def rhs(t, s, p):
+            return base.rhs(t, s, p) * (math.nan if t > 0.0 else 1.0)
+
+        model = dataclasses.replace(base, rhs=rhs, jacobian=None)
+        steps, _, error = self.assert_same_steps(lambda: model, ParameterSet(a=1, y=1),
+                                                 StateVector(("T",), [0.5]), 5.0)
+        assert error[0] is BlowupError and not steps
+
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_step_budget(self, spare):
+        # the trials of the run, and one fewer
+        args = (ParameterSet(a=1, y=1), StateVector(("T",), [0.0]), 5.0)
+        steps, _, counts, _ = radau_record(_radau_steps, raising_once_healthy_model()[0], *args)
+        trials = len(steps) + counts["rejected"]
+        _, _, error = self.assert_same_steps(lambda: raising_once_healthy_model()[0], *args,
+                                             max_steps=trials - spare)
+        assert error == (None if spare == 0 else
+                         (StiffnessError, f"step budget of {trials - 1} exhausted at t = "
+                          f"{steps[-2][1]:g}"))
+
+    def test_each_dimension_compiles_once(self):
+        model, state0 = van_der_pol_model(), TestRadauKernel.VDP_STATE
+        radau_run(model, state0, 1.0)
+        before = _radau_kernel.cache_info()
+        for _ in range(3):
+            radau_run(model, state0, 1.0)
+        after = _radau_kernel.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits + 3
+        assert _radau_kernel(2) is _radau_kernel(2) is not _radau_kernel(1)
+
+    def test_import_compiles_no_kernel(self):
+        src = Path(integrate.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        code = ("import qsslab, qsslab.cli; from qsslab.integrate import _radau_kernel; "
+                "print(_radau_kernel.cache_info().misses)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
 
 
 class TestSolverCounts:

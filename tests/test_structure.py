@@ -7,15 +7,20 @@ numpy's error state for its trial steps.  Each model is defined by its
 ``.qssm`` file alone: the closed forms live in ``tests/closedform.py`` as
 the tests' oracle, and no hook rewrites a model's parameters.  Checked on
 the syntax trees of ``src/qsslab/*.py``, so comments and docstrings may
-name these functions.
+name these functions.  The Radau step generated for each dimension keeps
+its per-element arithmetic on Python floats: checked on the syntax tree of
+its source.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
+from qsslab.integrate import _radau_source
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qsslab").glob("*.py"))
-STEP_NAMES = {"_dopri_steps", "_radau_steps", "dense_output", "collocation_output", "errstate"}
+STEP_NAMES = {"_dopri_steps", "_radau_steps", "dense_coefficients", "dense_output",
+              "collocation_output", "errstate"}
 
 
 def _names(path: Path) -> set[str]:
@@ -59,3 +64,34 @@ def test_each_model_is_defined_once(path):
     assert path.stem != "closedform"
     used = _names(path) & {"closedform", "param_resolver"}
     assert not used, f"{path.name} references {sorted(used)}"
+
+
+# The calls the generated Radau loop may make: the bound rhs, the Jacobian,
+# the Newton inverse, the product K.dot and its tolist, the yield's arrays,
+# the math helpers, its loops and its step-size error
+RADAU_CALLS = {"f", "jacobian", "newton_inverse", "K_dot", "K_dot(...).tolist", "array",
+               "abs", "sqrt", "isfinite", "range", "_step_underflow"}
+
+
+def _calls(tree):
+    """The function called by each call in ``tree``, a method called on a
+    call's result as ``name(...).method``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Call)
+                    and isinstance(func.value.func, ast.Name)):
+                yield f"{func.value.func.id}(...).{func.attr}"
+            else:
+                yield ast.unparse(func)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_radau_step_keeps_its_arithmetic_on_floats(n):
+    tree = ast.parse(_radau_source(n))
+    calls = list(_calls(tree))
+    assert set(calls) == RADAU_CALLS
+    assert calls.count("K_dot") == calls.count("K_dot(...).tolist") == 1
+    in_yield = [call for node in ast.walk(tree) if isinstance(node, ast.Yield)
+                for call in _calls(node)]
+    assert in_yield.count("array") == calls.count("array") == 2
