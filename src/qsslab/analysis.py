@@ -15,6 +15,7 @@ mathematical term.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +111,52 @@ def _rate(J) -> float:
     return float(-np.linalg.eigvals(J).real.max())
 
 
+def _max_norm(v) -> float:
+    """max |v_i|, nan if a component is nan, as numpy's ``max`` ranks it
+    (the builtin ``max`` skips a nan that is not first)."""
+    return math.nan if any(map(math.isnan, v)) else max(map(abs, v))
+
+
+def _norm2(v) -> float:
+    """The 2-norm of ``v``, its squares summed in order (the builtin
+    ``sum`` compensates its rounding from Python 3.12 on)."""
+    squares = 0.0
+    for c in v:
+        squares += c * c
+    return math.sqrt(squares)
+
+
+def _solve(J, b) -> list:
+    """x with J x = b, ``J`` given as rows: Gaussian elimination with
+    partial pivoting on floats, as LAPACK's LU takes it: the pivot is the
+    first largest in magnitude, and each multiplier the product with the
+    pivot's reciprocal (the quotient, where the reciprocal would overflow).
+    Raises ``np.linalg.LinAlgError`` on an exactly zero pivot, as LAPACK
+    does."""
+    n = len(b)
+    A = [[*row, c] for row, c in zip(J, b)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(A[i][k]))
+        A[k], A[p] = A[p], A[k]
+        pivot_row = A[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        r = 1.0 / pivot if abs(pivot) >= sys.float_info.min else None
+        for row in A[k + 1:]:
+            m = row[k] / pivot if r is None else row[k] * r
+            for j in range(k + 1, n + 1):
+                row[j] -= m * pivot_row[j]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        row = A[k]
+        s = row[n]
+        for j in range(n - 1, k, -1):
+            s -= row[j] * x[j]
+        x[k] = s / row[k]
+    return x
+
+
 def _report(f, jacobian, names, x, residual, method):
     """The ``SteadyStateReport`` of ``x``, linearised there (``jacobian``,
     of the state) if it is a nonnegative root.
@@ -119,13 +166,14 @@ def _report(f, jacobian, names, x, residual, method):
     linearly, the rate roughly halves.  A rate that moves by more than a
     quarter is 0 to within the root's error and is reported as 0."""
     rate = math.nan
-    if residual <= _RESIDUAL_LIMIT and x.min() >= 0:
+    if residual <= _RESIDUAL_LIMIT and all(v >= 0 for v in x):  # nan fails
         J = jacobian(x)
-        if np.isfinite(J).all():
+        if all(math.isfinite(c) for row in J for c in row):
             rate = _rate(J)
             if rate > 0:
                 try:
-                    rate_next = _rate(jacobian(x - np.linalg.solve(J, f(x))))
+                    step = _solve(J, f(x))
+                    rate_next = _rate(jacobian([v - s for v, s in zip(x, step)]))
                 except (np.linalg.LinAlgError, EvaluationError):
                     rate_next = rate  # no step to take: nothing tells against the rate
                 if abs(rate_next - rate) > 0.25 * rate:
@@ -143,26 +191,30 @@ def _polish(f, jacobian, x, fx, res, limit):
     returns the last root and its residual."""
     for _ in range(_POLISH_STEPS):
         try:
-            step = np.linalg.solve(jacobian(x), -fx)
-            x_new = x + step
+            step = _solve(jacobian(x), [-c for c in fx])
+            x_new = [v + s for v, s in zip(x, step)]
             f_new = f(x_new)
         except (np.linalg.LinAlgError, EvaluationError):
             break
-        res_new = float(np.max(np.abs(f_new)))
+        res_new = _max_norm(f_new)
         if not res_new <= limit:  # nan too
             break
         x, fx, res = x_new, f_new, res_new
-        if np.all(np.abs(step) <= 4.0 * np.spacing(np.abs(x))):
+        # an ulp of |v| is the gap to the next float up: inf at the largest
+        # finite float, nan at inf, as numpy's spacing has it
+        if all(abs(s) <= 4.0 * (math.nextafter(a, math.inf) - a)
+               for s, a in zip(step, map(abs, x))):
             break
     return x, res
 
 
 def find_steady_state(model: ModelSystem, params: ParameterSet,
                       guess: StateVector) -> SteadyStateReport:
-    """Damped Newton on the right-hand side, with the Jacobian of
-    ``integrate.array_jacobian``: the model's generated one, or finite
-    differences for a model without one; the same Jacobian gives the
-    relaxation rate.  A damping trial at which the rhs raises
+    """Damped Newton on the right-hand side, with the model's generated
+    Jacobian, or finite differences for a model without one
+    (``integrate.array_jacobian``); the same Jacobian gives the relaxation
+    rate.  The iteration runs on lists of Python floats, each Newton step
+    solved by ``_solve``.  A damping trial at which the rhs raises
     ``EvaluationError`` counts as one whose residual did not decrease, as a
     non-finite residual does.  Once the max-norm residual is at most
     1e-13 * max(1, max|x|), full Newton steps polish the root until a step
@@ -175,7 +227,7 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
     (``_report``).  Otherwise a one-state model falls back to bisection for a
     stable root on [0, max(10*|guess|, 1)], expanding the bracket upwards,
     and any other model raises ``NoConvergenceError`` carrying the
-    iterate.
+    iterate.  A residual with a nan component is nan, and ranks last.
     """
     violations = validate(model, params)
     if violations:
@@ -186,37 +238,41 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
         )
     p = model.resolve_params(params)
     rhs = model.bind(p)
-    f = lambda x: np.array(rhs(0.0, x.tolist()))
-    jac = array_jacobian(model, p, lambda t, x: f(x))
-    jacobian = lambda x: jac(0.0, x)
+    f = lambda x: rhs(0.0, x)
+    if model.jacobian is None:
+        jac = array_jacobian(model, p, lambda t, x: np.array(rhs(t, x.tolist())))
+        jacobian = lambda x: jac(0.0, np.array(x)).tolist()
+    else:
+        jac = model.jacobian(p)
+        jacobian = lambda x: jac(0.0, x)
 
-    x = np.array(guess.values, dtype=float)
+    x = guess.values.tolist()
     best, best_res = x, math.nan
     for _ in range(100):
         fx = f(x)
-        res = float(np.max(np.abs(fx)))
+        res = _max_norm(fx)
         if res < best_res or math.isnan(best_res) and not math.isnan(res):  # nan ranks last
-            best, best_res = x.copy(), res
-        limit = 1e-13 * max(1.0, float(np.max(np.abs(x))))
+            best, best_res = x, res
+        limit = 1e-13 * max(1.0, _max_norm(x))
         if res <= limit:
             best, best_res = _polish(f, jacobian, x, fx, res, limit)
             break
         J = jacobian(x)
         try:
-            step = np.linalg.solve(J, -fx)
+            step = _solve(J, [-c for c in fx])
         except np.linalg.LinAlgError:
             break
         # damping: halve until the residual norm decreases (at most 30 times)
         lam = 1.0
-        norm0 = float(np.linalg.norm(fx))
+        norm0 = _norm2(fx)
         for _ in range(30):
             try:
-                if float(np.linalg.norm(f(x + lam * step))) < norm0:
+                if _norm2(f([v + lam * s for v, s in zip(x, step)])) < norm0:
                     break
             except EvaluationError:  # outside the rhs's domain: as a nan residual
                 pass
             lam *= 0.5
-        x = x + lam * step
+        x = [v + lam * s for v, s in zip(x, step)]
 
     try:
         return _report(f, jacobian, model.state_names, best, best_res, "newton")
@@ -227,8 +283,7 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
                              max(10.0 * abs(float(guess.values[0])), 1.0))
         if root is None:
             raise
-    x = np.array([root])
-    return _report(f, jacobian, model.state_names, x, float(abs(f(x)[0])), "bisection")
+    return _report(f, jacobian, model.state_names, [root], abs(f([root])[0]), "bisection")
 
 
 def time_to_epsilon(model: ModelSystem, params: ParameterSet, state0: StateVector,

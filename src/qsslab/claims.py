@@ -172,11 +172,10 @@ def per_capita_removal(model: ModelSystem, params: ParameterSet,
     a, y = p["a"], p["y"]
     i = model.state_names.index("T")
     rhs = model.bind(p)
-    out = np.empty(len(times))
-    for k, (t, state) in enumerate(zip(times, states)):
-        T = state[i]
-        out[k] = (a - y * T - rhs(float(t), state.tolist())[i]) / T
-    return out
+    times = np.asarray(times, dtype=float).tolist()
+    states = np.asarray(states, dtype=float).tolist()
+    return np.array([(a - y * state[i] - rhs(t, state)[i]) / state[i]
+                     for t, state in zip(times, states)])
 
 
 def _with_overrides(params: ParameterSet, overrides: dict | None) -> ParameterSet:

@@ -743,13 +743,21 @@ def _rhs_function(source: str):
     return _compiled(source, "<qssm rhs>")["rhs"]
 
 
-def _bind_jacobian(rhs_source: str, tree: tuple, params) -> BoundJacobian:
-    """The bound Jacobian of the model whose rhs is ``rhs_source``, at
-    ``params``, generated from ``tree`` (``derivatives.jacobian_source``'s
-    arguments) on first use."""
-    from .derivatives import jacobian_function  # imports this module
+def _jacobian_binder(rhs_source: str, tree: tuple):
+    """``jacobian(params)``, the bound Jacobian of the model whose rhs is
+    ``rhs_source``, generated from ``tree`` (``derivatives.jacobian_source``'s
+    arguments).  The generated ``bind`` is looked up on the first call and
+    kept, so that no later call hashes the tree for the memo's key."""
+    bind = None
 
-    return jacobian_function(rhs_source, tree)(params)
+    def jacobian(params) -> BoundJacobian:
+        nonlocal bind
+        if bind is None:
+            from .derivatives import jacobian_function  # imports this module
+
+            bind = jacobian_function(rhs_source, tree)
+        return bind(params)
+    return jacobian
 
 
 def compile_model(defn: ModelDefinition) -> ModelSystem:
@@ -771,7 +779,7 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
     The model's ``jacobian(params)`` binds the exact Jacobian, generated
     from the same tree (``derivatives``) on its first use, not here, and
     compiled once per process behind a memo of the 64 most recently used,
-    as the rhs is.
+    as the rhs is; the model keeps what the memo gave it.
     """
     state_names = tuple(s.name for s in defn.states)
     param_names = tuple(p.name for p in defn.params)
@@ -798,7 +806,7 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
         equation=equation,
         kind=None,
         slow_rate_params=defn.slow,
-        jacobian=functools.partial(_bind_jacobian, source, tree),
+        jacobian=_jacobian_binder(source, tree),
     )
 
 

@@ -247,6 +247,13 @@ def _step_underflow(t: float, h: float, finite: bool):
     return StiffnessError(f"step size underflow ({h:.3e}) at t = {t:g}; problem too stiff")
 
 
+def _magnitude(name: str) -> str:
+    """|name| as a conditional expression, which costs less than a call of
+    ``abs``: nan stays nan and -inf becomes inf.  -0.0 stays -0.0, which
+    the loops only ever add to atol, square or compare."""
+    return f"({name} if {name} >= 0.0 else -{name})"
+
+
 def _dopri_source(n: int) -> str:
     """The source of the Dormand-Prince stepping loop for ``n`` components.
 
@@ -268,7 +275,8 @@ def _dopri_source(n: int) -> str:
          "b1 b3 b4 b5 b6 e1 e3 e4 e5 e6 e7").split(), _DP_WEIGHTS))
     c2, c3, c4, c5 = map(repr, _DP_C[1:5])
     # each component's error; max(u, v) is v if v > u else u, nan included
-    err = "abs(e_#) / (atol + rtol * (b if (b := abs(y5_#)) > (a := abs(y_#)) else a))"
+    err = (f"{_magnitude('e_#')} / (atol + rtol * "
+           f"(b if (b := {_magnitude('y5_#')}) > (a := {_magnitude('y_#')}) else a))")
     return f'''\
 def kernel(f, t, t_end, h, h_min, rtol, atol, max_steps, y, k1, counts):
     {each("y_#")}, = y
@@ -477,6 +485,9 @@ def _radau_source(n: int) -> str:
         + each(f"p{i}_# = yp_# + theta * (q1_# + theta * (q2_# + theta * q3_#)) - y_#", "; ")
         for i, c in enumerate(_RADAU_C))
     maxiter, err_norm = _NEWTON_MAXITER, rms([f"r_{j} / s_{j}" for j in range(n)])
+    newton_scale = each(f"s_# = atol + rtol * {_magnitude('y_#')}", "; ")
+    error_scale = each(f"a = {_magnitude('y_#')}; b = {_magnitude('yn_#')}; "
+                       "s_# = atol + rtol * (b if b > a else a)", "; ")
     return f'''\
 def kernel(f, jacobian, newton_inverse, t, t_end, h_next, h_min, rtol, atol, newton_tol,
            max_steps, y, fy, J, counts):
@@ -493,7 +504,7 @@ def kernel(f, jacobian, newton_inverse, t, t_end, h_next, h_min, rtol, atol, new
             {stages("p@_#", " = ")} = 0.0
         else:  # the last polynomial at the new stage times
             {predict}
-        {each("s_# = atol + rtol * abs(y_#)", "; ")}
+        {newton_scale}
         t0, t1, t2 = t + h * {c0}, t + h * {c1}, t + h * {c2}
         while True:
             try:
@@ -544,7 +555,7 @@ def kernel(f, jacobian, newton_inverse, t, t_end, h_next, h_min, rtol, atol, new
             continue
         {each("yn_# = y_# + z2_#", "; ")}
         {each(f"ze_# = ({combination(_RADAU_E.tolist(), 'z@_#')}) / h", "; ")}
-        {each("a = abs(y_#); b = abs(yn_#); s_# = atol + rtol * (b if b > a else a)", "; ")}
+        {error_scale}
         {error_estimate("(fy_@ + ze_@)")}
         err = {err_norm}
         if retried and err > 1:  # a sharper estimate after a rejection

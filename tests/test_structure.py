@@ -9,7 +9,9 @@ the tests' oracle, and no hook rewrites a model's parameters.  Checked on
 the syntax trees of ``src/qsslab/*.py``, so comments and docstrings may
 name these functions.  The Radau step generated for each dimension keeps
 its per-element arithmetic on Python floats: checked on the syntax tree of
-its source.
+its source.  So does the steady-state path of ``analysis.py``: numpy
+serves it only the eigenvalues of ``_rate``, LAPACK's error type and the
+finite-difference Jacobian of a model without a generated one.
 """
 import ast
 from pathlib import Path
@@ -70,7 +72,7 @@ def test_each_model_is_defined_once(path):
 # the Newton inverse, the product K.dot and its tolist, the yield's arrays,
 # the math helpers, its loops and its step-size error
 RADAU_CALLS = {"f", "jacobian", "newton_inverse", "K_dot", "K_dot(...).tolist", "array",
-               "abs", "sqrt", "isfinite", "range", "_step_underflow"}
+               "sqrt", "isfinite", "range", "_step_underflow"}
 
 
 def _calls(tree):
@@ -95,3 +97,26 @@ def test_radau_step_keeps_its_arithmetic_on_floats(n):
     in_yield = [call for node in ast.walk(tree) if isinstance(node, ast.Yield)
                 for call in _calls(node)]
     assert in_yield.count("array") == calls.count("array") == 2
+
+
+# What the steady-state path of analysis.py may take from numpy (each
+# attribute chain and its prefixes): the error its solve raises as LAPACK's
+# does, and the arrays of the finite-difference Jacobian of a model without
+# a generated one
+STEADY_STATE_PATH = {"find_steady_state", "_polish", "_report", "_solve"}
+STEADY_STATE_NUMPY = {"np.linalg", "np.linalg.LinAlgError", "np.array"}
+
+
+def test_steady_state_path_keeps_its_arithmetic_on_floats():
+    path = next(p for p in SOURCES if p.name == "analysis.py")
+    functions = {node.name: node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef)}
+    assert set(functions) >= STEADY_STATE_PATH | {"_rate"}
+
+    def numpy_names(function):
+        return {text for node in ast.walk(functions[function]) if isinstance(node, ast.Attribute)
+                and (text := ast.unparse(node)).startswith("np.")}
+
+    used = set().union(*map(numpy_names, STEADY_STATE_PATH))
+    assert used <= STEADY_STATE_NUMPY, f"numpy: {sorted(used - STEADY_STATE_NUMPY)}"
+    assert "np.linalg.eigvals" in numpy_names("_rate")
