@@ -1,10 +1,10 @@
 """qsslab: a workbench for quasi-steady-state CD4 T-cell decline models.
 
 Build catalog models or define your own in the ``.qssm`` language, integrate
-them with fixed-step RK4, the adaptive Dormand-Prince 5(4) pair or the stiff
-Radau IIA(5) kernel, extract steady states / approach times / curvature
-classes, and check the registered claims about destruction-only versus
-slow-feedback dynamics.
+them with the adaptive Dormand-Prince 5(4) pair (stored at its steps or on a
+``dt`` grid) or the stiff Radau IIA(5) kernel, extract steady states /
+approach times / curvature classes, and check the registered claims about
+destruction-only versus slow-feedback dynamics.
 """
 
 from .analysis import (

@@ -216,9 +216,10 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
     rate.  The iteration runs on lists of Python floats, each Newton step
     solved by ``_solve``.  A damping trial at which the rhs raises
     ``EvaluationError`` counts as one whose residual did not decrease, as a
-    non-finite residual does.  Once the max-norm residual is at most
-    1e-13 * max(1, max|x|), full Newton steps polish the root until a step
-    is within 4 ulps of it (``_polish``).
+    non-finite residual does.  An iterate with a non-finite component ends
+    the iteration, as a singular Jacobian does.  Once the max-norm residual
+    is at most 1e-13 * max(1, max|x|), full Newton steps polish the root
+    until a step is within 4 ulps of it (``_polish``).
 
     The best iterate is returned only if it is a steady state: max-norm
     residual <= 1e-9, no negative component, and every eigenvalue of the
@@ -249,6 +250,8 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
     x = guess.values.tolist()
     best, best_res = x, math.nan
     for _ in range(100):
+        if not all(map(math.isfinite, x)):  # Newton diverged: no limit to test against
+            break
         fx = f(x)
         res = _max_norm(fx)
         if res < best_res or math.isnan(best_res) and not math.isnan(res):  # nan ranks last

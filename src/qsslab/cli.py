@@ -170,12 +170,11 @@ def _cmd_simulate(args) -> int:
     params = params.with_updates(**_parse_kv(args.param, "--param"))
     state0 = _assemble_state(base_state, args.init)
     if args.dt is not None:
-        traj = integrate_fixed(model, params, state0, args.t0, args.t_end, args.dt)
+        traj = integrate_fixed(model, params, state0, args.t0, args.t_end, args.dt,
+                               rtol=args.rtol, atol=args.atol)
     else:
-        traj = integrate_adaptive(
-            model, params, state0, args.t0, args.t_end,
-            rtol=args.rtol, atol=args.atol,
-        )
+        traj = integrate_adaptive(model, params, state0, args.t0, args.t_end,
+                                  rtol=args.rtol, atol=args.atol)
     write_trajectory_csv(traj, args.out)
     if args.plot:
         series = [
@@ -319,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--init", action="append", metavar="STATE=VALUE")
     sim.add_argument("--t0", type=_finite, default=0.0)
     sim.add_argument("--t-end", type=_finite, required=True, dest="t_end")
-    sim.add_argument("--dt", type=_positive, default=None, help="fixed-step RK4 step size")
+    sim.add_argument("--dt", type=_positive, default=None,
+                     help="store the adaptive run (at --rtol/--atol) every DT, not at its steps")
     sim.add_argument("--rtol", type=_positive, default=1e-8)
     sim.add_argument("--atol", type=_positive, default=1e-12)
     sim.add_argument("--out", required=True, help="output CSV path")

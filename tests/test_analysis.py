@@ -734,6 +734,8 @@ def reference_find_steady_state(model, params, guess):
     x = np.array(guess.values, dtype=float)
     best, best_res = x, math.nan
     for _ in range(100):
+        if not np.isfinite(x).all():  # Newton diverged: no limit to test against
+            break
         fx = f(x)
         res = float(np.max(np.abs(fx)))
         if res < best_res or math.isnan(best_res) and not math.isnan(res):  # nan ranks last

@@ -11,9 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qsslab import cli
+from qsslab.catalog import default_params, default_state, make_model
 from qsslab.claims import CLAIMS
 from qsslab.cli import read_trajectory_csv, run_cli, write_trajectory_csv
-from qsslab.integrate import Trajectory
+from qsslab.integrate import Trajectory, sampled_dopri_run
 from qsslab.svg import render_plot
 from qsslab.errors import UsageError
 
@@ -311,7 +312,7 @@ def test_dt_beyond_the_step_budget_is_a_usage_error(outdir, capsys):
     argv = ["simulate", "--model", "healthy", "--t-end", "1", "--dt", "1e-300",
             "--out", str(outdir / "x.csv")]
     assert run_cli(argv) == 2
-    assert "needs more than 2000000 steps" in capsys.readouterr().err
+    assert "needs more than 2000000 rows" in capsys.readouterr().err
     assert not (outdir / "x.csv").exists()
 
 
@@ -372,6 +373,30 @@ def test_fixed_step_flag(outdir):
     ]) == 0
     final_T = float(out.read_text().splitlines()[-1].split(",")[1])
     assert final_T == pytest.approx(math.exp(-1), abs=1e-8)
+
+
+def test_dt_rows_are_the_adaptive_run_at_the_given_tolerances(outdir):
+    argv = ["simulate", "--model", "coupled-agent", "--t-end", "3", "--dt", "0.5",
+            "--rtol", "1e-5", "--atol", "1e-9"]
+    assert run_cli([*argv, "--out", str(outdir / "grid.csv")]) == 0
+    rows = [list(map(float, line.split(",")))
+            for line in (outdir / "grid.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == [0.5 * i for i in range(7)]
+    model, params = make_model("coupled-agent"), default_params("coupled-agent")
+    sampled = sampled_dopri_run(model, params, default_state("coupled-agent"),
+                                [row[0] for row in rows], 1e-5, 1e-9)
+    assert [row[1:] for row in rows] == sampled.states.tolist()
+
+
+def test_diverging_newton_is_a_numerical_failure(capsys):
+    # Newton reaches an iterate with an infinite component: a numerical
+    # failure (3), not a state the report refuses as usage (2)
+    assert run_cli([
+        "steady", "--model", "coupled-agent", "--param", "a=7.0813807613465505",
+        "--param", "delta_D=2.00001", "--param", "x=5e-324", "--param", "y=5e-324",
+        "--guess", "T=0.434025", "--guess", "D=2.00001",
+    ]) == 3
+    assert "no steady state found" in capsys.readouterr().err
 
 
 def test_steady_guess_flag(outdir, capsys):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qsslab import claims
+from qsslab import claims, integrate
 from qsslab.catalog import default_params, default_state, make_model
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -55,3 +55,17 @@ def test_rhs_can_be_swapped_on_a_catalog_model(kind):
     rates = [m.bind(m.resolve_params(params))(0.0, state.values.tolist())
              for m in (model, swapped)]
     assert calls and rates[0] == rates[1]
+
+
+@pytest.mark.parametrize("solve,extra", [("integrate_adaptive", ()),
+                                         ("integrate_fixed", (0.25,))])
+def test_integrated_runs_carry_the_counts_the_tracer_reads(solve, extra):
+    # the tracer adds solver_info["accepted"] and ["rejected"] of each run
+    # that a name of LAYER_OF's "integrate" layer returns
+    assert _layer_of()[solve] == "integrate"
+    kind = "coupled-agent"
+    run = getattr(integrate, solve)(make_model(kind), default_params(kind), default_state(kind),
+                                    0.0, 2.0, *extra)
+    for key in ("accepted", "rejected"):
+        assert type(run.solver_info[key]) is int, key
+    assert run.solver_info["accepted"] > 0

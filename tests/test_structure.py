@@ -11,7 +11,9 @@ name these functions.  The Radau step generated for each dimension keeps
 its per-element arithmetic on Python floats: checked on the syntax tree of
 its source.  So does the steady-state path of ``analysis.py``: numpy
 serves it only the eigenvalues of ``_rate``, LAPACK's error type and the
-finite-difference Jacobian of a model without a generated one.
+finite-difference Jacobian of a model without a generated one.  Two step
+schemes integrate every run, Dormand-Prince and Radau: no third one names
+itself in a ``solver_info``.
 """
 import ast
 from pathlib import Path
@@ -120,3 +122,55 @@ def test_steady_state_path_keeps_its_arithmetic_on_floats():
     used = set().union(*map(numpy_names, STEADY_STATE_PATH))
     assert used <= STEADY_STATE_NUMPY, f"numpy: {sorted(used - STEADY_STATE_NUMPY)}"
     assert "np.linalg.eigvals" in numpy_names("_rate")
+
+
+
+# The step schemes a solver_info names; "csv" marks a trajectory read from a
+# file, not a run
+STEP_SCHEMES = {"dopri54", "radau5"}
+
+
+def _scheme_values():
+    """(file name, value) of each "scheme" entry that a dict display or a
+    ``dict(...)`` call in ``src/qsslab`` writes: a literal's value, or, for
+    a parameter of an enclosing function, each argument that a call of the
+    function passes for it; any other value as its source text."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    parent = {child: node for tree in trees.values() for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+
+    def sources(value):
+        """``value``, or what the calls of the function it is a parameter of pass."""
+        node = value
+        while isinstance(value, ast.Name) and node in parent:
+            node = parent[node]
+            if isinstance(node, ast.FunctionDef):
+                names = [arg.arg for arg in node.args.args]
+                if value.id in names:
+                    index = names.index(value.id)
+                    return [given for call in calls if call.func.id == node.name
+                            for given in ([k.value for k in call.keywords if k.arg == value.id]
+                                          or call.args[index:index + 1])]
+        return [value]
+
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                values = [v for k, v in zip(node.keys, node.values)
+                          if isinstance(k, ast.Constant) and k.value == "scheme"]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "dict":
+                values = [k.value for k in node.keywords if k.arg == "scheme"]
+            else:
+                continue
+            for value in values:
+                for given in sources(value):
+                    yield file, (given.value if isinstance(given, ast.Constant)
+                                 else ast.unparse(given))
+
+
+def test_two_step_schemes_integrate_every_run():
+    values = set(_scheme_values())
+    assert {value for _, value in values} == STEP_SCHEMES | {"csv"}, sorted(values)
+    assert {file for file, value in values if value == "csv"} == {"cli.py"}
