@@ -2,8 +2,8 @@
 trajectory's own points, and the fast-agent quasi-steady-state reduction.
 
 Newton, its polish and the relaxation rate of a steady state take the
-model's generated Jacobian (``ModelSystem.jacobian``), and finite
-differences only for a model without one.
+Jacobian that ``ModelSystem.bind_jacobian`` gives: the model's generated
+one, and finite differences only for a model without one.
 
 Curvature naming: a decreasing trajectory whose decline keeps slowing has a
 positive second derivative (mathematically convex); one whose decline keeps
@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedKindError,
     ValidationError,
 )
-from .integrate import Trajectory, array_jacobian, first_crossing
+from .integrate import Trajectory, first_crossing
 
 _RESIDUAL_LIMIT = 1e-9
 _T_EPS_RTOL, _T_EPS_ATOL = 1e-10, 1e-13  # Dormand-Prince tolerances of time_to_epsilon
@@ -187,8 +187,9 @@ def _polish(f, jacobian, x, fx, res, limit):
     component by more than 4 ulps, at most ``_POLISH_STEPS`` of them.  The
     residual test alone leaves x off by up to the residual over the slope,
     which at a small root moved the rate by 1.5e-9 relative.  A step that
-    cannot be taken or whose residual exceeds ``limit`` ends the polish;
-    returns the last root and its residual."""
+    cannot be taken, whose residual exceeds ``limit``, or that takes one
+    within the report's 1e-9 above it (``limit`` is larger at a root above
+    1e4) ends the polish; returns the last root and its residual."""
     for _ in range(_POLISH_STEPS):
         try:
             step = _solve(jacobian(x), [-c for c in fx])
@@ -197,7 +198,7 @@ def _polish(f, jacobian, x, fx, res, limit):
         except (np.linalg.LinAlgError, EvaluationError):
             break
         res_new = _max_norm(f_new)
-        if not res_new <= limit:  # nan too
+        if not res_new <= limit or res_new > _RESIDUAL_LIMIT >= res:  # nan too
             break
         x, fx, res = x_new, f_new, res_new
         # an ulp of |v| is the gap to the next float up: inf at the largest
@@ -210,16 +211,16 @@ def _polish(f, jacobian, x, fx, res, limit):
 
 def find_steady_state(model: ModelSystem, params: ParameterSet,
                       guess: StateVector) -> SteadyStateReport:
-    """Damped Newton on the right-hand side, with the model's generated
-    Jacobian, or finite differences for a model without one
-    (``integrate.array_jacobian``); the same Jacobian gives the relaxation
-    rate.  The iteration runs on lists of Python floats, each Newton step
-    solved by ``_solve``.  A damping trial at which the rhs raises
-    ``EvaluationError`` counts as one whose residual did not decrease, as a
-    non-finite residual does.  An iterate with a non-finite component ends
-    the iteration, as a singular Jacobian does.  Once the max-norm residual
-    is at most 1e-13 * max(1, max|x|), full Newton steps polish the root
-    until a step is within 4 ulps of it (``_polish``).
+    """Damped Newton on the right-hand side, with the Jacobian of
+    ``ModelSystem.bind_jacobian`` (the generated one, or finite differences
+    for a model without one), which also gives the relaxation rate.  The
+    iteration runs on lists of Python floats, each Newton step solved by
+    ``_solve``.  A damping trial at which the rhs raises ``EvaluationError``
+    counts as one whose residual did not decrease, as a non-finite residual
+    does.  An iterate with a non-finite component ends the iteration, as a
+    singular Jacobian does.  Once the max-norm residual is at most
+    1e-13 * max(1, max|x|), full Newton steps polish the root until a step
+    is within 4 ulps of it (``_polish``).
 
     The best iterate is returned only if it is a steady state: max-norm
     residual <= 1e-9, no negative component, and every eigenvalue of the
@@ -240,12 +241,8 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
     p = model.resolve_params(params)
     rhs = model.bind(p)
     f = lambda x: rhs(0.0, x)
-    if model.jacobian is None:
-        jac = array_jacobian(model, p, lambda t, x: np.array(rhs(t, x.tolist())))
-        jacobian = lambda x: jac(0.0, np.array(x)).tolist()
-    else:
-        jac = model.jacobian(p)
-        jacobian = lambda x: jac(0.0, x)
+    jac = model.bind_jacobian(p, rhs)
+    jacobian = lambda x: jac(0.0, x)
 
     x = guess.values.tolist()
     best, best_res = x, math.nan

@@ -26,6 +26,8 @@ from .errors import NUMERICAL_ERRORS, ParseError, QsslabError, SemanticError, Us
 from .integrate import Trajectory, integrate_adaptive, integrate_fixed
 from .svg import render_plot
 
+_CSV_BLOCK = 65_536  # rows of a trajectory CSV formatted at once
+
 
 def _parse_kv(pairs, what):
     out = {}
@@ -108,21 +110,27 @@ def _check_writable(path: str) -> None:
     raise UsageError(f"cannot write {path!r}: {reason}")
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to the file ``path``; a path that cannot be written
-    raises ``UsageError``."""
+def _write_text(path: str, pieces) -> None:
+    """Write the strings ``pieces``, in order, to the file ``path``; a path
+    that cannot be written raises ``UsageError``."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise UsageError(f"cannot write {path!r}: {exc}") from None
 
 
 def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
-    lines = ["t," + ",".join(trajectory.state_names)]
-    for t, state in zip(trajectory.times.tolist(), trajectory.states.tolist()):
-        lines.append(",".join([f"{t:.17g}", *[f"{v:.17g}" for v in state]]))
-    _write_text(path, "\n".join(lines) + "\n")
+    """Write the header, then the rows ``_CSV_BLOCK`` at a time: only one
+    block's times and states are lists and lines at once."""
+    def pieces():
+        yield "t," + ",".join(trajectory.state_names) + "\n"
+        for i in range(0, len(trajectory), _CSV_BLOCK):
+            times = trajectory.times[i:i + _CSV_BLOCK].tolist()
+            states = trajectory.states[i:i + _CSV_BLOCK].tolist()
+            yield "".join(",".join([f"{t:.17g}", *[f"{v:.17g}" for v in state]]) + "\n"
+                          for t, state in zip(times, states))
+    _write_text(path, pieces())
 
 
 def read_trajectory_csv(path: str) -> Trajectory:
@@ -160,7 +168,7 @@ def read_trajectory_csv(path: str) -> Trajectory:
 def _write_json(payload: dict, path: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     if path:
-        _write_text(path, text)
+        _write_text(path, [text])
     else:
         sys.stdout.write(text)
 
@@ -181,8 +189,8 @@ def _cmd_simulate(args) -> int:
             (name, traj.times.tolist(), traj.component(name).tolist())
             for name in traj.state_names
         ]
-        _write_text(args.plot, render_plot(series, title=model.name, xlabel="t",
-                                           ylabel="concentration"))
+        _write_text(args.plot, [render_plot(series, title=model.name, xlabel="t",
+                                            ylabel="concentration")])
     return 0
 
 
@@ -258,7 +266,7 @@ def _cmd_sweep(args) -> int:
             value = row.get(col, "")
             cells.append(f"{value:.17g}" if isinstance(value, float) else str(value))
         lines.append(",".join(cells))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -275,8 +283,8 @@ def _cmd_check(args) -> int:
             series.append((kind.value, traj.times.tolist(), traj.component("T").tolist()))
             if shade is None:
                 shade = collapse_window(traj, "T")
-        _write_text(args.plot, render_plot(series, title=args.claim, xlabel="t", ylabel="T",
-                                           shade=shade))
+        _write_text(args.plot, [render_plot(series, title=args.claim, xlabel="t", ylabel="T",
+                                            shade=shade)])
     print(f"{report.claim_id}: {report.verdict.upper()}", file=sys.stderr)
     print(report.narrative, file=sys.stderr)
     return 0 if report.passed else 1

@@ -1,15 +1,14 @@
 """Time stepping: an adaptive Dormand-Prince 5(4) embedded pair with
 proportional step control, and an L-stable Radau IIA of order 5 for stiff
-runs.  Every solver evaluates the model through ``ModelSystem.bind``, so
-the parameters are read once per run.  Both adaptive kernels compute on
-Python floats, in a stepping loop generated once per dimension
-(``_dopri_source``, ``_radau_source``) that keeps each component of its
-state and stages in a local variable.  A Dormand-Prince step makes no
-numpy call besides those a hand-built rhs makes; a Radau step inverts one
-real 3n x 3n Newton matrix per step size and Jacobian (the model's
-generated one, ``ModelSystem.jacobian``, or finite differences for a model
-without one) and makes one matrix-vector product per Newton iteration,
-around three rhs calls.
+runs.  Both kernels start through ``_start``, which checks the run and
+binds the model (``ModelSystem.bind``) once, and stop at ``MAX_STEPS``
+trial steps (``_within_budget``).  Both compute on Python floats, in a
+stepping loop generated once per dimension (``_dopri_source``,
+``_radau_source``) that keeps each component of its state and stages in a
+local variable.  A Dormand-Prince step makes no numpy call besides those a
+hand-built rhs makes; a Radau step inverts one real 3n x 3n Newton matrix
+per step size and Jacobian (``ModelSystem.bind_jacobian``'s) and makes one
+matrix-vector product per Newton iteration, around three rhs calls.
 
 The kernels, ``_dopri_steps`` and ``_radau_steps``, are generators over
 accepted steps, and between a step's points only its own interpolant is
@@ -97,7 +96,6 @@ _NEWTON_MAXITER = 6
 # Budget of one integration's trial steps, and of a dt grid's rows after t0
 MAX_STEPS = 2_000_000
 _SAMPLE_BLOCK = 65_536  # rows of a sampled run interpolated at once
-_FD_STEP = np.finfo(float).eps ** (1 / 3)  # balances O(h^2) truncation against rounding
 
 
 @dataclass(frozen=True)
@@ -146,46 +144,36 @@ class Trajectory:
         return self.state_at(-1)
 
 
-def _prepare(model: ModelSystem, params: ParameterSet, state0: StateVector,
-             t0: float, t_end: float):
+def _start(model: ModelSystem, params: ParameterSet, state0: StateVector,
+           t0: float, t_end: float, rtol: float, atol: float):
+    """Both kernels' checked start: the resolved parameters, the bound rhs f,
+    y0 and f(t0, y0) (nan outside the rhs's domain) as lists of floats, t0
+    and t_end as floats, the first trial step and the minimum step."""
+    if rtol <= 0 or atol <= 0:
+        raise DomainError("rtol and atol must be positive")
     if t_end <= t0:
         raise DomainError(f"t_end ({t_end:g}) must exceed t0 ({t0:g})")
     violations = validate(model, params, state0)
     if violations:
         raise ValidationError(violations)
-    resolved = model.resolve_params(params)
-    y0 = np.array(state0.values, dtype=float)
-    return resolved, y0
+    p = model.resolve_params(params)
+    f = model.bind(p)
+    y = state0.values.tolist()
+    t0, t_end = float(t0), float(t_end)  # numpy scalars would reach the stages through h
+    try:
+        fy = f(t0, y)
+    except EvaluationError:  # outside the rhs's domain: as a nan rate
+        fy = [math.nan] * len(y)
+    span = t_end - t0
+    return p, f, y, fy, t0, t_end, span / 100.0, 1e-14 * span
 
 
-def _fd_jacobian(f, x):
-    """Second-order finite-difference Jacobian: central differences, and the
-    one-sided three-point formula where a central step would take a
-    nonnegative component below 0."""
-    n = x.size
-    J = np.empty((n, n))
-    fx = None
-    for j in range(n):
-        h = _FD_STEP * max(abs(x[j]), 1.0)
-        e = np.zeros(n)
-        e[j] = h
-        if x[j] < 0 or x[j] >= h:
-            J[:, j] = (f(x + e) - f(x - e)) / (2.0 * h)
-        else:
-            if fx is None:
-                fx = f(x)
-            J[:, j] = (4.0 * f(x + e) - f(x + 2.0 * e) - 3.0 * fx) / (2.0 * h)
-    return J
-
-
-def array_jacobian(model: ModelSystem, params, f):
-    """J(t, x) as an array at the resolved ``params``: the model's
-    generated Jacobian (``ModelSystem.jacobian``), or, for a model without
-    one, ``_fd_jacobian`` of ``f(t, x)``, an array-valued rhs."""
-    if model.jacobian is None:
-        return lambda t, x: _fd_jacobian(lambda z: f(t, z), x)
-    jac = model.jacobian(params)
-    return lambda t, x: np.array(jac(t, x.tolist()))
+def _within_budget(run, t_end: float):
+    """The steps of ``run``, a kernel that returns the time it reached, short
+    of ``t_end`` once its ``MAX_STEPS`` trials are spent."""
+    t = yield from run
+    if t < t_end:  # the budget's last trial did not land on t_end
+        raise StiffnessError(f"step budget of {MAX_STEPS} exhausted at t = {t:g}")
 
 
 def _step_underflow(t: float, h: float, finite: bool):
@@ -306,8 +294,7 @@ def _dopri_kernel(n: int):
 
 
 def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
-                 t0: float, t_end: float, rtol: float, atol: float,
-                 max_steps: int = MAX_STEPS):
+                 t0: float, t_end: float, rtol: float, atol: float):
     """Dormand-Prince 5(4) stepping kernel: a generator over accepted steps.
 
     Each accepted step yields ``(t_prev, t, h, y, K, counts)``: the step
@@ -331,22 +318,11 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     of the generator, and a ``with`` block in its body would leak into the
     caller between steps.
     """
-    if rtol <= 0 or atol <= 0:
-        raise DomainError("rtol and atol must be positive")
-    p, y = _prepare(model, params, state0, t0, t_end)
-    f = model.bind(p)
-    y = y.tolist()
-    t0, t_end = float(t0), float(t_end)  # numpy scalars would reach the stages through h
-    span = t_end - t0
+    # FSAL: k1 is f(y0) here, and the previous step's k7 after that
+    _, f, y, k1, t0, t_end, h, h_min = _start(model, params, state0, t0, t_end, rtol, atol)
     counts = {"rejected": 0, "rhs_evals": 1}
-    try:
-        k1 = f(t0, y)  # FSAL: k1 is the previous step's k7
-    except EvaluationError:  # outside the rhs's domain: as a nan rate
-        k1 = [math.nan] * len(y)
-    t = yield from _dopri_kernel(len(y))(f, t0, t_end, span / 100.0, 1e-14 * span,
-                                         rtol, atol, max_steps, y, k1, counts)
-    if t < t_end:  # the budget's last trial did not land on t_end
-        raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
+    yield from _within_budget(_dopri_kernel(len(y))(f, t0, t_end, h, h_min, rtol, atol,
+                                                    MAX_STEPS, y, k1, counts), t_end)
 
 
 def dense_coefficients(Y, y, h: float):
@@ -565,8 +541,7 @@ def _radau_kernel(n: int):
 
 
 def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
-                 t0: float, t_end: float, rtol: float, atol: float,
-                 max_steps: int = MAX_STEPS):
+                 t0: float, t_end: float, rtol: float, atol: float):
     """Radau IIA(5) stepping kernel: a generator over accepted steps, as
     ``_dopri_steps`` is (Hairer & Wanner, *Solving ODEs II*, IV.8; the
     algorithm of scipy's ``Radau``).
@@ -585,37 +560,36 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     transformed stages, from the stages that the last step's polynomial
     predicts, with the inverse of their Newton matrix formed once per step
     size and Jacobian; its first block serves the error estimate.  The
-    Jacobian, ``array_jacobian``'s at the step's start, is kept while Newton
-    converges fast.  A Newton solve that fails with a stale Jacobian is
-    retried with a fresh one from the same prediction; one that fails with
-    a fresh Jacobian (a stage that raises ``EvaluationError`` or a
-    non-finite Newton norm counts as a failure) halves the step.  The
-    embedded 3rd-order error estimate is held to 1 in the RMS norm scaled
-    by ``atol + rtol * max(|y|, |y_new|)``, under Gustafsson's predictive
-    control.  The first trial step, the last accepted time, the minimum
-    step and the ``max_steps`` budget are those of ``integrate_adaptive``.  The
-    steps are taken by the loop generated for the model's dimension
-    (``_radau_source``, compiled once per dimension and process).  Iterate
-    it inside ``np.errstate(all="ignore")``, as ``_dopri_steps``.
+    Jacobian, ``ModelSystem.bind_jacobian``'s at the step's start (its rows
+    made one array for the Newton matrix), is kept while Newton converges
+    fast.  A Newton solve that fails with a stale Jacobian is retried with
+    a fresh one from the same prediction; one that fails with a fresh
+    Jacobian (a stage that raises ``EvaluationError`` or a non-finite
+    Newton norm counts as a failure) halves the step.  The embedded
+    3rd-order error estimate is held to 1 in the RMS norm scaled by
+    ``atol + rtol * max(|y|, |y_new|)``, under Gustafsson's predictive
+    control.  The checked start (``_start``), the first trial step, the
+    last accepted time, the minimum step and the ``MAX_STEPS`` budget are
+    those of ``integrate_adaptive``.  The steps are taken by the loop
+    generated for the model's dimension (``_radau_source``, compiled once
+    per dimension and process).  Iterate it inside
+    ``np.errstate(all="ignore")``, as ``_dopri_steps``.
     """
-    if rtol <= 0 or atol <= 0:
-        raise DomainError("rtol and atol must be positive")
-    p, y = _prepare(model, params, state0, t0, t_end)
-    rhs = model.bind(p)
+    p, rhs, y, f_y, t0, t_end, h, h_min = _start(model, params, state0, t0, t_end, rtol, atol)
+    n = len(y)
     counts = {"rejected": 0, "rhs_evals": 1, "jac_evals": 0, "factorizations": 0,
               "jacobian": "finite-difference" if model.jacobian is None else "generated"}
 
     def f(t, x):  # the rhs of a finite-difference Jacobian
         counts["rhs_evals"] += 1
-        return np.array(rhs(t, x.tolist()))
+        return rhs(t, x)
 
-    jac = array_jacobian(model, p, f)
-    n = y.size
+    jac = model.bind_jacobian(p, f)
 
-    def jacobian(t, values):
+    def jacobian(t, values):  # as an array, for the Newton matrix
         counts["jac_evals"] += 1
         try:
-            return jac(t, np.array(values))
+            return np.array(jac(t, values))
         except EvaluationError:  # no Jacobian here: every Newton solve fails
             return np.full((n, n), math.nan)
 
@@ -631,19 +605,10 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
         np.divide(lam, -h, out=B[:, 3 * n:])
         return M.dot(B).dot, *M[:n, :n].ravel().tolist()
 
-    t0, t_end = float(t0), float(t_end)  # numpy scalars would reach the stages through h
-    span = t_end - t0
     newton_tol = max(10 * np.finfo(float).eps / rtol, min(0.03, rtol ** 0.5))
-    y = y.tolist()
-    try:
-        f_y = rhs(t0, y)
-    except EvaluationError:  # outside the rhs's domain: as a nan rate
-        f_y = [math.nan] * n
-    t = yield from _radau_kernel(n)(rhs, jacobian, newton_inverse, t0, t_end, span / 100.0,
-                                    1e-14 * span, rtol, atol, newton_tol, max_steps, y, f_y,
-                                    jacobian(t0, y), counts)
-    if t < t_end:  # the budget ran out
-        raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
+    yield from _within_budget(_radau_kernel(n)(rhs, jacobian, newton_inverse, t0, t_end, h,
+                                               h_min, rtol, atol, newton_tol, MAX_STEPS, y,
+                                               f_y, jacobian(t0, y), counts), t_end)
 
 
 def collocation_output(Y, theta, out=None, steps=None):
@@ -666,7 +631,7 @@ def collocation_output(Y, theta, out=None, steps=None):
 @np.errstate(all="ignore")  # non-finite trial steps are rejected, not warned about
 def integrate_adaptive(model: ModelSystem, params: ParameterSet, state0: StateVector,
                        t0: float, t_end: float, rtol: float = 1e-8,
-                       atol: float = 1e-12, max_steps: int = MAX_STEPS) -> Trajectory:
+                       atol: float = 1e-12) -> Trajectory:
     """Dormand-Prince 5(4) with proportional control.
 
     Per accepted step the componentwise error estimate satisfies
@@ -682,15 +647,14 @@ def integrate_adaptive(model: ModelSystem, params: ParameterSet, state0: StateVe
     a fifth of the step; an initial state outside the domain counts as a
     nan k1.  A step size below 1e-14*(t_end - t0) raises ``BlowupError``
     when the trials that drove it there were non-finite and
-    ``StiffnessError`` otherwise.  ``max_steps`` bounds the
-    number of trial steps.  The steps are those of ``_dopri_steps``;
+    ``StiffnessError`` otherwise; a run of more than ``MAX_STEPS`` trial
+    steps raises ``StiffnessError``.  The steps are those of ``_dopri_steps``;
     ``solver_info`` counts them (``accepted``, ``rejected``) and the
     ``rhs_evals``.
     """
     times = [t0]
     states = [np.array(state0.values, dtype=float)]
-    for _, t, _, y, _, counts in _dopri_steps(model, params, state0, t0, t_end,
-                                              rtol, atol, max_steps):
+    for _, t, _, y, _, counts in _dopri_steps(model, params, state0, t0, t_end, rtol, atol):
         times.append(t)
         states.append(y)
     return Trajectory(

@@ -30,7 +30,14 @@ from qsslab.claims import (
     _leg_params,
     sweep,
 )
-from qsslab.analysis import _POLISH_STEPS, _RESIDUAL_LIMIT, _bisection_1d, _rate, _solve
+from qsslab.analysis import (
+    _POLISH_STEPS,
+    _RESIDUAL_LIMIT,
+    _bisection_1d,
+    _polish,
+    _rate,
+    _solve,
+)
 from qsslab.cli import run_cli
 from qsslab.core import validate
 from qsslab.dsl import compile_model, parse_model
@@ -43,7 +50,7 @@ from qsslab.errors import (
     UnsupportedKindError,
     ValidationError,
 )
-from qsslab.integrate import Trajectory, array_jacobian
+from qsslab.integrate import Trajectory
 
 from closedform import linear_destruction_solution, relaxation_rate, steady_state_formula
 
@@ -439,6 +446,13 @@ class TestSteadyStateAtTheRoot:
         with pytest.raises(NoConvergenceError, match="negative component"):
             SteadyStateReport(StateVector(("T",), [-1e-20]), 0.0, "newton", 1.0)
 
+    def test_polish_keeps_a_root_that_meets_the_report_limit(self):
+        # the polish limit, 1e-13 * max|x|, is 1e-5 at a root near 1e8: a
+        # full step from a residual of 4e-16 to one of 3.8e-6 meets it but
+        # not the report's 1e-9, and is not taken
+        f = lambda x: [4e-16 if x == [1.0] else 3.8e-6]
+        assert _polish(f, lambda x: [[1.0]], [1.0], [4e-16], 4e-16, 1e-5) == ([1.0], 4e-16)
+
     def test_sweep_t_eps_matches_scipy_event(self, tmp_path):
         integrate = pytest.importorskip("scipy.integrate")
         out = tmp_path / "s.csv"
@@ -707,7 +721,7 @@ def reference_polish(f, jacobian, x, fx, res, limit):
         except (np.linalg.LinAlgError, EvaluationError):
             break
         res_new = float(np.max(np.abs(f_new)))
-        if not res_new <= limit:  # nan too
+        if not res_new <= limit or res_new > _RESIDUAL_LIMIT >= res:  # nan too
             break
         x, fx, res = x_new, f_new, res_new
         if np.all(np.abs(step) <= 4.0 * np.spacing(np.abs(x))):
@@ -728,8 +742,8 @@ def reference_find_steady_state(model, params, guess):
     p = model.resolve_params(params)
     rhs = model.bind(p)
     f = lambda x: np.array(rhs(0.0, x.tolist()))
-    jac = array_jacobian(model, p, lambda t, x: f(x))
-    jacobian = lambda x: jac(0.0, x)
+    jac = model.bind_jacobian(p, rhs)
+    jacobian = lambda x: np.array(jac(0.0, x.tolist()))
 
     x = np.array(guess.values, dtype=float)
     best, best_res = x, math.nan

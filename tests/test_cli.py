@@ -442,6 +442,16 @@ def test_trajectory_csv_bytes(outdir):
         b"1.7976931348623157e+308,4.9406564584124654e-324,-2.5\n")
 
 
+def test_trajectory_csv_is_written_in_blocks(outdir, monkeypatch):
+    # blocks of 3 rows, the last one short, give the bytes of one block
+    times = [i / 8 for i in range(11)]
+    traj = Trajectory(times, [[math.exp(-t), t / 3] for t in times], ("T", "D"), {})
+    write_trajectory_csv(traj, outdir / "one.csv")
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
+    write_trajectory_csv(traj, outdir / "blocks.csv")
+    assert (outdir / "blocks.csv").read_bytes() == (outdir / "one.csv").read_bytes()
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 @pytest.mark.parametrize("command, flag", [
     (["simulate", "--model", "healthy", "--t-end", "1"], "--out"),

@@ -532,7 +532,7 @@ def _magnitude(expr, bindings) -> float:
 
 
 def _assert_jacobian_is_the_derivative(model, exprs, params, t, x):
-    """The generated Jacobian at (t, x) against ``integrate._fd_jacobian``
+    """The generated Jacobian at (t, x) against ``core._fd_jacobian``
     (central differences wherever x_j >= its step): the difference must lie
     within the finite-difference error, bounded by Richardson's estimate
     from a second set of differences at a quarter of the step.  That
@@ -540,13 +540,14 @@ def _assert_jacobian_is_the_derivative(model, exprs, params, t, x):
     of min or max is not: there central differences average the two
     sides, and the gap between forward and backward differences does not
     close in as the step shrinks.  Returns whether the point was compared."""
-    from qsslab.integrate import _FD_STEP, _fd_jacobian
+    from qsslab.core import _FD_STEP, _fd_jacobian
 
     rhs = model.bind(params)
     f = lambda z: np.array(rhs(t, z.tolist()))
     try:
         with np.errstate(all="ignore"):
-            fd, fine = _fd_jacobian(f, x), _differences(f, x, _FD_STEP / 4)
+            fd = np.array(_fd_jacobian(lambda z: rhs(t, z), x.tolist()))
+            fine = _differences(f, x, _FD_STEP / 4)
             gap, gap_fine = (_differences(f, x, h, 1) - _differences(f, x, h, -1)
                              for h in (_FD_STEP, _FD_STEP / 4))
     except EvaluationError:  # a step leaves the rhs's domain

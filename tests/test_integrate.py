@@ -22,7 +22,7 @@ from qsslab import (
     make_model,
     qss_reduce,
 )
-from qsslab import integrate
+from qsslab import core, integrate
 from qsslab.catalog import (
     MechanismKind,
     all_kind_names,
@@ -31,7 +31,7 @@ from qsslab.catalog import (
 )
 from qsslab.claims import MECHANISM_SAMPLES, mechanism_trajectory
 from qsslab.cli import run_cli
-from qsslab.core import ModelSystem, ParamSpec
+from qsslab.core import ModelSystem, ParamSpec, validate
 from qsslab.dsl import Call, Neg, Num, SourceLocation, Var, compile_model, parse_model
 from qsslab.errors import (
     BlowupError,
@@ -51,16 +51,13 @@ from qsslab.integrate import (
     _RADAU_P,
     _RADAU_T,
     _RADAU_TI,
-    MAX_STEPS,
     Trajectory,
     _dopri_kernel,
     _dopri_steps,
-    _prepare,
     _radau_kernel,
     _radau_newton_inverse,
     _radau_steps,
     _step_underflow,
-    array_jacobian,
     collocation_output,
     dense_coefficients,
     dense_output,
@@ -375,8 +372,7 @@ class TestSampledDopriRun:
 
 
 def reference_dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
-                          t0: float, t_end: float, rtol: float, atol: float,
-                          max_steps: int = MAX_STEPS):
+                          t0: float, t_end: float, rtol: float, atol: float):
     """The reference for ``_dopri_steps``: the same Dormand-Prince 5(4)
     stepping kernel written with one list comprehension per stage.
 
@@ -402,9 +398,13 @@ def reference_dopri_steps(model: ModelSystem, params: ParameterSet, state0: Stat
     """
     if rtol <= 0 or atol <= 0:
         raise DomainError("rtol and atol must be positive")
-    p, y = _prepare(model, params, state0, t0, t_end)
-    f = model.bind(p)
-    y = y.tolist()
+    if t_end <= t0:
+        raise DomainError(f"t_end ({t_end:g}) must exceed t0 ({t0:g})")
+    violations = validate(model, params, state0)
+    if violations:
+        raise ValidationError(violations)
+    f = model.bind(model.resolve_params(params))
+    y = np.array(state0.values, dtype=float).tolist()
     t0, t_end = float(t0), float(t_end)  # numpy scalars would reach the stages through h
     c2, c3, c4, c5 = _DP_C[1:5]
     span = t_end - t0
@@ -417,6 +417,7 @@ def reference_dopri_steps(model: ModelSystem, params: ParameterSet, state0: Stat
     except EvaluationError:  # outside the rhs's domain: as a nan rate
         k1 = [math.nan] * len(y)
     finite = True
+    max_steps = integrate.MAX_STEPS
     for _ in range(max_steps):
         if t >= t_end:
             return
@@ -476,15 +477,14 @@ def reference_dopri_steps(model: ModelSystem, params: ParameterSet, state0: Stat
     raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
 
 
-def stepping_record(kernel, model, params, state0, t0, t_end, rtol=1e-8, atol=1e-12,
-                    **kwargs):
+def stepping_record(kernel, model, params, state0, t0, t_end, rtol=1e-8, atol=1e-12):
     """Every yield of ``kernel``'s run as bytes and types, ``counts`` as it
     stood at each yield and at the end, and the error the run ends in."""
     steps, counts, error = [], {}, None
     try:
         with np.errstate(all="ignore"):
             for t_prev, t, h, y, K, counts in kernel(model, params, state0, t0, t_end,
-                                                     rtol, atol, **kwargs):
+                                                     rtol, atol):
                 floats = [t_prev, t, h, *y, *(v for row in K for v in row)]
                 steps.append((np.array(floats).tobytes(), [type(v) for v in floats],
                               [type(row) for row in (y, *K)], dict(counts)))
@@ -587,11 +587,12 @@ class TestGeneratedDopriKernel:
         assert error[0] is BlowupError and not steps
 
     @pytest.mark.parametrize("max_steps", [32, 33])
-    def test_step_budget(self, max_steps):
+    def test_step_budget(self, monkeypatch, max_steps):
         # TestStepBudget's run: 33 trials, the last landing on t_end
+        monkeypatch.setattr(integrate, "MAX_STEPS", max_steps)
         _, counts, error = self.assert_same_steps(
             make_base_model("healthy"), ParameterSet(a=1, y=1), StateVector(("T",), [0.5]),
-            0.0, 5.0, max_steps=max_steps)
+            0.0, 5.0)
         assert counts["rhs_evals"] == 1 + 6 * max_steps  # every trial of the budget taken
         assert (error is None) == (max_steps == 33)
         if error:
@@ -621,21 +622,48 @@ class TestGeneratedDopriKernel:
 
 
 class TestStepBudget:
-    def test_adaptive_budget_counts_every_trial(self):
+    def test_adaptive_budget_counts_every_trial(self, monkeypatch):
         # this run takes 33 trials, the last landing on t_end
         args = (make_base_model("healthy"), ParameterSet(a=1, y=1),
                 StateVector(("T",), [0.5]), 0.0, 5.0)
-        traj = integrate_adaptive(*args, max_steps=33)
+        monkeypatch.setattr(integrate, "MAX_STEPS", 33)
+        traj = integrate_adaptive(*args)
         assert traj.solver_info["accepted"] + traj.solver_info["rejected"] == 33
         assert traj.times[-1] == 5.0
+        monkeypatch.setattr(integrate, "MAX_STEPS", 32)
         with pytest.raises(StiffnessError, match="step budget of 32 exhausted"):
-            integrate_adaptive(*args, max_steps=32)
+            integrate_adaptive(*args)
 
     def test_fixed_step_refuses_more_steps_than_the_budget(self):
         # checked before the first step: the run would otherwise take ~1e300 steps
         with pytest.raises(DomainError, match="needs more than"):
             integrate_fixed(make_base_model("healthy"), ParameterSet(a=1, y=1),
                             StateVector(("T",), [1.0]), 0.0, 1.0, 1e-300)
+
+
+@pytest.mark.parametrize("kernel", [_dopri_steps, _radau_steps], ids=["dopri", "radau"])
+def test_both_kernels_share_one_checked_start(monkeypatch, kernel):
+    def run(params=ParameterSet(a=1, y=1), state0=StateVector(("T",), [0.5]), t_end=5.0,
+            rtol=1e-8, atol=1e-12, model=make_base_model("healthy")):
+        with np.errstate(all="ignore"):
+            return list(kernel(model, params, state0, 0.0, t_end, rtol, atol))
+
+    for tolerances in (dict(rtol=0.0), dict(atol=-1e-12)):
+        with pytest.raises(DomainError, match="rtol and atol must be positive"):
+            run(**tolerances)
+    for t_end in (0.0, -1.0):
+        with pytest.raises(DomainError, match="must exceed t0"):
+            run(t_end=t_end)
+    with pytest.raises(ValidationError) as info:
+        run(ParameterSet(a=1, y=1, gama=3), StateVector(("T",), [-1.0]))
+    assert info.value.violations == ["undeclared parameter 'gama'", "initial T is negative (-1)"]
+    # ln(T) raises at T = 0: a nan rate at the start, and every trial step fails
+    edge = compile_model(parse_model("model edge\nstate T = 0\nparam a = 1\ndT/dt = a - ln(T)\n"))
+    with pytest.raises(BlowupError, match="non-finite"):
+        run(ParameterSet(a=1), StateVector(("T",), [0.0]), model=edge)
+    monkeypatch.setattr(integrate, "MAX_STEPS", 3)  # read when the run starts
+    with pytest.raises(StiffnessError, match=r"^step budget of 3 exhausted at t = "):
+        run()
 
 
 class TestTrajectory:
@@ -782,12 +810,12 @@ def raising_once_healthy_model():
     return dataclasses.replace(base, rhs=rhs, jacobian=None), stage_times
 
 
-def radau_run(model, state0, t_end, rtol=1e-8, atol=1e-12, params=ParameterSet(), **kwargs):
+def radau_run(model, state0, t_end, rtol=1e-8, atol=1e-12, params=ParameterSet()):
     """The accepted steps (t, y, Y) of one Radau run and its final counts."""
     steps = []
     with np.errstate(all="ignore"):
         for _, t, _, y, Y, counts in _radau_steps(model, params, state0, 0.0, t_end,
-                                                  rtol, atol, **kwargs):
+                                                  rtol, atol):
             steps.append((t, y, Y))
     return steps, dict(counts)
 
@@ -860,8 +888,7 @@ def _radau_factor(h, h_prev, err, err_prev) -> float:
 
 
 def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
-                          t0: float, t_end: float, rtol: float, atol: float,
-                          max_steps: int = MAX_STEPS):
+                          t0: float, t_end: float, rtol: float, atol: float):
     """The reference for ``_radau_steps``: the same Radau IIA(5) stepping
     kernel on numpy arrays, a generator over accepted steps, as
     ``_dopri_steps`` is (Hairer & Wanner, *Solving ODEs II*, IV.8; the
@@ -882,39 +909,46 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
     Newton matrix formed once per step size and Jacobian; its first block
     serves the error estimate.  The stages start from the last step's
     polynomial (``collocation_output``).  The Jacobian is
-    ``array_jacobian``'s (the generated one, or finite differences for a
-    model without one) at the step's start, kept across steps while
-    Newton converges fast; a Newton solve that fails with a stale Jacobian
-    is retried with a fresh one, and one that fails with a fresh Jacobian
-    (a stage that raises ``EvaluationError`` or a non-finite Newton norm
-    counts as a failure) halves the step.  The embedded 3rd-order error estimate is
-    held to 1 in the root-mean-square norm scaled by
-    ``atol + rtol * max(|y|, |y_new|)``, and the step size follows
-    Gustafsson's predictive controller.  The first trial step is
+    ``ModelSystem.bind_jacobian``'s (the generated one, or finite
+    differences for a model without one) at the step's start, kept across
+    steps while Newton converges fast; a Newton solve that fails with a
+    stale Jacobian is retried with a fresh one, and one that fails with a
+    fresh Jacobian (a stage that raises ``EvaluationError`` or a non-finite
+    Newton norm counts as a failure) halves the step.  The embedded
+    3rd-order error estimate is held to 1 in the root-mean-square norm
+    scaled by ``atol + rtol * max(|y|, |y_new|)``, and the step size
+    follows Gustafsson's predictive controller.  The first trial step is
     ``(t_end - t0) / 100``; the last accepted time is ``t_end`` exactly.
     A step below 1e-14 * (t_end - t0) raises ``BlowupError`` when the
     trials that drove it there were non-finite and ``StiffnessError``
-    otherwise, and so does a run of more than ``max_steps`` trial steps.
+    otherwise, and so does a run of more than ``MAX_STEPS`` trial steps.
 
     Iterate it inside ``np.errstate(all="ignore")``, as ``_dopri_steps``.
     """
     if rtol <= 0 or atol <= 0:
         raise DomainError("rtol and atol must be positive")
-    p, y = _prepare(model, params, state0, t0, t_end)
+    if t_end <= t0:
+        raise DomainError(f"t_end ({t_end:g}) must exceed t0 ({t0:g})")
+    violations = validate(model, params, state0)
+    if violations:
+        raise ValidationError(violations)
+    p = model.resolve_params(params)
+    y = np.array(state0.values, dtype=float)
     rhs = model.bind(p)
     counts = {"rejected": 0, "rhs_evals": 0, "jac_evals": 0, "factorizations": 0,
               "jacobian": "finite-difference" if model.jacobian is None else "generated"}
 
-    def f(t, x):
+    def counted(t, values):
         counts["rhs_evals"] += 1
-        return np.array(rhs(t, x.tolist()))
+        return rhs(t, values)
 
-    jac = array_jacobian(model, p, f)
+    f = lambda t, x: np.array(counted(t, x.tolist()))
+    jac = model.bind_jacobian(p, counted)
 
     def jacobian(t, x):
         counts["jac_evals"] += 1
         try:
-            return jac(t, x)
+            return np.array(jac(t, x.tolist()))
         except EvaluationError:  # no Jacobian here: every Newton solve fails
             return np.full((x.size, x.size), math.nan)
 
@@ -946,6 +980,7 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
     h_prev = err_prev = None  # size and error norm of the last accepted step
     finite, retried = True, False  # retried: a trial of this step failed its error test
     Y = None  # the last accepted step's polynomial, which predicts the next stages
+    max_steps = integrate.MAX_STEPS
     for _ in range(max_steps):
         last = t_end - t - h_next < h_min  # no remainder shorter than h_min
         h = t_end - t if last else h_next
@@ -1079,17 +1114,19 @@ class TestRadauKernel:
         assert times[-1] == t_end
         assert all(a < b for a, b in zip(times, times[1:]))
 
-    def test_budget_counts_every_trial(self):
+    def test_budget_counts_every_trial(self, monkeypatch):
         # trials rejected for their error and the one whose Newton solve fails
-        def run(**kwargs):
+        def run():
             return radau_run(raising_once_healthy_model()[0], StateVector(("T",), [0.0]),
-                             5.0, params=ParameterSet(a=1, y=1), **kwargs)
+                             5.0, params=ParameterSet(a=1, y=1))
 
         steps, counts = run()
         trials = len(steps) + counts["rejected"]
-        assert run(max_steps=trials)[0][-1][0] == 5.0
+        monkeypatch.setattr(integrate, "MAX_STEPS", trials)
+        assert run()[0][-1][0] == 5.0
+        monkeypatch.setattr(integrate, "MAX_STEPS", trials - 1)
         with pytest.raises(StiffnessError, match=f"step budget of {trials - 1} exhausted"):
-            run(max_steps=trials - 1)
+            run()
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_newton_matrix_is_the_complex_split(self, n):
@@ -1128,7 +1165,7 @@ class TestRadauKernel:
         assert runs[0] == runs[1]
 
 
-def radau_record(kernel, model, params, state0, t_end, rtol=1e-8, atol=1e-12, **kwargs):
+def radau_record(kernel, model, params, state0, t_end, rtol=1e-8, atol=1e-12):
     """The accepted steps ``(t_prev, t, h, y, Y)`` of ``kernel``'s run from
     t = 0, ``counts`` as it stood at each yield and at the end, and the
     error the run ends in."""
@@ -1136,7 +1173,7 @@ def radau_record(kernel, model, params, state0, t_end, rtol=1e-8, atol=1e-12, **
     try:
         with np.errstate(all="ignore"):
             for t_prev, t, h, y, Y, counts in kernel(model, params, state0, 0.0, t_end,
-                                                     rtol, atol, **kwargs):
+                                                     rtol, atol):
                 steps.append((t_prev, t, h, y, Y))
                 seen.append(dict(counts))
     except QsslabError as exc:
@@ -1231,13 +1268,13 @@ class TestGeneratedRadauKernel:
         assert error[0] is BlowupError and not steps
 
     @pytest.mark.parametrize("spare", [0, 1])
-    def test_step_budget(self, spare):
+    def test_step_budget(self, monkeypatch, spare):
         # the trials of the run, and one fewer
         args = (ParameterSet(a=1, y=1), StateVector(("T",), [0.0]), 5.0)
         steps, _, counts, _ = radau_record(_radau_steps, raising_once_healthy_model()[0], *args)
         trials = len(steps) + counts["rejected"]
-        _, _, error = self.assert_same_steps(lambda: raising_once_healthy_model()[0], *args,
-                                             max_steps=trials - spare)
+        monkeypatch.setattr(integrate, "MAX_STEPS", trials - spare)
+        _, _, error = self.assert_same_steps(lambda: raising_once_healthy_model()[0], *args)
         assert error == (None if spare == 0 else
                          (StiffnessError, f"step budget of {trials - 1} exhausted at t = "
                           f"{steps[-2][1]:g}"))
@@ -1303,8 +1340,8 @@ class TestSolverCounts:
         a model without one, whose rhs calls count as rhs evaluations) and
         inversions."""
         jacobians, inversions = [], []
-        fd_jacobian, inv = integrate._fd_jacobian, np.linalg.inv
-        monkeypatch.setattr(integrate, "_fd_jacobian",
+        fd_jacobian, inv = core._fd_jacobian, np.linalg.inv
+        monkeypatch.setattr(core, "_fd_jacobian",
                             lambda f, x: jacobians.append(x) or fd_jacobian(f, x))
         monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
         kind = "bcell-depletion"

@@ -10,10 +10,10 @@ the syntax trees of ``src/qsslab/*.py``, so comments and docstrings may
 name these functions.  The Radau step generated for each dimension keeps
 its per-element arithmetic on Python floats: checked on the syntax tree of
 its source.  So does the steady-state path of ``analysis.py``: numpy
-serves it only the eigenvalues of ``_rate``, LAPACK's error type and the
-finite-difference Jacobian of a model without a generated one.  Two step
-schemes integrate every run, Dormand-Prince and Radau: no third one names
-itself in a ``solver_info``.
+serves it only the eigenvalues of ``_rate`` and LAPACK's error type.  Two
+step schemes integrate every run, Dormand-Prince and Radau: no third one
+names itself in a ``solver_info``.  One place chooses between a model's
+generated Jacobian and finite differences: ``ModelSystem.bind_jacobian``.
 """
 import ast
 from pathlib import Path
@@ -103,10 +103,9 @@ def test_radau_step_keeps_its_arithmetic_on_floats(n):
 
 # What the steady-state path of analysis.py may take from numpy (each
 # attribute chain and its prefixes): the error its solve raises as LAPACK's
-# does, and the arrays of the finite-difference Jacobian of a model without
-# a generated one
+# does
 STEADY_STATE_PATH = {"find_steady_state", "_polish", "_report", "_solve"}
-STEADY_STATE_NUMPY = {"np.linalg", "np.linalg.LinAlgError", "np.array"}
+STEADY_STATE_NUMPY = {"np.linalg", "np.linalg.LinAlgError"}
 
 
 def test_steady_state_path_keeps_its_arithmetic_on_floats():
@@ -174,3 +173,21 @@ def test_two_step_schemes_integrate_every_run():
     values = set(_scheme_values())
     assert {value for _, value in values} == STEP_SCHEMES | {"csv"}, sorted(values)
     assert {file for file, value in values if value == "csv"} == {"cli.py"}
+
+
+def _defined(path: Path) -> set[str]:
+    """The names of the functions and classes that ``path`` defines."""
+    return {node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_one_place_chooses_the_jacobian():
+    # core.ModelSystem.bind_jacobian gives the generated Jacobian or
+    # differences the rhs; the kernels' start is integrate._start
+    gone = {"array_jacobian", "_prepare"}
+    for path in SOURCES:
+        assert not gone & (_names(path) | _defined(path)), path.name
+    assert {path.name for path in SOURCES if "_fd_jacobian" in _names(path)} == {"core.py"}
+    analysis = next(p for p in SOURCES if p.name == "analysis.py")
+    assert not [node for node in ast.walk(ast.parse(analysis.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Attribute) and node.attr == "jacobian"]
