@@ -28,7 +28,7 @@ from .catalog import (
 )
 from .claims import ClaimReport, SweepSpec, run_claim, sweep
 from .core import ModelSystem, ParameterSet, ParamSpec, StateVector, eval_rhs, validate
-from .dsl import ModelDefinition, compile_model, eval_expr, format_model, parse_model
+from .dsl import ModelDefinition, compile_model, format_model, parse_model
 from .integrate import Trajectory, integrate_adaptive, integrate_fixed
 from .svg import render_plot
 
@@ -53,7 +53,6 @@ __all__ = [
     "default_horizon",
     "default_params",
     "default_state",
-    "eval_expr",
     "eval_rhs",
     "find_steady_state",
     "format_model",

@@ -161,10 +161,21 @@ def _report(f, jacobian, names, x, residual, method):
     """The ``SteadyStateReport`` of ``x``, linearised there (``jacobian``,
     of the state) if it is a nonnegative root.
 
+    A negative component within Newton's limit, 1e-13 * max(1, max|x|),
+    is a root at 0 that the last iterate stopped just below: it counts as
+    0, and the residual is taken there (unless the rhs raises there).
+
     A positive rate is linearised again one Newton step on.  A simple root
     keeps its rate there; at a multiple root, which Newton approaches only
     linearly, the rate roughly halves.  A rate that moves by more than a
     quarter is 0 to within the root's error and is reported as 0."""
+    limit = 1e-13 * max(1.0, _max_norm(x))
+    if any(-limit <= v < 0 for v in x):
+        zeroed = [0.0 if -limit <= v < 0 else v for v in x]
+        try:
+            x, residual = zeroed, _max_norm(f(zeroed))
+        except EvaluationError:
+            pass
     rate = math.nan
     if residual <= _RESIDUAL_LIMIT and all(v >= 0 for v in x):  # nan fails
         J = jacobian(x)

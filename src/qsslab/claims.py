@@ -80,6 +80,9 @@ STRENGTH_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 EPSILON = 0.01
 _REL_TOL = 1e-9  # strictness tolerance for "strictly decreasing"
 _SOLVER = {"rtol": 1e-8, "atol": 1e-12}
+# What a grid point records in its row and fails its claim with; bad input
+# (a usage or validation error) propagates
+_POINT_ERRORS = (*NUMERICAL_ERRORS, InsufficientDataError)
 
 
 @dataclass(frozen=True)
@@ -143,15 +146,15 @@ class ClaimReport:
 # Shared machinery
 # ---------------------------------------------------------------------------
 
-def collapse_window(trajectory: Trajectory, component: str = "T") -> tuple[float, float]:
-    """The collapse window of a falling trajectory: from the time the fall
-    reaches 10% of its total range to the moment of peak decline rate.
+def collapse_window(trajectory: Trajectory) -> tuple[float, float]:
+    """The collapse window of a falling trajectory's T: from the time the
+    fall reaches 10% of its total range to the moment of peak decline rate.
 
     For a decline whose rate only ever decreases (every destruction-only
     model) the peak rate sits at the start, so this window is degenerate;
     a non-degenerate window is itself a signature of rate build-up.
     """
-    values = trajectory.component(component)
+    values = trajectory.component("T")
     times = trajectory.times
     hi = float(values.max())
     lo = float(values.min())
@@ -206,11 +209,15 @@ def mechanism_trajectory(kind: MechanismKind | str,
     return _MECH_CACHE[key]
 
 
+def _verdict(claim_id, rows, failures, narrative, provenance) -> ClaimReport:
+    """The report of a claim that passes if nothing failed, ``_SOLVER`` in its provenance."""
+    return ClaimReport(claim_id, "fail" if failures else "pass", rows, narrative,
+                       {**provenance, **_SOLVER})
+
+
 def _strictly_decreasing(values) -> bool:
-    for prev, cur in zip(values, values[1:]):
-        if not (prev - cur > _REL_TOL * max(abs(prev), abs(cur), 1e-300)):
-            return False
-    return True
+    return all(prev - cur > _REL_TOL * max(abs(prev), abs(cur), 1e-300)
+               for prev, cur in zip(values, values[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +241,6 @@ def _destruction_legs():
         ("logistic-y-lowered", "logistic-proliferation",
          lambda s: ParameterSet(a=1.0, y=1.0 - s, gamma=1.0)),
     )
-
-
-def _leg_params(params_of, s, overrides) -> ParameterSet:
-    """A leg's parameters at strength s, with the overrides it declares."""
-    return _with_overrides(params_of(s), overrides)
 
 
 def _baseline_T0(kind: str, params: ParameterSet) -> float:
@@ -284,12 +286,12 @@ def _claim_lowers_and_hastens(overrides=None) -> ClaimReport:
     broken = set()
     for leg, kind, params_of in _destruction_legs():
         try:
-            T0 = _baseline_T0(kind, _leg_params(params_of, 0.0, overrides))
+            T0 = _baseline_T0(kind, _with_overrides(params_of(0.0), overrides))
             # T0 - T*(0) = T*(0): an approach no run resolves below its atol
             reason = None if T0 > 2.0 * _SOLVER["atol"] else (
                 f"steady state is 0 (T* = {0.5 * T0:g}, within atol), so T0 = 0 "
                 "and there is nothing to order")
-        except (*NUMERICAL_ERRORS, InsufficientDataError) as exc:  # bad input propagates
+        except _POINT_ERRORS as exc:
             reason = exc
         if reason is not None:
             rows.append({"leg": leg, "strength": 0.0, "error": f"baseline: {reason}"})
@@ -300,13 +302,13 @@ def _claim_lowers_and_hastens(overrides=None) -> ClaimReport:
         t_stars = []
         t_epss = []
         for s in STRENGTH_GRID:
-            params = _leg_params(params_of, s, overrides)
+            params = _with_overrides(params_of(s), overrides)
             try:
                 model = make_base_model(kind, params)
                 report = find_steady_state(model, params, state0)
                 t_star = float(report.values.values[0])
                 t_eps = time_to_epsilon(model, params, state0, EPSILON, report)
-            except (*NUMERICAL_ERRORS, InsufficientDataError) as exc:  # bad input propagates
+            except _POINT_ERRORS as exc:
                 rows.append({"leg": leg, "strength": s, "error": str(exc)})
                 failures.append(f"{leg}[s={s:g}] -> error: {exc}")
                 broken.add((leg, "error"))
@@ -323,31 +325,25 @@ def _claim_lowers_and_hastens(overrides=None) -> ClaimReport:
             if not _strictly_decreasing(values):
                 broken.add((leg, quantity))
                 failures.append(f"{leg}: {quantity} not strictly decreasing: {values}")
-    verdict = "pass" if not failures else "fail"
-    return ClaimReport(
-        "destruction-lowers-and-hastens", verdict, rows,
+    return _verdict(
+        "destruction-lowers-and-hastens", rows, failures,
         _ordering_narrative(failures, broken),
         {"epsilon": EPSILON, "grid": list(STRENGTH_GRID), "protocol":
-         "T0 = 2x baseline steady state per leg", **_SOLVER},
+         "T0 = 2x baseline steady state per leg"},
     )
-
-
-def _destruction_grid_points(overrides=None):
-    """(label, model, params, T0 vector) combinations for the curvature claim."""
-    points = []
-    for leg, kind, params_of in _destruction_legs():
-        for s in STRENGTH_GRID:
-            points.append((f"{leg}[s={s:g}]", kind, _leg_params(params_of, s, overrides)))
-    for g_eff in (0.25, 1.0):
-        params = ParameterSet(a=1.0, y=1.0, x=10.0 * g_eff, delta_D=10.0)
-        points.append((f"coupled-agent[x/delta_D={g_eff:g}]", "coupled-agent", params))
-    return points
 
 
 def _claim_destruction_decelerates(overrides=None) -> ClaimReport:
     rows = []
     failures = []
-    for label, kind, params in _destruction_grid_points(overrides):
+    points = [(f"{leg}[s={s:g}]", kind, params_of(s))
+              for leg, kind, params_of in _destruction_legs() for s in STRENGTH_GRID]
+    points += [(f"coupled-agent[x/delta_D={g_eff:g}]", "coupled-agent",
+                ParameterSet(a=1.0, y=1.0, x=10.0 * g_eff, delta_D=10.0))
+               for g_eff in (0.25, 1.0)]
+    for label, kind, params in points:
+        # every point takes the overrides, and keeps the label of its defaults
+        params = _with_overrides(params, overrides)
         try:
             model = make_base_model(kind, params)
             ss = find_steady_state(model, params, default_state(kind))
@@ -363,19 +359,18 @@ def _claim_destruction_decelerates(overrides=None) -> ClaimReport:
             })
             if verdict.curvature_class != "decelerating-decline":
                 failures.append(f"{label} -> {verdict.curvature_class}")
-        except (*NUMERICAL_ERRORS, InsufficientDataError) as exc:  # bad input propagates
+        except _POINT_ERRORS as exc:
             rows.append({"point": label, "error": str(exc)})
             failures.append(f"{label} -> error: {exc}")
-    verdict = "pass" if not failures else "fail"
     narrative = (
         f"All {len(rows)} destruction-only trajectories started above their "
         "steady state flatten as they fall (decelerating-decline); none accelerate."
         if not failures else
         "Unexpected curvature: " + " | ".join(failures)
     )
-    return ClaimReport(
-        "destruction-only-decelerates", verdict, rows, narrative,
-        {"combinations": len(rows), "start": "T0 = 2x steady state", **_SOLVER},
+    return _verdict(
+        "destruction-only-decelerates", rows, failures, narrative,
+        {"combinations": len(rows), "start": "T0 = 2x steady state"},
     )
 
 
@@ -384,12 +379,12 @@ def _claim_needs_feedback(overrides=None) -> ClaimReport:
     failures = []
     for kind in MechanismKind:
         model, params, traj = mechanism_trajectory(kind, overrides)
-        window = collapse_window(traj, "T")
+        window = collapse_window(traj)
         try:
             verdict = classify_curvature(traj, "T", window=window)
             cls = verdict.curvature_class
             evidence = verdict.evidence
-        except (*NUMERICAL_ERRORS, InsufficientDataError) as exc:  # bad input propagates
+        except _POINT_ERRORS as exc:
             cls = f"error: {exc}"
             evidence = {}
         rows.append({
@@ -414,7 +409,6 @@ def _claim_needs_feedback(overrides=None) -> ClaimReport:
         failures.append(f"destruction-only points accelerated: {accel_in_base}")
     failures.extend(f"destruction-only point {r['point']} -> error: {r['error']}"
                     for r in errored)
-    verdict = "pass" if not failures else "fail"
     narrative = (
         "Only the slow positive-feedback mechanisms reproduce the accelerating "
         "long-term fall: every mechanism collapse window classifies "
@@ -422,9 +416,9 @@ def _claim_needs_feedback(overrides=None) -> ClaimReport:
         if not failures else
         "Feedback signature not reproduced: " + " | ".join(failures)
     )
-    return ClaimReport(
-        "aids-curve-needs-feedback", verdict, rows, narrative,
-        {"window": "10% of fall to peak decline rate", **_SOLVER},
+    return _verdict(
+        "aids-curve-needs-feedback", rows, failures, narrative,
+        {"window": "10% of fall to peak decline rate"},
     )
 
 
@@ -454,16 +448,15 @@ def _claim_qss_reduction(overrides=None) -> ClaimReport:
             failures.append(
                 f"delta_D={params['delta_D']:g}, x={params['x']:g}: gap {rel:.3%}"
             )
-    verdict = "pass" if not failures else "fail"
     narrative = (
         "With a fast destroyer agent the full two-compartment trajectory and its "
         "quasi-steady-state reduction agree within 1% of the T range."
         if not failures else
         "Reduction gap too large: " + " | ".join(failures)
     )
-    return ClaimReport(
-        "qss-reduction-valid", verdict, rows, narrative,
-        {"horizon": 10.0, "tolerance": "1% of T range, sup-norm", **_SOLVER},
+    return _verdict(
+        "qss-reduction-valid", rows, failures, narrative,
+        {"horizon": 10.0, "tolerance": "1% of T range, sup-norm"},
     )
 
 
@@ -495,7 +488,7 @@ def _claim_mechanism_conditions(overrides=None) -> ClaimReport:
 
         # condition 3: per-capita removal non-decreasing while T falls
         # on the collapse window
-        t_a, t_b = collapse_window(traj, "T")
+        t_a, t_b = collapse_window(traj)
         inside = (traj.times >= t_a) & (traj.times <= t_b)
         r = per_capita_removal(model, params, traj.times[inside], traj.states[inside])
         drops = np.nonzero(
@@ -515,7 +508,6 @@ def _claim_mechanism_conditions(overrides=None) -> ClaimReport:
                          (plateau_ok, "latent plateau"), (removal_ok, "removal trend")):
             if not ok:
                 failures.append(f"{kind.value}: {what}")
-    verdict = "pass" if not failures else "fail"
     narrative = (
         "Every mechanism destroys T only through other compartments, runs its "
         "slow arm at no more than y/100, holds a latent plateau of at least 50/y, "
@@ -523,9 +515,9 @@ def _claim_mechanism_conditions(overrides=None) -> ClaimReport:
         if not failures else
         "Conditions violated: " + " | ".join(failures)
     )
-    return ClaimReport(
-        "mechanism-satisfies-conditions", verdict, rows, narrative,
-        {"plateau_rule": "first drop below 90% of max", **_SOLVER},
+    return _verdict(
+        "mechanism-satisfies-conditions", rows, failures, narrative,
+        {"plateau_rule": "first drop below 90% of max"},
     )
 
 

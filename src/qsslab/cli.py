@@ -282,7 +282,7 @@ def _cmd_check(args) -> int:
             _, _, traj = mechanism_trajectory(kind, overrides)
             series.append((kind.value, traj.times.tolist(), traj.component("T").tolist()))
             if shade is None:
-                shade = collapse_window(traj, "T")
+                shade = collapse_window(traj)
         _write_text(args.plot, [render_plot(series, title=args.claim, xlabel="t", ylabel="T",
                                             shade=shade)])
     print(f"{report.claim_id}: {report.verdict.upper()}", file=sys.stderr)

@@ -13,8 +13,9 @@ Where the rhs does not raise, the rules are the usual ones, with these
 choices at points where a derivative does not exist:
 
 - min and max differentiate to the branch their value took; at a tie that
-  is the first argument, as in ``eval_expr`` (``min(a, b)`` keeps a unless
-  b < a), even where the other branch's derivative differs;
+  is the first argument, as in the tests' oracle ``eval_expr``
+  (``tests/evaluator.py``; ``min(a, b)`` keeps a unless b < a), even where
+  the other branch's derivative differs;
 - sqrt at 0, x^y by x at x = 0 with y < 1, and x^y by y at 0^0 have an
   infinite partial derivative, and a path through an operand whose own
   derivative is 0 contributes 0 there (an operand that does not move);
@@ -42,6 +43,7 @@ from .dsl import (
     Neg,
     Num,
     _bound_source,
+    _children,
     _compiled,
     _emit,
     _literal,
@@ -162,9 +164,8 @@ class _Forward:
                 d[j] = u if u == v else f"{_operand(v)} if {pick} else {_operand(u)}"
         elif any(grads):
             # a literal operand takes part in folding as its value
-            operands = (expr.operand,) if isinstance(expr, Neg) else (
-                expr.args if isinstance(expr, Call) else (expr.left, expr.right))
-            values = [e.value if isinstance(e, Num) else a for e, a in zip(operands, args)]
+            values = [e.value if isinstance(e, Num) else a
+                      for e, a in zip(_children(expr), args)]
             partials = self._partials(expr, values, grads, out)
             for k, (g, partial) in enumerate(zip(grads, partials)):
                 if not g:

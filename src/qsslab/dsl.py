@@ -23,20 +23,23 @@ A compiled model carries its right-hand side as generated Python and, as
 ``ModelSystem.jacobian``, its exact Jacobian, generated from the same tree
 on first use (``derivatives``).  ``min(a, b)`` is a unless b < a, and
 ``max(a, b)`` a unless b > a: at a tie both are the first argument, and so
-is their derivative.
+is their derivative.  No runtime path walks the tree: the tests' oracle
+for the generated code is the tree walker ``eval_expr`` in
+``tests/evaluator.py``.
 """
 from __future__ import annotations
 
 import functools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
 from .core import BoundJacobian, ModelSystem, ParameterSet, ParamSpec, StateVector
-from .errors import BindingError, EvaluationError, ParseError, SemanticError
+from .errors import EvaluationError, ParseError, SemanticError
 
 RESERVED_TIME = "t"
 FUNCTIONS = {"exp": 1, "ln": 1, "sqrt": 1, "tanh": 1, "min": 2, "max": 2}
@@ -91,6 +94,17 @@ class Call:
 Expr = Num | Var | Neg | BinOp | Call
 
 
+def _children(expr: Expr) -> tuple:
+    """The operands of ``expr`` in evaluation order; none for a leaf."""
+    if isinstance(expr, Neg):
+        return (expr.operand,)
+    if isinstance(expr, BinOp):
+        return (expr.left, expr.right)
+    if isinstance(expr, Call):
+        return expr.args
+    return ()
+
+
 @dataclass(frozen=True)
 class StateDecl:
     name: str
@@ -138,9 +152,7 @@ class Token:
 def _tokenize_line(text: str, line_no: int) -> list[Token]:
     tokens: list[Token] = []
     pos = 0
-    comment = text.find("#")
-    if comment >= 0:
-        text = text[:comment]
+    text = text.partition("#")[0]
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
@@ -249,9 +261,9 @@ class _Parser:
         )
 
 
-def parse_expression(text: str, line_no: int = 1) -> Expr:
-    """Parse a standalone expression (used by tests and the evaluator docs)."""
-    parser = _Parser(_tokenize_line(text, line_no))
+def parse_expression(text: str) -> Expr:
+    """Parse a standalone expression, located as on line 1 (used by tests)."""
+    parser = _Parser(_tokenize_line(text, 1))
     node = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "EOL":
@@ -300,7 +312,6 @@ def parse_model(source: str) -> ModelDefinition:
                 tok.loc, expected={";", "end of line"},
             )
 
-    model_name = names_seen[0] if names_seen else None
     if len(names_seen) > 1:
         semantic.append("multiple 'model' lines")
 
@@ -308,17 +319,17 @@ def parse_model(source: str) -> ModelDefinition:
     param_names = [p.name for p in params]
     declared = set(state_names) | set(param_names) | {RESERVED_TIME}
 
-    for name, count in _counts(state_names).items():
+    for name, count in Counter(state_names).items():
         if count > 1:
             semantic.append(f"duplicate state declaration for {name}")
-    for name, count in _counts(param_names).items():
+    for name, count in Counter(param_names).items():
         if count > 1:
             semantic.append(f"duplicate parameter declaration for {name}")
     for name in set(state_names) & set(param_names):
         semantic.append(f"{name} declared as both state and parameter")
     for name in (set(state_names) | set(param_names)) & {RESERVED_TIME}:
         semantic.append(f"{RESERVED_TIME!r} is reserved for time and cannot be declared")
-    for name, count in _counts(slow).items():
+    for name, count in Counter(slow).items():
         if count > 1:
             semantic.append(f"duplicate slow rate {name}")
         if name not in param_names:
@@ -331,15 +342,14 @@ def parse_model(source: str) -> ModelDefinition:
         if name not in state_names:
             semantic.append(f"equation for undeclared state {name}")
 
-    for name, expr in equations.items():
-        for issue in _expression_issues(expr, declared):
-            semantic.append(issue)
+    for expr in equations.values():
+        semantic.extend(_expression_issues(expr, declared))
 
     if semantic:
         raise SemanticError(sorted(set(semantic)))
 
     return ModelDefinition(
-        name=model_name or "unnamed",
+        name=names_seen[0] if names_seen else "unnamed",
         states=tuple(states),
         params=tuple(params),
         equations=equations,
@@ -446,30 +456,12 @@ def _parse_signed_number(parser: _Parser) -> float:
     return sign * float(tok.text)
 
 
-def _counts(names):
-    out: dict[str, int] = {}
-    for n in names:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _expression_issues(expr: Expr, declared: set[str]):
-    if isinstance(expr, Num):
-        return
-    if isinstance(expr, Var):
-        if expr.name not in declared:
-            yield f"undeclared identifier {expr.name} at {expr.loc}"
-        return
-    if isinstance(expr, Neg):
-        yield from _expression_issues(expr.operand, declared)
-        return
-    if isinstance(expr, BinOp):
-        if expr.op not in {"+", "-", "*", "/", "^"}:
-            yield f"unknown operator {expr.op} at {expr.loc}"
-        yield from _expression_issues(expr.left, declared)
-        yield from _expression_issues(expr.right, declared)
-        return
-    if isinstance(expr, Call):
+    if isinstance(expr, Var) and expr.name not in declared:
+        yield f"undeclared identifier {expr.name} at {expr.loc}"
+    elif isinstance(expr, BinOp) and expr.op not in {"+", "-", "*", "/", "^"}:
+        yield f"unknown operator {expr.op} at {expr.loc}"
+    elif isinstance(expr, Call):
         if expr.func not in FUNCTIONS:
             yield f"unknown function {expr.func} at {expr.loc}"
         elif len(expr.args) != FUNCTIONS[expr.func]:
@@ -477,88 +469,14 @@ def _expression_issues(expr: Expr, declared: set[str]):
                 f"function {expr.func} takes {FUNCTIONS[expr.func]} argument(s), "
                 f"got {len(expr.args)} at {expr.loc}"
             )
-        for arg in expr.args:
-            yield from _expression_issues(arg, declared)
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-def eval_expr(expr: Expr, bindings) -> float:
-    """Evaluate an expression under IEEE double semantics.
-
-    Unbound identifiers raise ``BindingError``; division by zero and domain
-    violations (negative base with fractional exponent, ln/sqrt of a
-    negative) raise ``EvaluationError`` carrying the source location.
-    """
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return float(bindings[expr.name])
-        except KeyError:
-            raise BindingError(f"unbound identifier {expr.name!r} at {expr.loc}") from None
-    if isinstance(expr, Neg):
-        return -eval_expr(expr.operand, bindings)
-    if isinstance(expr, BinOp):
-        left = eval_expr(expr.left, bindings)
-        right = eval_expr(expr.right, bindings)
-        op = expr.op
-        try:
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0.0:
-                    raise EvaluationError(f"division by zero at {expr.loc}", expr.loc)
-                return left / right
-            if op == "^":
-                # right != right: a nan exponent is not an integer either
-                if left < 0.0 and (right != right or right != math.floor(right)):
-                    raise EvaluationError(
-                        f"negative base with non-integer exponent at {expr.loc}", expr.loc
-                    )
-                return left**right
-        except OverflowError:
-            raise EvaluationError(f"overflow in {op!r} at {expr.loc}", expr.loc) from None
-        except ZeroDivisionError:
-            raise EvaluationError(f"division by zero at {expr.loc}", expr.loc) from None
-        raise EvaluationError(f"unknown operator {op!r} at {expr.loc}", expr.loc)
-    if isinstance(expr, Call):
-        args = [eval_expr(a, bindings) for a in expr.args]
-        try:
-            if expr.func == "exp":
-                return math.exp(args[0])
-            if expr.func == "ln":
-                return math.log(args[0])
-            if expr.func == "sqrt":
-                return math.sqrt(args[0])
-            if expr.func == "tanh":
-                return math.tanh(args[0])
-            if expr.func == "min":
-                return min(args)
-            if expr.func == "max":
-                return max(args)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(f"{exc} in {expr.func}() at {expr.loc}", expr.loc) from None
-        raise EvaluationError(f"unknown function {expr.func!r} at {expr.loc}", expr.loc)
-    raise EvaluationError(f"unknown node {expr!r}", None)
+    for operand in _children(expr):
+        yield from _expression_issues(operand, declared)
 
 
 def expression_reads_time(expr: Expr) -> bool:
     if isinstance(expr, Var):
         return expr.name == RESERVED_TIME
-    if isinstance(expr, Neg):
-        return expression_reads_time(expr.operand)
-    if isinstance(expr, BinOp):
-        return expression_reads_time(expr.left) or expression_reads_time(expr.right)
-    if isinstance(expr, Call):
-        return any(expression_reads_time(a) for a in expr.args)
-    return False
+    return any(expression_reads_time(e) for e in _children(expr))
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +488,7 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 def format_expr(expr: Expr, parent_prec: int = 0) -> str:
     if isinstance(expr, Num):
-        text = repr(expr.value)
-        return text
+        return repr(expr.value)
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Neg):
@@ -632,7 +549,7 @@ _RAISE_FREE = {"+": "+", "-": "-", "*": "*"}  # never raise on floats
 
 
 def _raise(message: str, loc: SourceLocation) -> str:
-    """A statement raising ``eval_expr``'s error for ``message`` at ``loc``."""
+    """A statement raising the oracle's error for ``message`` at ``loc``."""
     return (f"raise _EvaluationError({f'{message} at {loc}'!r}, "
             f"_Loc({loc.line}, {loc.column})) from None")
 
@@ -647,21 +564,21 @@ def _literal(value: float) -> str:
 
 def _emit(expr: Expr, names: dict, lines: list, derive=None) -> str:
     """Append statements computing ``expr`` to ``lines``, node by node in
-    ``eval_expr``'s order and with its errors; return the Python expression
-    (a literal, a bound name or a local) that holds the value.  After each
-    operation node, ``derive(expr, args, out)`` (if given) gets the node,
-    its operands' expressions and its own, and may append lines too."""
+    the order and with the errors of the tests' oracle (``eval_expr`` in
+    ``tests/evaluator.py``), operands first (``_children``); return the
+    Python expression (a literal, a bound name or a local) that holds the
+    value.  After each operation node, ``derive(expr, args, out)`` (if
+    given) gets the node, its operands' expressions and its own, and may
+    append lines too."""
     if isinstance(expr, Var):
         return names[expr.name]
     if isinstance(expr, Num):
         return _literal(expr.value)
+    args = [_emit(e, names, lines, derive) for e in _children(expr)]
+    out = f"n{len(lines)}"  # every node adds a line, so the names differ
     if isinstance(expr, Neg):
-        args = [_emit(expr.operand, names, lines, derive)]
-        out = f"n{len(lines)}"  # every node adds a line, so the names differ
         lines.append(f"{out} = -{args[0]}")
     elif isinstance(expr, Call):
-        args = [_emit(a, names, lines, derive) for a in expr.args]
-        out = f"n{len(lines)}"
         key = (expr.func, len(args))
         if key in _PICKS:
             a, b = args
@@ -674,9 +591,7 @@ def _emit(expr: Expr, names: dict, lines: list, derive=None) -> str:
                       f"_Loc({expr.loc.line}, {expr.loc.column})) from None"]
     else:
         op = expr.op
-        args = [_emit(expr.left, names, lines, derive), _emit(expr.right, names, lines, derive)]
         left, right = args
-        out = f"n{len(lines)}"
         if op == "/":
             if not (isinstance(expr.right, Num) and expr.right.value != 0.0):
                 lines += [f"if {right} == 0.0:", "    " + _raise("division by zero", expr.loc)]
@@ -767,9 +682,10 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
     parameter once (``ModelSystem.bind`` calls it) and returns a
     straight-line function of ``(t, values)`` on lists of floats that
     unpacks the state, then computes every node of every equation into a
-    local in ``eval_expr``'s order, so that it returns bit for bit what
-    ``eval_expr`` returns and raises the same ``EvaluationError`` (message
-    and ``SourceLocation``) where ``eval_expr`` raises.  The array form
+    local in the order of the tests' oracle, the tree walker ``eval_expr``
+    in ``tests/evaluator.py``, so that it returns bit for bit what the
+    oracle returns and raises the same ``EvaluationError`` (message and
+    ``SourceLocation``) where the oracle raises.  The array form
     ``rhs(t, values, params)`` binds and calls it.  Generated sources are
     compiled once per process, behind a memo of the 64 most recently used:
     compiling an equal definition again returns the same function.  A

@@ -95,10 +95,6 @@ class SemanticError(QsslabError):
         super().__init__("; ".join(self.messages))
 
 
-class BindingError(QsslabError):
-    """Expression evaluation referenced an identifier with no bound value."""
-
-
 class EvaluationError(QsslabError):
     """Arithmetic failure (division by zero, domain violation) during evaluation."""
 

@@ -10,21 +10,22 @@ _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
     "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
 )
+_WIDTH, _HEIGHT = 640, 420  # pixels
+_TICKS = 5  # per axis, ends included
 
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _nice_ticks(lo: float, hi: float, count: int = 5):
+def _nice_ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / (_TICKS - 1)
+    return [lo + i * step for i in range(_TICKS)]
 
 
 def render_plot(series, title: str = "", xlabel: str = "t", ylabel: str = "value",
-                width: int = 640, height: int = 420,
                 shade: tuple[float, float] | None = None) -> str:
     """Render labelled (label, times, values) series as a standalone SVG.
 
@@ -52,8 +53,8 @@ def render_plot(series, title: str = "", xlabel: str = "t", ylabel: str = "value
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 
     margin_l, margin_r, margin_t, margin_b = 60, 20, 34, 46
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
 
     def sx(x: float) -> float:
         return margin_l + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -62,9 +63,9 @@ def render_plot(series, title: str = "", xlabel: str = "t", ylabel: str = "value
         return margin_t + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if shade is not None:
         s0, s1 = max(shade[0], x_lo), min(shade[1], x_hi)
@@ -120,11 +121,11 @@ def render_plot(series, title: str = "", xlabel: str = "t", ylabel: str = "value
         )
     if title:
         parts.append(
-            f'<text x="{width / 2:.6g}" y="20" font-size="14" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.6g}" y="20" font-size="14" text-anchor="middle" '
             f'font-family="sans-serif">{_escape(title)}</text>'
         )
     parts.append(
-        f'<text x="{margin_l + plot_w / 2:.6g}" y="{height - 10}" font-size="12" '
+        f'<text x="{margin_l + plot_w / 2:.6g}" y="{_HEIGHT - 10}" font-size="12" '
         f'text-anchor="middle" font-family="sans-serif">{_escape(xlabel)}</text>'
     )
     parts.append(

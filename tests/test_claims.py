@@ -223,6 +223,20 @@ class TestClaims:
         assert len(mechanisms) == 4
         assert all(row["class"] == "error: window (0.0, 0.0) is empty" for row in mechanisms)
 
+    def test_override_reaches_the_coupled_agent_points(self):
+        # a slow agent (delta_D = 0.01) outlives T's relaxation, so T
+        # undershoots T* and recovers; the points keep their default labels,
+        # as the legs keep [s=...]
+        report = run_claim("destruction-only-decelerates", {"delta_D": 0.01})
+        agent = [row for row in report.grid if row["point"].startswith("coupled-agent")]
+        assert [(row["point"], row["class"]) for row in agent] == [
+            ("coupled-agent[x/delta_D=0.25]", "non-monotonic"),
+            ("coupled-agent[x/delta_D=1]", "non-monotonic")]
+        assert [round(row["T_star"], 4) for row in agent] == [0.0613, 0.0311]
+        assert report.verdict == "fail"
+        assert report.narrative == "Unexpected curvature: " + " | ".join(
+            f"{row['point']} -> non-monotonic" for row in agent)
+
     def test_falsified_qss_configuration_fails(self):
         report = run_claim("qss-reduction-valid", {"delta_D": 2.0})
         assert report.verdict == "fail"
@@ -246,7 +260,8 @@ class TestClaims:
                       "logistic-y-lowered[s=2]", "logistic-y-lowered[s=4]"):
             assert rows[point]["class"] == "flat"
             assert rows[point]["T_star"] == 0.0
-        assert sum(row.get("class") == "flat" for row in report.grid) == 20
+        # the two coupled-agent points among them: at a = 0 their root is (0, 0)
+        assert sum(row.get("class") == "flat" for row in report.grid) == 22
         assert sum("error" in row for row in report.grid) == 7  # roots that are not hyperbolic
         rows = {row["point"]: row for row in
                 run_claim("destruction-only-decelerates", {"a": 1e-160}).grid}
@@ -272,7 +287,7 @@ class TestClaims:
 class TestCollapseWindow:
     def test_window_brackets_the_fall(self):
         _, _, traj = mechanism_trajectory("bcell-depletion")
-        t_a, t_b = collapse_window(traj, "T")
+        t_a, t_b = collapse_window(traj)
         assert traj.times[0] < t_a < t_b < traj.times[-1]
         T = traj.component("T")
         hi = T.max()

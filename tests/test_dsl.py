@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.resources
 import math
 import random
@@ -31,18 +32,18 @@ from qsslab.dsl import (
     StateDecl,
     Var,
     default_initial_state,
-    eval_expr,
     format_expr,
     format_model,
     parse_expression,
 )
 from qsslab.errors import (
-    BindingError,
     EvaluationError,
     ParseError,
     QsslabError,
     SemanticError,
 )
+
+from evaluator import BindingError, eval_expr
 
 CATALOG_FILES = (
     "healthy",
@@ -383,6 +384,12 @@ def _parity_model(exprs):
     return compile_model(defn)
 
 
+def _parse_on_line(text, line_no):
+    """``text`` parsed as an expression on line ``line_no`` of a source
+    (``parse_expression`` places it on line 1)."""
+    return dsl._Parser(dsl._tokenize_line(text, line_no)).parse_expr()
+
+
 def _assert_parity(exprs, t, T, V, params):
     """The array form and the bound list form (``ModelSystem.bind``) of the
     generated rhs against ``eval_expr``: the same bits or the same error."""
@@ -401,7 +408,7 @@ def _assert_parity(exprs, t, T, V, params):
 @settings(max_examples=400, deadline=None)
 def test_generated_rhs_matches_eval_expr(exprs, t, T, V, params):
     # parsed from text, so that every node has its own line and column
-    exprs = tuple(parse_expression(format_expr(e), line_no=i + 1) for i, e in enumerate(exprs))
+    exprs = tuple(_parse_on_line(format_expr(e), i + 1) for i, e in enumerate(exprs))
     _assert_parity(exprs, t, T, V, params)
 
 
@@ -429,7 +436,7 @@ def test_generated_rhs_matches_eval_expr_on_literals(expr, a):
 @pytest.mark.parametrize("a", [math.nan, 2.0, 0.5])
 def test_generated_rhs_errors_match_eval_expr(text, a):
     # in the second equation, on line 3: messages and locations must agree
-    expr = parse_expression(text, line_no=3)
+    expr = _parse_on_line(text, 3)
     _assert_parity((Num(0.0), expr), 0.0, 10.0, 1.0, {"a": a, "y": 0.0, "gamma": 0.0, "x1": 0.0})
 
 
@@ -481,6 +488,55 @@ def test_generated_rhs_integrates_like_eval_expr(source):
     assert runs[0].states.tobytes() == runs[1].states.tobytes()
 
 
+# sha256 of each catalog model's generated rhs and Jacobian sources: a
+# refactor of the generator that moves one byte of either fails here.
+# Change a hash only with a change that means to alter the generated code.
+GENERATED_SHA256 = {  # name: (rhs, Jacobian)
+    "healthy": (
+        "901c2359608c23c6ef42768a8457bae3debe07c10e01307d5987ac71d9cef332",
+        "46dedf71851033b77f00dd357307b27ac66d5c3360effdc01d0a0c5985879faf"),
+    "linear-destruction": (
+        "1fd31955dc61a30c33eea81a3174339e8861b5e12d55d68b27937bf3d0e06c48",
+        "eccdb122ed97b3cf4996ce92d741c465fc4b3f40b1394cb7902325dc2578d646"),
+    "coupled-agent": (
+        "287f623eb8db2e2cd3450e49515554b21d0e06f86fa324437bf0b6921e978c8f",
+        "a7d19407faed9141d8de450ba4a97500b877615f38ad7d1cc51cd031fed45bbe"),
+    "power-destruction": (
+        "4adc4aa8dd3c4094b70d48387e6d22fc678a9b2ebb962c88c7573c0822d4aa9c",
+        "88bb826c6823f2e3b7634989b9875f852ac2d2ed67f68e0d33483df2a9cf4891"),
+    "logistic-source": (
+        "d7736e8c45f5a3199e7daf1a0cec0f5549dc58a4398703b0cae88f015f00c246",
+        "348ee408668160867188a9cd77f2088fbe6075d380f17d35fd5047d8301d171e"),
+    "logistic-proliferation": (
+        "d7736e8c45f5a3199e7daf1a0cec0f5549dc58a4398703b0cae88f015f00c246",
+        "348ee408668160867188a9cd77f2088fbe6075d380f17d35fd5047d8301d171e"),
+    "virulence-drift": (
+        "59c853539e03e94a66296ad759e7777cbfd6df8844239288b0eb763a65d126e0",
+        "97f163787111ef63f36d45588608fb70a813c018c856b79775f86aace0a0b4ac"),
+    "cytokine-inversion": (
+        "664afa10ee7025ff1994986cbf36a0bcd11000dbeb707b86601ee919091e3c1e",
+        "0516fe4b1a5af316de15bd16c29ef437a3cfdb71ff2c6b1dc2f201aecb0470d0"),
+    "humoral-cellular-competition": (
+        "bc6d0f5dd43078c868add8e0f241a374e39c91df8a13b712422aeb589bbe3df0",
+        "21e6665fa72a20167a5567d70b3621fbc3034cb76460958e7f3ad54eb6c1d522"),
+    "bcell-depletion": (
+        "c8fd36384356a9e9639a0080a81032e5c76d5de37e67c3f739abc835ef319d70",
+        "f9cb4f843a5b16e944f441460481d9d53762b3a1bcb50b514669d58c1f15f9d3"),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_FILES)
+def test_generated_sources_are_pinned(name):
+    defn = parse_model(read_model_text(name))
+    states = tuple(s.name for s in defn.states)
+    params = tuple(p.name for p in defn.params)
+    exprs = [defn.equations[s] for s in states]
+    reads_time = any(dsl.expression_reads_time(e) for e in exprs)
+    sources = (dsl._rhs_source(states, params, exprs, reads_time),
+               derivatives.jacobian_source(states, params, exprs, reads_time))
+    assert tuple(hashlib.sha256(s.encode()).hexdigest() for s in sources) == GENERATED_SHA256[name]
+
+
 def test_generated_rhs_is_compiled_once_per_source():
     first = compile_model(parse_model(read_model_text("power-destruction")))
     again = compile_model(parse_model(read_model_text("power-destruction")))
@@ -520,15 +576,10 @@ def _differences(f, x, h, side=0):
     return np.array(columns).T
 
 
-def _children(expr):
-    return ((expr.operand,) if isinstance(expr, Neg) else expr.args if isinstance(expr, Call)
-            else (expr.left, expr.right) if isinstance(expr, BinOp) else ())
-
-
 def _magnitude(expr, bindings) -> float:
     """The largest |value| of a node of ``expr`` at ``bindings``."""
     return max([abs(eval_expr(expr, bindings)),
-                *(_magnitude(e, bindings) for e in _children(expr))])
+                *(_magnitude(e, bindings) for e in dsl._children(expr))])
 
 
 def _assert_jacobian_is_the_derivative(model, exprs, params, t, x):
@@ -591,7 +642,7 @@ def _has_tie(expr, bindings) -> bool:
         first, second = (eval_expr(e, bindings) for e in expr.args)
         if first == second:
             return True
-    return any(_has_tie(e, bindings) for e in _children(expr))
+    return any(_has_tie(e, bindings) for e in dsl._children(expr))
 
 
 @given(st.tuples(_exprs(4), _exprs(2)), _point, _point, _point,

@@ -5,7 +5,9 @@ interpolant, evaluated in ``integrate.py``: no module interpolates
 linearly, and only ``integrate.py`` reads a kernel's step record or sets
 numpy's error state for its trial steps.  Each model is defined by its
 ``.qssm`` file alone: the closed forms live in ``tests/closedform.py`` as
-the tests' oracle, and no hook rewrites a model's parameters.  Checked on
+the tests' oracle, and no hook rewrites a model's parameters.  Nor does
+a ``.qssm`` tree have a second evaluator: the tree walker ``eval_expr``
+lives in ``tests/evaluator.py`` as the generated code's oracle.  Checked on
 the syntax trees of ``src/qsslab/*.py``, so comments and docstrings may
 name these functions.  The Radau step generated for each dimension keeps
 its per-element arithmetic on Python floats: checked on the syntax tree of
@@ -67,6 +69,19 @@ def test_only_integrate_reads_a_step(path):
 def test_each_model_is_defined_once(path):
     assert path.stem != "closedform"
     used = _names(path) & {"closedform", "param_resolver"}
+    assert not used, f"{path.name} references {sorted(used)}"
+
+
+ORACLE_NAMES = {"eval_expr", "BindingError"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_tree_walking_evaluator_is_the_tests_oracle(path):
+    # eval_expr and its BindingError live in tests/evaluator.py: no module
+    # defines, imports or exports them (an ``__all__`` entry is a string)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exported = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    used = (_names(path) | _defined(path) | exported) & ORACLE_NAMES
     assert not used, f"{path.name} references {sorted(used)}"
 
 
