@@ -39,12 +39,11 @@ and curvature is classified on the run's own points.  The reduction claim
 evaluates the reduced run at the full run's times through the reduced
 run's continuous extension (``integrate.sampled_dopri_run``).
 
-The two destruction claims stand on the model and ``find_steady_state``
-alone: every steady state, the ordering claim's T0 included, is the
-numerical root from the kind's default state, and a point that fails
-numerically is recorded with its error and fails its claim.  No claim and
-no ``sweep`` metric reads a closed form; the closed forms are the tests'
-oracle.
+A claim point that fails numerically, in any claim, is recorded in its row
+with its error and fails its claim (``_point``).  The destruction claims
+find every steady state, the ordering claim's T0 included, as the
+numerical root from the kind's default state.  No claim and no ``sweep``
+metric reads a closed form; the closed forms are the tests' oracle.
 
 Every claim is a deterministic predicate: re-running with identical
 configuration reproduces the report bit for bit (reports carry no
@@ -71,6 +70,7 @@ from .core import ModelSystem, ParameterSet, StateVector, check_params
 from .errors import (
     NUMERICAL_ERRORS,
     InsufficientDataError,
+    ParameterError,
     QsslabError,
     UsageError,
 )
@@ -80,8 +80,8 @@ STRENGTH_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 EPSILON = 0.01
 _REL_TOL = 1e-9  # strictness tolerance for "strictly decreasing"
 _SOLVER = {"rtol": 1e-8, "atol": 1e-12}
-# What a grid point records in its row and fails its claim with; bad input
-# (a usage or validation error) propagates
+# What a claim point records in its row and fails its claim with (``_point``);
+# bad input (a usage or validation error) propagates
 _POINT_ERRORS = (*NUMERICAL_ERRORS, InsufficientDataError)
 
 
@@ -209,6 +209,17 @@ def mechanism_trajectory(kind: MechanismKind | str,
     return _MECH_CACHE[key]
 
 
+def _point(rows, failures, name, label, evaluate) -> dict:
+    """Append and return ``evaluate()``'s row, or ``label`` with the error it fails with."""
+    try:
+        row = evaluate()
+    except _POINT_ERRORS as exc:
+        row = {**label, "error": str(exc)}
+        failures.append(f"{name} -> error: {exc}")
+    rows.append(row)
+    return row
+
+
 def _verdict(claim_id, rows, failures, narrative, provenance) -> ClaimReport:
     """The report of a claim that passes if nothing failed, ``_SOLVER`` in its provenance."""
     return ClaimReport(claim_id, "fail" if failures else "pass", rows, narrative,
@@ -247,7 +258,12 @@ def _baseline_T0(kind: str, params: ParameterSet) -> float:
     """T0 = 2x the leg's baseline (s = 0) steady state, found from the
     kind's default state."""
     report = find_steady_state(make_base_model(kind, params), params, default_state(kind))
-    return 2.0 * float(report.values.values[0])
+    T0 = 2.0 * float(report.values.values[0])
+    # T0 - T*(0) = T*(0): an approach no run resolves below its atol
+    if T0 > 2.0 * _SOLVER["atol"]:
+        return T0
+    raise InsufficientDataError(f"steady state is 0 (T* = {0.5 * T0:g}, within atol), so T0 = 0 "
+                                "and there is nothing to order")
 
 
 def _ordering_narrative(failures, broken) -> str:
@@ -280,48 +296,35 @@ def _ordering_narrative(failures, broken) -> str:
     return narrative
 
 
-def _claim_lowers_and_hastens(overrides=None) -> ClaimReport:
+def _claim_lowers_and_hastens(overrides) -> ClaimReport:
+    def evaluate(leg, kind, params_of, s, state0):
+        params = _with_overrides(params_of(s), overrides)
+        model = make_base_model(kind, params)
+        report = find_steady_state(model, params, state0)
+        return {
+            "leg": leg, "model": kind, "strength": s,
+            "T_star": float(report.values.values[0]),
+            "t_eps": time_to_epsilon(model, params, state0, EPSILON, report),
+        }
     rows = []
     failures = []
     broken = set()
     for leg, kind, params_of in _destruction_legs():
-        try:
-            T0 = _baseline_T0(kind, _with_overrides(params_of(0.0), overrides))
-            # T0 - T*(0) = T*(0): an approach no run resolves below its atol
-            reason = None if T0 > 2.0 * _SOLVER["atol"] else (
-                f"steady state is 0 (T* = {0.5 * T0:g}, within atol), so T0 = 0 "
-                "and there is nothing to order")
-        except _POINT_ERRORS as exc:
-            reason = exc
-        if reason is not None:
-            rows.append({"leg": leg, "strength": 0.0, "error": f"baseline: {reason}"})
-            failures.append(f"{leg}: baseline -> error: {reason}")
+        # a baseline writes its own row, and only when it fails
+        baseline = _point([], failures, f"{leg}: baseline", {}, lambda: {
+            "T0": _baseline_T0(kind, _with_overrides(params_of(0.0), overrides))})
+        if "error" in baseline:
+            rows.append({"leg": leg, "strength": 0.0, "error": f"baseline: {baseline['error']}"})
             broken.add((leg, "error"))
             continue
-        state0 = StateVector(("T",), [T0])
-        t_stars = []
-        t_epss = []
-        for s in STRENGTH_GRID:
-            params = _with_overrides(params_of(s), overrides)
-            try:
-                model = make_base_model(kind, params)
-                report = find_steady_state(model, params, state0)
-                t_star = float(report.values.values[0])
-                t_eps = time_to_epsilon(model, params, state0, EPSILON, report)
-            except _POINT_ERRORS as exc:
-                rows.append({"leg": leg, "strength": s, "error": str(exc)})
-                failures.append(f"{leg}[s={s:g}] -> error: {exc}")
-                broken.add((leg, "error"))
-                continue
-            t_stars.append(t_star)
-            t_epss.append(t_eps)
-            rows.append({
-                "leg": leg, "model": kind, "strength": s,
-                "T_star": t_star, "t_eps": t_eps,
-            })
-        if (leg, "error") in broken:  # the orderings need every point
+        state0 = StateVector(("T",), [baseline["T0"]])
+        points = [_point(rows, failures, f"{leg}[s={s:g}]", {"leg": leg, "strength": s},
+                         lambda: evaluate(leg, kind, params_of, s, state0)) for s in STRENGTH_GRID]
+        if any("error" in row for row in points):  # the orderings need every point
+            broken.add((leg, "error"))
             continue
-        for quantity, values in (("T*", t_stars), ("t_eps", t_epss)):
+        for quantity, key in (("T*", "T_star"), ("t_eps", "t_eps")):
+            values = [row[key] for row in points]
             if not _strictly_decreasing(values):
                 broken.add((leg, quantity))
                 failures.append(f"{leg}: {quantity} not strictly decreasing: {values}")
@@ -333,7 +336,21 @@ def _claim_lowers_and_hastens(overrides=None) -> ClaimReport:
     )
 
 
-def _claim_destruction_decelerates(overrides=None) -> ClaimReport:
+def _claim_destruction_decelerates(overrides) -> ClaimReport:
+    def evaluate(label, kind, params):
+        model = make_base_model(kind, params)
+        ss = find_steady_state(model, params, default_state(kind))
+        state0 = StateVector(model.state_names, 2.0 * ss.values.values)
+        horizon = 8.0 / ss.relaxation_rate
+        traj = integrate_adaptive(model, params, state0, 0.0, horizon, **_SOLVER)
+        verdict = classify_curvature(traj, "T")
+        if verdict.curvature_class != "decelerating-decline":
+            failures.append(f"{label} -> {verdict.curvature_class}")
+        return {
+            "point": label, "T_star": float(ss.values.values[0]),
+            "class": verdict.curvature_class,
+            "evidence": verdict.evidence,
+        }
     rows = []
     failures = []
     points = [(f"{leg}[s={s:g}]", kind, params_of(s))
@@ -344,24 +361,7 @@ def _claim_destruction_decelerates(overrides=None) -> ClaimReport:
     for label, kind, params in points:
         # every point takes the overrides, and keeps the label of its defaults
         params = _with_overrides(params, overrides)
-        try:
-            model = make_base_model(kind, params)
-            ss = find_steady_state(model, params, default_state(kind))
-            t_star = ss.values.values[0]
-            state0 = StateVector(model.state_names, 2.0 * ss.values.values)
-            horizon = 8.0 / ss.relaxation_rate
-            traj = integrate_adaptive(model, params, state0, 0.0, horizon, **_SOLVER)
-            verdict = classify_curvature(traj, "T")
-            rows.append({
-                "point": label, "T_star": float(t_star),
-                "class": verdict.curvature_class,
-                "evidence": verdict.evidence,
-            })
-            if verdict.curvature_class != "decelerating-decline":
-                failures.append(f"{label} -> {verdict.curvature_class}")
-        except _POINT_ERRORS as exc:
-            rows.append({"point": label, "error": str(exc)})
-            failures.append(f"{label} -> error: {exc}")
+        _point(rows, failures, label, {"point": label}, lambda: evaluate(label, kind, params))
     narrative = (
         f"All {len(rows)} destruction-only trajectories started above their "
         "steady state flatten as they fall (decelerating-decline); none accelerate."
@@ -374,25 +374,21 @@ def _claim_destruction_decelerates(overrides=None) -> ClaimReport:
     )
 
 
-def _claim_needs_feedback(overrides=None) -> ClaimReport:
+def _claim_needs_feedback(overrides) -> ClaimReport:
+    def evaluate(kind):
+        _, _, traj = mechanism_trajectory(kind, overrides)
+        window = collapse_window(traj)
+        verdict = classify_curvature(traj, "T", window=window)
+        if verdict.curvature_class != "accelerating-decline":
+            failures.append(f"{kind.value} -> {verdict.curvature_class}")
+        return {
+            "mechanism": kind.value, "collapse_window": list(window),
+            "class": verdict.curvature_class, "evidence": verdict.evidence,
+        }
     rows = []
     failures = []
     for kind in MechanismKind:
-        model, params, traj = mechanism_trajectory(kind, overrides)
-        window = collapse_window(traj)
-        try:
-            verdict = classify_curvature(traj, "T", window=window)
-            cls = verdict.curvature_class
-            evidence = verdict.evidence
-        except _POINT_ERRORS as exc:
-            cls = f"error: {exc}"
-            evidence = {}
-        rows.append({
-            "mechanism": kind.value, "collapse_window": list(window),
-            "class": cls, "evidence": evidence,
-        })
-        if cls != "accelerating-decline":
-            failures.append(f"{kind.value} -> {cls}")
+        _point(rows, failures, kind.value, {"mechanism": kind.value}, lambda: evaluate(kind))
     base = _claim_destruction_decelerates(overrides)
     accel_in_base = [
         r["point"] for r in base.grid if r.get("class") == "accelerating-decline"
@@ -422,12 +418,8 @@ def _claim_needs_feedback(overrides=None) -> ClaimReport:
     )
 
 
-def _claim_qss_reduction(overrides=None) -> ClaimReport:
-    rows = []
-    failures = []
-    cases = [(100.0, 100.0), (1000.0, 1000.0), (100.0, 1.0)]
-    for delta_D, x in cases:
-        params = _with_overrides(ParameterSet(a=1.0, y=1.0, x=x, delta_D=delta_D), overrides)
+def _claim_qss_reduction(overrides) -> ClaimReport:
+    def evaluate(case, params):
         model = make_base_model("coupled-agent", params)
         g_eff = params["x"] / params["delta_D"]
         T0 = 2.0
@@ -440,14 +432,20 @@ def _claim_qss_reduction(overrides=None) -> ClaimReport:
         t_range = float(T_full.max() - T_full.min())
         gap = float(np.max(np.abs(T_full - red.component("T"))))
         rel = gap / t_range if t_range > 0 else float("inf")
-        rows.append({
+        if rel > 0.01:
+            failures.append(f"{case}: gap {rel:.3%}")
+        return {
             "delta_D": params["delta_D"], "x": params["x"], "gamma_eff": g_eff,
             "sup_gap": gap, "T_range": t_range, "relative_gap": rel,
-        })
-        if rel > 0.01:
-            failures.append(
-                f"delta_D={params['delta_D']:g}, x={params['x']:g}: gap {rel:.3%}"
-            )
+        }
+    rows = []
+    failures = []
+    cases = [(100.0, 100.0), (1000.0, 1000.0), (100.0, 1.0)]
+    for delta_D, x in cases:
+        params = _with_overrides(ParameterSet(a=1.0, y=1.0, x=x, delta_D=delta_D), overrides)
+        case = f"delta_D={params['delta_D']:g}, x={params['x']:g}"
+        _point(rows, failures, case, {"delta_D": params["delta_D"], "x": params["x"]},
+               lambda: evaluate(case, params))
     narrative = (
         "With a fast destroyer agent the full two-compartment trajectory and its "
         "quasi-steady-state reduction agree within 1% of the T range."
@@ -460,10 +458,8 @@ def _claim_qss_reduction(overrides=None) -> ClaimReport:
     )
 
 
-def _claim_mechanism_conditions(overrides=None) -> ClaimReport:
-    rows = []
-    failures = []
-    for kind in MechanismKind:
+def _claim_mechanism_conditions(overrides) -> ClaimReport:
+    def evaluate(kind):
         model, params, traj = mechanism_trajectory(kind, overrides)
         p = model.resolve_params(params)
         y = p["y"]
@@ -496,18 +492,22 @@ def _claim_mechanism_conditions(overrides=None) -> ClaimReport:
         )[0]
         removal_ok = drops.size == 0
 
-        rows.append({
+        for ok, what in ((indirect, "indirect destruction"), (slow_ok, "slow rates"),
+                         (plateau_ok, "latent plateau"), (removal_ok, "removal trend")):
+            if not ok:
+                failures.append(f"{kind.value}: {what}")
+        return {
             "mechanism": kind.value,
             "indirect_destruction": bool(indirect),
             "slow_rates": slow_values, "slow_ok": bool(slow_ok),
             "plateau": plateau, "plateau_required": 50.0 / y,
             "removal_monotone": bool(removal_ok),
             "collapse_window": [t_a, t_b],
-        })
-        for ok, what in ((indirect, "indirect destruction"), (slow_ok, "slow rates"),
-                         (plateau_ok, "latent plateau"), (removal_ok, "removal trend")):
-            if not ok:
-                failures.append(f"{kind.value}: {what}")
+        }
+    rows = []
+    failures = []
+    for kind in MechanismKind:
+        _point(rows, failures, kind.value, {"mechanism": kind.value}, lambda: evaluate(kind))
     narrative = (
         "Every mechanism destroys T only through other compartments, runs its "
         "slow arm at no more than y/100, holds a latent plateau of at least 50/y, "
@@ -545,10 +545,10 @@ def run_claim(claim_id: str, overrides: dict | None = None) -> ClaimReport:
 def sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the requested metrics at every grid value of one parameter.
 
-    Rows are ordered by grid value; numerical failures are recorded in the
-    row (``error`` key) rather than aborting the sweep.  A parameter, swept
-    or given, that the model does not declare raises ``UsageError`` first.
-    """
+    Rows are ordered by grid value, each from one steady state.  A failure
+    is recorded in the row (``<metric>_error``, or ``error`` for invalid
+    parameters) rather than aborting the sweep.  A parameter, swept or
+    given, that the model does not declare raises ``UsageError`` first."""
     model = spec.model or make_model(spec.model_kind)
     declared = [p.name for p in model.param_schema]
     undeclared = [n for n in (spec.sweep_param, *spec.base_params) if n not in declared]
@@ -563,12 +563,14 @@ def sweep(spec: SweepSpec) -> list[dict]:
         params = spec.base_params.with_updates(**{spec.sweep_param: value})
         row: dict = {spec.sweep_param: value}
         try:
-            check_params(model, params)
-            ss = None
+            ss = find_steady_state(check_params(model, params), params, state0)
+        except ParameterError as exc:
+            row["error"] = str(exc)
+        except QsslabError as exc:  # every metric stands on the steady state
+            row.update((f"{metric}_error", str(exc)) for metric in spec.metrics)
+        else:
             for metric in spec.metrics:
                 try:
-                    if ss is None:
-                        ss = find_steady_state(model, params, state0)
                     if metric == "T*":
                         row[metric] = float(ss.values.values[0])
                     elif metric == "rate":
@@ -583,7 +585,5 @@ def sweep(spec: SweepSpec) -> list[dict]:
                         row[metric] = classify_curvature(traj, model.state_names[0]).curvature_class
                 except QsslabError as exc:
                     row[f"{metric}_error"] = str(exc)
-        except QsslabError as exc:
-            row["error"] = str(exc)
         rows.append(row)
     return rows

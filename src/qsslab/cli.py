@@ -278,13 +278,22 @@ def _cmd_check(args) -> int:
     if args.plot:
         series = []
         shade = None
+        left_out = []
         for kind in cat.MechanismKind:
-            _, _, traj = mechanism_trajectory(kind, overrides)
+            try:
+                _, _, traj = mechanism_trajectory(kind, overrides)
+            except NUMERICAL_ERRORS as exc:
+                left_out.append(f"{kind.value} ({exc})")
+                continue
             series.append((kind.value, traj.times.tolist(), traj.component("T").tolist()))
             if shade is None:
                 shade = collapse_window(traj)
-        _write_text(args.plot, [render_plot(series, title=args.claim, xlabel="t", ylabel="T",
-                                            shade=shade)])
+        if left_out:
+            print(f"plot: left out {', '.join(left_out)}"
+                  + ("" if series else f"; {args.plot} not written"), file=sys.stderr)
+        if series:
+            _write_text(args.plot, [render_plot(series, title=args.claim, xlabel="t", ylabel="T",
+                                                shade=shade)])
     print(f"{report.claim_id}: {report.verdict.upper()}", file=sys.stderr)
     print(report.narrative, file=sys.stderr)
     return 0 if report.passed else 1

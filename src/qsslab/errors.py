@@ -68,7 +68,9 @@ class ConvergenceTimeoutError(QsslabError):
 
 
 class InsufficientDataError(QsslabError):
-    """Too few trajectory points inside the analysis window."""
+    """Too few trajectory points inside the analysis window, or, for an
+    ordering leg, a steady state within the runs' atol of 0: no approach
+    to measure."""
 
 
 class ParseError(QsslabError):

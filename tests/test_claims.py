@@ -53,6 +53,28 @@ class TestSweep:
         assert rows[1]["T*"] == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_each_row_finds_its_steady_state_once(self, monkeypatch):
+        # a = y = 0 leaves dT/dt = -gamma*T^2, whose root 0 is not hyperbolic;
+        # every metric stands on that steady state and records its error,
+        # but the failing search runs once per row, not once per metric
+        calls = []
+        original = claims.find_steady_state
+
+        def find_steady_state(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(claims, "find_steady_state", find_steady_state)
+        metrics = ("T*", "t_eps", "rate", "curvature")
+        rows = sweep(SweepSpec("logistic-source", ParameterSet(a=0.0, y=0.0), "gamma",
+                               (1.0, 2.0), metrics=metrics))
+        assert len(calls) == 2
+        for gamma, row in zip((1.0, 2.0), rows):
+            error = row["T*_error"]
+            assert "is not hyperbolic" in error
+            assert row == {"gamma": gamma, **{f"{m}_error": error for m in metrics}}
+
+
 class TestClaims:
     def test_unknown_claim(self):
         with pytest.raises(UsageError):
@@ -221,7 +243,7 @@ class TestClaims:
         assert report.verdict == "fail"
         mechanisms = [row for row in report.grid if "mechanism" in row]
         assert len(mechanisms) == 4
-        assert all(row["class"] == "error: window (0.0, 0.0) is empty" for row in mechanisms)
+        assert all(row["error"] == "window (0.0, 0.0) is empty" for row in mechanisms)
 
     def test_override_reaches_the_coupled_agent_points(self):
         # a slow agent (delta_D = 0.01) outlives T's relaxation, so T

@@ -119,6 +119,48 @@ def test_ordering_claim_names_legs_with_nothing_to_order(capsys):
     assert err.count("nothing to order") == 3 and "not strictly decreasing" not in err
 
 
+# the mechanisms whose runs blow up when beta = 1e300: virulence-drift declares no beta
+BLOWN_UP = [{"mechanism": m} for m in
+            ("cytokine-inversion", "humoral-cellular-competition", "bcell-depletion")]
+
+
+@pytest.mark.parametrize("claim, override, labels", [
+    ("aids-curve-needs-feedback", "beta=1e300", BLOWN_UP),
+    ("mechanism-satisfies-conditions", "beta=1e300", BLOWN_UP),
+    ("qss-reduction-valid", "x=1e300", [{"delta_D": 100.0, "x": 1e300},
+                                        {"delta_D": 1000.0, "x": 1e300},
+                                        {"delta_D": 100.0, "x": 1e300}]),
+], ids=["feedback", "conditions", "reduction"])
+def test_a_failing_claim_run_is_an_error_row(outdir, capsys, claim, override, labels):
+    # a run that fails numerically fails its claim (exit 1) with one error
+    # row per point, as a failing destruction-only point does
+    report = outdir / "report.json"
+    assert run_cli(["check", claim, "--override", override, "--json", str(report)]) == 1
+    errors = [row for row in json.loads(report.read_text())["grid"] if "error" in row]
+    assert [{k: v for k, v in row.items() if k != "error"} for row in errors] == labels
+    assert all(row["error"].startswith("state became non-finite at t = ") for row in errors)
+    assert capsys.readouterr().err.count(" -> error: state became non-finite") == len(labels)
+
+
+@pytest.mark.parametrize("override, drawn", [("beta=1e300", 1), ("a=1e300", 0)])
+def test_check_plot_leaves_out_a_failing_mechanism(outdir, capsys, override, drawn):
+    # the plot draws the mechanisms whose runs succeed, names the others on
+    # one line, and the exit code is the verdict's
+    plot = outdir / "mechanisms.svg"
+    code = run_cli(["check", "aids-curve-needs-feedback", "--override", override,
+                    "--json", str(outdir / "report.json"), "--plot", str(plot)])
+    assert code == 1
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("plot:")]
+    assert len(lines) == 1
+    for mechanism in BLOWN_UP:
+        assert f"{mechanism['mechanism']} (state became non-finite at t = " in lines[0]
+    if drawn:
+        svg = plot.read_text()
+        assert svg.count("<polyline") == drawn and "virulence-drift" in svg
+    else:
+        assert not plot.exists() and lines[0].endswith(f"; {plot} not written")
+
+
 def test_sweep_csv(outdir):
     out = outdir / "sweep.csv"
     code = run_cli([

@@ -16,6 +16,8 @@ serves it only the eigenvalues of ``_rate`` and LAPACK's error type.  Two
 step schemes integrate every run, Dormand-Prince and Radau: no third one
 names itself in a ``solver_info``.  One place chooses between a model's
 generated Jacobian and finite differences: ``ModelSystem.bind_jacobian``.
+And one place decides what a claim point that fails numerically does:
+``claims._point``.
 """
 import ast
 from pathlib import Path
@@ -206,3 +208,19 @@ def test_one_place_chooses_the_jacobian():
     analysis = next(p for p in SOURCES if p.name == "analysis.py")
     assert not [node for node in ast.walk(ast.parse(analysis.read_text(encoding="utf-8")))
                 if isinstance(node, ast.Attribute) and node.attr == "jacobian"]
+
+
+def _handlers_of_point_errors(tree) -> list:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+            and node.type is not None and "_POINT_ERRORS" in ast.unparse(node.type)]
+
+
+def test_one_rule_for_a_failing_claim_point():
+    # claims._point alone turns a numerical failure at a claim point into
+    # the point's error row and its claim's failure
+    path = next(p for p in SOURCES if p.name == "claims.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    point = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_point")
+    assert len(_handlers_of_point_errors(tree)) == 1
+    assert _handlers_of_point_errors(tree) == _handlers_of_point_errors(point)
