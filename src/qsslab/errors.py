@@ -43,7 +43,8 @@ class UnsupportedKindError(QsslabError):
 
 
 class BlowupError(QsslabError):
-    """Integration produced a non-finite state. ``time`` holds the failure time."""
+    """Integration produced a non-finite state, or a state that grows without
+    bound in finite time. ``time`` holds the failure time."""
 
     def __init__(self, message, time):
         super().__init__(message)

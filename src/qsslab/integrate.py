@@ -5,10 +5,11 @@ binds the model (``ModelSystem.bind``) once, and stop at ``MAX_STEPS``
 trial steps (``_within_budget``).  Both compute on Python floats, in a
 stepping loop generated once per dimension (``_dopri_source``,
 ``_radau_source``) that keeps each component of its state and stages in a
-local variable.  A Dormand-Prince step makes no numpy call besides those a
-hand-built rhs makes; a Radau step inverts one real 3n x 3n Newton matrix
-per step size and Jacobian (``ModelSystem.bind_jacobian``'s) and makes one
-matrix-vector product per Newton iteration, around three rhs calls.
+local variable.  Neither step makes a numpy call besides those a
+hand-built rhs makes: a Radau step factors one real and one complex n x n
+Newton matrix per step size and Jacobian (``ModelSystem.bind_jacobian``'s)
+by an LU generated per dimension (``_lu_source``), and solves both
+systems inline in each Newton iteration, around three rhs calls.
 
 The kernels, ``_dopri_steps`` and ``_radau_steps``, are generators over
 accepted steps, and between a step's points only its own interpolant is
@@ -66,17 +67,16 @@ _DP_D = np.array((-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 # collocation nodes, the weights of the embedded 3rd-order error estimate,
 # the eigenvalues of the inverse of the Runge-Kutta matrix (one real, one
 # complex pair) and the transformation T that turns that matrix into the
-# real block form _RADAU_LAMBDA, the Newton matrix of the transformed stages
-# being Lambda / h (x) I - I (x) J
+# real block form Lambda = diag(mu_real, [[Re mu, -Im mu], [Im mu, Re mu]]),
+# mu = mu_complex.  The Newton matrix of the transformed stages,
+# Lambda / h (x) I - I (x) J, splits into mu_real / h I - J and the complex
+# mu_complex / h I - J
 _S6 = 6 ** 0.5
 _RADAU_C = ((4 - _S6) / 10, (4 + _S6) / 10, 1.0)
 _RADAU_E = np.array((-13 - 7 * _S6, -13 + 7 * _S6, -1.0)) / 3
 _MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
 _MU_COMPLEX = (3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3))
                - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6)))
-_RADAU_LAMBDA = np.array(((_MU_REAL, 0.0, 0.0),
-                          (0.0, _MU_COMPLEX.real, -_MU_COMPLEX.imag),
-                          (0.0, _MU_COMPLEX.imag, _MU_COMPLEX.real)))
 _RADAU_T = np.array((
     (0.09443876248897524, -0.14125529502095421, 0.03002919410514742),
     (0.25021312296533332, 0.20412935229379994, -0.38294211275726192),
@@ -176,12 +176,34 @@ def _within_budget(run, t_end: float):
         raise StiffnessError(f"step budget of {MAX_STEPS} exhausted at t = {t:g}")
 
 
-def _step_underflow(t: float, h: float, finite: bool):
-    """The error of a trial step size below the minimum at ``t``:
-    ``BlowupError`` when the trials that drove it there were non-finite,
-    ``StiffnessError`` otherwise."""
+def _step_underflow(f, t: float, h: float, finite: bool, y0: list, y: list, fy: list,
+                    counts: dict):
+    """The error of a trial step size below the minimum at ``t``, where the
+    run that started at ``y0`` stands at ``y`` with rate ``fy = f(t, y)``:
+    ``BlowupError`` when the trials that drove it there were non-finite or
+    the state runs away, ``StiffnessError`` otherwise.
+
+    The state runs away when it grew, |y| > |y0| (2-norms), and grows
+    faster than linearly: moved by its own size along its rate, to
+    ``y + |y| / |fy| * fy``, its rate more than doubles, as that of
+    dT/dt = T^p does for p > 1, whose solution leaves every bound in finite
+    time.  That one more rhs evaluation is counted in ``counts``; if it
+    raises ``EvaluationError``, or a norm is nan, the state does not run
+    away.  A bounded state, one that did not grow, or one whose rate did
+    not outgrow it (a switching rhs) underflowed for stiffness."""
     if not finite:
         return BlowupError(f"state became non-finite at t = {t + h:g}", time=t + h)
+    size, rate = math.hypot(*y), math.hypot(*fy)
+    if size > math.hypot(*y0) and rate > 0.0:
+        counts["rhs_evals"] += 1
+        tau = size / rate
+        try:
+            ahead = math.hypot(*f(t, [v + tau * r for v, r in zip(y, fy)]))
+        except EvaluationError:
+            ahead = math.nan
+        if ahead > 2.0 * rate:
+            return BlowupError(f"state grew without bound at t = {t:g} (|y| = {size:.3e}, "
+                               f"step size {h:.3e})", time=t)
     return StiffnessError(f"step size underflow ({h:.3e}) at t = {t:g}; problem too stiff")
 
 
@@ -221,7 +243,7 @@ def _dopri_source(n: int) -> str:
 def kernel(f, t, t_end, h, h_min, rtol, atol, max_steps, y, k1, counts):
     {each("y_#")}, = y
     {each("k1_#")}, = k1
-    finite = True
+    y0, finite = y, True
     for _ in range(max_steps):
         if t >= t_end:
             return t
@@ -229,7 +251,7 @@ def kernel(f, t, t_end, h, h_min, rtol, atol, max_steps, y, k1, counts):
         if last:
             h = t_end - t
         if h < h_min:
-            raise _step_underflow(t, h, finite)
+            raise _step_underflow(f, t, h, finite, y0, y, k1, counts)
         {weights}
         stage = 1  # k2 ... k7 are stages 1 ... 6 of the trial
         try:
@@ -349,16 +371,84 @@ def dense_output(coefficients, theta):
     return y_prev + theta * (dy + rest * (slope + theta * (bend + rest * quartic)))
 
 
-def _radau_newton_inverse(lam, h, J):
-    """The inverse of the Newton matrix of the transformed stages,
-    Lambda / h (x) I - I (x) J, from ``lam`` = Lambda (x) I: one real
-    3n x 3n inversion.  Lambda is block diagonal, so the inverse's first
-    n x n block is the inverse of mu_real / h I - J."""
-    n = J.shape[0]
-    N = lam / h
-    for i in range(0, 3 * n, n):
-        N[i:i + n, i:i + n] -= J
-    return np.linalg.inv(N)
+def _pivot_magnitude(name: str) -> str:
+    """|Re name| + |Im name|, LAPACK's pivot size for a complex entry, as
+    conditional expressions: for a float it is |name|, and unlike ``abs``
+    of a complex it cannot raise ``OverflowError``."""
+    return (f"((r if (r := {name}.real) >= 0.0 else -r) + "
+            f"(i if (i := {name}.imag) >= 0.0 else -i))")
+
+
+def _lu_factors(n: int, prefix: str) -> str:
+    """The names of the factors that ``lu`` returns, in order, each with
+    ``prefix``: the permutation ``p<i>``, L's multipliers ``l<i>_<j>``
+    (j < i) and U's entries ``u<i>_<j>`` (j > i), row by row, and the
+    reciprocals ``d<i>`` of U's diagonal."""
+    return ", ".join([f"{prefix}p{i}" for i in range(n)]
+                     + [f"{prefix}l{i}_{j}" for i in range(n) for j in range(i)]
+                     + [f"{prefix}u{i}_{j}" for i in range(n) for j in range(i + 1, n)]
+                     + [f"{prefix}d{i}" for i in range(n)])
+
+
+def _lu_source(n: int) -> str:
+    """The source of ``lu(c, J)``, the LU factorisation with partial
+    pivoting of c I - J for ``n`` components: c is a float or a complex,
+    and J the Jacobian's rows of floats.
+
+    Each entry of row i and column j is a local number, named by its place
+    in the factors: ``l<i>_<j>`` below the diagonal, where elimination
+    leaves L's multiplier, ``u<i>_<j>`` on and above it.  A row swap swaps
+    the values of two whole rows and their places ``p<i>``, one branch per
+    candidate row.  ``lu`` returns the factors that ``_lu_factors`` names
+    (row i of ``L U`` is row ``p<i>`` of c I - J).  An exactly zero pivot
+    raises ``LinAlgError``; a nan one is kept, and its nan reaches the
+    solves."""
+    def a(i: int, j: int) -> str:
+        return f"l{i}_{j}" if j < i else f"u{i}_{j}"
+
+    rows = ", ".join(f"({', '.join(a(i, j) for j in range(n))},)" for i in range(n))
+    shift = "; ".join(f"{a(i, j)} = " + (f"c - {a(i, j)}" if i == j else f"-{a(i, j)}")
+                      for i in range(n) for j in range(n))
+    lines = [f"{rows}, = J", shift, f"{_per_component(n, 'p#')}, = range({n})"]
+    for k in range(n):
+        candidates = range(k + 1, n)
+        if candidates:
+            lines.append(f"m, q = {_pivot_magnitude(a(k, k))}, {k}")
+            lines += [f"if (v := {_pivot_magnitude(a(i, k))}) > m: m, q = v, {i}"
+                      for i in candidates]
+        for i in candidates:
+            row_k, row_i = (", ".join([a(r, j) for j in range(n)] + [f"p{r}"]) for r in (k, i))
+            lines.append(f"{'if' if i == k + 1 else 'elif'} q == {i}: "
+                         f"({row_k}), ({row_i}) = ({row_i}), ({row_k})")
+        lines += [f"if {a(k, k)} == 0: raise LinAlgError('singular Newton matrix')",
+                  f"d{k} = 1.0 / {a(k, k)}"]
+        lines += ["; ".join([f"{a(i, k)} = l = {a(i, k)} * d{k}"]
+                            + [f"{a(i, j)} -= l * {a(k, j)}" for j in range(k + 1, n)])
+                  for i in candidates]
+    lines.append(f"return {_lu_factors(n, '')}")
+    return "def lu(c, J):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+@functools.cache
+def _radau_lu(n: int):
+    """``lu`` of ``_lu_source(n)``, compiled on first use."""
+    return _compiled(_lu_source(n), f"<radau5 lu, n = {n}>",
+                     {"LinAlgError": np.linalg.LinAlgError})["lu"]
+
+
+def _lu_solve(n: int, prefix: str, values: str, target: str) -> str:
+    """Statements that solve L U x = P b with the factors named with
+    ``prefix`` (``_lu_factors``): b is ``values``, one expression per
+    component ``#``, gathered by the permutation; x is left in
+    ``target#``."""
+    x = [f"{target}{i}" for i in range(n)]
+    forward = [f"{x[i]} = g[{prefix}p{i}]" + "".join(f" - {prefix}l{i}_{j} * {x[j]}"
+                                                    for j in range(i))
+               for i in range(n)]
+    back = [f"{x[i]} = ({x[i]}" + "".join(f" - {prefix}u{i}_{j} * {x[j]}"
+                                          for j in range(i + 1, n)) + f") * {prefix}d{i}"
+            if i < n - 1 else f"{x[i]} *= {prefix}d{i}" for i in reversed(range(n))]
+    return "; ".join([f"g = ({_per_component(n, values)},)", *forward, *back])
 
 
 def _radau_source(n: int) -> str:
@@ -369,10 +459,16 @@ def _radau_source(n: int) -> str:
     2), Newton's stages ``z<i>_#``, transformed stages ``w<i>_#`` and update
     ``d<i>_#``, the scale ``s_#``, the error estimate ``r_#`` and the last
     polynomial ``yp_#``, ``q1_#`` ... ``q3_#``.  The transforms, the error
-    estimate and the polynomial are sums over literals.  dW = K [F; W] is the
-    one numpy product: ``newton_inverse(h, J)`` returns K's bound ``dot`` and
-    the first block of the Newton inverse as floats ``m<j>_<k>``.  ``kernel``
-    yields what ``_radau_steps`` yields, and returns the time it reached.
+    estimate and the polynomial are sums over literals.  The Newton matrix
+    of the transformed stages splits into a real n x n system, mu_real / h
+    I - J, and a complex one, mu_complex / h I - J, whose real and imaginary
+    parts are the other two stages (Hairer & Wanner IV.8): ``lu(c, J)``
+    (``_lu_source``) factors each once per step size and Jacobian, into
+    the locals ``rp<i>``, ... and ``cp<i>``, ... (``_lu_factors``), and an
+    iteration forms both right-hand sides and solves both systems inline
+    (``_lu_solve``), the complex one on Python complex numbers.  The error
+    estimate is a solve of the real system.  ``kernel`` yields what
+    ``_radau_steps`` yields, and returns the time it reached.
     """
     each = functools.partial(_per_component, n)
 
@@ -397,12 +493,14 @@ def _radau_source(n: int) -> str:
         return f"sqrt(({' + '.join(f'(x := {term}) * x' for term in terms)}) / {len(terms)})"
 
     def error_estimate(v: str) -> str:
-        """r_# = sum_k m#_k * v, ``@`` in v standing for k."""
-        return each("r_# = " + " + ".join(f"m#_{k} * " + v.replace("@", str(k))
-                                          for k in range(n)), "; ")
+        """r_# solving (mu_real / h I - J) r = v, ``#`` in v standing for each
+        component."""
+        return _lu_solve(n, "r", v, "r_")
 
     state = f"[{each('y_#')}]"
-    block = ", ".join(f"m{j}_{k}" for j in range(n) for k in range(n))
+    real_rhs = f"{combination(_RADAU_TI[0].tolist(), 'F@_#')} - mr * w0_#"
+    complex_rhs = (f"{combination((_RADAU_TI[1] + 1j * _RADAU_TI[2]).tolist(), 'F@_#')}"
+                   " - mc * (w1_# + 1j * w2_#)")
     c0, c1, c2 = map(repr, _RADAU_C)
     predict = "\n            ".join(
         f"theta = (t + h * {c!r} - t_prev) / h_prev\n            "
@@ -413,27 +511,29 @@ def _radau_source(n: int) -> str:
     error_scale = each(f"a = {_magnitude('y_#')}; b = {_magnitude('yn_#')}; "
                        "s_# = atol + rtol * (b if b > a else a)", "; ")
     return f'''\
-def kernel(f, jacobian, newton_inverse, t, t_end, h_next, h_min, rtol, atol, newton_tol,
+def kernel(f, jacobian, lu, t, t_end, h_next, h_min, rtol, atol, newton_tol,
            max_steps, y, fy, J, counts):
     {each("y_#")}, = y
     {each("fy_#")}, = fy
-    h_inv = h_prev = err_prev = None  # the Newton inverse's h; the last accepted h and error
+    h_inv = h_prev = err_prev = None  # the factors' h; the last accepted h and error
     fresh, finite, retried = True, True, False  # retried: a trial of this step failed its error test
     for _ in range(max_steps):
         last = t_end - t - h_next < h_min  # no remainder shorter than h_min
         h = t_end - t if last else h_next
         if h < h_min:
-            raise _step_underflow(t, h, finite)
+            raise _step_underflow(f, t, h, finite, y, {state}, [{each("fy_#")}], counts)
         if h_prev is None:
             {stages("p@_#", " = ")} = 0.0
         else:  # the last polynomial at the new stage times
             {predict}
         {newton_scale}
         t0, t1, t2 = t + h * {c0}, t + h * {c1}, t + h * {c2}
+        mr, mc = {_MU_REAL!r} / h, {_MU_COMPLEX!r} / h
         while True:
             try:
                 if h_inv != h:
-                    K_dot, {block}, = newton_inverse(h, J)
+                    counts["factorizations"] += 1
+                    ({_lu_factors(n, "r")}), ({_lu_factors(n, "c")}) = lu(mr, J), lu(mc, J)
                     h_inv = h
             except LinAlgError:  # singular: no Newton step, as a non-finite stage
                 converged = finite = False
@@ -444,17 +544,19 @@ def kernel(f, jacobian, newton_inverse, t, t_end, h_next, h_min, rtol, atol, new
                 for k in range({maxiter}):
                     stage = 1
                     try:
-                        F0 = f(t0, [{each("y_# + z0_#")}])
+                        {each("F0_#")}, = f(t0, [{each("y_# + z0_#")}])
                         stage = 2
-                        F1 = f(t1, [{each("y_# + z1_#")}])
+                        {each("F1_#")}, = f(t1, [{each("y_# + z1_#")}])
                         stage = 3
-                        F2 = f(t2, [{each("y_# + z2_#")}])
+                        {each("F2_#")}, = f(t2, [{each("y_# + z2_#")}])
                     except EvaluationError:  # a stage left the rhs's domain
                         counts["rhs_evals"] += stage
                         finite = False
                         break
                     counts["rhs_evals"] += 3
-                    {stages("d@_#")}, = K_dot(F0 + F1 + F2 + [{stages("w@_#")}]).tolist()
+                    {_lu_solve(n, "r", real_rhs, "d0_")}
+                    {_lu_solve(n, "c", complex_rhs, "dc_")}
+                    {each("d1_# = dc_#.real; d2_# = dc_#.imag", "; ")}
                     norm = {rms([f"d{i}_{j} / s_{j}" for i in range(3) for j in range(n)])}
                     if not isfinite(norm):
                         finite = False
@@ -480,7 +582,7 @@ def kernel(f, jacobian, newton_inverse, t, t_end, h_next, h_min, rtol, atol, new
         {each("yn_# = y_# + z2_#", "; ")}
         {each(f"ze_# = ({combination(_RADAU_E.tolist(), 'z@_#')}) / h", "; ")}
         {error_scale}
-        {error_estimate("(fy_@ + ze_@)")}
+        {error_estimate("fy_# + ze_#")}
         err = {err_norm}
         if retried and err > 1:  # a sharper estimate after a rejection
             counts["rhs_evals"] += 1
@@ -489,7 +591,7 @@ def kernel(f, jacobian, newton_inverse, t, t_end, h_next, h_min, rtol, atol, new
             except EvaluationError:
                 err = inf
             else:
-                {error_estimate("(fe_@ + ze_@)")}
+                {error_estimate("fe_# + ze_#")}
                 err = {err_norm}
         safety = 0.9 * {2 * maxiter + 1} / ({2 * maxiter} + n_iter)
         finite = isfinite(err) and {each("isfinite(yn_#)", " and ")}
@@ -508,14 +610,14 @@ def kernel(f, jacobian, newton_inverse, t, t_end, h_next, h_min, rtol, atol, new
         factor = factor if factor < 10.0 else 10.0
         refresh = n_iter > 2 and rate > 1e-3  # Newton converged slowly
         if not refresh and factor < 1.2:
-            factor = 1.0  # keep h, and with it the Newton inverse
+            factor = 1.0  # keep h, and with it the factors
         h_prev, err_prev, retried = h, err, False
         h_next = h * factor
         {products(_RADAU_P.T, "q", "z", 1)}
         {each("yp_# = y_#; y_# = yn_#", "; ")}
         t_prev, t = t, (t_end if last else t + h)
-        yield t_prev, t, h, array({state}), array(({", ".join(
-            f"({each(row + '_#')},)" for row in ("yp", "q1", "q2", "q3"))})), counts
+        yield t_prev, t, h, {state}, ({", ".join(
+            f"({each(row + '_#')},)" for row in ("yp", "q1", "q2", "q3"))}), counts
         if t >= t_end:
             return t
         counts["rhs_evals"] += 1
@@ -536,7 +638,7 @@ def _radau_kernel(n: int):
     """The stepping loop of ``_radau_source(n)``, compiled on first use."""
     return _compiled(_radau_source(n), f"<radau5 kernel, n = {n}>", {
         "EvaluationError": EvaluationError, "LinAlgError": np.linalg.LinAlgError,
-        "array": np.array, "inf": math.inf, "nan": math.nan, "isfinite": math.isfinite,
+        "inf": math.inf, "nan": math.nan, "isfinite": math.isfinite,
         "sqrt": math.sqrt, "_step_underflow": _step_underflow})["kernel"]
 
 
@@ -548,24 +650,26 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
 
     Each accepted step yields ``(t_prev, t, h, y, Y, counts)``: the step
     runs from ``t_prev`` to ``t`` with size ``h``, ``y`` is the new state,
-    ``Y = [y_prev; q1; q2; q3]`` the step's collocation polynomial for
-    ``collocation_output``, both arrays, and ``counts`` one dict, updated
-    in place, with the trial steps ``rejected``, the ``rhs_evals`` (an
-    evaluation that raises counts, and so do those of finite-difference
-    Jacobians), the ``jac_evals`` and the ``factorizations`` (inversions of
-    the Newton matrix) so far, and which ``jacobian`` the run takes:
+    a list of floats, ``Y = (y_prev, q1, q2, q3)`` the step's collocation
+    polynomial, four tuples of floats (``collocation_output`` takes it as
+    an array), and ``counts`` one dict, updated in place, with the trial
+    steps ``rejected``, the ``rhs_evals`` (an evaluation that raises counts,
+    and so do those of finite-difference Jacobians), the ``jac_evals`` and
+    the ``factorizations`` (of the Newton matrix, each one real and one
+    complex LU) so far, and which ``jacobian`` the run takes:
     ``"generated"`` or ``"finite-difference"``.
 
     A step solves the collocation system by simplified Newton on the
     transformed stages, from the stages that the last step's polynomial
-    predicts, with the inverse of their Newton matrix formed once per step
-    size and Jacobian; its first block serves the error estimate.  The
-    Jacobian, ``ModelSystem.bind_jacobian``'s at the step's start (its rows
-    made one array for the Newton matrix), is kept while Newton converges
-    fast.  A Newton solve that fails with a stale Jacobian is retried with
-    a fresh one from the same prediction; one that fails with a fresh
-    Jacobian (a stage that raises ``EvaluationError`` or a non-finite
-    Newton norm counts as a failure) halves the step.  The embedded
+    predicts.  Their Newton matrix splits into a real and a complex n x n
+    system, each factored once per step size and Jacobian (``_radau_lu``);
+    the real one serves the error estimate too, and a singular one fails
+    the trial.  The Jacobian, ``ModelSystem.bind_jacobian``'s rows at the
+    step's start, is kept while Newton converges fast.  A Newton solve that
+    fails with a stale Jacobian is retried with a fresh one from the same
+    prediction; one that fails with a fresh Jacobian (a stage that raises
+    ``EvaluationError``, a non-finite Newton norm or a singular Newton
+    matrix counts as a failure) halves the step.  The embedded
     3rd-order error estimate is held to 1 in the RMS norm scaled by
     ``atol + rtol * max(|y|, |y_new|)``, under Gustafsson's predictive
     control.  The checked start (``_start``), the first trial step, the
@@ -586,27 +690,15 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
 
     jac = model.bind_jacobian(p, f)
 
-    def jacobian(t, values):  # as an array, for the Newton matrix
+    def jacobian(t, values):  # rows of floats, for the factorisations
         counts["jac_evals"] += 1
         try:
-            return np.array(jac(t, values))
+            return jac(t, values)
         except EvaluationError:  # no Jacobian here: every Newton solve fails
-            return np.full((n, n), math.nan)
+            return [[math.nan] * n] * n
 
-    eye = np.identity(n)
-    lam = np.kron(_RADAU_LAMBDA, eye)
-    B = np.hstack((np.kron(_RADAU_TI, eye), lam))  # [T^-1 (x) I | -(Lambda/h) (x) I] once h is set
-
-    def newton_inverse(h, J):
-        """K.dot, K = M [T^-1 (x) I | -(Lambda/h) (x) I] with the Newton inverse
-        M for ``h`` and ``J``, and M's first n x n block as floats, row by row."""
-        counts["factorizations"] += 1
-        M = _radau_newton_inverse(lam, h, J)
-        np.divide(lam, -h, out=B[:, 3 * n:])
-        return M.dot(B).dot, *M[:n, :n].ravel().tolist()
-
-    newton_tol = max(10 * np.finfo(float).eps / rtol, min(0.03, rtol ** 0.5))
-    yield from _within_budget(_radau_kernel(n)(rhs, jacobian, newton_inverse, t0, t_end, h,
+    newton_tol = max(10 * math.ulp(1.0) / rtol, min(0.03, rtol ** 0.5))  # ulp(1): eps
+    yield from _within_budget(_radau_kernel(n)(rhs, jacobian, _radau_lu(n), t0, t_end, h,
                                                h_min, rtol, atol, newton_tol, MAX_STEPS, y,
                                                f_y, jacobian(t0, y), counts), t_end)
 
@@ -646,11 +738,11 @@ def integrate_adaptive(model: ModelSystem, params: ParameterSet, state0: StateVe
     overshoot to T < 0 under a fractional power), is rejected and retried at
     a fifth of the step; an initial state outside the domain counts as a
     nan k1.  A step size below 1e-14*(t_end - t0) raises ``BlowupError``
-    when the trials that drove it there were non-finite and
-    ``StiffnessError`` otherwise; a run of more than ``MAX_STEPS`` trial
-    steps raises ``StiffnessError``.  The steps are those of ``_dopri_steps``;
-    ``solver_info`` counts them (``accepted``, ``rejected``) and the
-    ``rhs_evals``.
+    when the trials that drove it there were non-finite or the state runs
+    away, and ``StiffnessError`` otherwise (``_step_underflow``); a run of
+    more than ``MAX_STEPS`` trial steps raises ``StiffnessError``.  The
+    steps are those of ``_dopri_steps``; ``solver_info`` counts them
+    (``accepted``, ``rejected``) and the ``rhs_evals``.
     """
     times = [t0]
     states = [np.array(state0.values, dtype=float)]

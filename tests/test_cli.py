@@ -119,27 +119,37 @@ def test_ordering_claim_names_legs_with_nothing_to_order(capsys):
     assert err.count("nothing to order") == 3 and "not strictly decreasing" not in err
 
 
-# the mechanisms whose runs blow up when beta = 1e300: virulence-drift declares no beta
-BLOWN_UP = [{"mechanism": m} for m in
-            ("cytokine-inversion", "humoral-cellular-competition", "bcell-depletion")]
+# the mechanisms whose runs fail when beta = 1e300 (virulence-drift declares
+# no beta), with their errors: cytokine-inversion's Newton solves fail from
+# its first trial on, and the step underflows at t = 0 with the state where
+# it started, while the other two runs end in non-finite trials
+BETA_ERRORS = {
+    "cytokine-inversion": "step size underflow (5.457e-12) at t = 0; problem too stiff",
+    "humoral-cellular-competition": "state became non-finite at t = 3.53413",
+    "bcell-depletion": "state became non-finite at t = 0.0561576",
+}
+BLOWN_UP = [{"mechanism": m} for m in BETA_ERRORS]
+REDUCTION_ERROR = "state became non-finite at t = 2.62144e-14"
 
 
-@pytest.mark.parametrize("claim, override, labels", [
-    ("aids-curve-needs-feedback", "beta=1e300", BLOWN_UP),
-    ("mechanism-satisfies-conditions", "beta=1e300", BLOWN_UP),
+@pytest.mark.parametrize("claim, override, labels, errors", [
+    ("aids-curve-needs-feedback", "beta=1e300", BLOWN_UP, list(BETA_ERRORS.values())),
+    ("mechanism-satisfies-conditions", "beta=1e300", BLOWN_UP, list(BETA_ERRORS.values())),
     ("qss-reduction-valid", "x=1e300", [{"delta_D": 100.0, "x": 1e300},
                                         {"delta_D": 1000.0, "x": 1e300},
-                                        {"delta_D": 100.0, "x": 1e300}]),
+                                        {"delta_D": 100.0, "x": 1e300}], [REDUCTION_ERROR] * 3),
 ], ids=["feedback", "conditions", "reduction"])
-def test_a_failing_claim_run_is_an_error_row(outdir, capsys, claim, override, labels):
+def test_a_failing_claim_run_is_an_error_row(outdir, capsys, claim, override, labels, errors):
     # a run that fails numerically fails its claim (exit 1) with one error
     # row per point, as a failing destruction-only point does
     report = outdir / "report.json"
     assert run_cli(["check", claim, "--override", override, "--json", str(report)]) == 1
-    errors = [row for row in json.loads(report.read_text())["grid"] if "error" in row]
-    assert [{k: v for k, v in row.items() if k != "error"} for row in errors] == labels
-    assert all(row["error"].startswith("state became non-finite at t = ") for row in errors)
-    assert capsys.readouterr().err.count(" -> error: state became non-finite") == len(labels)
+    rows = [row for row in json.loads(report.read_text())["grid"] if "error" in row]
+    assert [{k: v for k, v in row.items() if k != "error"} for row in rows] == labels
+    assert [row["error"] for row in rows] == errors
+    err = capsys.readouterr().err
+    assert err.count(" -> error: ") == len(labels)
+    assert all(f" -> error: {error}" in err for error in errors)
 
 
 @pytest.mark.parametrize("override, drawn", [("beta=1e300", 1), ("a=1e300", 0)])
@@ -152,8 +162,11 @@ def test_check_plot_leaves_out_a_failing_mechanism(outdir, capsys, override, dra
     assert code == 1
     lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("plot:")]
     assert len(lines) == 1
-    for mechanism in BLOWN_UP:
-        assert f"{mechanism['mechanism']} (state became non-finite at t = " in lines[0]
+    for mechanism, error in BETA_ERRORS.items():
+        if drawn:
+            assert f"{mechanism} ({error})" in lines[0]
+        else:
+            assert f"{mechanism} (state became non-finite at t = " in lines[0]
     if drawn:
         svg = plot.read_text()
         assert svg.count("<polyline") == drawn and "virulence-drift" in svg
@@ -200,6 +213,18 @@ def test_numerical_failure_exit_code(outdir):
         "--out", str(outdir / "b.csv"),
     ])
     assert code == 3
+
+
+def test_finite_time_blowup_is_diagnosed_as_one(outdir, capsys):
+    # T = 1 / (1 - t) leaves every bound at t = 1; its trial steps stay
+    # finite, so that the underflowing step used to read as stiffness
+    blowup = outdir / "blowup.qssm"
+    blowup.write_text("model blowup\nstate T = 1\ndT/dt = T^2\n")
+    code = run_cli(["simulate", "--model", str(blowup), "--t-end", "3",
+                    "--out", str(outdir / "b.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "state grew without bound at t = 1 " in err and "stiff" not in err
 
 
 def test_qssm_file_simulation(outdir):

@@ -9,6 +9,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsslab import (
     ParameterSet,
@@ -47,15 +49,16 @@ from qsslab.integrate import (
     _NEWTON_MAXITER,
     _RADAU_C,
     _RADAU_E,
-    _RADAU_LAMBDA,
     _RADAU_P,
     _RADAU_T,
     _RADAU_TI,
     Trajectory,
     _dopri_kernel,
     _dopri_steps,
+    _lu_factors,
+    _lu_solve,
     _radau_kernel,
-    _radau_newton_inverse,
+    _radau_lu,
     _radau_steps,
     _step_underflow,
     collocation_output,
@@ -416,7 +419,7 @@ def reference_dopri_steps(model: ModelSystem, params: ParameterSet, state0: Stat
         k1 = f(t, y)  # FSAL: k1 is the previous step's k7
     except EvaluationError:  # outside the rhs's domain: as a nan rate
         k1 = [math.nan] * len(y)
-    finite = True
+    y0, finite = y, True
     max_steps = integrate.MAX_STEPS
     for _ in range(max_steps):
         if t >= t_end:
@@ -425,11 +428,7 @@ def reference_dopri_steps(model: ModelSystem, params: ParameterSet, state0: Stat
         if last:
             h = t_end - t
         if h < h_min:
-            if not finite:
-                raise BlowupError(f"state became non-finite at t = {t + h:g}", time=t + h)
-            raise StiffnessError(
-                f"step size underflow ({h:.3e}) at t = {t:g}; problem too stiff"
-            )
+            raise _step_underflow(f, t, h, finite, y0, y, k1, counts)
         (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
          b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7) = [h * w for w in _DP_WEIGHTS]
         stage = 1  # k2 ... k7 are stages 1 ... 6 of the trial
@@ -621,6 +620,38 @@ class TestGeneratedDopriKernel:
         assert done.stdout.strip() == "0"
 
 
+class TestStepUnderflow:
+    """A step that underflows on finite trials is a blowup when the state
+    grew and its rate grows faster than linearly, and stiffness otherwise."""
+
+    @pytest.mark.parametrize("kernel", [_dopri_steps, _radau_steps], ids=["dopri", "radau"])
+    @pytest.mark.parametrize("rate, T0, t_star", [
+        ("T^2", 1.0, 1.0), ("1 + T^2", 0.0, math.pi / 2), ("T^3", 1.0, 0.5),
+    ], ids=["square", "tan", "cube"])
+    def test_finite_time_blowup_is_a_blowup(self, kernel, rate, T0, t_star):
+        # each solution leaves every bound at t_star; the trials up to it
+        # stay finite, and the step underflows just before it
+        model = compile_model(parse_model(f"model runaway\nstate T = {T0}\ndT/dt = {rate}\n"))
+        with pytest.raises(BlowupError, match="state grew without bound") as caught:
+            with np.errstate(all="ignore"):
+                for _ in kernel(model, ParameterSet(), StateVector(("T",), [T0]), 0.0, 3.0,
+                                1e-8, 1e-12):
+                    pass
+        assert caught.value.time == pytest.approx(t_star, rel=1e-7)
+
+    def test_a_state_that_did_not_grow_is_stiff(self):
+        # with beta = 1e300, cytokine-inversion's rates are ~1e298: no Newton
+        # solve converges, and the step underflows at t = 0, where the state
+        # still is its start
+        kind = "cytokine-inversion"
+        params = ParameterSet(**{**default_params(kind).as_dict(), "beta": 1e300})
+        steps, _, counts, error = radau_record(_radau_steps, make_mechanism_model(kind), params,
+                                               default_state(kind), default_horizon(kind))
+        assert not steps
+        assert error == (StiffnessError,
+                         "step size underflow (5.457e-12) at t = 0; problem too stiff")
+
+
 class TestStepBudget:
     def test_adaptive_budget_counts_every_trial(self, monkeypatch):
         # this run takes 33 trials, the last landing on t_end
@@ -713,7 +744,7 @@ class TestMechanismKernel:
 
     # Radau IIA(5) counters per mechanism at the claim settings: accepted
     # steps, rhs evaluations (generated Jacobians: none of them are
-    # finite-difference calls), Jacobians and matrix inversions
+    # finite-difference calls), Jacobians and factorisations of the Newton matrix
     RADAU_COUNTS = {
         "virulence-drift": (544, 4375, 163, 197),
         "cytokine-inversion": (537, 4128, 89, 150),
@@ -750,7 +781,8 @@ class TestMechanismKernel:
             while steps[i][1] < tau:
                 i += 1
             t_prev, _, h, Y = steps[i]
-            assert np.array_equal(state, integrate.collocation_output(Y, (tau - t_prev) / h))
+            assert np.array_equal(state, integrate.collocation_output(np.array(Y),
+                                                                      (tau - t_prev) / h))
         assert i == len(steps) - 1
 
     @pytest.mark.parametrize("kind", [k.value for k in MechanismKind])
@@ -810,13 +842,34 @@ def raising_once_healthy_model():
     return dataclasses.replace(base, rhs=rhs, jacobian=None), stage_times
 
 
+def failing_jacobian_model(kind, t_fail, rows):
+    """The mechanism ``kind`` whose generated Jacobian, after ``t_fail``,
+    returns ``rows`` or, for None, raises ``EvaluationError``."""
+    model = make_mechanism_model(kind)
+    bind_jacobian = model.jacobian
+
+    def jacobian(params):
+        jac = bind_jacobian(params)
+
+        def failing(t, values):
+            if t <= t_fail:
+                return jac(t, values)
+            if rows is None:
+                raise EvaluationError("no Jacobian here")
+            return rows
+        return failing
+
+    return dataclasses.replace(model, jacobian=jacobian)
+
+
 def radau_run(model, state0, t_end, rtol=1e-8, atol=1e-12, params=ParameterSet()):
-    """The accepted steps (t, y, Y) of one Radau run and its final counts."""
+    """The accepted steps (t, y, Y) of one Radau run, y and Y as arrays, and
+    its final counts."""
     steps = []
     with np.errstate(all="ignore"):
         for _, t, _, y, Y, counts in _radau_steps(model, params, state0, 0.0, t_end,
                                                   rtol, atol):
-            steps.append((t, y, Y))
+            steps.append((t, np.array(y), np.array(Y)))
     return steps, dict(counts)
 
 
@@ -832,7 +885,7 @@ def reference_radau_newton(rhs, t, y, h, Z, scale, tol, K, transforms, counts):
     i at ``t + C_i h`` is ``y + Z_i``) and run on the transformed variables
     W = T^-1 Z, kept flat as well.  An iteration is one product
     dW = K [F; W] with the stage derivatives F (``newton_inverse`` in
-    ``_radau_steps`` forms K with the Newton inverse), and the stages are
+    ``reference_radau_steps`` forms K with the Newton inverse), and the stages are
     y + (T (x) I) W, ``transforms`` being (T^-1 (x) I, T (x) I).
     ``rhs`` is the bound rhs; each evaluation is counted in ``counts``,
     one that raises too.  A stage that raises ``EvaluationError`` ends the
@@ -878,6 +931,26 @@ def reference_radau_newton(rhs, t, y, h, Z, scale, tol, K, transforms, counts):
     return False, True, k + 1, z.reshape(3, n), rate
 
 
+# The real block form Lambda of the inverse of the Radau IIA(5) matrix under
+# the transformation T: the Newton matrix of the transformed stages is
+# Lambda / h (x) I - I (x) J
+RADAU_LAMBDA = np.array(((integrate._MU_REAL, 0.0, 0.0),
+                         (0.0, integrate._MU_COMPLEX.real, -integrate._MU_COMPLEX.imag),
+                         (0.0, integrate._MU_COMPLEX.imag, integrate._MU_COMPLEX.real)))
+
+
+def _radau_newton_inverse(lam, h, J):
+    """The inverse of the Newton matrix of the transformed stages,
+    Lambda / h (x) I - I (x) J, from ``lam`` = Lambda (x) I: one real
+    3n x 3n inversion.  Lambda is block diagonal, so the inverse's first
+    n x n block is the inverse of mu_real / h I - J."""
+    n = J.shape[0]
+    N = lam / h
+    for i in range(0, 3 * n, n):
+        N[i:i + n, i:i + n] -= J
+    return np.linalg.inv(N)
+
+
 def _radau_factor(h, h_prev, err, err_prev) -> float:
     """Gustafsson's predictive step control: the factor on the step size
     from this and the previous accepted step's error norms."""
@@ -897,15 +970,16 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
     Each accepted step yields ``(t_prev, t, h, y, Y, counts)``: the step
     runs from ``t_prev`` to ``t`` with size ``h``, ``y`` is the new state,
     ``Y = [y_prev; q1; q2; q3]`` the step's collocation polynomial for
-    ``collocation_output``, and ``counts`` one dict, updated in place, with
-    the trial steps ``rejected``, the ``rhs_evals`` (an evaluation that
-    raises counts, and so do those of finite-difference Jacobians), the
-    ``jac_evals`` and the ``factorizations`` (inversions of the Newton
-    matrix) so far, and which ``jacobian`` the run takes: ``"generated"``
-    or ``"finite-difference"``.
+    ``collocation_output``, both arrays, and ``counts`` one dict, updated
+    in place, with the trial steps ``rejected``, the ``rhs_evals`` (an
+    evaluation that raises counts, and so do those of finite-difference
+    Jacobians), the ``jac_evals`` and the ``factorizations`` (here
+    inversions of the whole Newton matrix, ``_radau_newton_inverse``) so
+    far, and which ``jacobian`` the run takes: ``"generated"`` or
+    ``"finite-difference"``.
 
     Each step solves the collocation system by simplified Newton on the
-    transformed stages (``_radau_newton``), with the inverse of their
+    transformed stages (``reference_radau_newton``), with the inverse of their
     Newton matrix formed once per step size and Jacobian; its first block
     serves the error estimate.  The stages start from the last step's
     polynomial (``collocation_output``).  The Jacobian is
@@ -919,9 +993,9 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
     scaled by ``atol + rtol * max(|y|, |y_new|)``, and the step size
     follows Gustafsson's predictive controller.  The first trial step is
     ``(t_end - t0) / 100``; the last accepted time is ``t_end`` exactly.
-    A step below 1e-14 * (t_end - t0) raises ``BlowupError`` when the
-    trials that drove it there were non-finite and ``StiffnessError``
-    otherwise, and so does a run of more than ``MAX_STEPS`` trial steps.
+    A step below 1e-14 * (t_end - t0) raises what ``_step_underflow``
+    decides, and a run of more than ``MAX_STEPS`` trial steps raises
+    ``StiffnessError``.
 
     Iterate it inside ``np.errstate(all="ignore")``, as ``_dopri_steps``.
     """
@@ -954,7 +1028,7 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
 
     n = y.size
     eye = np.identity(n)
-    lam = np.kron(_RADAU_LAMBDA, eye)
+    lam = np.kron(RADAU_LAMBDA, eye)
     transforms = np.kron(_RADAU_TI, eye), np.kron(_RADAU_T, eye)
     B = np.hstack((transforms[0], lam))  # [T^-1 (x) I | -(Lambda / h) (x) I] once h is set
 
@@ -985,7 +1059,8 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
         last = t_end - t - h_next < h_min  # no remainder shorter than h_min
         h = t_end - t if last else h_next
         if h < h_min:
-            raise _step_underflow(t, h, finite)
+            raise _step_underflow(rhs, t, h, finite, state0.values.tolist(), y.tolist(),
+                                  f_y.tolist(), counts)
         if Y is None:
             Z0 = np.zeros(3 * n)
         else:  # the last polynomial at the new stage times, on floats, stage after stage
@@ -1052,6 +1127,71 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
         else:
             fresh = False
     raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
+
+
+def lu_solver(n):
+    """``solve(c, J, b)``: x with (c I - J) x = b, by ``_radau_lu(n)`` and
+    the solve that the Radau kernel runs inline (``_lu_solve``)."""
+    source = (f"def solve(c, J, b):\n"
+              f"    {_lu_factors(n, 'r')}, = lu(c, J)\n"
+              f"    {_lu_solve(n, 'r', 'b[#]', 'x')}\n"
+              f"    return [{', '.join(f'x{i}' for i in range(n))}]\n")
+    namespace = {"lu": _radau_lu(n)}
+    exec(compile(source, "<lu solve>", "exec"), namespace)
+    return namespace["solve"]
+
+
+@st.composite
+def _shifted_systems(draw):
+    """(c, J, b) of a system (c I - J) x = b with n = 1 ... 5 components, c
+    a Radau shift mu / h, real or complex."""
+    n = draw(st.integers(1, 5))
+    entry = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    J = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    mu = draw(st.sampled_from([integrate._MU_REAL, integrate._MU_COMPLEX]))
+    h = draw(st.floats(1e-4, 10.0))
+    b = draw(st.lists(entry, min_size=n, max_size=n))
+    return mu / h, J, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_shifted_systems())
+# zeros on the diagonal of c I - J: no step without a row swap
+@example((integrate._MU_REAL, [[integrate._MU_REAL, 1.0], [2.0, 3.0]], [1.0, 2.0]))
+@example((2.0, [[2.0, 1.0, 0.0], [1.0, 2.0, 5.0], [4.0, 3.0, 2.0]], [1.0, -1.0, 2.0]))
+@example((3.0 + 1j, [[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0]], [1.0, 2.0, 3.0, 4.0]))
+def test_generated_lu_solves_like_numpy(system):
+    c, J, b = system
+    A = c * np.identity(len(b)) - np.array(J)
+    condition = np.linalg.cond(A)
+    if not condition < 1e8:  # too close to singular to compare
+        return
+    x = np.array(lu_solver(len(b))(c, J, b))
+    expected = np.linalg.solve(A, b)
+    assert np.all(np.abs(x - expected) <= 1e-14 * condition * np.abs(expected).max() + 1e-300)
+    assert x.dtype == (complex if isinstance(c, complex) else float)
+
+
+def _singular(n, c):
+    """J with c I - J exactly singular for a shift c = 8 or 8 + 4j: c I - J
+    = 0 for n = 1, else a 2 x 2 block with dependent rows and zeros."""
+    if n == 1:
+        return [[c]]
+    J = [[0.0] * n for _ in range(n)]
+    J[0][:2], J[1][:2] = ([[8.0, -4.0], [4.0, 8.0]] if isinstance(c, complex)
+                          else [[7.0, -2.0], [-2.0, 4.0]])
+    return J
+
+
+@pytest.mark.parametrize("n, c", [(n, 8.0) for n in range(1, 6)]
+                         + [(n, 8.0 + 4.0j) for n in range(2, 6)])
+def test_generated_lu_refuses_a_singular_matrix(n, c):
+    # an exactly zero pivot: the Radau kernel's singular path
+    J = _singular(n, c)
+    assert np.linalg.matrix_rank(c * np.identity(n) - np.array(J)) == n - 1
+    with pytest.raises(np.linalg.LinAlgError):
+        _radau_lu(n)(c, J)
 
 
 class TestRadauKernel:
@@ -1130,22 +1270,22 @@ class TestRadauKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_newton_matrix_is_the_complex_split(self, n):
-        # the real inverse times a vector is the real system's inverse on
-        # the first block and the complex system's on the other two as real
-        # and imaginary parts, and it inverts the Newton matrix of the
-        # transformed stages, Lambda / h (x) I - I (x) J
+        # the generated solves of the real system, on the first block, and
+        # of the complex one, on the other two as real and imaginary parts,
+        # solve the Newton matrix of the transformed stages,
+        # Lambda / h (x) I - I (x) J, as the reference kernel's inverse does
         rng = np.random.default_rng(n)
         J, h = rng.normal(size=(n, n)), 0.1
-        eye = np.identity(n)
-        A = np.linalg.inv(integrate._MU_REAL / h * eye - J)
-        C = np.linalg.inv(integrate._MU_COMPLEX / h * eye - J)
-        M = integrate._radau_newton_inverse(np.kron(integrate._RADAU_LAMBDA, eye), h, J)
+        solve = lu_solver(n)
         v = rng.normal(size=3 * n)
-        w = C.dot(v[n:2 * n] + 1j * v[2 * n:])
-        split = np.concatenate((A.dot(v[:n]), w.real, w.imag))
+        w = solve(integrate._MU_COMPLEX / h, J.tolist(), (v[n:2 * n] + 1j * v[2 * n:]).tolist())
+        split = np.concatenate((solve(integrate._MU_REAL / h, J.tolist(), v[:n].tolist()),
+                                np.real(w), np.imag(w)))
+        eye = np.identity(n)
+        newton = np.kron(RADAU_LAMBDA / h, eye) - np.kron(np.identity(3), J)
+        np.testing.assert_allclose(newton.dot(split), v, rtol=0, atol=1e-13)
+        M = _radau_newton_inverse(np.kron(RADAU_LAMBDA, eye), h, J)
         np.testing.assert_allclose(M.dot(v), split, rtol=1e-13, atol=0)
-        newton = np.kron(integrate._RADAU_LAMBDA / h, eye) - np.kron(np.identity(3), J)
-        np.testing.assert_allclose(M.dot(newton), np.identity(3 * n), atol=1e-12)
 
     def test_lambda_is_the_transformed_inverse_of_the_runge_kutta_matrix(self):
         s6 = 6 ** 0.5
@@ -1153,7 +1293,7 @@ class TestRadauKernel:
                       ((296 + 169 * s6) / 1800, (88 + 7 * s6) / 360, (-2 - 3 * s6) / 225),
                       ((16 - s6) / 36, (16 + s6) / 36, 1 / 9)))
         transformed = integrate._RADAU_TI.dot(np.linalg.inv(a)).dot(integrate._RADAU_T)
-        np.testing.assert_allclose(transformed, integrate._RADAU_LAMBDA, atol=1e-14)
+        np.testing.assert_allclose(transformed, RADAU_LAMBDA, atol=1e-14)
 
     def test_runs_are_bit_identical(self):
         kind = "cytokine-inversion"
@@ -1197,7 +1337,11 @@ class TestGeneratedRadauKernel:
                                        t_end, **kwargs)
         assert [seen, counts, error] == ref and len(steps) == len(ref_steps)
         n = len(state0.values)
-        assert all(y.shape == (n,) and Y.shape == (4, n) for *_, y, Y in steps)
+        # the state a list of floats, the polynomial four tuples of floats
+        assert all(type(y) is list and [type(v) for v in y] == [float] * n
+                   and type(Y) is tuple
+                   and [[type(v) for v in row] for row in Y] == [[float] * n] * 4
+                   for *_, y, Y in steps)
         if steps and error is None:
             assert steps[-1][1] == ref_steps[-1][1] == t_end
         return steps, counts, error
@@ -1266,6 +1410,24 @@ class TestGeneratedRadauKernel:
         steps, _, error = self.assert_same_steps(lambda: model, ParameterSet(a=1, y=1),
                                                  StateVector(("T",), [0.5]), 5.0)
         assert error[0] is BlowupError and not steps
+
+    @pytest.mark.parametrize("rows, rhs_evals", [([[1e300] * 4] * 4, 449), (None, 569)],
+                             ids=["singular", "nan"])
+    def test_a_jacobian_without_a_newton_solve(self, rows, rhs_evals):
+        # from t = 50 on, bcell-depletion's Jacobian is a rank-one matrix
+        # that absorbs any shift, so that the Newton matrix is singular
+        # (LinAlgError: no iteration, no rhs call), or raises
+        # EvaluationError (rows of nan: each iteration evaluates its three
+        # stages and stops at a non-finite norm).  Every trial after the
+        # first refresh past t = 50 fails, and the step halves to its
+        # minimum, as after non-finite trials
+        kind = "bcell-depletion"
+        steps, counts, error = self.assert_same_steps(
+            lambda: failing_jacobian_model(kind, 50.0, rows), default_params(kind),
+            default_state(kind), default_horizon(kind))
+        assert error == (BlowupError, "state became non-finite at t = 51.6556")
+        assert (len(steps), counts["rejected"], counts["rhs_evals"], counts["jac_evals"],
+                counts["factorizations"]) == (55, 44, rhs_evals, 8, 68)
 
     @pytest.mark.parametrize("spare", [0, 1])
     def test_step_budget(self, monkeypatch, spare):
@@ -1338,12 +1500,17 @@ class TestSolverCounts:
         """A bcell-depletion run's counts and the calls they count: rhs
         calls, Jacobians (the generated one's calls, or _fd_jacobian's for
         a model without one, whose rhs calls count as rhs evaluations) and
-        inversions."""
-        jacobians, inversions = [], []
-        fd_jacobian, inv = core._fd_jacobian, np.linalg.inv
+        the shifts of the generated LU's factorisations."""
+        jacobians, shifts = [], []
+        fd_jacobian, radau_lu = core._fd_jacobian, integrate._radau_lu
         monkeypatch.setattr(core, "_fd_jacobian",
                             lambda f, x: jacobians.append(x) or fd_jacobian(f, x))
-        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
+
+        def counted_lu(n):
+            lu = radau_lu(n)
+            return lambda c, J: shifts.append(c) or lu(c, J)
+
+        monkeypatch.setattr(integrate, "_radau_lu", counted_lu)
         kind = "bcell-depletion"
         model, calls = counting(make_mechanism_model(kind))
         bind_jacobian = model.jacobian
@@ -1358,7 +1525,7 @@ class TestSolverCounts:
             for *_, counts in _radau_steps(model, default_params(kind), default_state(kind),
                                            0.0, default_horizon(kind), 1e-8, 1e-12):
                 pass
-        return counts, calls, jacobians, inversions
+        return counts, calls, jacobians, shifts
 
     def test_radau_rhs_evals_with_a_stage_that_raises(self):
         # the first stage after t = 0 raises: that evaluation counts, and
@@ -1370,19 +1537,27 @@ class TestSolverCounts:
         assert counts["rejected"] >= 1 and len(stage_times) > 1
         assert counts["rhs_evals"] == len(calls)
 
+    @staticmethod
+    def assert_one_real_and_one_complex_lu_each(counts, shifts):
+        # a factorisation is the real LU, then the complex one, of one h
+        assert counts["factorizations"] > 2
+        assert [type(c) for c in shifts] == [float, complex] * counts["factorizations"]
+        for r, c in zip(shifts[::2], shifts[1::2]):
+            assert integrate._MU_COMPLEX / c == pytest.approx(integrate._MU_REAL / r, rel=1e-14)
+
     def test_radau_counts(self, monkeypatch):
-        counts, calls, jacobians, inversions = self._radau_counts(monkeypatch, "generated")
+        counts, calls, jacobians, shifts = self._radau_counts(monkeypatch, "generated")
         assert counts["jacobian"] == "generated"
         assert counts["rhs_evals"] == len(calls)
         assert counts["jac_evals"] == len(jacobians) > 1
-        assert counts["factorizations"] == len(inversions) > 2
+        self.assert_one_real_and_one_complex_lu_each(counts, shifts)
 
     def test_radau_counts_by_finite_differences(self, monkeypatch):
-        counts, calls, jacobians, inversions = self._radau_counts(monkeypatch, "finite-difference")
+        counts, calls, jacobians, shifts = self._radau_counts(monkeypatch, "finite-difference")
         assert counts["jacobian"] == "finite-difference"
         assert counts["rhs_evals"] == len(calls)
         assert counts["jac_evals"] == len(jacobians) > 1
-        assert counts["factorizations"] == len(inversions) > 2
+        self.assert_one_real_and_one_complex_lu_each(counts, shifts)
 
 
 class CountingParams(Mapping):

@@ -10,9 +10,12 @@ a ``.qssm`` tree have a second evaluator: the tree walker ``eval_expr``
 lives in ``tests/evaluator.py`` as the generated code's oracle.  Checked on
 the syntax trees of ``src/qsslab/*.py``, so comments and docstrings may
 name these functions.  The Radau step generated for each dimension keeps
-its per-element arithmetic on Python floats: checked on the syntax tree of
-its source.  So does the steady-state path of ``analysis.py``: numpy
-serves it only the eigenvalues of ``_rate`` and LAPACK's error type.  Two
+its arithmetic on Python numbers, its LU factorisations included, and calls
+no numpy: checked on the syntax trees of their sources, and ``_radau_steps``
+builds no numpy array for it.  So does the steady-state path of
+``analysis.py``: numpy serves it only the eigenvalues of ``_rate`` and
+LAPACK's error type.  The numpy inverse of the whole Radau Newton matrix
+lives in ``tests/test_integrate.py``, as the reference kernel's.  Two
 step schemes integrate every run, Dormand-Prince and Radau: no third one
 names itself in a ``solver_info``.  One place chooses between a model's
 generated Jacobian and finite differences: ``ModelSystem.bind_jacobian``.
@@ -24,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from qsslab.integrate import _radau_source
+from qsslab.integrate import _lu_source, _radau_kernel, _radau_source
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qsslab").glob("*.py"))
 STEP_NAMES = {"_dopri_steps", "_radau_steps", "dense_coefficients", "dense_output",
@@ -88,10 +91,11 @@ def test_the_tree_walking_evaluator_is_the_tests_oracle(path):
 
 
 # The calls the generated Radau loop may make: the bound rhs, the Jacobian,
-# the Newton inverse, the product K.dot and its tolist, the yield's arrays,
-# the math helpers, its loops and its step-size error
-RADAU_CALLS = {"f", "jacobian", "newton_inverse", "K_dot", "K_dot(...).tolist", "array",
-               "sqrt", "isfinite", "range", "_step_underflow"}
+# the LU factorisation, the math helpers, its loops and its step-size error;
+# and those of the factorisation: its permutation's start and the error
+# that LAPACK raises for a singular matrix
+RADAU_CALLS = {"f", "jacobian", "lu", "sqrt", "isfinite", "range", "_step_underflow"}
+LU_CALLS = {"range", "LinAlgError"}
 
 
 def _calls(tree):
@@ -110,12 +114,38 @@ def _calls(tree):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_radau_step_keeps_its_arithmetic_on_floats(n):
     tree = ast.parse(_radau_source(n))
-    calls = list(_calls(tree))
-    assert set(calls) == RADAU_CALLS
-    assert calls.count("K_dot") == calls.count("K_dot(...).tolist") == 1
-    in_yield = [call for node in ast.walk(tree) if isinstance(node, ast.Yield)
-                for call in _calls(node)]
-    assert in_yield.count("array") == calls.count("array") == 2
+    calls = set(_calls(tree))
+    assert calls == RADAU_CALLS
+    assert set(_calls(ast.parse(_lu_source(n)))) == LU_CALLS
+    # no name the loop calls is numpy's: the others are its arguments
+    namespace = _radau_kernel(n).__globals__
+    assert not [name for name in calls if name in namespace
+                and getattr(namespace[name], "__module__", "").startswith("numpy")]
+    # the state as a list and the polynomial as a tuple of tuples
+    yields = [node.value for node in ast.walk(tree) if isinstance(node, ast.Yield)]
+    assert [[type(element) for element in value.elts[3:5]] for value in yields] == [
+        [ast.List, ast.Tuple]]
+
+
+def _function(path_name: str, name: str) -> ast.FunctionDef:
+    path = next(p for p in SOURCES if p.name == path_name)
+    return next(node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_radau_steps_builds_no_numpy_array():
+    assert not [ast.unparse(node) for node in ast.walk(_function("integrate.py", "_radau_steps"))
+                if isinstance(node, ast.Name) and node.id == "np"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_numpy_newton_inverse_is_the_tests_reference(path):
+    assert "_radau_newton_inverse" not in _names(path) | _defined(path)
+
+
+def test_the_reference_kernel_keeps_the_numpy_newton_inverse():
+    tests = Path(__file__).resolve().parent / "test_integrate.py"
+    assert "_radau_newton_inverse" in _defined(tests)
 
 
 # What the steady-state path of analysis.py may take from numpy (each
