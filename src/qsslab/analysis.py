@@ -3,7 +3,8 @@ trajectory's own points, and the fast-agent quasi-steady-state reduction.
 
 Newton, its polish and the relaxation rate of a steady state take the
 Jacobian that ``ModelSystem.bind_jacobian`` gives: the model's generated
-one, and finite differences only for a model without one.
+one, and finite differences only for a model without one.  Newton solves
+by the LU that the Radau step factors with (``integrate._lu``).
 
 Curvature naming: a decreasing trajectory whose decline keeps slowing has a
 positive second derivative (mathematically convex); one whose decline keeps
@@ -15,7 +16,6 @@ mathematical term.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedKindError,
     ValidationError,
 )
-from .integrate import Trajectory, first_crossing
+from .integrate import Trajectory, _lu, first_crossing
 
 _RESIDUAL_LIMIT = 1e-9
 _T_EPS_RTOL, _T_EPS_ATOL = 1e-10, 1e-13  # Dormand-Prince tolerances of time_to_epsilon
@@ -126,37 +126,6 @@ def _norm2(v) -> float:
     return math.sqrt(squares)
 
 
-def _solve(J, b) -> list:
-    """x with J x = b, ``J`` given as rows: Gaussian elimination with
-    partial pivoting on floats, as LAPACK's LU takes it: the pivot is the
-    first largest in magnitude, and each multiplier the product with the
-    pivot's reciprocal (the quotient, where the reciprocal would overflow).
-    Raises ``np.linalg.LinAlgError`` on an exactly zero pivot, as LAPACK
-    does."""
-    n = len(b)
-    A = [[*row, c] for row, c in zip(J, b)]
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(A[i][k]))
-        A[k], A[p] = A[p], A[k]
-        pivot_row = A[k]
-        pivot = pivot_row[k]
-        if pivot == 0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        r = 1.0 / pivot if abs(pivot) >= sys.float_info.min else None
-        for row in A[k + 1:]:
-            m = row[k] / pivot if r is None else row[k] * r
-            for j in range(k + 1, n + 1):
-                row[j] -= m * pivot_row[j]
-    x = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        row = A[k]
-        s = row[n]
-        for j in range(n - 1, k, -1):
-            s -= row[j] * x[j]
-        x[k] = s / row[k]
-    return x
-
-
 def _report(f, jacobian, names, x, residual, method):
     """The ``SteadyStateReport`` of ``x``, linearised there (``jacobian``,
     of the state) if it is a nonnegative root.
@@ -183,8 +152,8 @@ def _report(f, jacobian, names, x, residual, method):
             rate = _rate(J)
             if rate > 0:
                 try:
-                    step = _solve(J, f(x))
-                    rate_next = _rate(jacobian([v - s for v, s in zip(x, step)]))
+                    step = _lu(len(x))["solve"](0.0, J, f(x))
+                    rate_next = _rate(jacobian([v + s for v, s in zip(x, step)]))
                 except (np.linalg.LinAlgError, EvaluationError):
                     rate_next = rate  # no step to take: nothing tells against the rate
                 if abs(rate_next - rate) > 0.25 * rate:
@@ -201,9 +170,10 @@ def _polish(f, jacobian, x, fx, res, limit):
     cannot be taken, whose residual exceeds ``limit``, or that takes one
     within the report's 1e-9 above it (``limit`` is larger at a root above
     1e4) ends the polish; returns the last root and its residual."""
+    solve = _lu(len(x))["solve"]
     for _ in range(_POLISH_STEPS):
         try:
-            step = _solve(jacobian(x), [-c for c in fx])
+            step = solve(0.0, jacobian(x), fx)
             x_new = [v + s for v, s in zip(x, step)]
             f_new = f(x_new)
         except (np.linalg.LinAlgError, EvaluationError):
@@ -225,10 +195,11 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
     """Damped Newton on the right-hand side, with the Jacobian of
     ``ModelSystem.bind_jacobian`` (the generated one, or finite differences
     for a model without one), which also gives the relaxation rate.  The
-    iteration runs on lists of Python floats, each Newton step solved by
-    ``_solve``.  A damping trial at which the rhs raises ``EvaluationError``
-    counts as one whose residual did not decrease, as a non-finite residual
-    does.  An iterate with a non-finite component ends the iteration, as a
+    iteration runs on lists of Python floats, each Newton step s solving
+    (0 I - J) s = f(x) by the generated ``solve``, so that f needs no
+    negated copy.  A damping trial at which the rhs raises
+    ``EvaluationError`` counts as one whose residual did not decrease, as a
+    non-finite residual does.  An iterate with a non-finite component ends the iteration, as a
     singular Jacobian does.  Once the max-norm residual is at most
     1e-13 * max(1, max|x|), full Newton steps polish the root until a step
     is within 4 ulps of it (``_polish``).
@@ -257,6 +228,7 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
 
     x = guess.values.tolist()
     best, best_res = x, math.nan
+    solve = _lu(model.dimension)["solve"]
     for _ in range(100):
         if not all(map(math.isfinite, x)):  # Newton diverged: no limit to test against
             break
@@ -270,7 +242,7 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
             break
         J = jacobian(x)
         try:
-            step = _solve(J, [-c for c in fx])
+            step = solve(0.0, J, fx)
         except np.linalg.LinAlgError:
             break
         # damping: halve until the residual norm decreases (at most 30 times)

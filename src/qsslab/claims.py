@@ -443,7 +443,7 @@ def _claim_qss_reduction(overrides) -> ClaimReport:
     cases = [(100.0, 100.0), (1000.0, 1000.0), (100.0, 1.0)]
     for delta_D, x in cases:
         params = _with_overrides(ParameterSet(a=1.0, y=1.0, x=x, delta_D=delta_D), overrides)
-        case = f"delta_D={params['delta_D']:g}, x={params['x']:g}"
+        case = f"delta_D={delta_D:g}, x={x:g}"  # by its defaults: distinct under an override
         _point(rows, failures, case, {"delta_D": params["delta_D"], "x": params["x"]},
                lambda: evaluate(case, params))
     narrative = (

@@ -56,7 +56,8 @@ class StiffnessError(QsslabError):
 
 
 class NoConvergenceError(QsslabError):
-    """Root finding failed. ``best`` holds the best iterate found."""
+    """Root finding failed: a steady state, or a Radau step's Newton solve.
+    ``best`` holds the best iterate found."""
 
     def __init__(self, message, best=None, residual=None):
         super().__init__(message)

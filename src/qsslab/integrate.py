@@ -9,7 +9,8 @@ local variable.  Neither step makes a numpy call besides those a
 hand-built rhs makes: a Radau step factors one real and one complex n x n
 Newton matrix per step size and Jacobian (``ModelSystem.bind_jacobian``'s)
 by an LU generated per dimension (``_lu_source``), and solves both
-systems inline in each Newton iteration, around three rhs calls.
+systems inline in each Newton iteration, around three rhs calls; the
+steady-state Newton iteration solves by the same LU (``_lu``).
 
 The kernels, ``_dopri_steps`` and ``_radau_steps``, are generators over
 accepted steps, and between a step's points only its own interpolant is
@@ -28,13 +29,21 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ModelSystem, ParameterSet, StateVector, validate
 from .dsl import _compiled
-from .errors import BlowupError, DomainError, EvaluationError, StiffnessError, ValidationError
+from .errors import (
+    BlowupError,
+    DomainError,
+    EvaluationError,
+    NoConvergenceError,
+    StiffnessError,
+    ValidationError,
+)
 
 # Dormand-Prince 5(4) coefficients.  The 5th-order solution is propagated;
 # the embedded 4th-order difference gives the local error estimate, hence
@@ -176,12 +185,17 @@ def _within_budget(run, t_end: float):
         raise StiffnessError(f"step budget of {MAX_STEPS} exhausted at t = {t:g}")
 
 
-def _step_underflow(f, t: float, h: float, finite: bool, y0: list, y: list, fy: list,
-                    counts: dict):
+def _step_underflow(f, t: float, h: float, finite: bool | None, y0: list, y: list,
+                    fy: list, counts: dict, cause: EvaluationError | None = None):
     """The error of a trial step size below the minimum at ``t``, where the
     run that started at ``y0`` stands at ``y`` with rate ``fy = f(t, y)``:
+    ``NoConvergenceError`` when the last Radau trial had no Newton solve,
     ``BlowupError`` when the trials that drove it there were non-finite or
     the state runs away, ``StiffnessError`` otherwise.
+
+    ``finite`` is None when the last trial had no Newton solve: its Newton
+    matrix was singular, or its Jacobian raised ``cause``.  A trial whose
+    stage raised or was non-finite is not finite, whatever the Jacobian.
 
     The state runs away when it grew, |y| > |y0| (2-norms), and grows
     faster than linearly: moved by its own size along its rate, to
@@ -191,6 +205,9 @@ def _step_underflow(f, t: float, h: float, finite: bool, y0: list, y: list, fy: 
     raises ``EvaluationError``, or a norm is nan, the state does not run
     away.  A bounded state, one that did not grow, or one whose rate did
     not outgrow it (a switching rhs) underflowed for stiffness."""
+    if finite is None:
+        return NoConvergenceError(
+            f"no Newton solve at t = {t:g}: {cause or 'singular Newton matrix'}")
     if not finite:
         return BlowupError(f"state became non-finite at t = {t + h:g}", time=t + h)
     size, rate = math.hypot(*y), math.hypot(*fy)
@@ -382,25 +399,30 @@ def _pivot_magnitude(name: str) -> str:
 def _lu_factors(n: int, prefix: str) -> str:
     """The names of the factors that ``lu`` returns, in order, each with
     ``prefix``: the permutation ``p<i>``, L's multipliers ``l<i>_<j>``
-    (j < i) and U's entries ``u<i>_<j>`` (j > i), row by row, and the
-    reciprocals ``d<i>`` of U's diagonal."""
+    (j < i) and U's entries ``u<i>_<j>`` (j >= i), row by row."""
     return ", ".join([f"{prefix}p{i}" for i in range(n)]
                      + [f"{prefix}l{i}_{j}" for i in range(n) for j in range(i)]
-                     + [f"{prefix}u{i}_{j}" for i in range(n) for j in range(i + 1, n)]
-                     + [f"{prefix}d{i}" for i in range(n)])
+                     + [f"{prefix}u{i}_{j}" for i in range(n) for j in range(i, n)])
 
 
 def _lu_source(n: int) -> str:
     """The source of ``lu(c, J)``, the LU factorisation with partial
-    pivoting of c I - J for ``n`` components: c is a float or a complex,
-    and J the Jacobian's rows of floats.
+    pivoting of c I - J for ``n`` components (c a float or a complex, J
+    the Jacobian's rows of floats), and of ``solve(c, J, b)``, which
+    factors alike and returns x solving (c I - J) x = b (``_lu_solve``) as
+    a list: the steady-state Newton step -J^-1 f is ``solve(0.0, J, f)``.
 
     Each entry of row i and column j is a local number, named by its place
     in the factors: ``l<i>_<j>`` below the diagonal, where elimination
     leaves L's multiplier, ``u<i>_<j>`` on and above it.  A row swap swaps
     the values of two whole rows and their places ``p<i>``, one branch per
     candidate row.  ``lu`` returns the factors that ``_lu_factors`` names
-    (row i of ``L U`` is row ``p<i>`` of c I - J).  An exactly zero pivot
+    (row i of ``L U`` is row ``p<i>`` of c I - J).
+
+    The elimination takes LAPACK's rules (``getf2``): the pivot is the
+    first largest in magnitude, and each multiplier is the product with
+    the pivot's reciprocal, or the quotient by a pivot below the smallest
+    normal float, whose reciprocal would overflow.  An exactly zero pivot
     raises ``LinAlgError``; a nan one is kept, and its nan reaches the
     solves."""
     def a(i: int, j: int) -> str:
@@ -420,34 +442,39 @@ def _lu_source(n: int) -> str:
             row_k, row_i = (", ".join([a(r, j) for j in range(n)] + [f"p{r}"]) for r in (k, i))
             lines.append(f"{'if' if i == k + 1 else 'elif'} q == {i}: "
                          f"({row_k}), ({row_i}) = ({row_i}), ({row_k})")
-        lines += [f"if {a(k, k)} == 0: raise LinAlgError('singular Newton matrix')",
-                  f"d{k} = 1.0 / {a(k, k)}"]
-        lines += ["; ".join([f"{a(i, k)} = l = {a(i, k)} * d{k}"]
-                            + [f"{a(i, j)} -= l * {a(k, j)}" for j in range(k + 1, n)])
-                  for i in candidates]
-    lines.append(f"return {_lu_factors(n, '')}")
-    return "def lu(c, J):\n" + "".join(f"    {line}\n" for line in lines)
+        lines.append(f"if {a(k, k)} == 0: raise LinAlgError('singular Newton matrix')")
+        if candidates:  # m is the pivot's magnitude
+            lines += [f"if m >= {sys.float_info.min!r}: d = 1.0 / {a(k, k)}; "
+                      + "; ".join(f"{a(i, k)} *= d" for i in candidates),
+                      "else: " + "; ".join(f"{a(i, k)} /= {a(k, k)}" for i in candidates)]
+            lines += ["; ".join(f"{a(i, j)} -= {a(i, k)} * {a(k, j)}" for j in range(k + 1, n))
+                      for i in candidates]
+    body = "".join(f"    {line}\n" for line in lines)
+    return (f"def lu(c, J):\n{body}    return {_lu_factors(n, '')}\n\n\n"
+            f"def solve(c, J, b):\n{body}    {_lu_solve(n, '', 'b[#]', 'x')}\n"
+            f"    return [{_per_component(n, 'x#')}]\n")
 
 
 @functools.cache
-def _radau_lu(n: int):
-    """``lu`` of ``_lu_source(n)``, compiled on first use."""
-    return _compiled(_lu_source(n), f"<radau5 lu, n = {n}>",
-                     {"LinAlgError": np.linalg.LinAlgError})["lu"]
+def _lu(n: int) -> dict:
+    """``lu`` and ``solve`` of ``_lu_source(n)``, compiled on first use."""
+    return _compiled(_lu_source(n), f"<lu, n = {n}>", {"LinAlgError": np.linalg.LinAlgError})
 
 
 def _lu_solve(n: int, prefix: str, values: str, target: str) -> str:
     """Statements that solve L U x = P b with the factors named with
-    ``prefix`` (``_lu_factors``): b is ``values``, one expression per
-    component ``#``, gathered by the permutation; x is left in
-    ``target#``."""
+    ``prefix`` (``_lu_factors``) in LAPACK's order (``getrs``): b is
+    ``values``, one expression per component ``#``, gathered by the
+    permutation; x is left in ``target#``, each row's terms subtracted from
+    the last column down and divided by U's diagonal."""
     x = [f"{target}{i}" for i in range(n)]
     forward = [f"{x[i]} = g[{prefix}p{i}]" + "".join(f" - {prefix}l{i}_{j} * {x[j]}"
                                                     for j in range(i))
                for i in range(n)]
     back = [f"{x[i]} = ({x[i]}" + "".join(f" - {prefix}u{i}_{j} * {x[j]}"
-                                          for j in range(i + 1, n)) + f") * {prefix}d{i}"
-            if i < n - 1 else f"{x[i]} *= {prefix}d{i}" for i in reversed(range(n))]
+                                          for j in reversed(range(i + 1, n)))
+            + f") / {prefix}u{i}_{i}" if i < n - 1 else f"{x[i]} /= {prefix}u{i}_{i}"
+            for i in reversed(range(n))]
     return "; ".join([f"g = ({_per_component(n, values)},)", *forward, *back])
 
 
@@ -467,7 +494,7 @@ def _radau_source(n: int) -> str:
     the locals ``rp<i>``, ... and ``cp<i>``, ... (``_lu_factors``), and an
     iteration forms both right-hand sides and solves both systems inline
     (``_lu_solve``), the complex one on Python complex numbers.  The error
-    estimate is a solve of the real system.  ``kernel`` yields what
+    estimate ``r_#`` is a solve of the real system.  ``kernel`` yields what
     ``_radau_steps`` yields, and returns the time it reached.
     """
     each = functools.partial(_per_component, n)
@@ -492,11 +519,6 @@ def _radau_source(n: int) -> str:
         """The root-mean-square of ``terms``, each evaluated once."""
         return f"sqrt(({' + '.join(f'(x := {term}) * x' for term in terms)}) / {len(terms)})"
 
-    def error_estimate(v: str) -> str:
-        """r_# solving (mu_real / h I - J) r = v, ``#`` in v standing for each
-        component."""
-        return _lu_solve(n, "r", v, "r_")
-
     state = f"[{each('y_#')}]"
     real_rhs = f"{combination(_RADAU_TI[0].tolist(), 'F@_#')} - mr * w0_#"
     complex_rhs = (f"{combination((_RADAU_TI[1] + 1j * _RADAU_TI[2]).tolist(), 'F@_#')}"
@@ -512,16 +534,17 @@ def _radau_source(n: int) -> str:
                        "s_# = atol + rtol * (b if b > a else a)", "; ")
     return f'''\
 def kernel(f, jacobian, lu, t, t_end, h_next, h_min, rtol, atol, newton_tol,
-           max_steps, y, fy, J, counts):
+           max_steps, y, fy, counts):
     {each("y_#")}, = y
     {each("fy_#")}, = fy
+    J, cause = jacobian(t, y)  # cause: the error of a Jacobian that could not be evaluated
     h_inv = h_prev = err_prev = None  # the factors' h; the last accepted h and error
     fresh, finite, retried = True, True, False  # retried: a trial of this step failed its error test
     for _ in range(max_steps):
         last = t_end - t - h_next < h_min  # no remainder shorter than h_min
         h = t_end - t if last else h_next
         if h < h_min:
-            raise _step_underflow(f, t, h, finite, y, {state}, [{each("fy_#")}], counts)
+            raise _step_underflow(f, t, h, finite, y, {state}, [{each("fy_#")}], counts, cause)
         if h_prev is None:
             {stages("p@_#", " = ")} = 0.0
         else:  # the last polynomial at the new stage times
@@ -535,8 +558,8 @@ def kernel(f, jacobian, lu, t, t_end, h_next, h_min, rtol, atol, newton_tol,
                     counts["factorizations"] += 1
                     ({_lu_factors(n, "r")}), ({_lu_factors(n, "c")}) = lu(mr, J), lu(mc, J)
                     h_inv = h
-            except LinAlgError:  # singular: no Newton step, as a non-finite stage
-                converged = finite = False
+            except LinAlgError:  # singular: no Newton step to take
+                converged, finite = False, None
             else:  # simplified Newton from the predicted stages
                 {stages("z@_#")} = {stages("p@_#")}
                 {products(_RADAU_TI, "w", "z")}
@@ -558,8 +581,8 @@ def kernel(f, jacobian, lu, t, t_end, h_next, h_min, rtol, atol, newton_tol,
                     {_lu_solve(n, "c", complex_rhs, "dc_")}
                     {each("d1_# = dc_#.real; d2_# = dc_#.imag", "; ")}
                     norm = {rms([f"d{i}_{j} / s_{j}" for i in range(3) for j in range(n)])}
-                    if not isfinite(norm):
-                        finite = False
+                    if not isfinite(norm):  # None: the nan rows of a Jacobian that raised
+                        finite = False if cause is None else None
                         break
                     if norm_old is not None:
                         rate = norm / norm_old
@@ -574,7 +597,7 @@ def kernel(f, jacobian, lu, t, t_end, h_next, h_min, rtol, atol, newton_tol,
                 n_iter = k + 1
             if converged or fresh:
                 break
-            J, fresh, h_inv = jacobian(t, {state}), True, None
+            (J, cause), fresh, h_inv = jacobian(t, {state}), True, None
         if not converged:
             counts["rejected"] += 1
             h_next = 0.5 * h
@@ -582,7 +605,7 @@ def kernel(f, jacobian, lu, t, t_end, h_next, h_min, rtol, atol, newton_tol,
         {each("yn_# = y_# + z2_#", "; ")}
         {each(f"ze_# = ({combination(_RADAU_E.tolist(), 'z@_#')}) / h", "; ")}
         {error_scale}
-        {error_estimate("fy_# + ze_#")}
+        {_lu_solve(n, "r", "fy_# + ze_#", "r_")}
         err = {err_norm}
         if retried and err > 1:  # a sharper estimate after a rejection
             counts["rhs_evals"] += 1
@@ -591,7 +614,7 @@ def kernel(f, jacobian, lu, t, t_end, h_next, h_min, rtol, atol, newton_tol,
             except EvaluationError:
                 err = inf
             else:
-                {error_estimate("fe_# + ze_#")}
+                {_lu_solve(n, "r", "fe_# + ze_#", "r_")}
                 err = {err_norm}
         safety = 0.9 * {2 * maxiter + 1} / ({2 * maxiter} + n_iter)
         finite = isfinite(err) and {each("isfinite(yn_#)", " and ")}
@@ -626,7 +649,7 @@ def kernel(f, jacobian, lu, t, t_end, h_next, h_min, rtol, atol, newton_tol,
         except EvaluationError:  # outside the rhs's domain: as a nan rate
             {each("fy_#", " = ")} = nan
         if refresh:
-            J, fresh, h_inv = jacobian(t, {state}), True, None
+            (J, cause), fresh, h_inv = jacobian(t, {state}), True, None
         else:
             fresh = False
     return t
@@ -662,14 +685,17 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     A step solves the collocation system by simplified Newton on the
     transformed stages, from the stages that the last step's polynomial
     predicts.  Their Newton matrix splits into a real and a complex n x n
-    system, each factored once per step size and Jacobian (``_radau_lu``);
-    the real one serves the error estimate too, and a singular one fails
-    the trial.  The Jacobian, ``ModelSystem.bind_jacobian``'s rows at the
-    step's start, is kept while Newton converges fast.  A Newton solve that
-    fails with a stale Jacobian is retried with a fresh one from the same
-    prediction; one that fails with a fresh Jacobian (a stage that raises
-    ``EvaluationError``, a non-finite Newton norm or a singular Newton
-    matrix counts as a failure) halves the step.  The embedded
+    system, each factored once per step size and Jacobian (``lu`` of
+    ``_lu``); the real one serves the error estimate too, and a singular
+    one fails the trial.  The Jacobian, ``ModelSystem.bind_jacobian``'s
+    rows at the step's start, is kept while Newton converges fast; one that
+    raises ``EvaluationError`` is rows of nan, which fail every trial.  A
+    Newton solve that fails with a stale Jacobian is retried with a fresh
+    one from the same prediction; one that fails with a fresh Jacobian (a
+    stage that raises ``EvaluationError``, a non-finite Newton norm or a
+    singular Newton matrix counts as a failure) halves the step; below the
+    minimum step, ``_step_underflow`` tells a trial without a Newton solve
+    from a non-finite one.  The embedded
     3rd-order error estimate is held to 1 in the RMS norm scaled by
     ``atol + rtol * max(|y|, |y_new|)``, under Gustafsson's predictive
     control.  The checked start (``_start``), the first trial step, the
@@ -690,17 +716,17 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
 
     jac = model.bind_jacobian(p, f)
 
-    def jacobian(t, values):  # rows of floats, for the factorisations
+    def jacobian(t, values):  # rows of floats for the factorisations, and the error if none
         counts["jac_evals"] += 1
         try:
-            return jac(t, values)
-        except EvaluationError:  # no Jacobian here: every Newton solve fails
-            return [[math.nan] * n] * n
+            return jac(t, values), None
+        except EvaluationError as exc:  # no Jacobian here: every Newton solve fails
+            return [[math.nan] * n] * n, exc
 
     newton_tol = max(10 * math.ulp(1.0) / rtol, min(0.03, rtol ** 0.5))  # ulp(1): eps
-    yield from _within_budget(_radau_kernel(n)(rhs, jacobian, _radau_lu(n), t0, t_end, h,
+    yield from _within_budget(_radau_kernel(n)(rhs, jacobian, _lu(n)["lu"], t0, t_end, h,
                                                h_min, rtol, atol, newton_tol, MAX_STEPS, y,
-                                               f_y, jacobian(t0, y), counts), t_end)
+                                               f_y, counts), t_end)
 
 
 def collocation_output(Y, theta, out=None, steps=None):

@@ -36,7 +36,6 @@ from qsslab.analysis import (
     _polish,
     _rate,
     _report,
-    _solve,
 )
 from qsslab.cli import run_cli
 from qsslab.core import validate
@@ -50,7 +49,7 @@ from qsslab.errors import (
     UnsupportedKindError,
     ValidationError,
 )
-from qsslab.integrate import Trajectory
+from qsslab.integrate import Trajectory, _lu
 
 from closedform import linear_destruction_solution, relaxation_rate, steady_state_formula
 
@@ -698,12 +697,20 @@ class TestOneTimeToEpsilon:
 # The float Newton iteration against the numpy one it replaced
 # ---------------------------------------------------------------------------
 
+def _solve(J, b) -> list:
+    """x with J x = b by the generated ``solve`` of the steady-state
+    Newton iteration and the Radau step, as (0 I - (-J)) x = b."""
+    return _lu(len(b))["solve"](0.0, [[-a for a in row] for row in J], b)
+
+
 class TestSolve:
     @pytest.mark.parametrize("J,b", [
         ([[3.0]], [1.0]),
         ([[0.0, 1.0], [2.0, 3.0]], [1.0, 2.0]),  # a zero in the pivot's place: rows swap
         ([[1e-3, 1.0], [1.0, 1.0]], [1.0, 2.0]),
         ([[4.0, 2.0, 1.0], [2.0, 5.0, 3.0], [1.0, 3.0, 6.0]], [1.0, 2.0, 3.0]),
+        # a subnormal pivot, whose reciprocal overflows: LAPACK divides by it
+        ([[2e-310, 0.0], [1e-310, 1.0]], [2e-310, 1.0]),
     ])
     def test_matches_lapack(self, J, b):
         expected = np.linalg.solve(J, b).tolist()

@@ -263,6 +263,17 @@ class TestClaims:
         report = run_claim("qss-reduction-valid", {"delta_D": 2.0})
         assert report.verdict == "fail"
 
+    def test_qss_cases_keep_their_default_names_under_an_override(self):
+        # x = 1e300 fails all three cases; the narrative names each by its
+        # default (delta_D, x), while each row reports the values it ran
+        report = run_claim("qss-reduction-valid", {"x": 1e300})
+        names = [failure.partition(" -> ")[0]
+                 for failure in report.narrative.removeprefix("Reduction gap too large: ")
+                 .split(" | ")]
+        assert names == ["delta_D=100, x=100", "delta_D=1000, x=1000", "delta_D=100, x=1"]
+        assert [(row["delta_D"], row["x"]) for row in report.grid] == [
+            (100.0, 1e300), (1000.0, 1e300), (100.0, 1e300)]
+
     def test_qss_gap_is_measured_on_the_reduced_runs_extension(self):
         # at the full run's times the reduced run is its own continuous
         # extension; linear interpolation between its points read 1.28e-3

@@ -39,6 +39,7 @@ from qsslab.errors import (
     BlowupError,
     DomainError,
     EvaluationError,
+    NoConvergenceError,
     QsslabError,
     StiffnessError,
     ValidationError,
@@ -55,10 +56,8 @@ from qsslab.integrate import (
     Trajectory,
     _dopri_kernel,
     _dopri_steps,
-    _lu_factors,
-    _lu_solve,
+    _lu,
     _radau_kernel,
-    _radau_lu,
     _radau_steps,
     _step_underflow,
     collocation_output,
@@ -889,9 +888,10 @@ def reference_radau_newton(rhs, t, y, h, Z, scale, tol, K, transforms, counts):
     y + (T (x) I) W, ``transforms`` being (T^-1 (x) I, T (x) I).
     ``rhs`` is the bound rhs; each evaluation is counted in ``counts``,
     one that raises too.  A stage that raises ``EvaluationError`` ends the
-    iteration unconverged, and so does a non-finite Newton norm (a
-    non-finite stage or matrix).  Returns (converged, finite, iterations,
-    Z as 3 x n, rate of convergence)."""
+    iteration unconverged and not finite, and so does a non-finite Newton
+    norm (a non-finite stage or matrix), for which ``finite`` is None.
+    Returns (converged, finite, iterations, Z as 3 x n, rate of
+    convergence)."""
     n = y.size
     t0, t1, t2 = [t + h * c for c in _RADAU_C]
     y3 = np.concatenate((y, y, y))
@@ -918,7 +918,7 @@ def reference_radau_newton(rhs, t, y, h, Z, scale, tol, K, transforms, counts):
         scaled = dW / scale
         norm = math.sqrt(scaled.dot(scaled) / scaled.size)  # the rms norm
         if not math.isfinite(norm):
-            return False, False, k + 1, z.reshape(3, n), rate
+            return False, None, k + 1, z.reshape(3, n), rate
         if norm_old is not None:
             rate = norm / norm_old
             if rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * norm > tol:
@@ -987,8 +987,11 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
     differences for a model without one) at the step's start, kept across
     steps while Newton converges fast; a Newton solve that fails with a
     stale Jacobian is retried with a fresh one, and one that fails with a
-    fresh Jacobian (a stage that raises ``EvaluationError`` or a non-finite
-    Newton norm counts as a failure) halves the step.  The embedded
+    fresh Jacobian (a stage that raises ``EvaluationError``, a non-finite
+    Newton norm or a singular Newton matrix counts as a failure) halves
+    the step.  A Jacobian that raises ``EvaluationError`` is a matrix of
+    nan, and ``_step_underflow`` is told its error and whether the last
+    trial's Newton matrix was singular.  The embedded
     3rd-order error estimate is held to 1 in the root-mean-square norm
     scaled by ``atol + rtol * max(|y|, |y_new|)``, and the step size
     follows Gustafsson's predictive controller.  The first trial step is
@@ -1019,12 +1022,12 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
     f = lambda t, x: np.array(counted(t, x.tolist()))
     jac = model.bind_jacobian(p, counted)
 
-    def jacobian(t, x):
+    def jacobian(t, x):  # and the error of a Jacobian that could not be evaluated
         counts["jac_evals"] += 1
         try:
-            return np.array(jac(t, x.tolist()))
-        except EvaluationError:  # no Jacobian here: every Newton solve fails
-            return np.full((x.size, x.size), math.nan)
+            return np.array(jac(t, x.tolist())), None
+        except EvaluationError as exc:  # no Jacobian here: every Newton solve fails
+            return np.full((x.size, x.size), math.nan), exc
 
     n = y.size
     eye = np.identity(n)
@@ -1048,7 +1051,7 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
         f_y = f(t, y)
     except EvaluationError:  # outside the rhs's domain: as a nan rate
         f_y = np.full(y.size, math.nan)
-    J, fresh = jacobian(t, y), True
+    (J, cause), fresh = jacobian(t, y), True
     inv = None  # newton_inverse(h, J) for the current h and J
     h_next = span / 100.0
     h_prev = err_prev = None  # size and error norm of the last accepted step
@@ -1060,7 +1063,7 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
         h = t_end - t if last else h_next
         if h < h_min:
             raise _step_underflow(rhs, t, h, finite, state0.values.tolist(), y.tolist(),
-                                  f_y.tolist(), counts)
+                                  f_y.tolist(), counts, cause)
         if Y is None:
             Z0 = np.zeros(3 * n)
         else:  # the last polynomial at the new stage times, on floats, stage after stage
@@ -1073,14 +1076,16 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
             try:
                 if inv is None or inv[0] != h:
                     inv = newton_inverse(h, J)
-            except np.linalg.LinAlgError:  # singular: no Newton step, as a non-finite stage
-                converged = finite = False
+            except np.linalg.LinAlgError:  # singular: no Newton step to take
+                converged, finite = False, None
             else:
                 converged, finite, n_iter, Z, rate = reference_radau_newton(
                     rhs, t, y, h, Z0, scale, newton_tol, inv[2], transforms, counts)
+                if finite is None and cause is None:  # a non-finite stage, not a nan Jacobian
+                    finite = False
             if converged or fresh:
                 break
-            J, fresh, inv = jacobian(t, y), True, None
+            (J, cause), fresh, inv = jacobian(t, y), True, None
         if not converged:
             counts["rejected"] += 1
             h_next = 0.5 * h
@@ -1123,22 +1128,16 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
         except EvaluationError:
             f_y = np.full(y.size, math.nan)
         if refresh:
-            J, fresh, inv = jacobian(t, y), True, None
+            (J, cause), fresh, inv = jacobian(t, y), True, None
         else:
             fresh = False
     raise StiffnessError(f"step budget of {max_steps} exhausted at t = {t:g}")
 
 
 def lu_solver(n):
-    """``solve(c, J, b)``: x with (c I - J) x = b, by ``_radau_lu(n)`` and
-    the solve that the Radau kernel runs inline (``_lu_solve``)."""
-    source = (f"def solve(c, J, b):\n"
-              f"    {_lu_factors(n, 'r')}, = lu(c, J)\n"
-              f"    {_lu_solve(n, 'r', 'b[#]', 'x')}\n"
-              f"    return [{', '.join(f'x{i}' for i in range(n))}]\n")
-    namespace = {"lu": _radau_lu(n)}
-    exec(compile(source, "<lu solve>", "exec"), namespace)
-    return namespace["solve"]
+    """``solve(c, J, b)``: x with (c I - J) x = b, by the generated LU and
+    the solve that the Radau kernel runs inline (``_lu_source``)."""
+    return _lu(n)["solve"]
 
 
 @st.composite
@@ -1191,7 +1190,7 @@ def test_generated_lu_refuses_a_singular_matrix(n, c):
     J = _singular(n, c)
     assert np.linalg.matrix_rank(c * np.identity(n) - np.array(J)) == n - 1
     with pytest.raises(np.linalg.LinAlgError):
-        _radau_lu(n)(c, J)
+        _lu(n)["lu"](c, J)
 
 
 class TestRadauKernel:
@@ -1411,21 +1410,24 @@ class TestGeneratedRadauKernel:
                                                  StateVector(("T",), [0.5]), 5.0)
         assert error[0] is BlowupError and not steps
 
-    @pytest.mark.parametrize("rows, rhs_evals", [([[1e300] * 4] * 4, 449), (None, 569)],
-                             ids=["singular", "nan"])
-    def test_a_jacobian_without_a_newton_solve(self, rows, rhs_evals):
+    @pytest.mark.parametrize("rows, rhs_evals, cause", [
+        ([[1e300] * 4] * 4, 449, "singular Newton matrix"), (None, 569, "no Jacobian here")],
+        ids=["singular", "nan"])
+    def test_a_jacobian_without_a_newton_solve(self, rows, rhs_evals, cause):
         # from t = 50 on, bcell-depletion's Jacobian is a rank-one matrix
         # that absorbs any shift, so that the Newton matrix is singular
         # (LinAlgError: no iteration, no rhs call), or raises
         # EvaluationError (rows of nan: each iteration evaluates its three
         # stages and stops at a non-finite norm).  Every trial after the
         # first refresh past t = 50 fails, and the step halves to its
-        # minimum, as after non-finite trials
+        # minimum.  Every state stayed finite, so the run ends for want of
+        # a Newton solve, named by its cause, not in a blowup
         kind = "bcell-depletion"
         steps, counts, error = self.assert_same_steps(
             lambda: failing_jacobian_model(kind, 50.0, rows), default_params(kind),
             default_state(kind), default_horizon(kind))
-        assert error == (BlowupError, "state became non-finite at t = 51.6556")
+        assert error == (NoConvergenceError, f"no Newton solve at t = 51.6556: {cause}")
+        assert all(math.isfinite(v) for *_, y, _ in steps for v in y)
         assert (len(steps), counts["rejected"], counts["rhs_evals"], counts["jac_evals"],
                 counts["factorizations"]) == (55, 44, rhs_evals, 8, 68)
 
@@ -1502,15 +1504,15 @@ class TestSolverCounts:
         a model without one, whose rhs calls count as rhs evaluations) and
         the shifts of the generated LU's factorisations."""
         jacobians, shifts = [], []
-        fd_jacobian, radau_lu = core._fd_jacobian, integrate._radau_lu
+        fd_jacobian, generated_lu = core._fd_jacobian, integrate._lu
         monkeypatch.setattr(core, "_fd_jacobian",
                             lambda f, x: jacobians.append(x) or fd_jacobian(f, x))
 
         def counted_lu(n):
-            lu = radau_lu(n)
-            return lambda c, J: shifts.append(c) or lu(c, J)
+            lu = generated_lu(n)["lu"]
+            return {"lu": lambda c, J: shifts.append(c) or lu(c, J)}
 
-        monkeypatch.setattr(integrate, "_radau_lu", counted_lu)
+        monkeypatch.setattr(integrate, "_lu", counted_lu)
         kind = "bcell-depletion"
         model, calls = counting(make_mechanism_model(kind))
         bind_jacobian = model.jacobian

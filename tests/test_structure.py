@@ -14,13 +14,15 @@ its arithmetic on Python numbers, its LU factorisations included, and calls
 no numpy: checked on the syntax trees of their sources, and ``_radau_steps``
 builds no numpy array for it.  So does the steady-state path of
 ``analysis.py``: numpy serves it only the eigenvalues of ``_rate`` and
-LAPACK's error type.  The numpy inverse of the whole Radau Newton matrix
-lives in ``tests/test_integrate.py``, as the reference kernel's.  Two
-step schemes integrate every run, Dormand-Prince and Radau: no third one
-names itself in a ``solver_info``.  One place chooses between a model's
-generated Jacobian and finite differences: ``ModelSystem.bind_jacobian``.
-And one place decides what a claim point that fails numerically does:
-``claims._point``.
+LAPACK's error type.  That LU, generated in ``integrate.py``, is the one
+pivoted elimination: the Radau step factors by it, and the steady-state
+path solves each Newton step by its ``solve``.  The numpy inverse of the
+whole Radau Newton matrix lives in ``tests/test_integrate.py``, as the
+reference kernel's.  Two step schemes integrate every run, Dormand-Prince
+and Radau: no third one names itself in a ``solver_info``.  One place
+chooses between a model's generated Jacobian and finite differences:
+``ModelSystem.bind_jacobian``.  And one place decides what a claim point
+that fails numerically does: ``claims._point``.
 """
 import ast
 from pathlib import Path
@@ -151,7 +153,7 @@ def test_the_reference_kernel_keeps_the_numpy_newton_inverse():
 # What the steady-state path of analysis.py may take from numpy (each
 # attribute chain and its prefixes): the error its solve raises as LAPACK's
 # does
-STEADY_STATE_PATH = {"find_steady_state", "_polish", "_report", "_solve"}
+STEADY_STATE_PATH = {"find_steady_state", "_polish", "_report"}
 STEADY_STATE_NUMPY = {"np.linalg", "np.linalg.LinAlgError"}
 
 
@@ -168,6 +170,51 @@ def test_steady_state_path_keeps_its_arithmetic_on_floats():
     used = set().union(*map(numpy_names, STEADY_STATE_PATH))
     assert used <= STEADY_STATE_NUMPY, f"numpy: {sorted(used - STEADY_STATE_NUMPY)}"
     assert "np.linalg.eigvals" in numpy_names("_rate")
+
+
+def test_steady_state_path_solves_by_the_generated_lu():
+    for name in STEADY_STATE_PATH:
+        assert [ast.unparse(node) for node in ast.walk(_function("analysis.py", name))
+                if isinstance(node, ast.Subscript) and ast.unparse(node.slice) == "'solve'"
+                and ast.unparse(node.value).startswith("_lu(")], name
+    analysis = next(p for p in SOURCES if p.name == "analysis.py")
+    assert {"_lu", "integrate"} <= _names(analysis)
+
+
+def _pivoting(tree) -> list:
+    """What ``tree`` does that a pivoted elimination does: raise LAPACK's
+    error for a zero pivot, or swap two rows in place (``A[k], A[p] =
+    A[p], A[k]``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            if "LinAlgError" in ast.unparse(node.exc):
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+            targets = node.targets[0]
+            if (isinstance(targets, ast.Tuple) and len(targets.elts) == 2
+                    and all(isinstance(t, ast.Subscript) for t in targets.elts)
+                    and [ast.unparse(t) for t in targets.elts[::-1]]
+                    == [ast.unparse(v) for v in node.value.elts]):
+                found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_generated_lu_is_the_one_pivoted_elimination(path):
+    # no module writes an elimination of its own or asks numpy to solve:
+    # np.linalg serves only the eigenvalues of analysis._rate and the error
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not _pivoting(tree), path.name
+    linalg = {ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "np.linalg"}
+    assert linalg <= {"np.linalg.LinAlgError", "np.linalg.eigvals"}, path.name
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_generated_lu_refuses_a_zero_pivot(n):
+    raised = _pivoting(ast.parse(_lu_source(n)))
+    assert raised and set(raised) == {"raise LinAlgError('singular Newton matrix')"}
 
 
 
