@@ -184,7 +184,9 @@ class ModelSystem:
     ``rhs(t, values, params)`` must be pure and return an array with the
     declared state dimension; it is the public entry point.  The solvers
     evaluate the system through ``bind(params)`` instead, which fixes the
-    parameters once per run.  ``equation`` is a human-readable rendering of
+    parameters once per run; the Dormand-Prince loop of a compiled model,
+    whose ``rhs`` carries its tree, writes the bound form's body into its
+    stages (``integrate._dopri_source``).  ``equation`` is a human-readable rendering of
     the system used by the CLI catalog listing.
 
     ``jacobian(params)``, where present, returns the bound Jacobian

@@ -611,25 +611,50 @@ def _emit(expr: Expr, names: dict, lines: list, derive=None) -> str:
     return out
 
 
+def _param_reads(param_names) -> list:
+    """Statements that read each parameter once from the mapping ``params``
+    into its local."""
+    return [f"v_{p} = float(params[{p!r}])" for p in param_names]
+
+
 def _bound_source(param_names, name: str, lines) -> str:
     """``bind(params)``, which reads each parameter once and returns the
     function ``name(t, values)`` whose body is ``lines``."""
     return "".join((
         "def bind(params):\n",
-        *(f"    v_{p} = float(params[{p!r}])\n" for p in param_names),
+        *(f"    {line}\n" for line in _param_reads(param_names)),
         f"    def {name}(t, values):\n",
         *(f"        {line}\n" for line in lines),
         f"    return {name}\n",
     ))
 
 
+def _local_names(state_names, param_names) -> dict:
+    """The locals of a generated body by model name."""
+    return {name: f"v_{name}" for name in (*state_names, *param_names, RESERVED_TIME)}
+
+
 def _names_and_header(state_names, param_names, reads_time):
     """The locals of a generated body by model name, and its first lines,
     which read the time (if used) and unpack the state."""
-    names = {name: f"v_{name}" for name in (*state_names, *param_names, RESERVED_TIME)}
+    names = _local_names(state_names, param_names)
     lines = ["v_t = float(t)"] if reads_time else []
     lines.append(f"[{', '.join(names[s] for s in state_names)}] = values")
     return names, lines
+
+
+def _inlined_rhs(tree: tuple, values, time: str) -> tuple[list, list]:
+    """The body of the bound rhs generated from ``tree`` (``_rhs_function``'s),
+    as statements to write into a generated loop whose locals hold the
+    parameters (``_param_reads``): the time, if the rhs reads it, from the
+    float expression ``time`` and each state from its expression in
+    ``values``, then every node as the bound rhs computes it (``_emit``).
+    Returns the statements and the expression that holds each state's rate."""
+    state_names, param_names, exprs, reads_time = tree
+    names = _local_names(state_names, param_names)
+    lines = [f"{names[RESERVED_TIME]} = {time}"] if reads_time else []
+    lines += [f"{names[s]} = {value}" for s, value in zip(state_names, values)]
+    return lines, [_emit(e, names, lines) for e in exprs]
 
 
 def _rhs_source(state_names, param_names, exprs, reads_time: bool) -> str:
@@ -653,9 +678,14 @@ def _compiled(source: str, filename: str, runtime: dict = _RUNTIME) -> dict:
 
 
 @functools.lru_cache(maxsize=64)
-def _rhs_function(source: str):
-    """The array-form rhs ``source`` defines, compiled once per process."""
-    return _compiled(source, "<qssm rhs>")["rhs"]
+def _rhs_function(source: str, tree: tuple):
+    """The array-form rhs ``source`` defines, compiled once per process.  It
+    carries, as ``rhs.tree``, the ``tree`` that ``source`` was generated
+    from (``jacobian_source``'s arguments), which the Dormand-Prince loop
+    inlines (``_inlined_rhs``)."""
+    rhs = _compiled(source, "<qssm rhs>")["rhs"]
+    rhs.tree = tree
+    return rhs
 
 
 def _jacobian_binder(rhs_source: str, tree: tuple):
@@ -686,7 +716,9 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
     in ``tests/evaluator.py``, so that it returns bit for bit what the
     oracle returns and raises the same ``EvaluationError`` (message and
     ``SourceLocation``) where the oracle raises.  The array form
-    ``rhs(t, values, params)`` binds and calls it.  Generated sources are
+    ``rhs(t, values, params)`` binds and calls it, and carries the tree it
+    was generated from as ``rhs.tree``, which the Dormand-Prince loop
+    inlines (``integrate._dopri_source``).  Generated sources are
     compiled once per process, behind a memo of the 64 most recently used:
     compiling an equal definition again returns the same function.  A
     definition that ``parse_model`` would reject raises its
@@ -707,8 +739,8 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
         declared = {*state_names, *param_names, RESERVED_TIME}
         problems = {p for e in exprs for p in _expression_issues(e, declared)}
         raise SemanticError(sorted(problems)) from None
-    rhs = _rhs_function(source)
     tree = (state_names, param_names, tuple(exprs), time_dependent)
+    rhs = _rhs_function(source, tree)
 
     equation = " ; ".join(
         f"d{name}/dt = {format_expr(defn.equations[name])}" for name in state_names

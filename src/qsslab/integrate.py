@@ -3,9 +3,13 @@ proportional step control, and an L-stable Radau IIA of order 5 for stiff
 runs.  Both kernels start through ``_start``, which checks the run and
 binds the model (``ModelSystem.bind``) once, and stop at ``MAX_STEPS``
 trial steps (``_within_budget``).  Both compute on Python floats, in a
-stepping loop generated once per dimension (``_dopri_source``,
-``_radau_source``) that keeps each component of its state and stages in a
-local variable.  Neither step makes a numpy call besides those a
+generated stepping loop that keeps each component of its state and stages
+in a local variable.  The Dormand-Prince loop (``_dopri_source``) is
+generated once per compiled model, with the model's rhs body written into
+each stage, and once per dimension, calling the rhs, for any other rhs
+(a hand-built one, or a wrapper such as perfbench's traced counter); the
+Radau loop (``_radau_source``) once per dimension, calling the rhs.
+Neither step makes a numpy call besides those a
 hand-built rhs makes: a Radau step factors one real and one complex n x n
 Newton matrix per step size and Jacobian (``ModelSystem.bind_jacobian``'s)
 by an LU generated per dimension (``_lu_source``), and solves both
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelSystem, ParameterSet, StateVector, validate
-from .dsl import _compiled
+from .dsl import _RUNTIME, _compiled, _inlined_rhs, _param_reads
 from .errors import (
     BlowupError,
     DomainError,
@@ -236,7 +240,7 @@ def _magnitude(name: str) -> str:
     return f"({name} if {name} >= 0.0 else -{name})"
 
 
-def _dopri_source(n: int) -> str:
+def _dopri_source(n: int, tree: tuple | None = None) -> str:
     """The source of the Dormand-Prince stepping loop for ``n`` components.
 
     The loop keeps the state ``y_#``, the stages ``k1_#`` ... ``k7_#``, the
@@ -246,8 +250,33 @@ def _dopri_source(n: int) -> str:
     formula.  The weights, scaled by ``h`` once per trial, are the products
     ``h * <literal>``.  ``kernel`` yields what ``_dopri_steps`` yields, and
     returns the time it reached.
+
+    The two forms differ only in their stage evaluations.  Without
+    ``tree`` each stage calls the bound rhs ``f`` on a list and unpacks
+    the list it returns.  With ``tree``, the tree of a compiled rhs
+    (``dsl._rhs_function``'s), each stage is that rhs's body
+    (``dsl._inlined_rhs``), on the parameters that the loop reads from
+    ``params`` into locals once per run: the stage's input goes into the
+    body's state locals and its results into ``k<i>_#``, so that no stage
+    builds or unpacks a list, and the stages' lists that the loop yields
+    are built only for an accepted step.  ``f`` then only serves
+    ``_step_underflow``.
     """
     each = functools.partial(_per_component, n)
+    indent = "\n            "  # of a stage's lines, inside the loop's try block
+
+    def stage(i: int, time: str, inputs: str) -> str:
+        """The statements that leave stage ``k<i>``, at ``time`` and on the
+        per-component ``inputs``, in ``k<i>_#``."""
+        if tree is None:
+            return f"k{i} = f({time}, [{each(inputs)}]){indent}{each(f'k{i}_#')}, = k{i}"
+        lines, rates = _inlined_rhs(tree, [inputs.replace("#", str(j)) for j in range(n)], time)
+        return indent.join(lines + [f"k{i}_{j} = {rate}" for j, rate in enumerate(rates)])
+
+    # what the inlined stages need: the parameters' locals, and the lists of
+    # the stages that the call form gets from f
+    prologue = "" if tree is None else "".join(f"{line}\n    " for line in _param_reads(tree[1]))
+    collect = [] if tree is None else [f"k{i} = [{each(f'k{i}_#')}]" for i in range(2, 8)]
 
     weights = "; ".join(f"{name} = h * {w!r}" for name, w in zip(
         ("a21 a31 a32 a41 a42 a43 a51 a52 a53 a54 a61 a62 a63 a64 a65 "
@@ -257,8 +286,8 @@ def _dopri_source(n: int) -> str:
     err = (f"{_magnitude('e_#')} / (atol + rtol * "
            f"(b if (b := {_magnitude('y5_#')}) > (a := {_magnitude('y_#')}) else a))")
     return f'''\
-def kernel(f, t, t_end, h, h_min, rtol, atol, max_steps, y, k1, counts):
-    {each("y_#")}, = y
+def kernel(f, params, t, t_end, h, h_min, rtol, atol, max_steps, y, k1, counts):
+    {prologue}{each("y_#")}, = y
     {each("k1_#")}, = k1
     y0, finite = y, True
     for _ in range(max_steps):
@@ -272,28 +301,22 @@ def kernel(f, t, t_end, h, h_min, rtol, atol, max_steps, y, k1, counts):
         {weights}
         stage = 1  # k2 ... k7 are stages 1 ... 6 of the trial
         try:
-            k2 = f(t + {c2} * h, [{each("y_# + a21 * k1_#")}])
-            {each("k2_#")}, = k2
+            {stage(2, f"t + {c2} * h", "y_# + a21 * k1_#")}
             stage = 2
-            k3 = f(t + {c3} * h, [{each("y_# + a31 * k1_# + a32 * k2_#")}])
-            {each("k3_#")}, = k3
+            {stage(3, f"t + {c3} * h", "y_# + a31 * k1_# + a32 * k2_#")}
             stage = 3
-            k4 = f(t + {c4} * h, [{each("y_# + a41 * k1_# + a42 * k2_# + a43 * k3_#")}])
-            {each("k4_#")}, = k4
+            {stage(4, f"t + {c4} * h", "y_# + a41 * k1_# + a42 * k2_# + a43 * k3_#")}
             stage = 4
-            k5 = f(t + {c5} * h, [{each(
-                "y_# + a51 * k1_# + a52 * k2_# + a53 * k3_# + a54 * k4_#")}])
-            {each("k5_#")}, = k5
+            {stage(5, f"t + {c5} * h",
+                   "y_# + a51 * k1_# + a52 * k2_# + a53 * k3_# + a54 * k4_#")}
             stage = 5
-            k6 = f(t + h, [{each(
-                "y_# + a61 * k1_# + a62 * k2_# + a63 * k3_# + a64 * k4_# + a65 * k5_#")}])
-            {each("k6_#")}, = k6
+            {stage(6, "t + h",
+                   "y_# + a61 * k1_# + a62 * k2_# + a63 * k3_# + a64 * k4_# + a65 * k5_#")}
             stage = 6
             {each("y5_# = y_# + b1 * k1_# + b3 * k3_# + b4 * k4_# + b5 * k5_# + b6 * k6_#",
                   "; ")}
-            y5 = [{each("y5_#")}]
-            k7 = f(t + h, y5)  # the last stage is evaluated at the 5th-order solution
-            {each("k7_#")}, = k7
+            # the last stage is evaluated at the 5th-order solution
+            {stage(7, "t + h", "y5_#")}
         except EvaluationError:  # a stage left the rhs's domain: a non-finite trial
             finite = False
         else:
@@ -311,6 +334,7 @@ def kernel(f, t, t_end, h, h_min, rtol, atol, max_steps, y, k1, counts):
                    for j in range(1, n))}
         if err_norm <= 1.0:
             t_prev, t = t, (t_end if last else t + h)
+            {"; ".join([f"y5 = [{each('y5_#')}]", *collect])}
             yield t_prev, t, h, y5, (y, k1, k2, k3, k4, k5, k6, k7), counts
             y, k1 = y5, k7
             {each("y_# = y5_#", "; ")}
@@ -324,12 +348,24 @@ def kernel(f, t, t_end, h, h_min, rtol, atol, max_steps, y, k1, counts):
 '''
 
 
+_DOPRI_RUNTIME = {"EvaluationError": EvaluationError, "isfinite": math.isfinite,
+                  "_step_underflow": _step_underflow}
+
+
 @functools.cache
 def _dopri_kernel(n: int):
-    """The stepping loop of ``_dopri_source(n)``, compiled on first use."""
-    return _compiled(_dopri_source(n), f"<dopri5 kernel, n = {n}>", {
-        "EvaluationError": EvaluationError, "isfinite": math.isfinite,
-        "_step_underflow": _step_underflow})["kernel"]
+    """The stepping loop of ``_dopri_source(n)``, which calls the rhs,
+    compiled on first use."""
+    return _compiled(_dopri_source(n), f"<dopri5 kernel, n = {n}>", _DOPRI_RUNTIME)["kernel"]
+
+
+@functools.lru_cache(maxsize=64)
+def _inlined_dopri_kernel(rhs):
+    """The stepping loop of ``_dopri_source`` with the compiled ``rhs``'s
+    body inlined, compiled on first use, once per process, behind a memo
+    of the 64 most recently used."""
+    return _compiled(_dopri_source(len(rhs.tree[0]), rhs.tree), "<dopri5 kernel, inlined rhs>",
+                     {**_RUNTIME, **_DOPRI_RUNTIME})["kernel"]
 
 
 def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
@@ -344,11 +380,16 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     that raises counts).  ``dense_output`` evaluates the step in between.
     Step control is described at ``integrate_adaptive``.
 
-    The arithmetic is on Python floats: the rhs is the model's bound form
-    (``ModelSystem.bind``), and the steps are taken by the loop generated
-    for the model's dimension (``_dopri_source``, compiled once per
-    dimension and process), which holds each component of the state and
-    the stages in its own local variable.
+    The arithmetic is on Python floats, in a loop generated by
+    ``_dopri_source`` that holds each component of the state and the
+    stages in its own local variable.  A compiled model, whose ``rhs``
+    carries its tree (``dsl._rhs_function``), steps by the loop with that
+    rhs inlined in each stage (``_inlined_dopri_kernel``, compiled once
+    per model and process); any other rhs, a wrapper set by
+    ``dataclasses.replace`` included, by the loop that calls its bound
+    form (``ModelSystem.bind``) at each stage (``_dopri_kernel``, compiled
+    once per dimension and process).  Both take the same steps, bit for
+    bit.
 
     Iterate it inside ``np.errstate(all="ignore")``: a hand-built rhs may
     compute in numpy, whose non-finite trial steps are rejected, not warned
@@ -358,10 +399,12 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     caller between steps.
     """
     # FSAL: k1 is f(y0) here, and the previous step's k7 after that
-    _, f, y, k1, t0, t_end, h, h_min = _start(model, params, state0, t0, t_end, rtol, atol)
+    p, f, y, k1, t0, t_end, h, h_min = _start(model, params, state0, t0, t_end, rtol, atol)
     counts = {"rejected": 0, "rhs_evals": 1}
-    yield from _within_budget(_dopri_kernel(len(y))(f, t0, t_end, h, h_min, rtol, atol,
-                                                    MAX_STEPS, y, k1, counts), t_end)
+    inlined = getattr(model.rhs, "tree", None) is not None
+    kernel = _inlined_dopri_kernel(model.rhs) if inlined else _dopri_kernel(len(y))
+    yield from _within_budget(kernel(f, p, t0, t_end, h, h_min, rtol, atol, MAX_STEPS, y, k1,
+                                     counts), t_end)
 
 
 def dense_coefficients(Y, y, h: float):

@@ -34,7 +34,19 @@ from qsslab.catalog import (
 from qsslab.claims import MECHANISM_SAMPLES, mechanism_trajectory
 from qsslab.cli import run_cli
 from qsslab.core import ModelSystem, ParamSpec, validate
-from qsslab.dsl import Call, Neg, Num, SourceLocation, Var, compile_model, parse_model
+from qsslab.dsl import (
+    Call,
+    ModelDefinition,
+    Neg,
+    Num,
+    SourceLocation,
+    StateDecl,
+    Var,
+    _children,
+    compile_model,
+    format_expr,
+    parse_model,
+)
 from qsslab.errors import (
     BlowupError,
     DomainError,
@@ -56,6 +68,7 @@ from qsslab.integrate import (
     Trajectory,
     _dopri_kernel,
     _dopri_steps,
+    _inlined_dopri_kernel,
     _lu,
     _radau_kernel,
     _radau_steps,
@@ -67,7 +80,7 @@ from qsslab.integrate import (
     sampled_radau_run,
 )
 from closedform import linear_solution, logistic_solution
-from test_dsl import read_model_text
+from test_dsl import _exprs, _parse_on_line, read_model_text
 
 
 def blowup_model():
@@ -509,10 +522,33 @@ OVERSHOOT = (ParameterSet(a=0.33014751191550706, y=0.29421304314213753,
              StateVector(("T",), [16.745582880360338]), 0.0, 2.387002511409681)
 
 
+# The states of a random model, in order, and its parameters: the other
+# names that tests/test_dsl.py's random trees read
+RANDOM_STATES = ("T", "V", "x1")
+RANDOM_PARAMS = ("a", "y", "gamma", "V", "x1")
+
+
+def _reads(expr, names) -> bool:
+    """Whether ``expr`` reads one of ``names``."""
+    if isinstance(expr, Var):
+        return expr.name in names
+    return any(_reads(e, names) for e in _children(expr))
+
+
+def random_model(exprs):
+    """The compiled model whose rates are ``exprs``, one per state."""
+    states = RANDOM_STATES[:len(exprs)]
+    params = tuple(p for p in RANDOM_PARAMS if p not in states)
+    return compile_model(ModelDefinition("random", tuple(StateDecl(s, 1.0) for s in states),
+                                         tuple(ParamSpec(p, None) for p in params),
+                                         dict(zip(states, exprs))))
+
+
 class TestGeneratedDopriKernel:
-    """``_dopri_steps`` steps through the loop generated for the model's
-    dimension; ``reference_dopri_steps`` is the same kernel on lists.
-    Every yield must be the same, bit for bit, counts included."""
+    """``_dopri_steps`` steps through the loop generated for a compiled
+    model, its rhs inlined, or for any other model's dimension, calling its
+    rhs; ``reference_dopri_steps`` is the same kernel on lists.  Every
+    yield must be the same, bit for bit, counts included."""
 
     @staticmethod
     def assert_same_steps(model, params, state0, t0, t_end, **kwargs):
@@ -596,16 +632,87 @@ class TestGeneratedDopriKernel:
         if error:
             assert error == (StiffnessError, "step budget of 32 exhausted at t = 4.85853")
 
-    def test_each_dimension_compiles_once(self):
-        model = make_base_model("coupled-agent")
-        args = ParameterSet(a=1, y=1, x=2, delta_D=4), StateVector(("T", "D"), [2.0, 1.0])
+    @staticmethod
+    def assert_inlined_and_called_alike(exprs, values, state0, t_end=1.0):
+        """The run of a compiled model of ``exprs`` (``RANDOM_STATES``),
+        whose loop inlines its rhs, and the run of the same model with its
+        rhs wrapped, whose loop calls it, are both the reference's run, at
+        the ``RANDOM_PARAMS`` ``values`` and within a budget of 200 trials."""
+        model = random_model(exprs)
+        called = dataclasses.replace(model, rhs=lambda t, y, p: model.rhs(t, y, p),
+                                     jacobian=None)
+        assert model.rhs.tree is not None and not hasattr(called.rhs, "tree")
+        params = ParameterSet({p.name: v for p, v in zip(model.param_schema, values)})
+        state0 = StateVector(model.state_names, state0[:len(exprs)])
+        with mock.patch.object(integrate, "MAX_STEPS", 200):
+            expected = stepping_record(reference_dopri_steps, model, params, state0, 0.0, t_end,
+                                       rtol=1e-6, atol=1e-9)
+            for run in (model, called):
+                assert stepping_record(_dopri_steps, run, params, state0, 0.0, t_end,
+                                       rtol=1e-6, atol=1e-9) == expected
+        return expected
+
+    @given(st.lists(_exprs(3), min_size=1, max_size=3).filter(
+               lambda exprs: any(_reads(e, RANDOM_STATES[:len(exprs)]) for e in exprs)),
+           st.lists(st.floats(0.0, 5.0), min_size=len(RANDOM_PARAMS), max_size=len(RANDOM_PARAMS)),
+           st.lists(st.floats(0.0, 5.0), min_size=3, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_random_models(self, exprs, values, state0):
+        # parsed from text, so that every node has its own line and column
+        exprs = [_parse_on_line(format_expr(e), i + 1) for i, e in enumerate(exprs)]
+        self.assert_inlined_and_called_alike(exprs, values, state0)
+
+    @pytest.mark.parametrize("rates", [
+        ["ln(T) - 5"], ["0 - 1/max(T - 0.9, 0)"], ["0 - 3*(T - 0.5)^0.5"],
+        ["T*(0 - 3)", "0 - 3*(T - 0.5)^0.5*V"], ["V - 2", "ln(T)*T"],
+        ["x1 - T", "V*(0 - 4)", "0 - 3*(T - 0.5)^0.5"],
+    ])
+    def test_random_models_whose_stages_raise(self, rates):
+        # a stage leaves the domain: ln of a negative, a division by zero or
+        # a negative base to a fractional power
+        _, counts, _ = self.assert_inlined_and_called_alike(
+            [_parse_on_line(rate, i + 1) for i, rate in enumerate(rates)], [1.0] * 5, [1.0] * 3)
+        assert counts["rejected"] >= 1
+        assert (counts["rhs_evals"] - 1) % 6 != 0  # a trial ended at the stage that raised
+
+    def test_each_loop_compiles_once(self):
+        # a compiled model's loop, its rhs inlined, once per model and process:
+        # an equal model compiled again runs the same loop
+        args = default_params("coupled-agent"), default_state("coupled-agent")
+        model = make_model("coupled-agent")
         integrate_adaptive(model, *args, 0.0, 1.0)
-        before = _dopri_kernel.cache_info()
+        inlined, by_dimension = _inlined_dopri_kernel.cache_info(), _dopri_kernel.cache_info()
         for _ in range(3):
             integrate_adaptive(model, *args, 0.0, 1.0)
+            integrate_adaptive(make_model("coupled-agent"), *args, 0.0, 1.0)
+        after = _inlined_dopri_kernel.cache_info()
+        assert after.misses == inlined.misses and after.hits == inlined.hits + 6
+        assert _dopri_kernel.cache_info() == by_dimension
+        # any other rhs: the loop that calls it, once per dimension
+        wrapped = dataclasses.replace(model, rhs=lambda t, s, p: model.rhs(t, s, p))
+        integrate_adaptive(wrapped, *args, 0.0, 1.0)
+        before = _dopri_kernel.cache_info()
+        for _ in range(3):
+            integrate_adaptive(wrapped, *args, 0.0, 1.0)
         after = _dopri_kernel.cache_info()
         assert after.misses == before.misses and after.hits == before.hits + 3
         assert _dopri_kernel(2) is _dopri_kernel(2) is not _dopri_kernel(1)
+
+    def test_the_inlined_loops_memo_is_bounded(self):
+        def run(rate):
+            model = compile_model(parse_model(f"state T = 1\nparam a = 1\ndT/dt = a - {rate}*T\n"))
+            integrate_adaptive(model, ParameterSet(), StateVector(("T",), [1.0]), 0.0, 0.1)
+
+        maxsize = _inlined_dopri_kernel.cache_info().maxsize
+        assert maxsize == 64
+        for rate in range(maxsize + 1):
+            run(rate + 1)
+        misses = _inlined_dopri_kernel.cache_info().misses
+        run(maxsize + 1)  # the most recent is kept
+        assert _inlined_dopri_kernel.cache_info().misses == misses
+        run(1)  # the least recent was dropped
+        assert _inlined_dopri_kernel.cache_info().misses == misses + 1
+        assert _inlined_dopri_kernel.cache_info().currsize == maxsize
 
     def test_import_compiles_no_kernel(self):
         src = Path(integrate.__file__).resolve().parents[1]
@@ -1588,29 +1695,33 @@ def _radau_to_end(model, params, state0, t0, t_end):
 
 class TestBoundRhs:
     """The solvers evaluate a model through ``ModelSystem.bind``: a compiled
-    model's generated bound form, any other model's adapter."""
+    model's generated bound form, any other model's adapter.  The
+    Dormand-Prince loop of a compiled model evaluates that bound form only
+    at the start, and inlines it in its stages."""
 
-    @pytest.mark.parametrize("solve,takes_jacobian", [
-        (integrate_adaptive, False),
-        (lambda *run: integrate_fixed(*run, 0.01), False),
-        (_radau_to_end, True),
-        (lambda model, params, state0, *_: find_steady_state(model, params, state0), True),
+    @pytest.mark.parametrize("solve,takes_jacobian,inlined", [
+        (integrate_adaptive, False, True),
+        (lambda *run: integrate_fixed(*run, 0.01), False, True),
+        (_radau_to_end, True, False),
+        (lambda model, params, state0, *_: find_steady_state(model, params, state0), True, False),
     ], ids=["dopri", "grid", "radau", "newton"])
-    def test_a_run_reads_each_parameter_once(self, monkeypatch, solve, takes_jacobian):
+    def test_a_run_reads_each_parameter_once(self, monkeypatch, solve, takes_jacobian, inlined):
         # each binder (the rhs's, and the generated Jacobian's where the
         # solver takes it) reads each parameter once from the mapping it is
-        # given, however often the run evaluates what it bound
+        # given, however often the run evaluates what it bound; so does the
+        # Dormand-Prince loop, which inlines a compiled rhs, from the
+        # resolved parameters, and evaluates the bound rhs only at the start
         resolved, evaluations = [], []
         bound = {"rhs": [], "jacobian": []}  # the mapping each binder got
         resolve, bind = ModelSystem.resolve_params, ModelSystem.bind
 
         def counting_resolve(model, params):
-            resolved.append(resolve(model, params))
+            resolved.append(CountingParams(resolve(model, params)))
             return resolved[-1]
 
         def counting(name, binder):
             def counted(params):
-                bound[name].append(CountingParams(params))
+                bound[name].append(CountingParams(params.entries))
                 f = binder(bound[name][-1])
                 return lambda t, values: evaluations.append(t) or f(t, values)
             return counted
@@ -1622,8 +1733,9 @@ class TestBoundRhs:
         model = dataclasses.replace(model, jacobian=counting("jacobian", model.jacobian))
         solve(model, ParameterSet(a=1, y=1, x=2, delta_D=4),
               StateVector(("T", "D"), [2.0, 1.0]), 0.0, 5.0)
-        assert len(resolved) == 1 and len(evaluations) > 20
         once = {"a": 1, "y": 1, "x": 1, "delta_D": 1}
+        assert len(resolved) == 1 and resolved[0].reads == (once if inlined else {})
+        assert len(evaluations) == 1 if inlined else len(evaluations) > 20
         assert [m.reads for m in bound["rhs"]] == [once]
         assert [m.reads for m in bound["jacobian"]] == ([once] if takes_jacobian else [])
 

@@ -22,14 +22,20 @@ reference kernel's.  Two step schemes integrate every run, Dormand-Prince
 and Radau: no third one names itself in a ``solver_info``.  One place
 chooses between a model's generated Jacobian and finite differences:
 ``ModelSystem.bind_jacobian``.  And one place decides what a claim point
-that fails numerically does: ``claims._point``.
+that fails numerically does: ``claims._point``.  The Dormand-Prince step
+generated for a compiled model writes the model's rhs into each stage: its
+loop calls no function of the model's and hands the bound rhs only to the
+step-size error, and a run of the model steps by that loop.
 """
 import ast
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from qsslab.integrate import _lu_source, _radau_kernel, _radau_source
+from qsslab import all_kind_names, default_params, default_state, integrate_adaptive, make_model
+from qsslab.core import ModelSystem
+from qsslab.integrate import _dopri_source, _lu_source, _radau_kernel, _radau_source
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qsslab").glob("*.py"))
 STEP_NAMES = {"_dopri_steps", "_radau_steps", "dense_coefficients", "dense_output",
@@ -127,6 +133,40 @@ def test_radau_step_keeps_its_arithmetic_on_floats(n):
     yields = [node.value for node in ast.walk(tree) if isinstance(node, ast.Yield)]
     assert [[type(element) for element in value.elts[3:5]] for value in yields] == [
         [ast.List, ast.Tuple]]
+
+
+# The calls the Dormand-Prince loop generated for a compiled model may make:
+# those of the rhs body it inlines (the math helpers, the parameters' reads
+# and the errors), its finiteness check, its loop and its step-size error,
+# the one place that may evaluate the bound rhs f
+DOPRI_CALLS = {"float", "_exp", "_log", "_sqrt", "_tanh", "_floor", "_EvaluationError", "_Loc",
+               "isfinite", "range", "_step_underflow"}
+
+
+@pytest.mark.parametrize("name", all_kind_names())
+def test_a_compiled_models_dopri_loop_inlines_its_rhs(name):
+    model = make_model(name)
+    tree = ast.parse(_dopri_source(model.dimension, model.rhs.tree))
+    assert set(_calls(tree)) <= DOPRI_CALLS
+    # f, the bound rhs, is only handed to _step_underflow
+    handed = [arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and ast.unparse(node.func) == "_step_underflow" for arg in node.args]
+    used = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "f"]
+    assert used and all(any(node is arg for arg in handed) for node in used)
+    # the time is a local only of a model that reads it
+    assigned = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert ("v_t" in assigned) == model.time_dependent
+    # and a run steps by that loop: the bound rhs is evaluated at the start alone
+    evaluations, bind = [], ModelSystem.bind
+
+    def counting(model, params):
+        f = bind(model, params)
+        return lambda t, values: evaluations.append(t) or f(t, values)
+
+    with mock.patch.object(ModelSystem, "bind", counting):
+        integrate_adaptive(model, default_params(name), default_state(name), 0.0, 1.0)
+    assert evaluations == [0.0]
 
 
 def _function(path_name: str, name: str) -> ast.FunctionDef:
