@@ -2,9 +2,9 @@
 trajectory's own points, and the fast-agent quasi-steady-state reduction.
 
 Newton, its polish and the relaxation rate of a steady state take the
-Jacobian that ``ModelSystem.bind_jacobian`` gives: the model's generated
-one, and finite differences only for a model without one.  Newton solves
-by the LU that the Radau step factors with (``integrate._lu``).
+model's generated Jacobian, which ``ModelSystem.bind_jacobian`` gives (and
+refuses for a model without one).  Newton solves by the LU that the Radau
+step factors with (``integrate._lu``).
 
 Curvature naming: a decreasing trajectory whose decline keeps slowing has a
 positive second derivative (mathematically convex); one whose decline keeps
@@ -192,8 +192,8 @@ def _polish(f, jacobian, x, fx, res, limit):
 
 def find_steady_state(model: ModelSystem, params: ParameterSet,
                       guess: StateVector) -> SteadyStateReport:
-    """Damped Newton on the right-hand side, with the Jacobian of
-    ``ModelSystem.bind_jacobian`` (the generated one, or finite differences
+    """Damped Newton on the right-hand side, with the model's generated
+    Jacobian (``ModelSystem.bind_jacobian``, which raises ``UsageError``
     for a model without one), which also gives the relaxation rate.  The
     iteration runs on lists of Python floats, each Newton step s solving
     (0 I - J) s = f(x) by the generated ``solve``, so that f needs no
@@ -223,7 +223,7 @@ def find_steady_state(model: ModelSystem, params: ParameterSet,
     p = model.resolve_params(params)
     rhs = model.bind(p)
     f = lambda x: rhs(0.0, x)
-    jac = model.bind_jacobian(p, rhs)
+    jac = model.bind_jacobian(p)
     jacobian = lambda x: jac(0.0, x)
 
     x = guess.values.tolist()

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, UsageError
 
 
 class ParameterSet:
@@ -150,28 +150,6 @@ class ParamSpec:
         return None
 
 
-_FD_STEP = math.ulp(1.0) ** (1 / 3)  # eps^(1/3) balances O(h^2) truncation against rounding
-
-
-def _fd_jacobian(f, x: list) -> list:
-    """Second-order finite-difference Jacobian of ``f`` at ``x``, as rows of
-    floats: central differences, and the one-sided three-point formula
-    where a central step would take a nonnegative component below 0."""
-    n, columns, fx = len(x), [], None
-    for j in range(n):
-        h = _FD_STEP * max(abs(x[j]), 1.0)
-        e = [0.0] * j + [h] + [0.0] * (n - 1 - j)
-        at = lambda c: f([v + c * d for v, d in zip(x, e)])  # f(x + c e), bit for bit
-        if x[j] < 0 or x[j] >= h:
-            columns.append([(a - b) / (2.0 * h) for a, b in zip(at(1.0), at(-1.0))])
-        else:
-            if fx is None:
-                fx = f(x)
-            columns.append([(4.0 * a - b - 3.0 * c) / (2.0 * h)
-                            for a, b, c in zip(at(1.0), at(2.0), fx)])
-    return [list(row) for row in zip(*columns)]
-
-
 RhsFunction = Callable[[float, np.ndarray, Mapping[str, float]], np.ndarray]
 BoundRhs = Callable[[float, list], list]
 BoundJacobian = Callable[[float, list], list]  # (t, values) -> rows of df_i/dy_j
@@ -192,12 +170,13 @@ class ModelSystem:
     ``jacobian(params)``, where present, returns the bound Jacobian
     ``jac(t, values)``: the rows df_i/dy_j at the resolved ``params``, as
     lists of floats.  A compiled model carries one generated from its
-    syntax tree; a model without one (a hand-built model) is differenced
-    instead (``_fd_jacobian``), and ``bind_jacobian`` alone chooses.
+    syntax tree; a model without one (a hand-built model) integrates by
+    Dormand-Prince, and ``bind_jacobian`` refuses it to Radau and to the
+    steady-state Newton iteration.
     ``jacobian`` must be the derivative of ``rhs``.  It does not take part in comparisons,
     and ``dataclasses.replace(model, rhs=...)`` keeps it: that is right for
     a wrapper that calls the same rhs (a counter, a tracer), and wrong for
-    a different function, which needs ``jacobian=None`` beside it.
+    a different function, which must bring its own Jacobian beside it.
     """
 
     name: str
@@ -233,13 +212,12 @@ class ModelSystem:
             return np.asarray(rhs(t, np.array(values), params), dtype=float).tolist()
         return bound
 
-    def bind_jacobian(self, params: Mapping[str, float], f: BoundRhs) -> BoundJacobian:
-        """``jac(t, values)``, rows of floats at the resolved ``params``: the
-        generated Jacobian, or, for a model without one, ``_fd_jacobian`` of
-        ``f``, the bound rhs that the caller evaluates (and counts)."""
-        if self.jacobian is not None:
-            return self.jacobian(params)
-        return lambda t, values: _fd_jacobian(lambda z: f(t, z), values)
+    def bind_jacobian(self, params: Mapping[str, float]) -> BoundJacobian:
+        """``jac(t, values)``, the generated Jacobian's rows of floats at the
+        resolved ``params``; a model without one raises ``UsageError``."""
+        if self.jacobian is None:
+            raise UsageError(f"model {self.name!r} has no Jacobian")
+        return self.jacobian(params)
 
     def _declared_values(self, params: ParameterSet) -> list[tuple[ParamSpec, float | None]]:
         """Each declared parameter with its value: the one ``params`` gives,

@@ -11,7 +11,8 @@ each stage, and once per dimension, calling the rhs, for any other rhs
 Radau loop (``_radau_source``) once per dimension, calling the rhs.
 Neither step makes a numpy call besides those a
 hand-built rhs makes: a Radau step factors one real and one complex n x n
-Newton matrix per step size and Jacobian (``ModelSystem.bind_jacobian``'s)
+Newton matrix per step size and Jacobian (the model's generated one, which
+``ModelSystem.bind_jacobian`` gives: Radau runs no model without one)
 by an LU generated per dimension (``_lu_source``), and solves both
 systems inline in each Newton iteration, around three rhs calls; the
 steady-state Newton iteration solves by the same LU (``_lu``).
@@ -719,20 +720,20 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     a list of floats, ``Y = (y_prev, q1, q2, q3)`` the step's collocation
     polynomial, four tuples of floats (``collocation_output`` takes it as
     an array), and ``counts`` one dict, updated in place, with the trial
-    steps ``rejected``, the ``rhs_evals`` (an evaluation that raises counts,
-    and so do those of finite-difference Jacobians), the ``jac_evals`` and
-    the ``factorizations`` (of the Newton matrix, each one real and one
-    complex LU) so far, and which ``jacobian`` the run takes:
-    ``"generated"`` or ``"finite-difference"``.
+    steps ``rejected``, the ``rhs_evals`` (an evaluation that raises
+    counts), the ``jac_evals`` and the ``factorizations`` (of the Newton
+    matrix, each one real and one complex LU) so far.
 
     A step solves the collocation system by simplified Newton on the
     transformed stages, from the stages that the last step's polynomial
     predicts.  Their Newton matrix splits into a real and a complex n x n
     system, each factored once per step size and Jacobian (``lu`` of
     ``_lu``); the real one serves the error estimate too, and a singular
-    one fails the trial.  The Jacobian, ``ModelSystem.bind_jacobian``'s
-    rows at the step's start, is kept while Newton converges fast; one that
-    raises ``EvaluationError`` is rows of nan, which fail every trial.  A
+    one fails the trial.  The Jacobian, the model's generated one
+    (``ModelSystem.bind_jacobian``, which refuses a model without one
+    before the first step) at the step's start, is kept while Newton
+    converges fast; one that raises ``EvaluationError`` is rows of nan,
+    which fail every trial.  A
     Newton solve that fails with a stale Jacobian is retried with a fresh
     one from the same prediction; one that fails with a fresh Jacobian (a
     stage that raises ``EvaluationError``, a non-finite Newton norm or a
@@ -750,14 +751,8 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     """
     p, rhs, y, f_y, t0, t_end, h, h_min = _start(model, params, state0, t0, t_end, rtol, atol)
     n = len(y)
-    counts = {"rejected": 0, "rhs_evals": 1, "jac_evals": 0, "factorizations": 0,
-              "jacobian": "finite-difference" if model.jacobian is None else "generated"}
-
-    def f(t, x):  # the rhs of a finite-difference Jacobian
-        counts["rhs_evals"] += 1
-        return rhs(t, x)
-
-    jac = model.bind_jacobian(p, f)
+    counts = {"rejected": 0, "rhs_evals": 1, "jac_evals": 0, "factorizations": 0}
+    jac = model.bind_jacobian(p)
 
     def jacobian(t, values):  # rows of floats for the factorisations, and the error if none
         counts["jac_evals"] += 1

@@ -90,13 +90,8 @@ class TestFindSteadyState:
 
     def test_no_root_raises_with_best_iterate(self):
         # dT/dt = a + T^2 has no nonnegative root for a > 0
-        from qsslab.core import ModelSystem, ParamSpec
-
-        model = ModelSystem(
-            name="rootless", state_names=("T",),
-            param_schema=(ParamSpec("a", 0.0, False, None),),
-            rhs=lambda t, s, p: np.array([p["a"] + s[0] ** 2]),
-        )
+        model = compile_model(parse_model("model rootless\nstate T = 1\nparam a nonneg\n"
+                                          "dT/dt = a + T^2\n"))
         with pytest.raises(NoConvergenceError) as excinfo:
             find_steady_state(model, ParameterSet(a=1.0), StateVector(("T",), [1.0]))
         assert excinfo.value.best is not None
@@ -782,7 +777,7 @@ def reference_find_steady_state(model, params, guess):
     p = model.resolve_params(params)
     rhs = model.bind(p)
     f = lambda x: np.array(rhs(0.0, x.tolist()))
-    jac = model.bind_jacobian(p, rhs)
+    jac = model.bind_jacobian(p)
     jacobian = lambda x: np.array(jac(0.0, x.tolist()))
 
     x = np.array(guess.values, dtype=float)
@@ -871,8 +866,8 @@ def _steady_problems(draw):
     one- or two-state ``.qssm`` tree, dX/dt = <tree> - k X for each state
     X, whose decay term gives Newton a root to find in most draws.  Half
     the models are made hand-built: an array-form rhs, evaluated through
-    ``bind``'s adapter, and no generated Jacobian, so that both iterations
-    difference the rhs.  Values lie on a grid of 1/64, which keeps
+    ``bind``'s adapter, beside the generated Jacobian, which a wrapper of
+    the same rhs keeps.  Values lie on a grid of 1/64, which keeps
     subnormal parameters out: at those the two LU factorisations part ways
     by more than rounding."""
     value = st.integers(0, 640).map(lambda i: i / 64)
@@ -890,7 +885,7 @@ def _steady_problems(draw):
         params = ParameterSet(c=draw(value), k=draw(value.filter(bool)))
     if draw(st.booleans()):
         rhs = model.rhs
-        model = dataclasses.replace(model, rhs=lambda t, y, p: rhs(t, y, p), jacobian=None)
+        model = dataclasses.replace(model, rhs=lambda t, y, p: rhs(t, y, p))
     guess = StateVector(model.state_names, [2 * draw(value) for _ in model.state_names])
     return model, params, guess
 
@@ -898,11 +893,9 @@ def _steady_problems(draw):
 # numpy's 2 x 2 LU rounds its products with FMA, Python floats do not: a
 # two-state root may move, by at most this many ulps of its scale
 # max(1, max|x|), the scale of Newton's stopping rule (at most 3 seen in
-# 90,000 draws away from a root of infinite slope).  Finite differences,
-# with steps near 6e-6 max(|x|, 1), magnify that move in the rate by about
-# 1e5 (at most 8.3e-11 relative seen)
+# 90,000 draws away from a root of infinite slope)
 _TWO_STATE_ULPS = 4
-_TWO_STATE_RATE_REL = {"generated": 1e-12, "finite-difference": 1e-9}
+_TWO_STATE_RATE_REL = 1e-12
 
 
 def _close(values, expected) -> bool:
@@ -935,6 +928,5 @@ def test_find_steady_state_on_floats_matches_the_numpy_reference(problem):
     values, residual, method, rate = found
     assert method == expected[2]
     assert _close(values, expected[0])
-    jacobian = "finite-difference" if model.jacobian is None else "generated"
-    assert rate == pytest.approx(expected[3], rel=_TWO_STATE_RATE_REL[jacobian])
+    assert rate == pytest.approx(expected[3], rel=_TWO_STATE_RATE_REL)
     assert residual <= _RESIDUAL_LIMIT and expected[1] <= _RESIDUAL_LIMIT

@@ -228,7 +228,6 @@ class TestClaims:
         finally:
             claims._MECH_CACHE.clear()
         assert again == plain
-        assert {info["jacobian"] for info in plain[1].values()} == {"generated"}
 
     def test_falsified_configuration_fails(self):
         # a fast CTL death rate destroys the timescale separation

@@ -562,6 +562,9 @@ def test_compile_rejects_an_unchecked_definition(expr, problems):
 # Generated Jacobian against central differences
 # ---------------------------------------------------------------------------
 
+STEP = math.ulp(1.0) ** (1 / 3)  # eps^(1/3) balances O(h^2) truncation against rounding
+
+
 def _differences(f, x, h, side=0):
     """Differences of ``f`` at ``x`` with the steps ``h * max(|x_j|, 1)``:
     central (``side`` 0), forward (1) or backward (-1)."""
@@ -583,24 +586,22 @@ def _magnitude(expr, bindings) -> float:
 
 
 def _assert_jacobian_is_the_derivative(model, exprs, params, t, x):
-    """The generated Jacobian at (t, x) against ``core._fd_jacobian``
-    (central differences wherever x_j >= its step): the difference must lie
-    within the finite-difference error, bounded by Richardson's estimate
-    from a second set of differences at a quarter of the step.  That
+    """The generated Jacobian at (t, x) against central differences
+    (``_differences`` at ``STEP``; every x_j drawn is far above the step):
+    the difference must lie within the finite-difference error, bounded by
+    Richardson's estimate from a second set of differences at a quarter of
+    the step.  That
     holds where the rhs is smooth on the scale of the steps, which a kink
     of min or max is not: there central differences average the two
     sides, and the gap between forward and backward differences does not
     close in as the step shrinks.  Returns whether the point was compared."""
-    from qsslab.core import _FD_STEP, _fd_jacobian
-
     rhs = model.bind(params)
     f = lambda z: np.array(rhs(t, z.tolist()))
     try:
         with np.errstate(all="ignore"):
-            fd = np.array(_fd_jacobian(lambda z: rhs(t, z), x.tolist()))
-            fine = _differences(f, x, _FD_STEP / 4)
+            fd, fine = _differences(f, x, STEP), _differences(f, x, STEP / 4)
             gap, gap_fine = (_differences(f, x, h, 1) - _differences(f, x, h, -1)
-                             for h in (_FD_STEP, _FD_STEP / 4))
+                             for h in (STEP, STEP / 4))
     except EvaluationError:  # a step leaves the rhs's domain
         return False
     J = np.array(model.jacobian(params)(t, x.tolist()))
@@ -611,7 +612,7 @@ def _assert_jacobian_is_the_derivative(model, exprs, params, t, x):
     # largest node of f_i (f_i itself may cancel to 0), over the step
     bindings = {"t": t, **dict(zip(model.state_names, x.tolist())), **params}
     size = np.array([1.0 + _magnitude(e, bindings) for e in exprs])
-    noise = 2e-14 * size[:, None] / (_FD_STEP * np.maximum(np.abs(x), 1.0))
+    noise = 2e-14 * size[:, None] / (STEP * np.maximum(np.abs(x), 1.0))
     if np.any(np.abs(gap_fine) > 0.5 * np.abs(gap) + noise):
         return False  # a kink
     bound = 2.0 * np.abs(fd - fine) + 1e-7 * (1.0 + np.abs(fd)) + noise

@@ -24,7 +24,7 @@ from qsslab import (
     make_model,
     qss_reduce,
 )
-from qsslab import core, integrate
+from qsslab import integrate
 from qsslab.catalog import (
     MechanismKind,
     all_kind_names,
@@ -54,6 +54,7 @@ from qsslab.errors import (
     NoConvergenceError,
     QsslabError,
     StiffnessError,
+    UsageError,
     ValidationError,
 )
 from qsslab.integrate import (
@@ -849,8 +850,7 @@ class TestMechanismKernel:
         assert traj.solver_info["accepted"] <= 1.10 * self.BASELINE_STEPS[kind]
 
     # Radau IIA(5) counters per mechanism at the claim settings: accepted
-    # steps, rhs evaluations (generated Jacobians: none of them are
-    # finite-difference calls), Jacobians and factorisations of the Newton matrix
+    # steps, rhs evaluations, Jacobians and factorisations of the Newton matrix
     RADAU_COUNTS = {
         "virulence-drift": (544, 4375, 163, 197),
         "cytokine-inversion": (537, 4128, 89, 150),
@@ -908,16 +908,10 @@ class TestMechanismKernel:
         assert np.all(np.abs(traj.states - ref.y.T) <= 1e-8 * peak)
 
 
-MU = 1000.0
-
-
 def van_der_pol_model():
-    """u'' = mu (1 - u^2) u' - u as a first-order system: stiff for large mu."""
-    def rhs(t, s, p):
-        u, v = s
-        return np.array([v, MU * (1.0 - u * u) * v - u])
-
-    return ModelSystem(name="van-der-pol", state_names=("u", "v"), param_schema=(), rhs=rhs)
+    """u'' = mu (1 - u^2) u' - u as a first-order system, mu = 1000: stiff."""
+    return compile_model(parse_model("model van-der-pol\nstate u = 2\nstate v = 0\n"
+                                     "du/dt = v\ndv/dt = 1000*(1 - u^2)*v - u\n"))
 
 
 def counting(model):
@@ -944,8 +938,8 @@ def raising_once_healthy_model():
                 raise EvaluationError("outside the domain")
         return base.rhs(t, s, p)
 
-    # a different function from the base rhs: no generated Jacobian of it
-    return dataclasses.replace(base, rhs=rhs, jacobian=None), stage_times
+    # the base rhs wherever it is defined: its generated Jacobian holds
+    return dataclasses.replace(base, rhs=rhs), stage_times
 
 
 def failing_jacobian_model(kind, t_fail, rows):
@@ -1079,19 +1073,16 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
     ``Y = [y_prev; q1; q2; q3]`` the step's collocation polynomial for
     ``collocation_output``, both arrays, and ``counts`` one dict, updated
     in place, with the trial steps ``rejected``, the ``rhs_evals`` (an
-    evaluation that raises counts, and so do those of finite-difference
-    Jacobians), the ``jac_evals`` and the ``factorizations`` (here
-    inversions of the whole Newton matrix, ``_radau_newton_inverse``) so
-    far, and which ``jacobian`` the run takes: ``"generated"`` or
-    ``"finite-difference"``.
+    evaluation that raises counts), the ``jac_evals`` and the
+    ``factorizations`` (here inversions of the whole Newton matrix,
+    ``_radau_newton_inverse``) so far.
 
     Each step solves the collocation system by simplified Newton on the
     transformed stages (``reference_radau_newton``), with the inverse of their
     Newton matrix formed once per step size and Jacobian; its first block
     serves the error estimate.  The stages start from the last step's
-    polynomial (``collocation_output``).  The Jacobian is
-    ``ModelSystem.bind_jacobian``'s (the generated one, or finite
-    differences for a model without one) at the step's start, kept across
+    polynomial (``collocation_output``).  The Jacobian is the generated
+    one, ``ModelSystem.bind_jacobian``'s, at the step's start, kept across
     steps while Newton converges fast; a Newton solve that fails with a
     stale Jacobian is retried with a fresh one, and one that fails with a
     fresh Jacobian (a stage that raises ``EvaluationError``, a non-finite
@@ -1119,15 +1110,14 @@ def reference_radau_steps(model: ModelSystem, params: ParameterSet, state0: Stat
     p = model.resolve_params(params)
     y = np.array(state0.values, dtype=float)
     rhs = model.bind(p)
-    counts = {"rejected": 0, "rhs_evals": 0, "jac_evals": 0, "factorizations": 0,
-              "jacobian": "finite-difference" if model.jacobian is None else "generated"}
+    counts = {"rejected": 0, "rhs_evals": 0, "jac_evals": 0, "factorizations": 0}
 
     def counted(t, values):
         counts["rhs_evals"] += 1
         return rhs(t, values)
 
     f = lambda t, x: np.array(counted(t, x.tolist()))
-    jac = model.bind_jacobian(p, counted)
+    jac = model.bind_jacobian(p)
 
     def jacobian(t, x):  # and the error of a Jacobian that could not be evaluated
         counts["jac_evals"] += 1
@@ -1311,7 +1301,7 @@ class TestRadauKernel:
         steps, counts = radau_run(model, self.VDP_STATE, 10.0, rtol=1e-6, atol=1e-9)
         assert len(steps) <= dp5.solver_info["accepted"] / 10
         times = [t for t, _, _ in steps]
-        ref = integrate.solve_ivp(lambda t, y: model.rhs(t, y, None), (0.0, 10.0),
+        ref = integrate.solve_ivp(lambda t, y: model.rhs(t, y, {}), (0.0, 10.0),
                                   self.VDP_STATE.values, method="Radau", rtol=1e-12,
                                   atol=1e-14, t_eval=times)
         assert ref.success
@@ -1346,7 +1336,7 @@ class TestRadauKernel:
         def rhs(t, s, p):
             return base.rhs(t, s, p) * (math.nan if t > 0.0 else 1.0)
 
-        model = dataclasses.replace(base, rhs=rhs, jacobian=None)
+        model = dataclasses.replace(base, rhs=rhs)
         with pytest.raises(BlowupError, match="non-finite"):
             radau_run(model, StateVector(("T",), [0.5]), 5.0, params=ParameterSet(a=1, y=1))
 
@@ -1409,6 +1399,27 @@ class TestRadauKernel:
                                       params=default_params(kind))
             runs.append(([(t, y.tobytes(), Y.tobytes()) for t, y, Y in steps], counts))
         assert runs[0] == runs[1]
+
+
+def test_a_model_without_a_jacobian_steps_by_dormand_prince_alone():
+    # a hand-built model has no generated Jacobian: Radau and the
+    # steady-state Newton iteration refuse it, Radau before its first step
+    times = []
+
+    def rhs(t, s, p):
+        times.append(t)
+        return p["a"] - p["y"] * s
+
+    model = ModelSystem(name="hand-relaxation", state_names=("T",),
+                        param_schema=(ParamSpec("a"), ParamSpec("y")), rhs=rhs)
+    params, state0 = ParameterSet(a=1, y=1), StateVector(("T",), [0.0])
+    with pytest.raises(UsageError, match="model 'hand-relaxation' has no Jacobian"):
+        find_steady_state(model, params, state0)
+    with pytest.raises(UsageError, match="model 'hand-relaxation' has no Jacobian"):
+        sampled_radau_run(model, params, state0, [0.0, 1.0, 5.0], 1e-8, 1e-12)
+    assert set(times) <= {0.0}  # at most the start's evaluation
+    traj = integrate_adaptive(model, params, state0, 0.0, 5.0)
+    assert traj.states[-1, 0] == pytest.approx(linear_solution(1, 1, 0, 5.0), rel=1e-7)
 
 
 def radau_record(kernel, model, params, state0, t_end, rtol=1e-8, atol=1e-12):
@@ -1474,21 +1485,21 @@ class TestGeneratedRadauKernel:
             0.0, default_horizon(kind), MECHANISM_SAMPLES), 1e-8, 1e-12)
 
     def test_hand_built_models_through_the_adapter(self):
-        # van der Pol (mu = 1000) takes finite-difference Jacobians; a
-        # wrapped mechanism rhs, as a tracer wraps it, keeps the generated one
+        # van der Pol (mu = 1000) and a mechanism, each with its rhs wrapped
+        # as a tracer wraps it, keep their generated Jacobians
         kind = "bcell-depletion"
-        wrapped, calls = counting(make_mechanism_model(kind))
         for model, params, state0, t_end, rtol, atol in (
                 (van_der_pol_model(), ParameterSet(), TestRadauKernel.VDP_STATE, 10.0,
                  1e-6, 1e-9),
-                (wrapped, default_params(kind), default_state(kind), 100.0, 1e-8, 1e-12)):
+                (make_mechanism_model(kind), default_params(kind), default_state(kind), 100.0,
+                 1e-8, 1e-12)):
+            model, calls = counting(model)
             assert not hasattr(model.rhs, "bind")
             steps, counts, error = self.assert_same_steps(lambda: model, params, state0, t_end,
                                                           rtol=rtol, atol=atol)
-            assert error is None and len(steps) > 10
+            assert error is None and len(steps) > 10 and calls
             self.assert_same_stored_run(model, params, state0, np.linspace(0.0, t_end, 257),
                                         rtol, atol)
-        assert counts["jacobian"] == "generated" and calls
 
     def test_stage_that_raises(self):
         # each run's rhs raises at its first call after t = 0
@@ -1512,7 +1523,7 @@ class TestGeneratedRadauKernel:
         def rhs(t, s, p):
             return base.rhs(t, s, p) * (math.nan if t > 0.0 else 1.0)
 
-        model = dataclasses.replace(base, rhs=rhs, jacobian=None)
+        model = dataclasses.replace(base, rhs=rhs)
         steps, _, error = self.assert_same_steps(lambda: model, ParameterSet(a=1, y=1),
                                                  StateVector(("T",), [0.5]), 5.0)
         assert error[0] is BlowupError and not steps
@@ -1605,15 +1616,12 @@ class TestSolverCounts:
         assert traj.solver_info["rhs_evals"] == len(calls)
 
     @staticmethod
-    def _radau_counts(monkeypatch, jacobian):
+    def _radau_counts(monkeypatch):
         """A bcell-depletion run's counts and the calls they count: rhs
-        calls, Jacobians (the generated one's calls, or _fd_jacobian's for
-        a model without one, whose rhs calls count as rhs evaluations) and
-        the shifts of the generated LU's factorisations."""
+        calls, Jacobians and the shifts of the generated LU's
+        factorisations."""
         jacobians, shifts = [], []
-        fd_jacobian, generated_lu = core._fd_jacobian, integrate._lu
-        monkeypatch.setattr(core, "_fd_jacobian",
-                            lambda f, x: jacobians.append(x) or fd_jacobian(f, x))
+        generated_lu = integrate._lu
 
         def counted_lu(n):
             lu = generated_lu(n)["lu"]
@@ -1628,8 +1636,7 @@ class TestSolverCounts:
             jac = bind_jacobian(params)
             return lambda t, values: jacobians.append(t) or jac(t, values)
 
-        model = dataclasses.replace(
-            model, jacobian=counted_jacobian if jacobian == "generated" else None)
+        model = dataclasses.replace(model, jacobian=counted_jacobian)
         with np.errstate(all="ignore"):
             for *_, counts in _radau_steps(model, default_params(kind), default_state(kind),
                                            0.0, default_horizon(kind), 1e-8, 1e-12):
@@ -1655,15 +1662,7 @@ class TestSolverCounts:
             assert integrate._MU_COMPLEX / c == pytest.approx(integrate._MU_REAL / r, rel=1e-14)
 
     def test_radau_counts(self, monkeypatch):
-        counts, calls, jacobians, shifts = self._radau_counts(monkeypatch, "generated")
-        assert counts["jacobian"] == "generated"
-        assert counts["rhs_evals"] == len(calls)
-        assert counts["jac_evals"] == len(jacobians) > 1
-        self.assert_one_real_and_one_complex_lu_each(counts, shifts)
-
-    def test_radau_counts_by_finite_differences(self, monkeypatch):
-        counts, calls, jacobians, shifts = self._radau_counts(monkeypatch, "finite-difference")
-        assert counts["jacobian"] == "finite-difference"
+        counts, calls, jacobians, shifts = self._radau_counts(monkeypatch)
         assert counts["rhs_evals"] == len(calls)
         assert counts["jac_evals"] == len(jacobians) > 1
         self.assert_one_real_and_one_complex_lu_each(counts, shifts)

@@ -19,13 +19,14 @@ pivoted elimination: the Radau step factors by it, and the steady-state
 path solves each Newton step by its ``solve``.  The numpy inverse of the
 whole Radau Newton matrix lives in ``tests/test_integrate.py``, as the
 reference kernel's.  Two step schemes integrate every run, Dormand-Prince
-and Radau: no third one names itself in a ``solver_info``.  One place
-chooses between a model's generated Jacobian and finite differences:
-``ModelSystem.bind_jacobian``.  And one place decides what a claim point
-that fails numerically does: ``claims._point``.  The Dormand-Prince step
-generated for a compiled model writes the model's rhs into each stage: its
-loop calls no function of the model's and hands the bound rhs only to the
-step-size error, and a run of the model steps by that loop.
+and Radau: no third one names itself in a ``solver_info``.  One Jacobian
+linearises a model, its generated one: no module differences the rhs, and
+only ``ModelSystem.bind_jacobian`` reads it.  And one place decides what
+a claim point that fails numerically does: ``claims._point``.  The
+Dormand-Prince step generated for a compiled model writes the model's rhs
+into each stage: its loop calls no function of the model's and hands the
+bound rhs only to the step-size error, and a run of the model steps by
+that loop.
 """
 import ast
 from pathlib import Path
@@ -315,16 +316,18 @@ def _defined(path: Path) -> set[str]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
-def test_one_place_chooses_the_jacobian():
-    # core.ModelSystem.bind_jacobian gives the generated Jacobian or
-    # differences the rhs; the kernels' start is integrate._start
-    gone = {"array_jacobian", "_prepare"}
+def test_one_jacobian():
+    # core.ModelSystem.bind_jacobian gives the generated Jacobian, and
+    # nothing differences the rhs; the kernels' start is integrate._start
+    gone = {"array_jacobian", "_prepare", "_fd_jacobian", "_FD_STEP"}
     for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
         assert not gone & (_names(path) | _defined(path)), path.name
-    assert {path.name for path in SOURCES if "_fd_jacobian" in _names(path)} == {"core.py"}
-    analysis = next(p for p in SOURCES if p.name == "analysis.py")
-    assert not [node for node in ast.walk(ast.parse(analysis.read_text(encoding="utf-8")))
-                if isinstance(node, ast.Attribute) and node.attr == "jacobian"]
+        assert "finite-difference" not in text, path.name
+    assert {path.name for path in SOURCES
+            if any(isinstance(node, ast.Attribute) and node.attr == "jacobian"
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+            } == {"core.py"}
 
 
 def _handlers_of_point_errors(tree) -> list:
