@@ -61,6 +61,16 @@ def _positive(text: str) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=64)
+def _file_model(text: str):
+    """The model ``text`` defines, its default parameters and its default
+    initial state, compiled once per process: memoised on the text (the 64
+    most recently used), as ``parse_model`` is, so an edited file compiles
+    again and a rejected text raises again on every call."""
+    defn = parse_model(text)
+    return compile_model(defn), default_params(defn), default_initial_state(defn)
+
+
 def _load_model(spec: str):
     """Resolve a --model argument, a catalog name or a .qssm path, to the
     model, its default parameters and its default initial state."""
@@ -70,8 +80,7 @@ def _load_model(spec: str):
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read model file {spec!r}: {exc}") from None
-        defn = parse_model(text)
-        return compile_model(defn), default_params(defn), default_initial_state(defn)
+        return _file_model(text)
     names = cat.all_kind_names()
     if spec not in names:
         raise UsageError(
@@ -121,23 +130,26 @@ def _write_text(path: str, pieces) -> None:
 
 
 def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
-    """Write the header, then the rows ``_CSV_BLOCK`` at a time: only one
-    block's times and states are lists and lines at once."""
+    """Write the header, then the rows ``_CSV_BLOCK`` at a time: each block
+    is one tuple of its times and states, row by row, formatted into one
+    string by one ``%`` with a row template repeated once per row."""
+    row = ",".join(["%.17g"] * (len(trajectory.state_names) + 1)) + "\n"
+
     def pieces():
         yield "t," + ",".join(trajectory.state_names) + "\n"
         for i in range(0, len(trajectory), _CSV_BLOCK):
-            times = trajectory.times[i:i + _CSV_BLOCK].tolist()
-            states = trajectory.states[i:i + _CSV_BLOCK].tolist()
-            yield "".join(",".join([f"{t:.17g}", *[f"{v:.17g}" for v in state]]) + "\n"
-                          for t, state in zip(times, states))
+            block = np.column_stack((trajectory.times[i:i + _CSV_BLOCK],
+                                     trajectory.states[i:i + _CSV_BLOCK]))
+            yield row * len(block) % tuple(block.ravel().tolist())
     _write_text(path, pieces())
 
 
 def read_trajectory_csv(path: str) -> Trajectory:
     """Read a CSV that ``write_trajectory_csv`` wrote.  A file that is not
-    one -- unreadable, without the ``t,...`` header, with a row whose cell
-    count differs from the header's or with a cell that is not a finite
-    number -- raises ``UsageError``."""
+    one -- unreadable, without the ``t,...`` header, with an empty or a
+    repeated column name, with a row whose cell count differs from the
+    header's or with a cell that is not a finite number -- raises
+    ``UsageError``."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
@@ -145,7 +157,12 @@ def read_trajectory_csv(path: str) -> Trajectory:
         raise UsageError(f"cannot read trajectory {path!r}: {exc}") from None
     if not lines or not lines[0][1].startswith("t,"):
         raise UsageError(f"{path!r} is not a trajectory CSV (expected header 't,...')")
-    names = tuple(lines[0][1].split(",")[1:])
+    header = lines[0][1].split(",")
+    for i, name in enumerate(header):
+        if not name or name in header[:i]:
+            raise UsageError(f"{path!r} header: column {i + 1} is "
+                             + (f"a second {name!r}" if name else "empty"))
+    names = tuple(header[1:])
     times = []
     states = []
     for line_no, line in lines[1:]:

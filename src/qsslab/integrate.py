@@ -209,24 +209,30 @@ def _step_underflow(f, t: float, h: float, finite: bool | None, y0: list, y: lis
     time.  That one more rhs evaluation is counted in ``counts``; if it
     raises ``EvaluationError``, or a norm is nan, the state does not run
     away.  A bounded state, one that did not grow, or one whose rate did
-    not outgrow it (a switching rhs) underflowed for stiffness."""
+    not outgrow it (a switching rhs) underflowed for stiffness.
+
+    The error carries, as ``counts``, a copy of ``counts`` as the run ends:
+    a run that yielded no step has no other record of its trials."""
     if finite is None:
-        return NoConvergenceError(
+        error = NoConvergenceError(
             f"no Newton solve at t = {t:g}: {cause or 'singular Newton matrix'}")
-    if not finite:
-        return BlowupError(f"state became non-finite at t = {t + h:g}", time=t + h)
-    size, rate = math.hypot(*y), math.hypot(*fy)
-    if size > math.hypot(*y0) and rate > 0.0:
-        counts["rhs_evals"] += 1
-        tau = size / rate
-        try:
-            ahead = math.hypot(*f(t, [v + tau * r for v, r in zip(y, fy)]))
-        except EvaluationError:
-            ahead = math.nan
-        if ahead > 2.0 * rate:
-            return BlowupError(f"state grew without bound at t = {t:g} (|y| = {size:.3e}, "
-                               f"step size {h:.3e})", time=t)
-    return StiffnessError(f"step size underflow ({h:.3e}) at t = {t:g}; problem too stiff")
+    elif not finite:
+        error = BlowupError(f"state became non-finite at t = {t + h:g}", time=t + h)
+    else:
+        error = StiffnessError(f"step size underflow ({h:.3e}) at t = {t:g}; problem too stiff")
+        size, rate = math.hypot(*y), math.hypot(*fy)
+        if size > math.hypot(*y0) and rate > 0.0:
+            counts["rhs_evals"] += 1
+            tau = size / rate
+            try:
+                ahead = math.hypot(*f(t, [v + tau * r for v, r in zip(y, fy)]))
+            except EvaluationError:
+                ahead = math.nan
+            if ahead > 2.0 * rate:
+                error = BlowupError(f"state grew without bound at t = {t:g} "
+                                    f"(|y| = {size:.3e}, step size {h:.3e})", time=t)
+    error.counts = dict(counts)
+    return error
 
 
 def _per_component(n: int, form: str, sep: str = ", ") -> str:

@@ -14,6 +14,7 @@ from qsslab import cli
 from qsslab.catalog import default_params, default_state, make_model
 from qsslab.claims import CLAIMS
 from qsslab.cli import read_trajectory_csv, run_cli, write_trajectory_csv
+from qsslab.dsl import compile_model
 from qsslab.integrate import Trajectory, sampled_dopri_run
 from qsslab.svg import render_plot
 from qsslab.errors import UsageError
@@ -337,11 +338,44 @@ def test_consecutive_calls_share_the_parser_but_no_arguments(outdir):
     for argv in argvs:
         assert run_cli([a.format(shared) for a in argv]) == 0
     assert cli._parser() is cli._parser()
-    for argv in argvs:  # each call from a newly built parser
+    for argv in argvs:  # each call from a newly built parser and model memo
         cli._parser.cache_clear()
+        cli._file_model.cache_clear()
         assert run_cli([a.format(fresh) for a in argv]) == 0
     for path in sorted(shared.iterdir()):
         assert path.read_bytes() == (fresh / path.name).read_bytes(), path.name
+
+
+def test_a_model_file_compiles_once_per_text(outdir, monkeypatch):
+    model = outdir / "once.qssm"
+    model.write_text("model once\nstate T = 3\nparam r = 1 nonneg\ndT/dt = 1 - r*T\n")
+    compiled = []
+    monkeypatch.setattr(cli, "compile_model", lambda defn: compiled.append(defn.name)
+                        or compile_model(defn))
+    cli._file_model.cache_clear()
+    for run in ("first", "second"):
+        assert run_cli(["simulate", "--model", str(model), "--t-end", "1",
+                        "--out", str(outdir / f"{run}.csv")]) == 0
+    assert compiled == ["once"]
+    assert (outdir / "first.csv").read_bytes() == (outdir / "second.csv").read_bytes()
+
+
+def test_an_edited_model_file_compiles_again(outdir):
+    # the memo is keyed on the text, not on the path
+    model, edited = outdir / "edit.qssm", outdir / "edited.qssm"
+    model.write_text("model edit\nstate T = 3\nparam r = 1 nonneg\ndT/dt = 1 - r*T\n")
+    edited.write_text("model edit\nstate T = 3\nparam r = 1 nonneg\ndT/dt = 2 - r*T\n")
+    argv = ["simulate", "--t-end", "1", "--model"]
+    assert run_cli([*argv, str(model), "--out", str(outdir / "before.csv")]) == 0
+    model.write_text(edited.read_text())
+    assert run_cli([*argv, str(model), "--out", str(outdir / "after.csv")]) == 0
+    assert run_cli([*argv, str(edited), "--out", str(outdir / "expected.csv")]) == 0
+    assert (outdir / "after.csv").read_bytes() == (outdir / "expected.csv").read_bytes()
+    assert (outdir / "after.csv").read_bytes() != (outdir / "before.csv").read_bytes()
+
+
+# twelve rows, enough for classify to give a verdict on the first T
+_TWELVE_ROWS = "".join(f"{i},{2.0 ** -i!r},1\n" for i in range(12))
 
 
 @pytest.mark.parametrize("text", [
@@ -352,12 +386,25 @@ def test_consecutive_calls_share_the_parser_but_no_arguments(outdir):
     "t,T,V\n0,1\n",
     "t,T\n",
     "",
+    "t,T,T\n" + _TWELVE_ROWS,
+    "t,T,\n" + _TWELVE_ROWS,
 ])
 def test_malformed_csv_is_a_usage_error(outdir, capsys, text):
     path = outdir / "bad.csv"
     path.write_text(text)
     assert run_cli(["classify", "--traj", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("header, reason", [
+    ("t,T,T", "column 3 is a second 'T'"), ("t,T,", "column 3 is empty"),
+    ("t,t", "column 2 is a second 't'"), ("t,,T", "column 2 is empty"),
+])
+def test_repeated_or_empty_csv_column_is_named(outdir, header, reason):
+    path = outdir / "bad.csv"
+    path.write_text(header + "\n" + _TWELVE_ROWS)
+    with pytest.raises(UsageError, match=f"header: {reason}$"):
+        read_trajectory_csv(path)
 
 
 def test_non_utf8_csv_is_a_usage_error(outdir):
@@ -511,10 +558,13 @@ def test_trajectory_csv_bytes(outdir):
         b"1.7976931348623157e+308,4.9406564584124654e-324,-2.5\n")
 
 
-def test_trajectory_csv_is_written_in_blocks(outdir, monkeypatch):
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_trajectory_csv_is_written_in_blocks(outdir, monkeypatch, width):
     # blocks of 3 rows, the last one short, give the bytes of one block
     times = [i / 8 for i in range(11)]
-    traj = Trajectory(times, [[math.exp(-t), t / 3] for t in times], ("T", "D"), {})
+    names = ("T", "D", "V", "I", "B")[:width]
+    traj = Trajectory(times, [[math.exp(-t) * (j + 1) + t / 3 for j in range(width)]
+                              for t in times], names, {})
     write_trajectory_csv(traj, outdir / "one.csv")
     monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
     write_trajectory_csv(traj, outdir / "blocks.csv")

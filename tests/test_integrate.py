@@ -491,7 +491,8 @@ def reference_dopri_steps(model: ModelSystem, params: ParameterSet, state0: Stat
 
 def stepping_record(kernel, model, params, state0, t0, t_end, rtol=1e-8, atol=1e-12):
     """Every yield of ``kernel``'s run as bytes and types, ``counts`` as it
-    stood at each yield and at the end, and the error the run ends in."""
+    stood at each yield and at the end, and the error the run ends in.  A
+    run that ends before its first step has its counts from the error."""
     steps, counts, error = [], {}, None
     try:
         with np.errstate(all="ignore"):
@@ -502,6 +503,8 @@ def stepping_record(kernel, model, params, state0, t0, t_end, rtol=1e-8, atol=1e
                               [type(row) for row in (y, *K)], dict(counts)))
     except QsslabError as exc:
         error = type(exc), str(exc)
+        if not steps:
+            counts = getattr(exc, "counts", counts)
     return steps, dict(counts), error
 
 
