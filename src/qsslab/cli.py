@@ -9,7 +9,9 @@ checked before the command computes anything.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import os
@@ -65,8 +67,8 @@ def _positive(text: str) -> float:
 def _file_model(text: str):
     """The model ``text`` defines, its default parameters and its default
     initial state, compiled once per process: memoised on the text (the 64
-    most recently used), as ``parse_model`` is, so an edited file compiles
-    again and a rejected text raises again on every call."""
+    most recently used), so an edited file compiles again and a rejected
+    text raises again on every call."""
     defn = parse_model(text)
     return compile_model(defn), default_params(defn), default_initial_state(defn)
 
@@ -276,14 +278,14 @@ def _cmd_sweep(args) -> int:
     columns = [spec.sweep_param] + [m for m in metrics]
     extras = sorted({k for row in rows for k in row} - set(columns))
     columns += extras
-    lines = [",".join(columns)]
+    # quoted where a cell holds a comma or a quote, as an error's text may
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
     for row in rows:
-        cells = []
-        for col in columns:
-            value = row.get(col, "")
-            cells.append(f"{value:.17g}" if isinstance(value, float) else str(value))
-        lines.append(",".join(cells))
-    _write_text(args.out, ["\n".join(lines) + "\n"])
+        writer.writerow([f"{value:.17g}" if isinstance(value, float) else str(value)
+                         for value in (row.get(col, "") for col in columns)])
+    _write_text(args.out, [text.getvalue()])
     return 0
 
 

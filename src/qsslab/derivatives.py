@@ -3,7 +3,7 @@
 ``jacobian_function`` turns a model's equations into ``bind(params)``,
 which reads each parameter once and returns ``jac(t, values)``: the rows
 df_i/dy_j at (t, values), as lists of floats.  The body is the generated
-rhs's straight-line code (``dsl._emit``), each node followed by its
+rhs's straight-line code (``dsl._body``), each node followed by its
 derivatives with respect to the states (forward mode), with constants
 folded while the source is generated.  It computes the same node values
 with the same checks, so it raises the rhs's ``EvaluationError`` (message
@@ -22,16 +22,16 @@ choices at points where a derivative does not exist:
 - d(x^y)/dy = x^y ln x is 0 where x^y is 0, its limit as x -> 0 for y > 0,
   and nan where x < 0 (an integer y, the only one the rhs allows there).
 
-``ModelSystem.jacobian`` of a compiled model imports this module on first
-use (``dsl.compile_model``).  It is part of ``dsl``, kept in a file of its
-own for memory: where Python compiles the package from source (no cached
-bytecode), the compiler's transient memory grows with the module, and one
-dsl module holding both raised the peak RSS of a ``qssm-pipeline``
-benchmark run by about 0.4 MB against the two files (Python 3.11).
+``ModelSystem.jacobian`` of a compiled model imports this module, compiles
+its Jacobian on first use and keeps it (``dsl.compile_model``).  It is
+part of ``dsl``, kept in a file of its own for memory: where Python
+compiles the package from source (no cached bytecode), the compiler's
+transient memory grows with the module, and one dsl module holding both
+raised the peak RSS of a ``qssm-pipeline`` benchmark run by about 0.4 MB
+against the two files (Python 3.11).
 """
 from __future__ import annotations
 
-import functools
 import math
 import re
 
@@ -45,9 +45,8 @@ from .dsl import (
     _bound_source,
     _children,
     _compiled,
-    _emit,
+    _body,
     _literal,
-    _names_and_header,
 )
 
 
@@ -111,14 +110,15 @@ def _chain(u, partial, unbounded: bool):
 
 
 class _Forward:
-    """The ``derive`` of ``_emit`` that appends, after each node, its
+    """The ``derive`` of ``dsl._body`` that appends, after each node, its
     derivatives with respect to the states: ``d[j]`` in the local
     ``<node>_<j>`` (forward mode over the straight-line rhs).  ``grads``
     maps a value's expression to its derivatives by state index; an
     expression absent from it (a parameter, time, a literal) is constant."""
 
-    def __init__(self, names: dict, state_names, lines: list):
-        self.grads = {names[s]: {j: 1.0} for j, s in enumerate(state_names)}
+    def __init__(self, state_names, lines: list):
+        # each state's local in the body (``dsl._body``)
+        self.grads = {f"v_{s}": {j: 1.0} for j, s in enumerate(state_names)}
         self.lines = lines
 
     def _local(self, name: str, term):
@@ -181,19 +181,19 @@ class _Forward:
                            for j, term in sorted(d.items()) if term != 0.0}
 
 
-def jacobian_source(state_names, param_names, exprs, reads_time: bool) -> str:
-    """The generated Jacobian of the equations ``exprs``: ``bind(params)``
-    returns ``jac(t, values)``, the rows df_i/dy_j as lists of floats.  Its
-    body is the rhs's, each node followed by its derivatives
-    (``_Forward``), less the values that no derivative reads."""
-    names, lines = _names_and_header(state_names, param_names, reads_time)
-    forward = _Forward(names, state_names, lines)
+def jacobian_source(tree: tuple) -> str:
+    """The generated Jacobian of ``tree`` (``dsl.compile_model``'s):
+    ``bind(params)`` returns ``jac(t, values)``, the rows df_i/dy_j as lists
+    of floats.  Its body is the rhs's (``dsl._body``), each node followed by
+    its derivatives (``_Forward``), less the values no derivative reads."""
+    lines = []
+    forward = _Forward(tree[0], lines)
     rows = []
-    for e in exprs:
-        grad = forward.grads.get(_emit(e, names, lines, forward), {})
-        rows.append(f"[{', '.join(_operand(grad.get(j, 0.0)) for j in range(len(state_names)))}]")
+    for result in _body(tree, "float(t)", "values", lines, forward):
+        grad = forward.grads.get(result, {})
+        rows.append(f"[{', '.join(_operand(grad.get(j, 0.0)) for j in range(len(tree[0])))}]")
     lines.append(f"return [{', '.join(rows)}]")
-    return _bound_source(param_names, "jac", _live(lines))
+    return _bound_source(tree[1], "jac", _live(lines))
 
 
 def _live(lines) -> list:
@@ -210,11 +210,8 @@ def _live(lines) -> list:
     return kept[::-1]
 
 
-@functools.lru_cache(maxsize=64)
-def jacobian_function(rhs_source: str, tree: tuple):
-    """The Jacobian ``bind`` of the model whose rhs is ``rhs_source``,
-    generated from ``tree`` (``jacobian_source``'s arguments) once per
-    process, behind a memo of the 64 most recently used.  The rhs source
-    is part of the key because the tree's equality ignores source
-    locations, which the Jacobian's errors carry."""
-    return _compiled(jacobian_source(*tree), "<qssm jacobian>", _JACOBIAN_RUNTIME)["bind"]
+def jacobian_function(tree: tuple):
+    """The Jacobian ``bind`` of ``tree`` (``jacobian_source``'s argument),
+    generated and compiled on each call: a compiled model calls it once
+    and keeps what it returns (``dsl._jacobian_binder``)."""
+    return _compiled(jacobian_source(tree), "<qssm jacobian>", _JACOBIAN_RUNTIME)["bind"]

@@ -21,15 +21,15 @@ and binds tightest, then unary minus, then ``* /``, then ``+ -``; calls
 
 A compiled model carries its right-hand side as generated Python and, as
 ``ModelSystem.jacobian``, its exact Jacobian, generated from the same tree
-on first use (``derivatives``).  ``min(a, b)`` is a unless b < a, and
-``max(a, b)`` a unless b > a: at a tie both are the first argument, and so
-is their derivative.  No runtime path walks the tree: the tests' oracle
-for the generated code is the tree walker ``eval_expr`` in
+on first use (``derivatives``); ``_body`` writes both bodies.  Whoever runs
+a model keeps it compiled (``compile_model``).  ``min(a, b)`` is a unless
+b < a, and ``max(a, b)`` a unless b > a: at a tie both are the first
+argument, and so is their derivative.  No runtime path walks the tree: the
+tests' oracle for the generated code is the tree walker ``eval_expr`` in
 ``tests/evaluator.py``.
 """
 from __future__ import annotations
 
-import functools
 import math
 import re
 from collections import Counter
@@ -114,8 +114,8 @@ class StateDecl:
 @dataclass(frozen=True)
 class ModelDefinition:
     """A parsed model; ``equations`` (state name -> Expr) is read-only, so
-    that the definition ``parse_model`` shares between equal sources cannot
-    be changed by one caller."""
+    that the definition the catalog keeps per kind (``catalog._definition``)
+    and shares between its callers cannot be changed by one of them."""
 
     name: str
     states: tuple[StateDecl, ...]
@@ -277,15 +277,14 @@ def parse_expression(text: str) -> Expr:
 # Model-definition parser
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
 def parse_model(source: str) -> ModelDefinition:
     """Parse and validate a full model definition.
 
     Lexical/syntax problems raise ``ParseError`` with a location and the set
     of acceptable tokens; semantic problems are collected and raised together
-    as one ``SemanticError`` listing every offense.  Results are memoised on
-    the source text (the 64 most recently used): equal text returns the same
-    definition, and a rejected text raises again on every call.
+    as one ``SemanticError`` listing every offense.  Each call parses
+    anew: a caller that reads one text more than once keeps the definition
+    (``catalog._definition``) or the compiled model (``cli._file_model``).
     """
     names_seen: list[str] = []
     states: list[StateDecl] = []
@@ -629,42 +628,30 @@ def _bound_source(param_names, name: str, lines) -> str:
     ))
 
 
-def _local_names(state_names, param_names) -> dict:
-    """The locals of a generated body by model name."""
-    return {name: f"v_{name}" for name in (*state_names, *param_names, RESERVED_TIME)}
-
-
-def _names_and_header(state_names, param_names, reads_time):
-    """The locals of a generated body by model name, and its first lines,
-    which read the time (if used) and unpack the state."""
-    names = _local_names(state_names, param_names)
-    lines = ["v_t = float(t)"] if reads_time else []
-    lines.append(f"[{', '.join(names[s] for s in state_names)}] = values")
-    return names, lines
-
-
-def _inlined_rhs(tree: tuple, values, time: str) -> tuple[list, list]:
-    """The body of the bound rhs generated from ``tree`` (``_rhs_function``'s),
-    as statements to write into a generated loop whose locals hold the
-    parameters (``_param_reads``): the time, if the rhs reads it, from the
-    float expression ``time`` and each state from its expression in
-    ``values``, then every node as the bound rhs computes it (``_emit``).
-    Returns the statements and the expression that holds each state's rate."""
+def _body(tree: tuple, time: str, values, lines: list, derive=None) -> list:
+    """Append to ``lines`` the rhs body of ``tree`` (``compile_model``'s) on
+    the parameters' locals (``_param_reads``): the time, if read, from
+    ``time``; the states from the list named ``values`` or one expression
+    each; then every node (``_emit``, with ``derive``).  Returns each rate's expression."""
     state_names, param_names, exprs, reads_time = tree
-    names = _local_names(state_names, param_names)
-    lines = [f"{names[RESERVED_TIME]} = {time}"] if reads_time else []
-    lines += [f"{names[s]} = {value}" for s, value in zip(state_names, values)]
-    return lines, [_emit(e, names, lines) for e in exprs]
+    names = {name: f"v_{name}" for name in (*state_names, *param_names, RESERVED_TIME)}
+    if reads_time:
+        lines.append(f"{names[RESERVED_TIME]} = {time}")
+    if isinstance(values, str):
+        lines.append(f"[{', '.join(names[s] for s in state_names)}] = {values}")
+    else:
+        lines += [f"{names[s]} = {value}" for s, value in zip(state_names, values)]
+    return [_emit(e, names, lines, derive) for e in exprs]
 
 
-def _rhs_source(state_names, param_names, exprs, reads_time: bool) -> str:
+def _rhs_source(tree: tuple) -> str:
     """The model's one generated rhs source: ``bind(params)`` returns the
     list form ``rhs(t, values)``, and the array form ``rhs(t, values,
     params)`` binds and calls it."""
-    names, lines = _names_and_header(state_names, param_names, reads_time)
-    results = [_emit(e, names, lines) for e in exprs]
+    lines = []
+    results = _body(tree, "float(t)", "values", lines)
     lines.append(f"return [{', '.join(results)}]")
-    return _bound_source(param_names, "rhs", lines) + (
+    return _bound_source(tree[1], "rhs", lines) + (
         "def rhs(t, values, params):\n"
         "    return _array(bind(params)(t, values.tolist()))\n"
         "rhs.bind = bind\n")
@@ -677,22 +664,10 @@ def _compiled(source: str, filename: str, runtime: dict = _RUNTIME) -> dict:
     return namespace
 
 
-@functools.lru_cache(maxsize=64)
-def _rhs_function(source: str, tree: tuple):
-    """The array-form rhs ``source`` defines, compiled once per process.  It
-    carries, as ``rhs.tree``, the ``tree`` that ``source`` was generated
-    from (``jacobian_source``'s arguments), which the Dormand-Prince loop
-    inlines (``_inlined_rhs``)."""
-    rhs = _compiled(source, "<qssm rhs>")["rhs"]
-    rhs.tree = tree
-    return rhs
-
-
-def _jacobian_binder(rhs_source: str, tree: tuple):
-    """``jacobian(params)``, the bound Jacobian of the model whose rhs is
-    ``rhs_source``, generated from ``tree`` (``derivatives.jacobian_source``'s
-    arguments).  The generated ``bind`` is looked up on the first call and
-    kept, so that no later call hashes the tree for the memo's key."""
+def _jacobian_binder(tree: tuple):
+    """``jacobian(params)``, the bound Jacobian of the model generated from
+    ``tree`` (``derivatives.jacobian_source``'s argument).  The generated
+    ``bind`` is compiled on the first call and kept for every later one."""
     bind = None
 
     def jacobian(params) -> BoundJacobian:
@@ -700,7 +675,7 @@ def _jacobian_binder(rhs_source: str, tree: tuple):
         if bind is None:
             from .derivatives import jacobian_function  # imports this module
 
-            bind = jacobian_function(rhs_source, tree)
+            bind = jacobian_function(tree)
         return bind(params)
     return jacobian
 
@@ -718,29 +693,29 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
     ``SourceLocation``) where the oracle raises.  The array form
     ``rhs(t, values, params)`` binds and calls it, and carries the tree it
     was generated from as ``rhs.tree``, which the Dormand-Prince loop
-    inlines (``integrate._dopri_source``).  Generated sources are
-    compiled once per process, behind a memo of the 64 most recently used:
-    compiling an equal definition again returns the same function.  A
-    definition that ``parse_model`` would reject raises its
-    ``SemanticError``.
+    inlines (``integrate._dopri_source``).  Each call generates and
+    compiles the source anew: a caller that runs a model more than once
+    keeps the compiled model (``catalog._model`` per kind,
+    ``cli._file_model`` per ``.qssm`` text).  A definition that
+    ``parse_model`` would reject raises its ``SemanticError``.
 
     The model's ``jacobian(params)`` binds the exact Jacobian, generated
-    from the same tree (``derivatives``) on its first use, not here, and
-    compiled once per process behind a memo of the 64 most recently used,
-    as the rhs is; the model keeps what the memo gave it.
+    from the same tree (``derivatives``) and compiled on its first use,
+    not here; the model keeps it for every later use.
     """
     state_names = tuple(s.name for s in defn.states)
     param_names = tuple(p.name for p in defn.params)
-    exprs = [defn.equations[name] for name in state_names]
+    exprs = tuple(defn.equations[name] for name in state_names)
     time_dependent = any(expression_reads_time(e) for e in exprs)
+    tree = (state_names, param_names, exprs, time_dependent)
     try:
-        source = _rhs_source(state_names, param_names, exprs, time_dependent)
+        source = _rhs_source(tree)
     except KeyError:
         declared = {*state_names, *param_names, RESERVED_TIME}
         problems = {p for e in exprs for p in _expression_issues(e, declared)}
         raise SemanticError(sorted(problems)) from None
-    tree = (state_names, param_names, tuple(exprs), time_dependent)
-    rhs = _rhs_function(source, tree)
+    rhs = _compiled(source, "<qssm rhs>")["rhs"]
+    rhs.tree = tree
 
     equation = " ; ".join(
         f"d{name}/dt = {format_expr(defn.equations[name])}" for name in state_names
@@ -754,7 +729,7 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
         equation=equation,
         kind=None,
         slow_rate_params=defn.slow,
-        jacobian=_jacobian_binder(source, tree),
+        jacobian=_jacobian_binder(tree),
     )
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelSystem, ParameterSet, StateVector, validate
-from .dsl import _RUNTIME, _compiled, _inlined_rhs, _param_reads
+from .dsl import _RUNTIME, _body, _compiled, _param_reads
 from .errors import (
     BlowupError,
     DomainError,
@@ -261,8 +261,8 @@ def _dopri_source(n: int, tree: tuple | None = None) -> str:
     The two forms differ only in their stage evaluations.  Without
     ``tree`` each stage calls the bound rhs ``f`` on a list and unpacks
     the list it returns.  With ``tree``, the tree of a compiled rhs
-    (``dsl._rhs_function``'s), each stage is that rhs's body
-    (``dsl._inlined_rhs``), on the parameters that the loop reads from
+    (``rhs.tree``, set by ``dsl.compile_model``), each stage is that rhs's
+    body (``dsl._body``), on the parameters that the loop reads from
     ``params`` into locals once per run: the stage's input goes into the
     body's state locals and its results into ``k<i>_#``, so that no stage
     builds or unpacks a list, and the stages' lists that the loop yields
@@ -277,7 +277,8 @@ def _dopri_source(n: int, tree: tuple | None = None) -> str:
         per-component ``inputs``, in ``k<i>_#``."""
         if tree is None:
             return f"k{i} = f({time}, [{each(inputs)}]){indent}{each(f'k{i}_#')}, = k{i}"
-        lines, rates = _inlined_rhs(tree, [inputs.replace("#", str(j)) for j in range(n)], time)
+        lines = []
+        rates = _body(tree, time, [inputs.replace("#", str(j)) for j in range(n)], lines)
         return indent.join(lines + [f"k{i}_{j} = {rate}" for j, rate in enumerate(rates)])
 
     # what the inlined stages need: the parameters' locals, and the lists of
@@ -369,8 +370,8 @@ def _dopri_kernel(n: int):
 @functools.lru_cache(maxsize=64)
 def _inlined_dopri_kernel(rhs):
     """The stepping loop of ``_dopri_source`` with the compiled ``rhs``'s
-    body inlined, compiled on first use, once per process, behind a memo
-    of the 64 most recently used."""
+    body inlined, compiled on first use, once per compiled model (each has
+    its own rhs) and process, behind a memo of the 64 most recently used."""
     return _compiled(_dopri_source(len(rhs.tree[0]), rhs.tree), "<dopri5 kernel, inlined rhs>",
                      {**_RUNTIME, **_DOPRI_RUNTIME})["kernel"]
 
@@ -390,7 +391,7 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     The arithmetic is on Python floats, in a loop generated by
     ``_dopri_source`` that holds each component of the state and the
     stages in its own local variable.  A compiled model, whose ``rhs``
-    carries its tree (``dsl._rhs_function``), steps by the loop with that
+    carries its tree (``dsl.compile_model``), steps by the loop with that
     rhs inlined in each stage (``_inlined_dopri_kernel``, compiled once
     per model and process); any other rhs, a wrapper set by
     ``dataclasses.replace`` included, by the loop that calls its bound

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -193,6 +194,19 @@ def test_sweep_csv(outdir):
     assert float(first[1]) == pytest.approx(10.0, abs=1e-6)
     assert float(second[1]) == pytest.approx(5.0, abs=1e-6)
     assert float(second[2]) < float(first[2])  # destruction hastens here
+
+
+def test_sweep_csv_quotes_an_error_with_a_comma(outdir):
+    # "y must be > 0, got 0": one cell, not two
+    out = outdir / "sweep.csv"
+    assert run_cli(["sweep", "--model", "healthy", "--sweep", "y=0,1",
+                    "--metrics", "T*,rate", "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["y", "T*", "rate", "error"]
+    assert [len(row) for row in rows] == [4, 4, 4]
+    assert rows[1][3].endswith("y must be > 0, got 0")
+    assert out.read_text().splitlines()[2] == "1,1,1,"  # a row without a comma is as before
 
 
 def test_sweep_runs_a_model_file(outdir):

@@ -703,12 +703,16 @@ class TestGeneratedDopriKernel:
         assert _dopri_kernel(2) is _dopri_kernel(2) is not _dopri_kernel(1)
 
     def test_the_inlined_loops_memo_is_bounded(self):
-        def run(rate):
-            model = compile_model(parse_model(f"state T = 1\nparam a = 1\ndT/dt = a - {rate}*T\n"))
-            integrate_adaptive(model, ParameterSet(), StateVector(("T",), [1.0]), 0.0, 0.1)
-
         maxsize = _inlined_dopri_kernel.cache_info().maxsize
         assert maxsize == 64
+        # built once and kept: the memo is keyed on each model's own rhs
+        models = [compile_model(parse_model(f"state T = 1\nparam a = 1\ndT/dt = a - {rate}*T\n"))
+                  for rate in range(1, maxsize + 2)]
+
+        def run(rate):
+            integrate_adaptive(models[rate - 1], ParameterSet(), StateVector(("T",), [1.0]),
+                               0.0, 0.1)
+
         for rate in range(maxsize + 1):
             run(rate + 1)
         misses = _inlined_dopri_kernel.cache_info().misses

@@ -26,7 +26,9 @@ a claim point that fails numerically does: ``claims._point``.  The
 Dormand-Prince step generated for a compiled model writes the model's rhs
 into each stage: its loop calls no function of the model's and hands the
 bound rhs only to the step-size error, and a run of the model steps by
-that loop.
+that loop.  The code generator keeps no memo (whoever runs a model keeps
+it compiled) and writes every model body, rhs, Jacobian and inlined
+stage, through ``dsl._body``: no other module names ``dsl._emit``.
 """
 import ast
 from pathlib import Path
@@ -344,3 +346,22 @@ def test_one_rule_for_a_failing_claim_point():
                  if isinstance(node, ast.FunctionDef) and node.name == "_point")
     assert len(_handlers_of_point_errors(tree)) == 1
     assert _handlers_of_point_errors(tree) == _handlers_of_point_errors(point)
+
+
+def _decorators(path: Path) -> set[str]:
+    """The last name of every decorator in ``path``, called or not."""
+    return {ast.unparse(deco.func if isinstance(deco, ast.Call) else deco).rpartition(".")[2]
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            for deco in node.decorator_list}
+
+
+def test_one_body_generator_and_no_memo_under_compile_model():
+    # parse and compile keep nothing (a model's owner keeps it compiled),
+    # and the rhs, Jacobian and inlined DP5 bodies all come from dsl._body
+    by_name = {path.name: path for path in SOURCES}
+    for name in ("dsl.py", "derivatives.py"):
+        assert not _decorators(by_name[name]) & {"cache", "lru_cache"}, name
+    assert [path.name for path in SOURCES if "_emit" in _names(path) | _defined(path)] == [
+        "dsl.py"]
+    assert "_body" in _names(by_name["derivatives.py"]) & _names(by_name["integrate.py"])
