@@ -187,7 +187,7 @@ def _with_overrides(params: ParameterSet, overrides: dict | None) -> ParameterSe
     return params.with_updates(**applicable) if applicable else params
 
 
-_MECH_CACHE: dict = {}
+_MECH_CACHE: dict = {}  # mechanism -> (its parameters' items, its run at them)
 # Uniform times at which a mechanism run's collocation polynomial is stored
 MECHANISM_SAMPLES = 4097
 
@@ -196,17 +196,21 @@ def mechanism_trajectory(kind: MechanismKind | str,
                          overrides: dict | None = None) -> tuple[ModelSystem, ParameterSet, Trajectory]:
     """Simulate a mechanism from its chronic default state over its default
     horizon with the Radau IIA(5) kernel, stored as its collocation
-    polynomial at ``MECHANISM_SAMPLES`` uniform times (cached: claims share
-    these runs)."""
+    polynomial at ``MECHANISM_SAMPLES`` uniform times (cached: the two
+    mechanism claims and ``check --plot`` share these runs).  The cache
+    keeps one run per mechanism, that of the latest parameters, so that a
+    scan over parameter sets holds no run but the current one."""
     kind = MechanismKind(str(kind)) if not isinstance(kind, MechanismKind) else kind
     params = _with_overrides(default_params(kind), overrides)
-    key = (kind.value, tuple(sorted(params.items())))
-    if key not in _MECH_CACHE:
+    key = tuple(sorted(params.items()))
+    held = _MECH_CACHE.get(kind.value)
+    if held is None or held[0] != key:
+        _MECH_CACHE.pop(kind.value, None)  # freed before the next run is made
         model = make_mechanism_model(kind, params)
         times = np.linspace(0.0, default_horizon(kind), MECHANISM_SAMPLES)
         traj = sampled_radau_run(model, params, default_state(kind), times, **_SOLVER)
-        _MECH_CACHE[key] = (model, params, traj)
-    return _MECH_CACHE[key]
+        held = _MECH_CACHE[kind.value] = (key, (model, params, traj))
+    return held[1]
 
 
 def _point(rows, failures, name, label, evaluate) -> dict:

@@ -80,7 +80,7 @@ def _load_model(spec: str):
         try:
             with open(spec, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read model file {spec!r}: {exc}") from None
         return _file_model(text)
     names = cat.all_kind_names()
@@ -429,7 +429,19 @@ def run_cli(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    """The process entry: ``run_cli`` on the arguments, its code the exit
+    status.  A reader that closes stdout early (``qsslab catalog | head -1``)
+    ends the command quietly with 0: what the command writes there is
+    computed before it is written, so a reader that stops is no failure.
+    Stdout then points at ``os.devnull``, so that the interpreter's flush
+    at exit cannot raise again."""
+    try:
+        code = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

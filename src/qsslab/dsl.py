@@ -43,6 +43,13 @@ from .errors import EvaluationError, ParseError, SemanticError
 
 RESERVED_TIME = "t"
 FUNCTIONS = {"exp": 1, "ln": 1, "sqrt": 1, "tanh": 1, "min": 2, "max": 2}
+# The deepest an equation may nest, as written (parentheses, calls, unary
+# minus, exponents) and as a tree (a sum of MAX_DEPTH + 1 terms is MAX_DEPTH
+# deep): the parser spends up to 5 frames per written level and the tree
+# walkers (``_emit``, ``expression_reads_time``, ``format_expr``) up to 3
+# per tree level, so at the bound a model parses, compiles and runs in ~510
+# of Python's 1,000.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -177,6 +184,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # levels nested inside the expression (parse_factor calls less one)
+        self.what = "expression"  # what the nesting error names
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -218,12 +227,20 @@ class _Parser:
             node = BinOp(op.text, node, right, op.loc)
         return node
 
-    # factor := '-' factor | power   (unary minus binds looser than '^')
+    # factor := '-' factor | power   (unary minus binds looser than '^');
+    # every nested level of the grammar passes through here
     def parse_factor(self) -> Expr:
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"{self.what} nests deeper than {MAX_DEPTH} levels",
+                             self.peek().loc)
+        self.depth += 1
         if self.at_op("-"):
             op = self.advance()
-            return Neg(self.parse_factor(), op.loc)
-        return self.parse_power()
+            node = Neg(self.parse_factor(), op.loc)
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     # power := atom ['^' factor]    (right-associative; '-x' allowed in exponent)
     def parse_power(self) -> Expr:
@@ -341,6 +358,7 @@ def parse_model(source: str) -> ModelDefinition:
         if name not in state_names:
             semantic.append(f"equation for undeclared state {name}")
 
+    semantic += _unrunnable(state_names, equations)
     for expr in equations.values():
         semantic.extend(_expression_issues(expr, declared))
 
@@ -430,8 +448,9 @@ def _parse_statement(parser: _Parser, names_seen, states, params, equations, slo
             raise ParseError("expected 'dt' after '/'", dt_tok.loc, expected={"dt"})
         parser.advance()
         parser.expect_op("=")
-        expr = parser.parse_expr()
         state_name = head[1:]
+        parser.what = f"equation for {state_name}"
+        expr = parser.parse_expr()
         if state_name in equations:
             semantic.append(f"duplicate equation for {state_name}")
         else:
@@ -456,20 +475,41 @@ def _parse_signed_number(parser: _Parser) -> float:
 
 
 def _expression_issues(expr: Expr, declared: set[str]):
-    if isinstance(expr, Var) and expr.name not in declared:
-        yield f"undeclared identifier {expr.name} at {expr.loc}"
-    elif isinstance(expr, BinOp) and expr.op not in {"+", "-", "*", "/", "^"}:
-        yield f"unknown operator {expr.op} at {expr.loc}"
-    elif isinstance(expr, Call):
-        if expr.func not in FUNCTIONS:
-            yield f"unknown function {expr.func} at {expr.loc}"
-        elif len(expr.args) != FUNCTIONS[expr.func]:
-            yield (
-                f"function {expr.func} takes {FUNCTIONS[expr.func]} argument(s), "
-                f"got {len(expr.args)} at {expr.loc}"
-            )
-    for operand in _children(expr):
-        yield from _expression_issues(operand, declared)
+    pending = [expr]  # walked without recursion, so a tree of any depth is checked
+    while pending:
+        expr = pending.pop()
+        if isinstance(expr, Var) and expr.name not in declared:
+            yield f"undeclared identifier {expr.name} at {expr.loc}"
+        elif isinstance(expr, BinOp) and expr.op not in {"+", "-", "*", "/", "^"}:
+            yield f"unknown operator {expr.op} at {expr.loc}"
+        elif isinstance(expr, Call):
+            if expr.func not in FUNCTIONS:
+                yield f"unknown function {expr.func} at {expr.loc}"
+            elif len(expr.args) != FUNCTIONS[expr.func]:
+                yield (
+                    f"function {expr.func} takes {FUNCTIONS[expr.func]} argument(s), "
+                    f"got {len(expr.args)} at {expr.loc}"
+                )
+        pending += _children(expr)
+
+
+def _depth(expr: Expr) -> int:
+    """The operations on the longest path from ``expr`` to a leaf, counted
+    level by level, without recursion."""
+    depth, level = 0, _children(expr)
+    while level:
+        depth += 1
+        level = [child for node in level for child in _children(node)]
+    return depth
+
+
+def _unrunnable(state_names, equations) -> list:
+    """What no generated code can run: a model without a state, and each
+    equation nested deeper than ``MAX_DEPTH`` as a tree, which the tree
+    walkers after parsing would take past the recursion limit."""
+    issues = [] if state_names else ["no state declared"]
+    return issues + [f"equation for {name} nests deeper than {MAX_DEPTH} levels"
+                     for name, expr in equations.items() if _depth(expr) > MAX_DEPTH]
 
 
 def expression_reads_time(expr: Expr) -> bool:
@@ -697,7 +737,9 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
     compiles the source anew: a caller that runs a model more than once
     keeps the compiled model (``catalog._model`` per kind,
     ``cli._file_model`` per ``.qssm`` text).  A definition that
-    ``parse_model`` would reject raises its ``SemanticError``.
+    ``parse_model`` would reject raises its ``SemanticError``, one without
+    a state or with an equation nested deeper than ``MAX_DEPTH`` before
+    any tree walk.
 
     The model's ``jacobian(params)`` binds the exact Jacobian, generated
     from the same tree (``derivatives``) and compiled on its first use,
@@ -705,6 +747,9 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
     """
     state_names = tuple(s.name for s in defn.states)
     param_names = tuple(p.name for p in defn.params)
+    problems = _unrunnable(state_names, defn.equations)
+    if problems:
+        raise SemanticError(problems)
     exprs = tuple(defn.equations[name] for name in state_names)
     time_dependent = any(expression_reads_time(e) for e in exprs)
     tree = (state_names, param_names, exprs, time_dependent)

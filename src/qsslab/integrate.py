@@ -1,10 +1,10 @@
 """Time stepping: an adaptive Dormand-Prince 5(4) embedded pair with
 proportional step control, and an L-stable Radau IIA of order 5 for stiff
 runs.  Both kernels start through ``_start``, which checks the run and
-binds the model (``ModelSystem.bind``) once, and stop at ``MAX_STEPS``
-trial steps (``_within_budget``).  Both compute on Python floats, in a
-generated stepping loop that keeps each component of its state and stages
-in a local variable.  The Dormand-Prince loop (``_dopri_source``) is
+binds the model (``ModelSystem.bind``) once.  Both compute on Python
+floats, in a generated stepping loop that keeps each component of its
+state and stages in a local variable, and that stops at ``MAX_STEPS``
+trial steps itself.  The Dormand-Prince loop (``_dopri_source``) is
 generated once per compiled model, with the model's rhs body written into
 each stage, and once per dimension, calling the rhs, for any other rhs
 (a hand-built one, or a wrapper such as perfbench's traced counter); the
@@ -17,11 +17,12 @@ by an LU generated per dimension (``_lu_source``), and solves both
 systems inline in each Newton iteration, around three rhs calls; the
 steady-state Newton iteration solves by the same LU (``_lu``).
 
-The kernels, ``_dopri_steps`` and ``_radau_steps``, are generators over
-accepted steps, and between a step's points only its own interpolant is
-evaluated: the free 4th-order continuous extension for Dormand-Prince
-(``dense_coefficients``, ``dense_output``), the collocation polynomial for
-Radau (``collocation_output``).  No other module reads a step:
+The kernels, ``_dopri_steps`` and ``_radau_steps``, return that loop's
+generator over accepted steps, the run's only one, and between a step's
+points only its own interpolant is evaluated: the free 4th-order
+continuous extension for Dormand-Prince (``dense_coefficients``,
+``dense_output``), the collocation polynomial for Radau
+(``collocation_output``).  No other module reads a step:
 ``sampled_dopri_run`` and ``sampled_radau_run`` keep a run's steps and
 evaluate them at given times after the last step, and
 ``first_crossing`` stops the Dormand-Prince run at an event and bisects it
@@ -182,14 +183,6 @@ def _start(model: ModelSystem, params: ParameterSet, state0: StateVector,
     return p, f, y, fy, t0, t_end, span / 100.0, 1e-14 * span
 
 
-def _within_budget(run, t_end: float):
-    """The steps of ``run``, a kernel that returns the time it reached, short
-    of ``t_end`` once its ``MAX_STEPS`` trials are spent."""
-    t = yield from run
-    if t < t_end:  # the budget's last trial did not land on t_end
-        raise StiffnessError(f"step budget of {MAX_STEPS} exhausted at t = {t:g}")
-
-
 def _step_underflow(f, t: float, h: float, finite: bool | None, y0: list, y: list,
                     fy: list, counts: dict, cause: EvaluationError | None = None):
     """The error of a trial step size below the minimum at ``t``, where the
@@ -256,7 +249,8 @@ def _dopri_source(n: int, tree: tuple | None = None) -> str:
     is written out once per component, in the operation order of the
     formula.  The weights, scaled by ``h`` once per trial, are the products
     ``h * <literal>``.  ``kernel`` yields what ``_dopri_steps`` yields, and
-    returns the time it reached.
+    raises ``StiffnessError`` once its ``max_steps`` trials are spent
+    short of ``t_end``.
 
     The two forms differ only in their stage evaluations.  Without
     ``tree`` each stage calls the bound rhs ``f`` on a list and unpacks
@@ -300,7 +294,7 @@ def kernel(f, params, t, t_end, h, h_min, rtol, atol, max_steps, y, k1, counts):
     y0, finite = y, True
     for _ in range(max_steps):
         if t >= t_end:
-            return t
+            return
         last = t_end - t - h < h_min  # no remainder shorter than h_min
         if last:
             h = t_end - t
@@ -352,19 +346,22 @@ def kernel(f, params, t, t_end, h, h_min, rtol, atol, max_steps, y, k1, counts):
         factor = 0.9 * (1.0 / (1e-16 if 1e-16 > err_norm else err_norm)) ** 0.2
         factor = factor if factor > 0.2 else 0.2
         h = h * (factor if factor < 5.0 else 5.0)
-    return t
+    if t < t_end:  # the budget's last trial did not land on t_end
+        raise StiffnessError(f"step budget of {{max_steps}} exhausted at t = {{t:g}}")
 '''
 
 
-_DOPRI_RUNTIME = {"EvaluationError": EvaluationError, "isfinite": math.isfinite,
-                  "_step_underflow": _step_underflow}
+# The globals of the generated stepping loops
+_LOOP_RUNTIME = {"EvaluationError": EvaluationError, "LinAlgError": np.linalg.LinAlgError,
+                 "StiffnessError": StiffnessError, "inf": math.inf, "nan": math.nan,
+                 "isfinite": math.isfinite, "sqrt": math.sqrt, "_step_underflow": _step_underflow}
 
 
 @functools.cache
 def _dopri_kernel(n: int):
     """The stepping loop of ``_dopri_source(n)``, which calls the rhs,
     compiled on first use."""
-    return _compiled(_dopri_source(n), f"<dopri5 kernel, n = {n}>", _DOPRI_RUNTIME)["kernel"]
+    return _compiled(_dopri_source(n), f"<dopri5 kernel, n = {n}>", _LOOP_RUNTIME)["kernel"]
 
 
 @functools.lru_cache(maxsize=64)
@@ -373,12 +370,14 @@ def _inlined_dopri_kernel(rhs):
     body inlined, compiled on first use, once per compiled model (each has
     its own rhs) and process, behind a memo of the 64 most recently used."""
     return _compiled(_dopri_source(len(rhs.tree[0]), rhs.tree), "<dopri5 kernel, inlined rhs>",
-                     {**_RUNTIME, **_DOPRI_RUNTIME})["kernel"]
+                     {**_RUNTIME, **_LOOP_RUNTIME})["kernel"]
 
 
 def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
                  t0: float, t_end: float, rtol: float, atol: float):
-    """Dormand-Prince 5(4) stepping kernel: a generator over accepted steps.
+    """Dormand-Prince 5(4) stepping kernel: the generated loop's generator
+    over accepted steps, returned after the checked start (``_start``),
+    whose checks therefore run at the call.
 
     Each accepted step yields ``(t_prev, t, h, y, K, counts)``: the step
     runs from ``t_prev`` to ``t`` with stage size ``h``, ``y`` is the new
@@ -399,20 +398,19 @@ def _dopri_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     once per dimension and process).  Both take the same steps, bit for
     bit.
 
-    Iterate it inside ``np.errstate(all="ignore")``: a hand-built rhs may
-    compute in numpy, whose non-finite trial steps are rejected, not warned
-    about.  The error state has to be set by the caller, around the loop,
-    because a decorator on a generator function covers only the creation
-    of the generator, and a ``with`` block in its body would leak into the
-    caller between steps.
+    Call and iterate it inside ``np.errstate(all="ignore")``: a hand-built
+    rhs may compute in numpy, whose non-finite trial steps are rejected, not
+    warned about.  The error state has to be set by the caller, around the
+    call and the loop, because a decorator on this function would cover
+    only the creation of the generator, and a ``with`` block in the loop's
+    body would leak into the caller between steps.
     """
     # FSAL: k1 is f(y0) here, and the previous step's k7 after that
     p, f, y, k1, t0, t_end, h, h_min = _start(model, params, state0, t0, t_end, rtol, atol)
     counts = {"rejected": 0, "rhs_evals": 1}
     inlined = getattr(model.rhs, "tree", None) is not None
     kernel = _inlined_dopri_kernel(model.rhs) if inlined else _dopri_kernel(len(y))
-    yield from _within_budget(kernel(f, p, t0, t_end, h, h_min, rtol, atol, MAX_STEPS, y, k1,
-                                     counts), t_end)
+    return kernel(f, p, t0, t_end, h, h_min, rtol, atol, MAX_STEPS, y, k1, counts)
 
 
 def dense_coefficients(Y, y, h: float):
@@ -546,7 +544,8 @@ def _radau_source(n: int) -> str:
     iteration forms both right-hand sides and solves both systems inline
     (``_lu_solve``), the complex one on Python complex numbers.  The error
     estimate ``r_#`` is a solve of the real system.  ``kernel`` yields what
-    ``_radau_steps`` yields, and returns the time it reached.
+    ``_radau_steps`` yields, and raises ``StiffnessError`` once its
+    ``max_steps`` trials are spent short of ``t_end``.
     """
     each = functools.partial(_per_component, n)
 
@@ -693,7 +692,7 @@ def kernel(f, jacobian, lu, t, t_end, h_next, h_min, rtol, atol, newton_tol,
         yield t_prev, t, h, {state}, ({", ".join(
             f"({each(row + '_#')},)" for row in ("yp", "q1", "q2", "q3"))}), counts
         if t >= t_end:
-            return t
+            return
         counts["rhs_evals"] += 1
         try:
             {each("fy_#")}, = f(t, {state})
@@ -703,23 +702,22 @@ def kernel(f, jacobian, lu, t, t_end, h_next, h_min, rtol, atol, newton_tol,
             (J, cause), fresh, h_inv = jacobian(t, {state}), True, None
         else:
             fresh = False
-    return t
+    # a trial that lands on t_end returns above
+    raise StiffnessError(f"step budget of {{max_steps}} exhausted at t = {{t:g}}")
 '''
 
 
 @functools.cache
 def _radau_kernel(n: int):
     """The stepping loop of ``_radau_source(n)``, compiled on first use."""
-    return _compiled(_radau_source(n), f"<radau5 kernel, n = {n}>", {
-        "EvaluationError": EvaluationError, "LinAlgError": np.linalg.LinAlgError,
-        "inf": math.inf, "nan": math.nan, "isfinite": math.isfinite,
-        "sqrt": math.sqrt, "_step_underflow": _step_underflow})["kernel"]
+    return _compiled(_radau_source(n), f"<radau5 kernel, n = {n}>", _LOOP_RUNTIME)["kernel"]
 
 
 def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
                  t0: float, t_end: float, rtol: float, atol: float):
-    """Radau IIA(5) stepping kernel: a generator over accepted steps, as
-    ``_dopri_steps`` is (Hairer & Wanner, *Solving ODEs II*, IV.8; the
+    """Radau IIA(5) stepping kernel: the generated loop's generator over
+    accepted steps, returned after the checked start, as ``_dopri_steps``
+    returns its loop (Hairer & Wanner, *Solving ODEs II*, IV.8; the
     algorithm of scipy's ``Radau``).
 
     Each accepted step yields ``(t_prev, t, h, y, Y, counts)``: the step
@@ -753,7 +751,7 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
     last accepted time, the minimum step and the ``MAX_STEPS`` budget are
     those of ``integrate_adaptive``.  The steps are taken by the loop
     generated for the model's dimension (``_radau_source``, compiled once
-    per dimension and process).  Iterate it inside
+    per dimension and process).  Call and iterate it inside
     ``np.errstate(all="ignore")``, as ``_dopri_steps``.
     """
     p, rhs, y, f_y, t0, t_end, h, h_min = _start(model, params, state0, t0, t_end, rtol, atol)
@@ -769,9 +767,8 @@ def _radau_steps(model: ModelSystem, params: ParameterSet, state0: StateVector,
             return [[math.nan] * n] * n, exc
 
     newton_tol = max(10 * math.ulp(1.0) / rtol, min(0.03, rtol ** 0.5))  # ulp(1): eps
-    yield from _within_budget(_radau_kernel(n)(rhs, jacobian, _lu(n)["lu"], t0, t_end, h,
-                                               h_min, rtol, atol, newton_tol, MAX_STEPS, y,
-                                               f_y, counts), t_end)
+    return _radau_kernel(n)(rhs, jacobian, _lu(n)["lu"], t0, t_end, h, h_min, rtol, atol,
+                            newton_tol, MAX_STEPS, y, f_y, counts)
 
 
 def collocation_output(Y, theta, out=None, steps=None):

@@ -316,6 +316,20 @@ class TestClaims:
             assert f"{leg}: T* not strictly decreasing" not in report.narrative
 
 
+def test_the_mechanism_cache_keeps_the_latest_run_per_mechanism():
+    # a scan over parameter sets keeps no run but each mechanism's latest
+    kinds = ("bcell-depletion", "virulence-drift")
+    claims._MECH_CACHE.clear()
+    try:
+        for pi in (12.0, 11.0):
+            latest = [mechanism_trajectory(kind, {"pi": pi}) for kind in kinds]
+        assert sorted(claims._MECH_CACHE) == sorted(kinds)
+        assert all(mechanism_trajectory(kind, {"pi": 11.0}) is run
+                   for kind, run in zip(kinds, latest))
+    finally:
+        claims._MECH_CACHE.clear()
+
+
 class TestCollapseWindow:
     def test_window_brackets_the_fall(self):
         _, _, traj = mechanism_trajectory("bcell-depletion")

@@ -15,7 +15,7 @@ from qsslab import cli
 from qsslab.catalog import default_params, default_state, make_model
 from qsslab.claims import CLAIMS
 from qsslab.cli import read_trajectory_csv, run_cli, write_trajectory_csv
-from qsslab.dsl import compile_model
+from qsslab.dsl import MAX_DEPTH, compile_model
 from qsslab.integrate import Trajectory, sampled_dopri_run
 from qsslab.svg import render_plot
 from qsslab.errors import UsageError
@@ -547,6 +547,40 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "qss-reduction-valid: PASS" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [["catalog"], ["steady", "--model", "healthy"]])
+def test_a_closed_stdout_ends_quietly(argv):
+    # the reader has gone before the command writes: exit 0, no traceback
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "qsslab", *argv], env=env, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert "Traceback" not in done.stderr, done.stderr
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"model m\nstate T = 1\n\xff\xfe\ndT/dt = -T\n", "cannot read model file"),
+    (b"model empty\nparam a = 1\n", "no state declared"),
+    (("model s\nstate T = 1\ndT/dt = -T" + " - T" * 450 + "\n").encode(),
+     f"equation for T nests deeper than {MAX_DEPTH} levels"),
+    (("model p\nstate T = 1\ndT/dt = " + "(" * 1200 + "-T" + ")" * 1200 + "\n").encode(),
+     f"equation for T nests deeper than {MAX_DEPTH} levels"),
+], ids=["not-utf8", "no-state", "451-term-sum", "1200-parentheses"])
+def test_a_malformed_model_file_is_a_usage_error(outdir, capsys, text, message):
+    model, out = outdir / "m.qssm", outdir / "o.csv"
+    model.write_bytes(text)
+    assert run_cli(["simulate", "--model", str(model), "--t-end", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_check_plot_writes_overview_svg(outdir):

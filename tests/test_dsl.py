@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
 import importlib.resources
+import inspect
 import math
 import random
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -18,11 +20,14 @@ from qsslab import (
     compile_model,
     default_params,
     eval_rhs,
+    find_steady_state,
+    integrate_adaptive,
     make_model,
     parse_model,
 )
 from qsslab import derivatives, dsl
 from qsslab.dsl import (
+    MAX_DEPTH,
     BinOp,
     Call,
     ModelDefinition,
@@ -544,6 +549,47 @@ def test_compile_rejects_an_unchecked_definition(expr, problems):
     with pytest.raises(SemanticError) as excinfo:
         compile_model(defn)
     assert [m.split(" at ")[0] for m in excinfo.value.messages] == problems
+
+
+def test_a_model_without_a_state_is_rejected():
+    # its generated stepping loops would unpack nothing
+    with pytest.raises(SemanticError, match="no state declared"):
+        parse_model("model empty\nparam a = 1\n")
+    with pytest.raises(SemanticError, match="no state declared"):
+        compile_model(ModelDefinition("empty", (), (ParamSpec("a", None, False, 1.0),), {}))
+
+
+# Equations k levels deep as written (parentheses, unary minus) or as a
+# tree (a sum of k + 1 terms, calls, powers), and no deeper in either
+NESTINGS = {
+    "sum": lambda k: "-T" + " - T" * (k - 2) + " + 1",
+    "parentheses": lambda k: "(" * k + "1 - T" + ")" * k,
+    "unary-minus": lambda k: "-" * (k - 1) + "(T - 1)",
+    "calls": lambda k: "tanh(" * (k - 1) + "1 - T" + ")" * (k - 1),
+    "powers": lambda k: "1 - T^" + "^".join(["1"] * (k - 1)),
+}
+
+
+@pytest.mark.parametrize("shape", NESTINGS)
+def test_an_equation_nests_at_most_max_depth_levels(shape):
+    # at the bound a model parses, compiles and runs within 600 frames of
+    # its caller; one level deeper is refused, naming the equation
+    source = "model m\nstate T = 2\ndT/dt = {}\n".format
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 600)
+    try:
+        defn = parse_model(source(NESTINGS[shape](MAX_DEPTH)))
+        model, params = compile_model(defn), dsl.default_params(defn)
+        state0 = default_initial_state(defn)
+        integrate_adaptive(model, params, state0, 0.0, 1.0)
+        find_steady_state(model, params, state0)
+        model.jacobian(params)
+        format_expr(defn.equations["T"])
+    finally:
+        sys.setrecursionlimit(limit)
+    with pytest.raises((ParseError, SemanticError),
+                       match=f"equation for T nests deeper than {MAX_DEPTH} levels"):
+        parse_model(source(NESTINGS[shape](MAX_DEPTH + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,15 @@ a claim point that fails numerically does: ``claims._point``.  The
 Dormand-Prince step generated for a compiled model writes the model's rhs
 into each stage: its loop calls no function of the model's and hands the
 bound rhs only to the step-size error, and a run of the model steps by
-that loop.  The code generator keeps no memo (whoever runs a model keeps
+that loop.  Each kernel returns the generated loop's own generator,
+which spends the step budget itself: a run steps through no other
+generator.  The code generator keeps no memo (whoever runs a model keeps
 it compiled) and writes every model body, rhs, Jacobian and inlined
 stage, through ``dsl._body``: no other module names ``dsl._emit``.
 """
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 from unittest import mock
 
@@ -38,7 +42,14 @@ import pytest
 
 from qsslab import all_kind_names, default_params, default_state, integrate_adaptive, make_model
 from qsslab.core import ModelSystem
-from qsslab.integrate import _dopri_source, _lu_source, _radau_kernel, _radau_source
+from qsslab.integrate import (
+    _dopri_source,
+    _dopri_steps,
+    _lu_source,
+    _radau_kernel,
+    _radau_source,
+    _radau_steps,
+)
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qsslab").glob("*.py"))
 STEP_NAMES = {"_dopri_steps", "_radau_steps", "dense_coefficients", "dense_output",
@@ -102,10 +113,11 @@ def test_the_tree_walking_evaluator_is_the_tests_oracle(path):
 
 
 # The calls the generated Radau loop may make: the bound rhs, the Jacobian,
-# the LU factorisation, the math helpers, its loops and its step-size error;
-# and those of the factorisation: its permutation's start and the error
-# that LAPACK raises for a singular matrix
-RADAU_CALLS = {"f", "jacobian", "lu", "sqrt", "isfinite", "range", "_step_underflow"}
+# the LU factorisation, the math helpers, its loops, its step-size error and
+# its step budget's; and those of the factorisation: its permutation's start
+# and the error that LAPACK raises for a singular matrix
+RADAU_CALLS = {"f", "jacobian", "lu", "sqrt", "isfinite", "range", "_step_underflow",
+               "StiffnessError"}
 LU_CALLS = {"range", "LinAlgError"}
 
 
@@ -140,10 +152,10 @@ def test_radau_step_keeps_its_arithmetic_on_floats(n):
 
 # The calls the Dormand-Prince loop generated for a compiled model may make:
 # those of the rhs body it inlines (the math helpers, the parameters' reads
-# and the errors), its finiteness check, its loop and its step-size error,
-# the one place that may evaluate the bound rhs f
+# and the errors), its finiteness check, its loop, its step-size error, the
+# one place that may evaluate the bound rhs f, and its step budget's error
 DOPRI_CALLS = {"float", "_exp", "_log", "_sqrt", "_tanh", "_floor", "_EvaluationError", "_Loc",
-               "isfinite", "range", "_step_underflow"}
+               "isfinite", "range", "_step_underflow", "StiffnessError"}
 
 
 @pytest.mark.parametrize("name", all_kind_names())
@@ -170,6 +182,24 @@ def test_a_compiled_models_dopri_loop_inlines_its_rhs(name):
     with mock.patch.object(ModelSystem, "bind", counting):
         integrate_adaptive(model, default_params(name), default_state(name), 0.0, 1.0)
     assert evaluations == [0.0]
+
+
+@pytest.mark.parametrize("name", all_kind_names())
+def test_one_generator_per_run(name):
+    # each kernel hands its caller the generated loop's own generator, which
+    # spends the step budget itself: no generator passes its steps on
+    model = make_model(name)
+    called = dataclasses.replace(model, rhs=lambda t, y, p: model.rhs(t, y, p))
+    args = default_params(name), default_state(name), 0.0, 1.0, 1e-8, 1e-12
+    for kernel, run, filename in ((_dopri_steps, model, "<dopri5 kernel, inlined rhs>"),
+                                  (_dopri_steps, called, f"<dopri5 kernel, n = {model.dimension}>"),
+                                  (_radau_steps, model, f"<radau5 kernel, n = {model.dimension}>")):
+        steps = kernel(run, *args)
+        assert inspect.isgenerator(steps) and steps.gi_code.co_filename == filename
+        assert next(steps)[1] > 0.0
+        steps.close()
+    integrate = next(p for p in SOURCES if p.name == "integrate.py")
+    assert "_within_budget" not in _names(integrate) | _defined(integrate)
 
 
 def _function(path_name: str, name: str) -> ast.FunctionDef:
