@@ -306,7 +306,8 @@ def classify_curvature(trajectory: Trajectory, component: str,
     maximal decreasing run inside ``window`` (default: the whole
     trajectory), the longest in time.
 
-    A window outside the trajectory's time range raises ``ValidationError``;
+    A window outside the trajectory's time range, or with a bound that is
+    not a number, raises ``ValidationError``;
     an empty one, t0 == t1 (``collapse_window`` of a decline that is
     steepest at its start), raises ``InsufficientDataError``, as too few
     points do.
@@ -325,7 +326,7 @@ def classify_curvature(trajectory: Trajectory, component: str,
     values = trajectory.component(component)
     if window is not None:
         lo, hi = window
-        if lo < times[0] - 1e-12 or hi > times[-1] + 1e-12 or hi < lo:
+        if not times[0] - 1e-12 <= lo <= hi <= times[-1] + 1e-12:  # false for nan
             raise ValidationError([f"window {window} outside trajectory range"])
         if hi == lo:  # holds no span of the trajectory to classify
             raise InsufficientDataError(f"window {window} is empty")

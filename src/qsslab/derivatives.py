@@ -157,8 +157,8 @@ class _Forward:
     def __call__(self, expr, args, out):
         grads = [self.grads.get(a, {}) for a in args]
         d = {}
-        if isinstance(expr, Call) and (expr.func, len(args)) in _PICKS:
-            pick = f"{args[1]} {_PICKS[(expr.func, 2)]} {args[0]}"
+        if isinstance(expr, Call) and expr.func in _PICKS:
+            pick = f"{args[1]} {_PICKS[expr.func]} {args[0]}"
             for j in sorted(grads[0].keys() | grads[1].keys()):
                 u, v = (g.get(j, 0.0) for g in grads)
                 d[j] = u if u == v else f"{_operand(v)} if {pick} else {_operand(u)}"

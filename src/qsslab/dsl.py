@@ -21,10 +21,13 @@ and binds tightest, then unary minus, then ``* /``, then ``+ -``; calls
 
 A compiled model carries its right-hand side as generated Python and, as
 ``ModelSystem.jacobian``, its exact Jacobian, generated from the same tree
-on first use (``derivatives``); ``_body`` writes both bodies.  Whoever runs
-a model keeps it compiled (``compile_model``).  ``min(a, b)`` is a unless
-b < a, and ``max(a, b)`` a unless b > a: at a tie both are the first
-argument, and so is their derivative.  No runtime path walks the tree: the
+on first use (``derivatives``); ``_body`` writes both bodies.  A
+``ModelDefinition`` is checked when it is made, parsed or built by hand
+(``_issues``), so ``compile_model`` and the code generators trust it and
+check nothing.  Whoever runs a model keeps it compiled
+(``compile_model``).  ``min(a, b)`` is a unless b < a, and ``max(a, b)``
+a unless b > a: at a tie both are the first argument, and so is their
+derivative.  No runtime path walks the tree: the
 tests' oracle for the generated code is the tree walker ``eval_expr`` in
 ``tests/evaluator.py``.
 """
@@ -120,9 +123,12 @@ class StateDecl:
 
 @dataclass(frozen=True)
 class ModelDefinition:
-    """A parsed model; ``equations`` (state name -> Expr) is read-only, so
-    that the definition the catalog keeps per kind (``catalog._definition``)
-    and shares between its callers cannot be changed by one of them."""
+    """A model, valid by construction: one that breaks a rule of the
+    language (``_issues``) raises ``SemanticError`` listing every offense,
+    as a parsed one does.  Its fields are read-only (``equations``, state
+    name -> Expr, a mapping proxy), so that the definition the catalog
+    keeps per kind (``catalog._definition``) and shares between its callers
+    cannot be changed by one of them, nor made invalid."""
 
     name: str
     states: tuple[StateDecl, ...]
@@ -131,7 +137,12 @@ class ModelDefinition:
     slow: tuple[str, ...] = ()  # designated slow rates, in order
 
     def __post_init__(self):
+        for name in ("states", "params", "slow"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "equations", MappingProxyType(dict(self.equations)))
+        issues = _issues(self)
+        if issues:
+            raise SemanticError(sorted(set(issues)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +309,11 @@ def parse_model(source: str) -> ModelDefinition:
     """Parse and validate a full model definition.
 
     Lexical/syntax problems raise ``ParseError`` with a location and the set
-    of acceptable tokens; semantic problems are collected and raised together
-    as one ``SemanticError`` listing every offense.  Each call parses
-    anew: a caller that reads one text more than once keeps the definition
+    of acceptable tokens; semantic problems, the two that only a text can
+    have (a second ``model`` line, a second equation for a state) and those
+    of the definition it builds (``ModelDefinition``), are collected and
+    raised together as one ``SemanticError`` listing every offense.  Each
+    call parses anew: a caller that reads one text more than once keeps the definition
     (``catalog._definition``) or the compiled model (``cli._file_model``).
     """
     names_seen: list[str] = []
@@ -330,48 +343,19 @@ def parse_model(source: str) -> ModelDefinition:
 
     if len(names_seen) > 1:
         semantic.append("multiple 'model' lines")
-
-    state_names = [s.name for s in states]
-    param_names = [p.name for p in params]
-    declared = set(state_names) | set(param_names) | {RESERVED_TIME}
-
-    for name, count in Counter(state_names).items():
-        if count > 1:
-            semantic.append(f"duplicate state declaration for {name}")
-    for name, count in Counter(param_names).items():
-        if count > 1:
-            semantic.append(f"duplicate parameter declaration for {name}")
-    for name in set(state_names) & set(param_names):
-        semantic.append(f"{name} declared as both state and parameter")
-    for name in (set(state_names) | set(param_names)) & {RESERVED_TIME}:
-        semantic.append(f"{RESERVED_TIME!r} is reserved for time and cannot be declared")
-    for name, count in Counter(slow).items():
-        if count > 1:
-            semantic.append(f"duplicate slow rate {name}")
-        if name not in param_names:
-            semantic.append(f"slow rate {name} is not a declared parameter")
-
-    for state in states:
-        if state.name not in equations:
-            semantic.append(f"missing equation for {state.name}")
-    for name in equations:
-        if name not in state_names:
-            semantic.append(f"equation for undeclared state {name}")
-
-    semantic += _unrunnable(state_names, equations)
-    for expr in equations.values():
-        semantic.extend(_expression_issues(expr, declared))
-
+    try:
+        defn = ModelDefinition(
+            name=names_seen[0] if names_seen else "unnamed",
+            states=tuple(states),
+            params=tuple(params),
+            equations=equations,
+            slow=tuple(slow),
+        )
+    except SemanticError as exc:
+        semantic += exc.messages
     if semantic:
         raise SemanticError(sorted(set(semantic)))
-
-    return ModelDefinition(
-        name=names_seen[0] if names_seen else "unnamed",
-        states=tuple(states),
-        params=tuple(params),
-        equations=equations,
-        slow=tuple(slow),
-    )
+    return defn
 
 
 def _parse_statement(parser: _Parser, names_seen, states, params, equations, slow, semantic):
@@ -474,42 +458,56 @@ def _parse_signed_number(parser: _Parser) -> float:
     return sign * float(tok.text)
 
 
-def _expression_issues(expr: Expr, declared: set[str]):
-    pending = [expr]  # walked without recursion, so a tree of any depth is checked
-    while pending:
-        expr = pending.pop()
-        if isinstance(expr, Var) and expr.name not in declared:
-            yield f"undeclared identifier {expr.name} at {expr.loc}"
-        elif isinstance(expr, BinOp) and expr.op not in {"+", "-", "*", "/", "^"}:
-            yield f"unknown operator {expr.op} at {expr.loc}"
-        elif isinstance(expr, Call):
-            if expr.func not in FUNCTIONS:
-                yield f"unknown function {expr.func} at {expr.loc}"
-            elif len(expr.args) != FUNCTIONS[expr.func]:
-                yield (
-                    f"function {expr.func} takes {FUNCTIONS[expr.func]} argument(s), "
-                    f"got {len(expr.args)} at {expr.loc}"
-                )
-        pending += _children(expr)
-
-
-def _depth(expr: Expr) -> int:
-    """The operations on the longest path from ``expr`` to a leaf, counted
-    level by level, without recursion."""
-    depth, level = 0, _children(expr)
-    while level:
-        depth += 1
-        level = [child for node in level for child in _children(node)]
-    return depth
-
-
-def _unrunnable(state_names, equations) -> list:
-    """What no generated code can run: a model without a state, and each
-    equation nested deeper than ``MAX_DEPTH`` as a tree, which the tree
-    walkers after parsing would take past the recursion limit."""
+def _issues(defn: ModelDefinition) -> list:
+    """Every rule of the language that ``defn`` breaks, as the messages of
+    its ``SemanticError``.  Among them is what no generated code can run: a
+    model without a state, and an equation nested deeper than ``MAX_DEPTH``
+    as a tree (the operations on its longest path from the root to a leaf),
+    which the tree walkers after parsing would take past the recursion limit."""
+    state_names = [s.name for s in defn.states]
+    param_names = [p.name for p in defn.params]
+    declared = {*state_names, *param_names, RESERVED_TIME}
     issues = [] if state_names else ["no state declared"]
-    return issues + [f"equation for {name} nests deeper than {MAX_DEPTH} levels"
-                     for name, expr in equations.items() if _depth(expr) > MAX_DEPTH]
+
+    for name, count in Counter(state_names).items():
+        if count > 1:
+            issues.append(f"duplicate state declaration for {name}")
+    for name, count in Counter(param_names).items():
+        if count > 1:
+            issues.append(f"duplicate parameter declaration for {name}")
+    for name in set(state_names) & set(param_names):
+        issues.append(f"{name} declared as both state and parameter")
+    for name in (set(state_names) | set(param_names)) & {RESERVED_TIME}:
+        issues.append(f"{RESERVED_TIME!r} is reserved for time and cannot be declared")
+    for name, count in Counter(defn.slow).items():
+        if count > 1:
+            issues.append(f"duplicate slow rate {name}")
+        if name not in param_names:
+            issues.append(f"slow rate {name} is not a declared parameter")
+
+    for name in state_names:
+        if name not in defn.equations:
+            issues.append(f"missing equation for {name}")
+    for name, expr in defn.equations.items():
+        if name not in state_names:
+            issues.append(f"equation for undeclared state {name}")
+        depth, level = -1, [expr]  # walked level by level, so a tree of any depth is checked
+        while level:
+            depth += 1
+            for node in level:
+                if isinstance(node, Var) and node.name not in declared:
+                    issues.append(f"undeclared identifier {node.name} at {node.loc}")
+                elif isinstance(node, BinOp) and node.op not in {"+", "-", "*", "/", "^"}:
+                    issues.append(f"unknown operator {node.op} at {node.loc}")
+                elif isinstance(node, Call) and node.func not in FUNCTIONS:
+                    issues.append(f"unknown function {node.func} at {node.loc}")
+                elif isinstance(node, Call) and len(node.args) != FUNCTIONS[node.func]:
+                    issues.append(f"function {node.func} takes {FUNCTIONS[node.func]} "
+                                  f"argument(s), got {len(node.args)} at {node.loc}")
+            level = [child for node in level for child in _children(node)]
+        if depth > MAX_DEPTH:
+            issues.append(f"equation for {name} nests deeper than {MAX_DEPTH} levels")
+    return issues
 
 
 def expression_reads_time(expr: Expr) -> bool:
@@ -580,11 +578,8 @@ _RUNTIME = {
     "_sqrt": math.sqrt, "_tanh": math.tanh, "_EvaluationError": EvaluationError,
     "_Loc": SourceLocation,
 }
-# Keyed on (name, arity) and operator, so that a tree parse_model would
-# reject raises KeyError while its source is generated.
-_UNARY_CALLS = {("exp", 1): "_exp", ("ln", 1): "_log", ("sqrt", 1): "_sqrt", ("tanh", 1): "_tanh"}
-_PICKS = {("min", 2): "<", ("max", 2): ">"}  # min(a, b) keeps a unless b < a
-_RAISE_FREE = {"+": "+", "-": "-", "*": "*"}  # never raise on floats
+_UNARY_CALLS = {"exp": "_exp", "ln": "_log", "sqrt": "_sqrt", "tanh": "_tanh"}
+_PICKS = {"min": "<", "max": ">"}  # min(a, b) keeps a unless b < a
 
 
 def _raise(message: str, loc: SourceLocation) -> str:
@@ -618,12 +613,11 @@ def _emit(expr: Expr, names: dict, lines: list, derive=None) -> str:
     if isinstance(expr, Neg):
         lines.append(f"{out} = -{args[0]}")
     elif isinstance(expr, Call):
-        key = (expr.func, len(args))
-        if key in _PICKS:
+        if expr.func in _PICKS:
             a, b = args
-            lines.append(f"{out} = {b} if {b} {_PICKS[key]} {a} else {a}")
+            lines.append(f"{out} = {b} if {b} {_PICKS[expr.func]} {a} else {a}")
         else:
-            lines += ["try:", f"    {out} = {_UNARY_CALLS[key]}({args[0]})",
+            lines += ["try:", f"    {out} = {_UNARY_CALLS[expr.func]}({args[0]})",
                       "except (ValueError, OverflowError) as exc:",
                       f"    raise _EvaluationError(str(exc) + "
                       f"{f' in {expr.func}() at {expr.loc}'!r}, "
@@ -643,8 +637,8 @@ def _emit(expr: Expr, names: dict, lines: list, derive=None) -> str:
             lines += [f"    {out} = {left} ** {right}",
                       "except OverflowError:", "    " + _raise("overflow in '^'", expr.loc),
                       "except ZeroDivisionError:", "    " + _raise("division by zero", expr.loc)]
-        else:
-            lines.append(f"{out} = {left} {_RAISE_FREE[op]} {right}")
+        else:  # + - * never raise on floats
+            lines.append(f"{out} = {left} {op} {right}")
     if derive is not None:
         derive(expr, args, out)
     return out
@@ -736,10 +730,8 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
     inlines (``integrate._dopri_source``).  Each call generates and
     compiles the source anew: a caller that runs a model more than once
     keeps the compiled model (``catalog._model`` per kind,
-    ``cli._file_model`` per ``.qssm`` text).  A definition that
-    ``parse_model`` would reject raises its ``SemanticError``, one without
-    a state or with an equation nested deeper than ``MAX_DEPTH`` before
-    any tree walk.
+    ``cli._file_model`` per ``.qssm`` text).  It checks nothing: a
+    ``ModelDefinition`` is valid by construction.
 
     The model's ``jacobian(params)`` binds the exact Jacobian, generated
     from the same tree (``derivatives``) and compiled on its first use,
@@ -747,19 +739,10 @@ def compile_model(defn: ModelDefinition) -> ModelSystem:
     """
     state_names = tuple(s.name for s in defn.states)
     param_names = tuple(p.name for p in defn.params)
-    problems = _unrunnable(state_names, defn.equations)
-    if problems:
-        raise SemanticError(problems)
     exprs = tuple(defn.equations[name] for name in state_names)
     time_dependent = any(expression_reads_time(e) for e in exprs)
     tree = (state_names, param_names, exprs, time_dependent)
-    try:
-        source = _rhs_source(tree)
-    except KeyError:
-        declared = {*state_names, *param_names, RESERVED_TIME}
-        problems = {p for e in exprs for p in _expression_issues(e, declared)}
-        raise SemanticError(sorted(problems)) from None
-    rhs = _compiled(source, "<qssm rhs>")["rhs"]
+    rhs = _compiled(_rhs_source(tree), "<qssm rhs>")["rhs"]
     rhs.tree = tree
 
     equation = " ; ".join(

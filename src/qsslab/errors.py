@@ -34,8 +34,10 @@ class ValidationError(QsslabError):
 
 class DomainError(QsslabError, ValueError):
     """A time span, tolerance or step size lies outside its domain:
-    ``t_end <= t0``, a non-positive ``rtol``, ``atol`` or ``dt``, or a ``dt``
-    that needs more than the step budget."""
+    ``t_end <= t0``, a ``t0``, ``t_end`` or ``t_end - t0`` that is not
+    finite, an ``rtol`` or ``atol`` that is not finite and positive, a
+    ``dt`` that is not positive, or a ``dt`` that needs more than the step
+    budget."""
 
 
 class UnsupportedKindError(QsslabError):
@@ -78,12 +80,13 @@ class InsufficientDataError(QsslabError):
 class ParseError(QsslabError):
     """Lexical or syntactic error in model-definition text.
 
-    ``location`` is a SourceLocation; ``expected`` is a set of token
+    ``location`` is a SourceLocation, which the text names as
+    ``<message> at line L, column C``; ``expected`` is a set of token
     descriptions that would have been accepted.
     """
 
     def __init__(self, message, location, expected=()):
-        super().__init__(message)
+        super().__init__(f"{message} at {location}")
         self.location = location
         self.expected = frozenset(expected)
 

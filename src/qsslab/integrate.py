@@ -159,15 +159,22 @@ class Trajectory:
         return self.state_at(-1)
 
 
+def _check_domain(t0: float, t_end: float, rtol: float, atol: float):
+    """Refuse a run whose span or tolerances lie outside their domain: the
+    span t_end - t0 must be positive and finite, and so must rtol and atol.
+    Each comparison is false for nan."""
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise DomainError("rtol and atol must be positive and finite")
+    if not -math.inf < t0 < t_end < math.inf or t_end - t0 == math.inf:
+        raise DomainError(f"t_end ({t_end:g}) must exceed t0 ({t0:g}) by a finite span")
+
+
 def _start(model: ModelSystem, params: ParameterSet, state0: StateVector,
            t0: float, t_end: float, rtol: float, atol: float):
     """Both kernels' checked start: the resolved parameters, the bound rhs f,
     y0 and f(t0, y0) (nan outside the rhs's domain) as lists of floats, t0
     and t_end as floats, the first trial step and the minimum step."""
-    if rtol <= 0 or atol <= 0:
-        raise DomainError("rtol and atol must be positive")
-    if t_end <= t0:
-        raise DomainError(f"t_end ({t_end:g}) must exceed t0 ({t0:g})")
+    _check_domain(t0, t_end, rtol, atol)
     violations = validate(model, params, state0)
     if violations:
         raise ValidationError(violations)
@@ -874,8 +881,10 @@ def integrate_fixed(model: ModelSystem, params: ParameterSet, state0: StateVecto
     """``integrate_adaptive``'s run stored every ``dt`` (``sampled_dopri_run``)
     at ``t0 + i * dt``, i up to floor((t_end - t0) / dt + 1e-9), and at
     ``t_end`` in place of a last time not below it.  A grid of more than
-    ``MAX_STEPS`` rows after ``t0`` raises ``DomainError`` before any step."""
-    if dt <= 0:
+    ``MAX_STEPS`` rows after ``t0`` raises ``DomainError`` before any step,
+    as do a ``dt`` that is not positive and ``_check_domain``'s refusals."""
+    _check_domain(t0, t_end, rtol, atol)
+    if not dt > 0:  # nan too
         raise DomainError(f"dt must be positive, got {dt:g}")
     if (t_end - t0) / dt > MAX_STEPS:
         raise DomainError(f"dt = {dt:g} needs more than {MAX_STEPS} rows after t0 = {t0:g}")

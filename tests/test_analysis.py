@@ -176,6 +176,14 @@ class TestClassifyCurvature:
         with pytest.raises(ValidationError, match="outside trajectory range"):
             classify_curvature(traj, "T", window=(0.6, 0.5))
 
+    @pytest.mark.parametrize("window", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+                                        (-math.inf, 0.5)])
+    def test_a_non_finite_window_is_refused(self, window):
+        # a nan bound fails every comparison: it read as inside the range
+        traj = sampled_trajectory(lambda t: 1.0 - t, np.linspace(0, 1, 64))
+        with pytest.raises(ValidationError, match="outside trajectory range"):
+            classify_curvature(traj, "T", window=window)
+
     def test_too_few_points(self):
         traj = sampled_trajectory(lambda t: 1.0 - t, np.linspace(0, 1, 8))
         with pytest.raises(InsufficientDataError):

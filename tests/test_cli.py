@@ -583,6 +583,15 @@ def test_a_malformed_model_file_is_a_usage_error(outdir, capsys, text, message):
     assert not out.exists()
 
 
+def test_a_syntax_error_names_its_line_and_column(outdir, capsys):
+    model, out = outdir / "at.qssm", outdir / "o.csv"
+    model.write_text("model at\nstate T = 1\ndT/dt = 1 @ 2\n")
+    assert run_cli(["simulate", "--model", str(model), "--t-end", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unexpected character '@' at line 3, column 11" in err, err
+    assert not out.exists()
+
+
 def test_check_plot_writes_overview_svg(outdir):
     plot = outdir / "mechanisms.svg"
     code = run_cli(["check", "aids-curve-needs-feedback", "--plot", str(plot)])

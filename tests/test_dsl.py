@@ -544,11 +544,50 @@ def test_generated_sources_are_pinned(name):
     (Call("min", (Var("T"),)), ["function min takes 2 argument(s), got 1"]),
     (BinOp("%", Var("T"), Num(2.0)), ["unknown operator %"]),
 ])
-def test_compile_rejects_an_unchecked_definition(expr, problems):
-    defn = ModelDefinition("m", (StateDecl("T", 1.0),), (), {"T": expr})
+def test_construction_rejects_an_unchecked_expression(expr, problems):
     with pytest.raises(SemanticError) as excinfo:
-        compile_model(defn)
+        ModelDefinition("m", (StateDecl("T", 1.0),), (), {"T": expr})
     assert [m.split(" at ")[0] for m in excinfo.value.messages] == problems
+
+
+_T = (StateDecl("T", 1.0),)
+_A = ParamSpec("a", None, False, 1.0)
+
+
+# Each definition built by hand and written as text: construction refuses
+# it with the messages parse_model gives for the text
+HAND_BUILT = {
+    "missing-equation": (dict(states=_T, params=(), equations={}),
+                         "state T = 1\n"),
+    "undeclared-state": (dict(states=_T, params=(), equations={"T": Num(0.0), "V": Num(1.0)}),
+                         "state T = 1\ndT/dt = 0\ndV/dt = 1\n"),
+    "duplicate-state": (dict(states=_T * 2, params=(), equations={"T": Num(0.0)}),
+                        "state T = 1\nstate T = 1\ndT/dt = 0\n"),
+    "duplicate-param": (dict(states=_T, params=(_A, _A), equations={"T": Var("a")}),
+                        "state T = 1\nparam a = 1\nparam a = 1\ndT/dt = a\n"),
+    "state-and-param": (dict(states=_T, params=(ParamSpec("T", None),),
+                             equations={"T": Neg(Var("T"))}),
+                        "state T = 1\nparam T\ndT/dt = -T\n"),
+    "declared-time": (dict(states=_T, params=(ParamSpec("t", None),),
+                           equations={"T": Neg(Var("T"))}),
+                      "state T = 1\nparam t\ndT/dt = -T\n"),
+    "undeclared-slow-rate": (dict(states=_T, params=(_A,), equations={"T": Var("a")},
+                                  slow=("k",)),
+                             "state T = 1\nparam a = 1\nslow k\ndT/dt = a\n"),
+    "duplicate-slow-rate": (dict(states=_T, params=(_A,), equations={"T": Var("a")},
+                                 slow=("a", "a")),
+                            "state T = 1\nparam a = 1\nslow a, a\ndT/dt = a\n"),
+}
+
+
+@pytest.mark.parametrize("case", HAND_BUILT)
+def test_a_definition_is_valid_by_construction(case):
+    fields, text = HAND_BUILT[case]
+    with pytest.raises(SemanticError) as parsed:
+        parse_model("model m\n" + text)
+    with pytest.raises(SemanticError) as built:
+        ModelDefinition("m", **fields)
+    assert built.value.messages == parsed.value.messages
 
 
 def test_a_model_without_a_state_is_rejected():

@@ -811,6 +811,29 @@ def test_both_kernels_share_one_checked_start(monkeypatch, kernel):
         run()
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda *run: integrate_adaptive(*run, 0.0, NAN), "by a finite span"),
+    (lambda *run: integrate_adaptive(*run, 0.0, INF), "by a finite span"),
+    (lambda *run: integrate_adaptive(*run, -INF, 1.0), "by a finite span"),
+    (lambda *run: integrate_adaptive(*run, -1e308, 1e308), "by a finite span"),
+    (lambda *run: integrate_adaptive(*run, 0.0, 1.0, rtol=NAN), "rtol and atol"),
+    (lambda *run: integrate_adaptive(*run, 0.0, 1.0, atol=INF), "rtol and atol"),
+    (lambda *run: integrate_fixed(*run, 0.0, 1.0, NAN), "dt must be positive"),
+    (lambda *run: integrate_fixed(*run, NAN, 1.0, 0.1), "by a finite span"),
+    (lambda *run: sampled_radau_run(*run, [0.0, INF], 1e-6, 1e-9), "by a finite span"),
+], ids=["t_end-nan", "t_end-inf", "t0-inf", "span-overflow", "rtol-nan", "atol-inf", "dt-nan",
+        "fixed-t0-nan", "radau-t_end-inf"])
+def test_a_non_finite_span_or_tolerance_is_refused_at_the_call(call, message):
+    # before any step: a nan or infinite span or tolerance would otherwise
+    # take the whole step budget, underflow, accept every step or crash
+    run = make_base_model("healthy"), ParameterSet(a=1, y=1), StateVector(("T",), [0.5])
+    with pytest.raises(DomainError, match=message):
+        call(*run)
+
+
 class TestTrajectory:
     def test_invariants_enforced(self):
         with pytest.raises(ValidationError):

@@ -30,7 +30,10 @@ that loop.  Each kernel returns the generated loop's own generator,
 which spends the step budget itself: a run steps through no other
 generator.  The code generator keeps no memo (whoever runs a model keeps
 it compiled) and writes every model body, rhs, Jacobian and inlined
-stage, through ``dsl._body``: no other module names ``dsl._emit``.
+stage, through ``dsl._body``: no other module names ``dsl._emit``.  A
+model definition is checked once, when it is made: only
+``ModelDefinition.__post_init__`` calls ``dsl._issues``, and
+``compile_model`` checks nothing.
 """
 import ast
 import dataclasses
@@ -395,3 +398,27 @@ def test_one_body_generator_and_no_memo_under_compile_model():
     assert [path.name for path in SOURCES if "_emit" in _names(path) | _defined(path)] == [
         "dsl.py"]
     assert "_body" in _names(by_name["derivatives.py"]) & _names(by_name["integrate.py"])
+
+
+def test_a_definition_is_checked_once():
+    # a ModelDefinition is valid by construction, so compile_model trusts
+    # it, and the generators' code tables are keyed by name alone
+    tree = ast.parse((SOURCES[0].parent / "dsl.py").read_text(encoding="utf-8"))
+    definition = next(node for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name == "ModelDefinition")
+    post_init, compile_model = (
+        next(node for node in body if isinstance(node, ast.FunctionDef) and node.name == name)
+        for body, name in ((definition.body, "__post_init__"), (tree.body, "compile_model")))
+
+    def checks(node) -> int:
+        return sum(isinstance(call, ast.Call) and ast.unparse(call.func) == "_issues"
+                   for call in ast.walk(node))
+    assert checks(tree) == checks(post_init) == 1
+    assert not [node for node in ast.walk(compile_model)
+                if isinstance(node, (ast.Try, ast.Raise, ast.If))]
+    tables = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets}
+    for name in ("_UNARY_CALLS", "_PICKS"):
+        keys = tables[name].keys
+        assert keys and all(isinstance(key, ast.Constant) and isinstance(key.value, str)
+                            for key in keys), name
