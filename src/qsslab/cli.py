@@ -16,6 +16,8 @@ import json
 import math
 import os
 import sys
+from collections import deque
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .errors import NUMERICAL_ERRORS, ParseError, QsslabError, SemanticError, Us
 from .integrate import Trajectory, integrate_adaptive, integrate_fixed
 from .svg import render_plot
 
-_CSV_BLOCK = 65_536  # rows of a trajectory CSV formatted at once
+_CSV_BLOCK = 65_536  # rows of a trajectory CSV formatted, or lines read, at once
 
 
 def _parse_kv(pairs, what):
@@ -146,42 +148,91 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     _write_text(path, pieces())
 
 
+def _csv_header(path: str, line: str) -> tuple:
+    """The state names of the header ``line``; a line that is not one
+    raises ``UsageError``."""
+    if not line.startswith("t,"):
+        raise UsageError(f"{path!r} is not a trajectory CSV (expected header 't,...')")
+    header = line.split(",")
+    for i, name in enumerate(header):
+        if not name or name in header[:i]:
+            raise UsageError(f"{path!r} header: column {i + 1} is "
+                             + (f"a second {name!r}" if name else "empty"))
+    return tuple(header[1:])
+
+
+def _csv_cells(rows: list, width: int):
+    """The cells of ``rows``, row by row, as one array, or None unless every
+    row has ``width`` cells and every cell is a finite number."""
+    if {*map(str.count, rows, repeat(","))} != {width - 1}:
+        return None
+    cells = ",".join(rows).split(",")
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _csv_row_error(path: str, lines: list, first: int, width: int) -> UsageError:
+    """The error of the first bad row among the stripped ``lines``, which
+    are the file's lines from line ``first`` on."""
+    for line_no, line in enumerate(lines, start=first):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            return UsageError(f"{path!r} line {line_no}: {len(cells)} cells, the header has {width}")
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            return UsageError(f"{path!r} line {line_no}: {line!r} is not all numbers")
+        if not all(map(math.isfinite, row)):
+            return UsageError(f"{path!r} line {line_no}: {line!r} is not all finite")
+    raise AssertionError(f"{path!r}: no bad row from line {first}")
+
+
+def _csv_rows(path: str, fh) -> tuple:
+    """The state names and the cells, as one array, of the CSV open as
+    ``fh``, read, checked and converted ``_CSV_BLOCK`` lines at a time.
+    Blank lines are skipped but counted in the line numbers; a block with
+    a bad row is rescanned line by line, to name the first."""
+    names, blocks, first = None, [], 1
+    while lines := list(map(str.strip, islice(fh, _CSV_BLOCK))):
+        rows = list(filter(None, lines))
+        if names is None and rows:
+            start = lines.index(rows[0]) + 1
+            names = _csv_header(path, rows[0])
+            lines, rows, first = lines[start:], rows[1:], first + start
+        if rows:
+            cells = _csv_cells(rows, len(names) + 1)
+            if cells is None:
+                raise _csv_row_error(path, lines, first, len(names) + 1)
+            blocks.append(cells)
+        first += len(lines)
+    if names is None:
+        raise UsageError(f"{path!r} is not a trajectory CSV (expected header 't,...')")
+    return names, np.concatenate(blocks or [np.empty(0)])
+
+
 def read_trajectory_csv(path: str) -> Trajectory:
     """Read a CSV that ``write_trajectory_csv`` wrote.  A file that is not
     one -- unreadable, without the ``t,...`` header, with an empty or a
     repeated column name, with a row whose cell count differs from the
     header's or with a cell that is not a finite number -- raises
-    ``UsageError``."""
+    ``UsageError``.  A file that cannot be read or decoded is reported as
+    such, even when a bad row comes before the bad byte."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
+            try:
+                names, cells = _csv_rows(path, fh)
+            except UsageError:
+                deque(fh, maxlen=0)
+                raise
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read trajectory {path!r}: {exc}") from None
-    if not lines or not lines[0][1].startswith("t,"):
-        raise UsageError(f"{path!r} is not a trajectory CSV (expected header 't,...')")
-    header = lines[0][1].split(",")
-    for i, name in enumerate(header):
-        if not name or name in header[:i]:
-            raise UsageError(f"{path!r} header: column {i + 1} is "
-                             + (f"a second {name!r}" if name else "empty"))
-    names = tuple(header[1:])
-    times = []
-    states = []
-    for line_no, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(names) + 1:
-            raise UsageError(
-                f"{path!r} line {line_no}: {len(cells)} cells, the header has {len(names) + 1}"
-            )
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
-            raise UsageError(f"{path!r} line {line_no}: {line!r} is not all numbers") from None
-        if not all(map(math.isfinite, row)):
-            raise UsageError(f"{path!r} line {line_no}: {line!r} is not all finite")
-        times.append(row[0])
-        states.append(row[1:])
-    return Trajectory(np.array(times), np.array(states), names, {"scheme": "csv"})
+    table = cells.reshape(-1, len(names) + 1)  # columns copied out C-contiguous, not as views
+    return Trajectory(table[:, 0].copy(), table[:, 1:].copy(), names, {"scheme": "csv"})
 
 
 def _write_json(payload: dict, path: str | None) -> None:
@@ -395,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     catalog_cmd = sub.add_parser("catalog", help="list models, parameters, defaults")
     catalog_cmd.set_defaults(func=_cmd_catalog)
+    parser.commands = sub.choices  # each command's parser, by name, for _parse
     return parser
 
 
@@ -404,9 +456,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """``argv`` parsed as ``_parser().parse_args`` parses it, but an argv
+    whose first word names a command is scanned once, by that command's
+    parser alone; the top-level parser scans only an argv without one.
+    Words left over are reported by the top-level parser, as it would."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def run_cli(argv) -> int:
     try:
-        args = _parser().parse_args(list(argv))
+        args = _parse(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

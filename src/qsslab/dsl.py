@@ -149,10 +149,11 @@ class ModelDefinition:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a name, as the tokenizer reads one
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<NUMBER>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<IDENT>{_IDENT_RE.pattern})
   | (?P<OP>>=|[+\-*/^(),=;>])
   | (?P<WS>[ \t]+)
     """,
@@ -469,6 +470,9 @@ def _issues(defn: ModelDefinition) -> list:
     declared = {*state_names, *param_names, RESERVED_TIME}
     issues = [] if state_names else ["no state declared"]
 
+    for kind, names in (("state", state_names), ("parameter", param_names)):
+        issues += [f"{kind} name {name!r} is not an identifier" for name in names
+                   if not (isinstance(name, str) and _IDENT_RE.fullmatch(name))]
     for name, count in Counter(state_names).items():
         if count > 1:
             issues.append(f"duplicate state declaration for {name}")
@@ -495,7 +499,11 @@ def _issues(defn: ModelDefinition) -> list:
         while level:
             depth += 1
             for node in level:
-                if isinstance(node, Var) and node.name not in declared:
+                if not isinstance(node, (Num, Var, Neg, BinOp, Call)):
+                    issues.append(f"equation for {name} holds {node!r}, not an expression")
+                elif isinstance(node, Num) and type(node.value) not in (int, float):
+                    issues.append(f"number {node.value!r} at {node.loc} is not an int or a float")
+                elif isinstance(node, Var) and node.name not in declared:
                     issues.append(f"undeclared identifier {node.name} at {node.loc}")
                 elif isinstance(node, BinOp) and node.op not in {"+", "-", "*", "/", "^"}:
                     issues.append(f"unknown operator {node.op} at {node.loc}")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -6,19 +7,21 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from csvoracle import read_by_line
 from qsslab import cli
 from qsslab.catalog import default_params, default_state, make_model
 from qsslab.claims import CLAIMS
-from qsslab.cli import read_trajectory_csv, run_cli, write_trajectory_csv
+from qsslab.cli import build_parser, read_trajectory_csv, run_cli, write_trajectory_csv
 from qsslab.dsl import MAX_DEPTH, compile_model
 from qsslab.integrate import Trajectory, sampled_dopri_run
 from qsslab.svg import render_plot
-from qsslab.errors import UsageError
+from qsslab.errors import QsslabError, UsageError
 
 
 @pytest.fixture()
@@ -360,6 +363,63 @@ def test_consecutive_calls_share_the_parser_but_no_arguments(outdir):
         assert path.read_bytes() == (fresh / path.name).read_bytes(), path.name
 
 
+# a valid argv of each command, then argvs that argparse refuses or answers
+ARGV_CORPUS = [
+    ["simulate", "--model", "healthy", "--param", "a=2", "--init", "T=3", "--t-end", "1",
+     "--dt", "0.5", "--out", "x.csv", "--plot", "x.svg"],
+    ["steady", "--model", "healthy", "--guess=T=2", "--out", "s.json"],
+    ["classify", "--traj", "x.csv", "--component", "T", "--window", "0:1"],
+    ["sweep", "--model", "linear-destruction", "--sweep", "gamma=1,2", "--out", "s.csv"],
+    ["check", "qss-reduction-valid", "--override", "x=1", "--json", "c.json"],
+    ["catalog"],
+    ["simulate", "--model", "healthy", "--t-e", "5", "--out", "x.csv"],
+    ["-h"],
+    ["simulate", "-h"],
+    ["simulate", "--model", "healthy", "--t-end", "1", "--out", "x.csv", "--bogus"],
+    ["simulate", "--model", "healthy", "--out", "x.csv"],
+    ["simulate", "--model", "healthy", "--t-end", "x", "--out", "x.csv"],
+    ["simulate", "--model", "healthy", "--t", "1", "--out", "x.csv"],
+    ["simulate", "--model", "healthy", "--t-end", "1", "--out", "x.csv", "--", "x"],
+    ["simulate", "--", "--model", "healthy"],
+    ["catalog", "extra", "-x"],
+    ["check"],
+    [],
+    ["frobnicate", "--model", "healthy"],
+    ["--", "catalog"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """What ``parse(argv)`` gives: its exit code or its namespace, with the
+    text it printed."""
+    try:
+        outcome = vars(parse(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+def test_an_argv_parses_as_the_parser_parses_it(capsys, argv):
+    expected = _parse_outcome(capsys, build_parser().parse_args, argv)
+    assert _parse_outcome(capsys, cli._parse, argv) == expected
+    if not isinstance(expected[0], dict):  # refused or answered: run_cli prints the same
+        assert run_cli(argv) == expected[0]
+        assert capsys.readouterr()[:] == expected[1:]
+
+
+def test_a_command_is_scanned_once(outdir):
+    scan = argparse.ArgumentParser.parse_known_args
+    # autospec passes the parser itself as the first argument
+    with mock.patch.object(argparse.ArgumentParser, "parse_known_args", autospec=True,
+                           side_effect=scan) as scanned:
+        assert run_cli(["steady", "--model", "healthy", "--param", "a=2",
+                        "--out", str(outdir / "s.json")]) == 0
+    assert scanned.call_count == 1
+    assert scanned.call_args.args[0] is cli._parser().commands["steady"]
+
+
 def test_a_model_file_compiles_once_per_text(outdir, monkeypatch):
     model = outdir / "once.qssm"
     model.write_text("model once\nstate T = 3\nparam r = 1 nonneg\ndT/dt = 1 - r*T\n")
@@ -458,7 +518,9 @@ def test_window_needs_two_finite_increasing_bounds(outdir, capsys, window):
 
 _cell = st.one_of(
     st.floats().map(repr), st.integers(-5, 40).map(str),
-    st.sampled_from(["", "abc", "1e999", "-0", " 2 ", "NaN", "1_0"]), st.text(max_size=4),
+    st.sampled_from(["", "abc", "1e999", "-0", " 2 ", "NaN", "1_0", " 1.5", "inf", "-inf",
+                     "\v2", "\f", "\x85", "0x1"]),
+    st.text(max_size=4),
 )
 _row = st.lists(_cell, max_size=4).map(",".join)
 _csv_text = st.one_of(
@@ -479,6 +541,82 @@ def test_classify_any_csv_text_exits_0_or_2(text):
         path.write_bytes(text.encode("utf-8", "surrogatepass"))
         argv = ["classify", "--traj", str(path), "--out", str(Path(tmp) / "v.json")]
         assert run_cli(argv) in (0, 2)
+
+
+def _read_outcome(read, path):
+    """The bits, shape, names and layout ``read`` gives for ``path``, or its error."""
+    try:
+        traj = read(path)
+    except QsslabError as exc:
+        return type(exc), str(exc)
+    return (traj.times.tobytes(), traj.states.tobytes(), traj.states.shape, traj.state_names,
+            traj.states.flags.c_contiguous)
+
+
+_line = st.one_of(_row, st.sampled_from(["", " ", "\t", "\v", " \f ", "1,\v2", "1\v,2"]))
+# a header, valid or not, and rows, each line ended by LF, CRLF or CR (the
+# last line maybe by nothing), after any number of leading lines
+_eol = st.sampled_from(["\n", "\r\n", "\r"])
+_ended_text = st.tuples(
+    st.lists(st.tuples(st.sampled_from(["", " ", "\v", "t,T"]), _eol), max_size=3),
+    st.sampled_from(["t,T", "t,T,V", "t", "t,", "T,t", "t,T,T", "t,,T", " t,T ", "t, T", ""]),
+    _eol,
+    st.lists(st.tuples(_line, _eol), max_size=12),
+    st.booleans(),
+).map(lambda p: "".join(a + e for a, e in p[0]) + p[1] + p[2]
+      + "".join(a + e for a, e in p[3])[:None if p[4] else -1])
+# increasing times with any finite values, so the reader returns a trajectory
+_valid_text = st.tuples(st.lists(st.floats(-1e308, 1e308), min_size=2, max_size=30),
+                        st.sampled_from(["\n", "\r\n"])).map(
+    lambda p: "t,T" + p[1] + "".join(f"{i},{v!r}{p[1]}" for i, v in enumerate(p[0])))
+
+
+@given(st.one_of(_csv_text, _ended_text, _valid_text), st.sampled_from([1, 2, 3, 65_536]))
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_the_csv_reader_agrees_with_the_line_by_line_reader(text, block):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CSV_BLOCK", block):
+        path = str(Path(tmp) / "traj.csv")
+        Path(path).write_bytes(text.encode("utf-8", "surrogatepass"))
+        assert _read_outcome(read_trajectory_csv, path) == _read_outcome(read_by_line, path)
+
+
+# lines 1-3 are the first block of three, lines 4-6 the second; each case
+# ends in an error's text after the path, or reads the given number of rows
+@pytest.mark.parametrize("lines, outcome", [
+    (["t,T", "0,1", "1,x", "2,3", "3,4"], "line 3: '1,x' is not all numbers"),
+    (["t,T", "0,1", "1,2", "2,x", "3,4"], "line 4: '2,x' is not all numbers"),
+    (["t,T", "0,1", "", "", "1,2,3"], "line 5: 3 cells, the header has 2"),
+    (["t,T", "0,1", "1,nan", "2,x"], "line 3: '1,nan' is not all finite"),
+    (["", " ", "", "t,T", "0,1", "1", "2,3"], "line 6: 1 cells, the header has 2"),
+    (["", "", "", "", "", ""], "is not a trajectory CSV (expected header 't,...')"),
+    (["t,T", "0,1", " ", "\t", "1,2", "", "2,3", ""], 3),
+    (["", "", "", "t,T", "0,1", "1,2"], 2),
+], ids=["last-of-first", "first-of-second", "blanks-across", "finite-before-number",
+        "header-in-second", "only-blanks", "blanks-valid", "header-in-second-valid"])
+def test_a_block_boundary_keeps_the_line_numbers(outdir, monkeypatch, lines, outcome):
+    path = str(outdir / "blocks.csv")
+    Path(path).write_text("\n".join(lines) + "\n")
+    expected = _read_outcome(read_by_line, path)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
+    assert _read_outcome(read_trajectory_csv, path) == expected
+    if isinstance(outcome, str):
+        assert expected == (UsageError, f"{path!r} {outcome}")
+    else:
+        assert expected[2] == (outcome, 1)
+
+
+@pytest.mark.parametrize("first_row", ["0,1", "0,x"], ids=["valid", "bad-row-first"])
+@pytest.mark.parametrize("block", [3, 65_536])
+def test_a_bad_byte_in_a_later_block_is_unreadable(outdir, monkeypatch, first_row, block):
+    # past the first 8 KiB that the text layer decodes at once, so that the
+    # blocks before it are read and checked first
+    path = str(outdir / "late.csv")
+    rows = [first_row] + [f"{i},{i / 7!r}" for i in range(1, 2000)]
+    Path(path).write_bytes(("t,T\n" + "\n".join(rows) + "\n").encode() + b"2000,\xff\n")
+    expected = _read_outcome(read_by_line, path)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    assert _read_outcome(read_trajectory_csv, path) == expected
+    assert expected[0] is UsageError and expected[1].startswith(f"cannot read trajectory {path!r}")
 
 
 def test_plot_svg_structure(outdir):

@@ -550,6 +550,20 @@ def test_construction_rejects_an_unchecked_expression(expr, problems):
     assert [m.split(" at ")[0] for m in excinfo.value.messages] == problems
 
 
+# Each passed construction and then failed with a bare Python error: a
+# SyntaxError from the generated rhs, an AttributeError in compile_model
+# and a TypeError at the first rhs call
+@pytest.mark.parametrize("params, equation, problem", [
+    ((ParamSpec("a b", None),), Var("a b"), "parameter name 'a b' is not an identifier"),
+    ((), "T", "equation for T holds 'T', not an expression"),
+    ((), Num("x"), "number 'x' at line 0, column 0 is not an int or a float"),
+], ids=["name", "node", "number"])
+def test_construction_refuses_what_no_generated_code_runs(params, equation, problem):
+    with pytest.raises(SemanticError) as excinfo:
+        ModelDefinition("m", (StateDecl("T", 1.0),), params, {"T": equation})
+    assert excinfo.value.messages == [problem]
+
+
 _T = (StateDecl("T", 1.0),)
 _A = ParamSpec("a", None, False, 1.0)
 

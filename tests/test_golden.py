@@ -9,7 +9,12 @@
   checks; the same, with the sha256 of the CSV, for each catalog model's
   ``simulate --t-end 20``; the same for each catalog model's ``steady``
   from its default guess (the four mechanisms exit 3 from their chronic
-  state); and the ``env`` (Python, numpy, machine) the files were made on.
+  state); and the ``env`` (Python, numpy, machine) the files were made on;
+- ``diagnostics.json``: the exit code, stdout and stderr of each bad argv
+  in ``BAD_ARGVS`` and of ``classify`` on each malformed CSV in
+  ``MALFORMED_CSVS``, run in their own directory with ``COLUMNS=80``, so
+  that the paths the messages name and argparse's line breaks are the
+  same on every run.
 
 The test runs every command again through ``run_cli``, from a cold
 mechanism cache as a fresh process does, and compares bytes.  On a
@@ -24,9 +29,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +49,33 @@ CHECKS = [(claim, None) for claim in sorted(claims.CLAIMS)] + [
     ("aids-curve-needs-feedback", "beta=1e300"),
     ("destruction-lowers-and-hastens", "a=0"),
 ]
+DIAGNOSTICS = "diagnostics.json"
+BAD_ARGVS = [
+    [],
+    ["frobnicate"],
+    ["simulate"],
+    ["simulate", "--model", "healthy", "--t-end", "x", "--out", "x.csv"],
+    ["simulate", "--model", "healthy", "--t-end", "1", "--out", "x.csv", "--bogus"],
+    ["simulate", "--model", "healthy", "--t", "1", "--out", "x.csv"],
+    ["simulate", "--model", "healthy", "--t-end", "1", "--out", "x.csv", "--", "x"],
+    ["simulate", "--model", "nope", "--t-end", "1", "--out", "x.csv"],
+    ["steady", "--model", "healthy", "--guess", "V=1"],
+    ["classify", "--traj", "missing.csv"],
+    ["check", "no-such-claim"],
+    ["check", "qss-reduction-valid", "--override", "x"],
+    ["catalog", "extra"],
+]
+MALFORMED_CSVS = {
+    "empty": b"",
+    "blank": b"\n \n\t\n",
+    "no-header": b"T,t\n0,1\n1,2\n",
+    "repeated-column": b"t,T,T\n0,1,2\n1,2,3\n",
+    "cell-count": b"t,T\n0,1\n1,0.5,3\n",
+    "not-a-number": b"t,T\n\n0,1\n \n1,abc\n",
+    "not-finite": b"t,T\r\n0,1\r\n1,nan\r\n",
+    "not-utf8": b"t,T\n0,1\n1,\xff\n",
+    "one-row": b"t,T\n0,1\n",
+}
 ENV = {"python": platform.python_version(), "numpy": np.__version__,
        "machine": platform.machine(), "system": platform.system()}
 
@@ -77,6 +111,24 @@ def outputs(workdir: Path) -> tuple[dict, dict]:
         record["simulate"][model] = run
         record["steady"][model] = _run(["steady", "--model", model])
     return reports, record
+
+
+def diagnostics(workdir: Path) -> dict:
+    """Run every bad argv and classify every malformed CSV in ``workdir``;
+    returns ``diagnostics.json``'s record."""
+    record = {"argv": {}, "csv": {}}
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            for argv in BAD_ARGVS:
+                record["argv"][" ".join(argv)] = _run(argv)
+            for name, text in MALFORMED_CSVS.items():
+                Path(f"{name}.csv").write_bytes(text)
+                record["csv"][name] = _run(["classify", "--traj", f"{name}.csv"])
+    finally:
+        os.chdir(cwd)
+    return record
 
 
 def first_difference(golden, now, path: str = "$"):
@@ -126,7 +178,8 @@ def _fail(name: str, found) -> None:
 
 def test_every_report_is_pinned(regenerated):
     reports, _ = regenerated
-    pinned = sorted(path.name for path in GOLDEN.glob("*.json") if path.name != OUTPUTS)
+    pinned = sorted(path.name for path in GOLDEN.glob("*.json")
+                    if path.name not in (OUTPUTS, DIAGNOSTICS))
     assert pinned == sorted(reports)
 
 
@@ -154,9 +207,19 @@ def test_runs_are_golden(regenerated, command):
         _fail(OUTPUTS, found)
 
 
+@pytest.mark.parametrize("kind", ["argv", "csv"])
+def test_diagnostics_are_golden(tmp_path, kind):
+    golden = json.loads((GOLDEN / DIAGNOSTICS).read_text(encoding="utf-8"))[kind]
+    found = first_difference(golden, diagnostics(tmp_path)[kind], f"$.{kind}")
+    if found:
+        _fail(DIAGNOSTICS, found)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         reports, record = outputs(Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        diagnosed = diagnostics(Path(tmp))
     GOLDEN.mkdir(exist_ok=True)
     for stale in GOLDEN.glob("*.json"):
         stale.unlink()
@@ -164,3 +227,4 @@ if __name__ == "__main__":
         (GOLDEN / name).write_bytes(data)
     (GOLDEN / OUTPUTS).write_text(json.dumps({"env": ENV, **record}, indent=2) + "\n",
                                   encoding="utf-8")
+    (GOLDEN / DIAGNOSTICS).write_text(json.dumps(diagnosed, indent=2) + "\n", encoding="utf-8")
